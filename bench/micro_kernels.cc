@@ -212,8 +212,8 @@ tileMeta(const perf::RepOptions &rep, EdgeId edges)
 CaseResult
 planPrepareCold(const perf::RepOptions &rep, EdgeId edges)
 {
-    // Cost of a cache miss: fingerprint + partition + O(E log E)
-    // sort + tile-meta extraction.
+    // Cost of a cache miss: fingerprint + partition + radix sort +
+    // tile-meta extraction.
     const CooGraph g = makeRmat({.numVertices =
                                      static_cast<VertexId>(edges / 8),
                                  .numEdges = edges,
@@ -256,7 +256,7 @@ planStoreColdVsWarm(const perf::RepOptions &rep, EdgeId edges,
                     bool warm)
 {
     // The cold-start win of the on-disk preprocessing store: cold
-    // pays fingerprint + partition + O(E log E) sort + meta
+    // pays fingerprint + partition + radix sort + meta
     // extraction (what a storeless process pays); warm is a validated
     // artifact load through the store's mmap/chunked path — no sort.
     const CooGraph g = makeRmat({.numVertices =
@@ -366,7 +366,7 @@ serveRequest(const perf::RepOptions &rep, bool warm)
 {
     // Per-request latency of the serving daemon: cold drops the
     // caches before each request, so the daemon re-pays dataset
-    // resolution and the O(E log E) sort (what a one-shot graphr_run
+    // resolution and the edge sort (what a one-shot graphr_run
     // process pays); warm is answered by the process-resident
     // PlanCache — the paper's online-phase steady state.
     service::Server server(service::ServeOptions{});

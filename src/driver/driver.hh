@@ -68,7 +68,7 @@ struct SweepSpec
      * Durable plan store (--plan-dir): with a non-empty planDir every
      * backend's preprocessing goes through the on-disk second level
      * of PlanCache — cold runs write artifacts through, warm runs
-     * skip the O(E log E) sort. Empty = in-memory caching only.
+     * skip the edge sort. Empty = in-memory caching only.
      */
     StoreSpec store;
 };

@@ -23,8 +23,8 @@ namespace
 
 /**
  * Prepare one graph variant directly against the store: a valid
- * artifact is reused, otherwise the plan is built (the O(E log E)
- * sort) and persisted. Deliberately bypasses the in-memory PlanCache
+ * artifact is reused, otherwise the plan is built (the edge sort)
+ * and persisted. Deliberately bypasses the in-memory PlanCache
  * so `prepare` always leaves a durable artifact behind, even when
  * this process has the plan memoised already.
  */
@@ -42,8 +42,8 @@ prepareVariant(const PlanStore &store, const std::string &dataset,
         result.edges = loaded->ordered.edges().size();
         result.tiles = loaded->ordered.tiles().size();
     } else {
-        const auto plan =
-            std::make_shared<const TilePlan>(graph, tiling);
+        const auto plan = std::make_shared<const TilePlan>(
+            graph, tiling, result.fingerprint);
         store.save(*plan, tiling);
         result.edges = plan->ordered.edges().size();
         result.tiles = plan->ordered.tiles().size();

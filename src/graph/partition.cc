@@ -48,7 +48,8 @@ GridPartition::GridPartition(VertexId num_vertices,
 }
 
 std::uint64_t
-GridPartition::tileIndex(VertexId i, VertexId j) const
+GridPartition::locate(VertexId i, VertexId j, std::uint64_t &sub_i,
+                      std::uint64_t &sub_j) const
 {
     GRAPHR_ASSERT(i < paddedVertices_ && j < paddedVertices_,
                   "cell (", i, ",", j, ") outside padded grid ",
@@ -63,8 +64,19 @@ GridPartition::tileIndex(VertexId i, VertexId j) const
     // Eq. 5: tile coordinates within the block.
     const std::uint64_t tile_row = i_in_block / params_.crossbarDim;
     const std::uint64_t tile_col = j_in_block / tileWidth_;
+    // Eq. 7: offsets within the tile.
+    sub_i = i_in_block - tile_row * params_.crossbarDim;
+    sub_j = j_in_block - tile_col * tileWidth_;
     // Eq. 6 (0-based): column-major within the block, blocks first.
     return bi * tilesPerBlock() + tile_row + tile_col * tileRowsPerBlock_;
+}
+
+std::uint64_t
+GridPartition::tileIndex(VertexId i, VertexId j) const
+{
+    std::uint64_t sub_i = 0;
+    std::uint64_t sub_j = 0;
+    return locate(i, j, sub_i, sub_j);
 }
 
 TileCoord
@@ -94,14 +106,9 @@ GridPartition::tileOrigin(const TileCoord &coord, std::uint64_t &row0,
 std::uint64_t
 GridPartition::globalOrderId(VertexId i, VertexId j) const
 {
-    const std::uint64_t si = tileIndex(i, j);
-    const TileCoord coord = tileCoord(si);
-    std::uint64_t row0 = 0;
-    std::uint64_t col0 = 0;
-    tileOrigin(coord, row0, col0);
-    // Eq. 7: offsets within the tile.
-    const std::uint64_t sub_i = i - row0;
-    const std::uint64_t sub_j = j - col0;
+    std::uint64_t sub_i = 0;
+    std::uint64_t sub_j = 0;
+    const std::uint64_t si = locate(i, j, sub_i, sub_j);
     // Eq. 8 (0-based): column-major within the tile.
     const std::uint64_t sub = sub_i + sub_j * params_.crossbarDim;
     // Eq. 9 (0-based).

@@ -141,6 +141,13 @@ class GridPartition
                        std::uint64_t &j) const;
 
   private:
+    /**
+     * Global tile index SI of cell (i, j), also returning the cell's
+     * offsets within that tile (Eq. 7).
+     */
+    std::uint64_t locate(VertexId i, VertexId j, std::uint64_t &sub_i,
+                         std::uint64_t &sub_j) const;
+
     VertexId numVertices_;
     TilingParams params_;
     std::uint64_t tileWidth_;

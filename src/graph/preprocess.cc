@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
-#include <numeric>
+#include <bit>
+#include <limits>
 #include <utility>
 
 #include "common/logging.hh"
@@ -14,8 +15,52 @@ namespace graphr
 namespace
 {
 
-/** Counts every O(E log E) preprocessing sort, process-wide. */
+/** Counts every preprocessing sort, process-wide. */
 std::atomic<std::uint64_t> g_sorts_performed{0};
+
+/** Digit width of the LSD radix sort: 4096 buckets per pass. */
+constexpr unsigned kRadixBits = 12;
+constexpr std::uint64_t kRadixMask = (std::uint64_t{1} << kRadixBits) - 1;
+
+/**
+ * Stable LSD radix sort of (key, index) pairs held as parallel arrays,
+ * ceil(bits(max key) / 12) passes. Equal keys keep their input order.
+ * The scratch arrays are freed on return: the sort peaks at 24 B per
+ * pair, and the caller is left holding the two sorted arrays.
+ */
+void
+radixSortByKey(std::vector<std::uint64_t> &keys,
+               std::vector<std::uint32_t> &index)
+{
+    const std::size_t n = keys.size();
+    const std::uint64_t max_key =
+        n == 0 ? 0 : *std::max_element(keys.begin(), keys.end());
+    const unsigned passes =
+        (std::bit_width(max_key) + kRadixBits - 1) / kRadixBits;
+
+    std::vector<std::uint64_t> key_buf(n);
+    std::vector<std::uint32_t> index_buf(n);
+    std::vector<std::size_t> offsets(kRadixMask + 1);
+    for (unsigned pass = 0; pass < passes; ++pass) {
+        const unsigned shift = pass * kRadixBits;
+        std::fill(offsets.begin(), offsets.end(), 0);
+        for (const std::uint64_t key : keys)
+            ++offsets[(key >> shift) & kRadixMask];
+        // One bucket holding every key makes this pass the identity.
+        if (offsets[(keys[0] >> shift) & kRadixMask] == n)
+            continue;
+        std::size_t next = 0;
+        for (std::size_t &offset : offsets)
+            next += std::exchange(offset, next);
+        for (std::size_t e = 0; e < n; ++e) {
+            const std::size_t to = offsets[(keys[e] >> shift) & kRadixMask]++;
+            key_buf[to] = keys[e];
+            index_buf[to] = index[e];
+        }
+        keys.swap(key_buf);
+        index.swap(index_buf);
+    }
+}
 
 } // namespace
 
@@ -32,39 +77,42 @@ OrderedEdgeList::OrderedEdgeList(const CooGraph &graph,
     GRAPHR_ASSERT(graph.numVertices() == partition.numVertices(),
                   "partition built for |V|=", partition.numVertices(),
                   " but graph has |V|=", graph.numVertices());
+    const std::span<const Edge> input = graph.edges();
+    GRAPHR_ASSERT(input.size() <= std::numeric_limits<std::uint32_t>::max(),
+                  "graph has ", input.size(),
+                  " edges; preprocessing indexes edges with 32 bits");
     g_sorts_performed.fetch_add(1, std::memory_order_relaxed);
     static perf::Counter &sorts =
         perf::Registry::instance().counter("preprocess.sorts");
     sorts.add();
 
-    const std::span<const Edge> input = graph.edges();
-    std::vector<std::uint64_t> keys(input.size());
-    std::vector<std::uint32_t> perm(input.size());
-    for (std::size_t e = 0; e < input.size(); ++e) {
-        keys[e] = partition_.globalOrderId(input[e].src, input[e].dst);
-        perm[e] = static_cast<std::uint32_t>(e);
-    }
-    std::sort(perm.begin(), perm.end(),
-              [&keys](std::uint32_t a, std::uint32_t b) {
-                  return keys[a] < keys[b];
-              });
+    std::vector<std::uint32_t> index(input.size());
+    {
+        std::vector<std::uint64_t> keys(input.size());
+        for (std::size_t e = 0; e < input.size(); ++e) {
+            keys[e] =
+                partition_.globalOrderId(input[e].src, input[e].dst);
+            index[e] = static_cast<std::uint32_t>(e);
+        }
+        radixSortByKey(keys, index);
+
+        // Build the non-empty tile directory in a single pass.
+        const std::uint64_t capacity = partition_.tileCapacity();
+        std::uint64_t prev_tile = ~std::uint64_t{0};
+        for (std::size_t e = 0; e < keys.size(); ++e) {
+            const std::uint64_t tile = keys[e] / capacity;
+            if (tile != prev_tile) {
+                tiles_.push_back(TileSpan{tile, e, 1});
+                prev_tile = tile;
+            } else {
+                ++tiles_.back().numEdges;
+            }
+        }
+    } // the keys are freed before the gather allocates the edges
 
     edges_.resize(input.size());
     for (std::size_t e = 0; e < input.size(); ++e)
-        edges_[e] = input[perm[e]];
-
-    // Build the non-empty tile directory in a single pass.
-    const std::uint64_t capacity = partition_.tileCapacity();
-    std::uint64_t prev_tile = ~std::uint64_t{0};
-    for (std::size_t e = 0; e < edges_.size(); ++e) {
-        const std::uint64_t tile = keys[perm[e]] / capacity;
-        if (tile != prev_tile) {
-            tiles_.push_back(TileSpan{tile, e, 1});
-            prev_tile = tile;
-        } else {
-            ++tiles_.back().numEdges;
-        }
-    }
+        edges_[e] = input[index[e]];
 }
 
 OrderedEdgeList::OrderedEdgeList(const GridPartition &partition,

@@ -5,7 +5,9 @@
  *
  * Preprocessing sorts the COO edge list by the global order ID so
  * that all edges of one tile (subgraph) are contiguous and tiles
- * appear in streaming-apply (column-major) order. Loading a block or
+ * appear in streaming-apply (column-major) order. The sort is a
+ * stable LSD radix sort, linear in E; edges with equal order IDs
+ * (parallel edges) keep their input order. Loading a block or
  * tile then requires only sequential I/O. The paper performs this
  * once, offline, in software; so do we.
  */
@@ -70,7 +72,10 @@ class OrderedEdgeList
   public:
     /**
      * Preprocess a graph: compute I(i, j) for every edge, sort, and
-     * build the non-empty tile directory. O(E log E).
+     * build the non-empty tile directory. Linear in E: a stable radix
+     * sort with 12-bit digits, ceil(bits(max I)/12) passes; ties keep
+     * input order. Edges are indexed with 32 bits, so a graph with
+     * more than 2^32 - 1 edges panics instead of wrapping.
      */
     OrderedEdgeList(const CooGraph &graph, const GridPartition &partition);
 
@@ -120,7 +125,7 @@ class OrderedEdgeList
     std::vector<TileSpan> tilesOfBlock(std::uint64_t block_index) const;
 
     /**
-     * Process-wide count of O(E log E) preprocessing sorts executed
+     * Process-wide count of preprocessing sorts executed
      * (the adopting constructor does not count). Lets tests assert a
      * warm plan store makes a run sort-free.
      */

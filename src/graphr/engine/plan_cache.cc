@@ -130,7 +130,8 @@ PlanCache::get(const CooGraph &graph, const TilingParams &tiling,
                     return loaded;
             }
             TilePlanPtr built =
-                std::make_shared<const TilePlan>(graph, tiling);
+                std::make_shared<const TilePlan>(graph, tiling,
+                                                 fingerprint);
             if (store != nullptr) {
                 // Write-through is best-effort: a full disk must not
                 // kill the run that could recompute the plan anyway.

@@ -8,7 +8,7 @@
  * `--backend all` sweep that runs six algorithms across the GraphR
  * family then prepares each (graph, tiling) exactly once instead of
  * once per run, and repeated bench iterations hit the cache instead
- * of re-paying the O(E log E) sort.
+ * of re-paying the edge sort.
  */
 
 #ifndef GRAPHR_GRAPHR_ENGINE_PLAN_CACHE_HH
@@ -59,7 +59,7 @@ class PlanCache
     /**
      * Attach (or with nullptr detach) an on-disk second level. With a
      * store attached, a memory miss first tries a validated store
-     * load (skipping the O(E log E) sort entirely) and a fresh
+     * load (skipping the edge sort entirely) and a fresh
      * prepare is written through to the store, best-effort.
      *
      * Thread-safe (mutex-guarded), but swapping stores mid-flight

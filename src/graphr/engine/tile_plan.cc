@@ -10,9 +10,15 @@ namespace graphr
 {
 
 TilePlan::TilePlan(const CooGraph &graph, const TilingParams &tiling)
+    : TilePlan(graph, tiling, graphFingerprint(graph))
+{
+}
+
+TilePlan::TilePlan(const CooGraph &graph, const TilingParams &tiling,
+                   std::uint64_t graph_fingerprint)
     : partition(graph.numVertices(), tiling),
       ordered(graph, partition), meta(ordered),
-      fingerprint(graphFingerprint(graph))
+      fingerprint(graph_fingerprint)
 {
 }
 

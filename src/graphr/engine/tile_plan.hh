@@ -4,8 +4,9 @@
  *
  * GraphR preprocesses a graph once (offline, in software — paper
  * section 3.4): grid-partition the adjacency matrix, sort the COO
- * edge list into streaming-apply tile order (O(E log E)) and extract
- * the per-tile activity metadata the cost model consumes. Every
+ * edge list into streaming-apply tile order (a stable radix sort,
+ * linear in E) and extract the per-tile activity metadata the cost
+ * model consumes. Every
  * execution layer — single node, multi-node stripes, out-of-core
  * blocks, driver sweeps — walks the same three products, so they are
  * bundled here as one shareable, immutable plan. PlanCache
@@ -45,6 +46,14 @@ struct TilePlan
     TilePlan(const CooGraph &graph, const TilingParams &tiling);
 
     /**
+     * The same build for a caller that already holds the graph's
+     * fingerprint (a cache or store key), so the O(E) hash is not
+     * paid twice.
+     */
+    TilePlan(const CooGraph &graph, const TilingParams &tiling,
+             std::uint64_t graph_fingerprint);
+
+    /**
      * Assemble a plan from already-prepared parts (no sort): the
      * deserialisation path of the on-disk plan store. The parts must
      * come from a prior prepare under the same tiling — the store
@@ -73,8 +82,8 @@ using TilePlanPtr = std::shared_ptr<const TilePlan>;
 /**
  * Order-sensitive 64-bit FNV-1a fingerprint of a graph (vertex count,
  * edge count, every edge's endpoints and weight bits). O(E), which is
- * the price of a cache lookup — cheap next to the O(E log E) sort it
- * avoids on a hit.
+ * the price of a cache lookup — one sequential read of the edges,
+ * against the sort's several scatter passes that a hit avoids.
  */
 std::uint64_t graphFingerprint(const CooGraph &graph);
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <unordered_set>
 
 #include "common/logging.hh"
 
@@ -14,10 +13,8 @@ TileMetaTable::TileMetaTable(const OrderedEdgeList &ordered)
     const GridPartition &part = ordered.partition();
     const std::uint32_t dim = part.crossbarDim();
     GRAPHR_ASSERT(dim <= 64, "tile row mask supports C <= 64");
-    const std::uint64_t num_crossbars = part.tileWidth() / dim;
 
     tiles_.reserve(ordered.tiles().size());
-    std::vector<std::uint64_t> cb_rows(num_crossbars, 0);
     for (const TileSpan &span : ordered.tiles()) {
         TileMeta meta;
         meta.tileIndex = span.tileIndex;
@@ -28,27 +25,39 @@ TileMetaTable::TileMetaTable(const OrderedEdgeList &ordered)
         part.tileOrigin(coord, meta.row0, meta.col0);
         meta.rowNnz.assign(dim, 0);
 
-        std::fill(cb_rows.begin(), cb_rows.end(), 0);
-        std::unordered_set<std::uint64_t> cols;
+        // A tile's edges are in column-major order (sub = row + col*C),
+        // so each distinct column, and each crossbar's C columns, is
+        // one run of consecutive edges: count runs instead of sets.
+        std::uint64_t cb_rows = 0; // row mask of the current crossbar
+        const auto close_crossbar = [&meta, &cb_rows] {
+            if (cb_rows == 0)
+                return;
+            ++meta.crossbarsUsed;
+            meta.maxRowsProgrammed = std::max(
+                meta.maxRowsProgrammed,
+                static_cast<std::uint32_t>(std::popcount(cb_rows)));
+            cb_rows = 0;
+        };
+        std::uint64_t prev_col = 0;
         for (const Edge &e : ordered.tileEdges(span)) {
             const std::uint64_t row = e.src - meta.row0;
             const std::uint64_t col = e.dst - meta.col0;
             GRAPHR_ASSERT(row < dim && col < part.tileWidth(),
                           "edge outside its tile");
-            meta.rowMask |= std::uint64_t{1} << row;
+            if (meta.nnzColumns == 0 || col != prev_col) {
+                GRAPHR_ASSERT(meta.nnzColumns == 0 || col > prev_col,
+                              "tile edges not in column-major order");
+                if (col / dim != prev_col / dim)
+                    close_crossbar();
+                ++meta.nnzColumns;
+                prev_col = col;
+            }
+            const std::uint64_t bit = std::uint64_t{1} << row;
+            meta.rowMask |= bit;
             ++meta.rowNnz[row];
-            cb_rows[col / dim] |= std::uint64_t{1} << row;
-            cols.insert(col);
+            cb_rows |= bit;
         }
-        meta.nnzColumns = cols.size();
-        for (std::uint64_t mask : cb_rows) {
-            if (mask == 0)
-                continue;
-            ++meta.crossbarsUsed;
-            meta.maxRowsProgrammed = std::max(
-                meta.maxRowsProgrammed,
-                static_cast<std::uint32_t>(std::popcount(mask)));
-        }
+        close_crossbar();
         tiles_.push_back(std::move(meta));
     }
 }

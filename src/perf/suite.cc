@@ -181,7 +181,7 @@ dropCaches()
  * one pinned graph, warm (warmups fill the plan/golden caches, so
  * the timed window measures steady-state execution). Gated metrics:
  * total simulated seconds (the model's deterministic output), run
- * count, and the warm-path invariant that no O(E log E) sort happens.
+ * count, and the warm-path invariant that no edge sort happens.
  */
 void
 sweepScenario(SuiteBuilder &b, const std::string &prefix,
@@ -210,7 +210,7 @@ sweepScenario(SuiteBuilder &b, const std::string &prefix,
 }
 
 /**
- * The PlanStore scenario: cold prepare (the O(E log E) sort a
+ * The PlanStore scenario: cold prepare (the edge sort a
  * storeless cold start pays) vs warm artifact load, plus the
  * artifact footprint. Gated metrics: sorts per repetition on both
  * paths and artifact bytes per edge.

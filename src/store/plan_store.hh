@@ -7,8 +7,8 @@
  * section 3.4) and an online execution step. The in-process PlanCache
  * already memoises plans within one process; this store makes them
  * durable across processes, so a cold start loads the prepared
- * artifact with sequential I/O instead of re-paying the O(E log E)
- * sort.
+ * artifact with sequential I/O instead of re-paying the edge sort
+ * and the metadata pass.
  *
  * File format (one file per (graph fingerprint, tiling), all fields
  * native-endian — these are local cache artifacts, not interchange):

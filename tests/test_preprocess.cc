@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <map>
+#include <random>
 #include <tuple>
 
 #include "graph/generator.hh"
@@ -134,6 +135,66 @@ TEST(PreprocessTest, TilesOfBlockFiltersCorrectly)
         }
     }
     EXPECT_EQ(total, ordered.numNonEmptyTiles());
+}
+
+TEST(PreprocessTest, ParallelEdgesKeepInputOrder)
+{
+    // Parallel edges share a global order ID. The sort is stable, so
+    // they leave it in input order, which pins the canonical plan
+    // bytes. Weights carry the input position.
+    CooGraph g =
+        makeRmat({.numVertices = 64, .numEdges = 4000, .seed = 12});
+    std::vector<Edge> &edges = g.mutableEdges();
+    for (std::size_t e = 0; e < edges.size(); ++e)
+        edges[e].weight = static_cast<Value>(e);
+    const GridPartition part(g.numVertices(), tiling(4, 2, 2, 32));
+    const OrderedEdgeList ordered(g, part);
+
+    std::size_t parallel = 0;
+    for (std::size_t i = 1; i < ordered.edges().size(); ++i) {
+        const Edge &a = ordered.edges()[i - 1];
+        const Edge &b = ordered.edges()[i];
+        if (a.src != b.src || a.dst != b.dst)
+            continue;
+        EXPECT_LT(a.weight, b.weight)
+            << "parallel (" << a.src << "," << a.dst << ") reordered";
+        ++parallel;
+    }
+    EXPECT_GT(parallel, 100u) << "graph has too few parallel edges";
+}
+
+TEST(PreprocessTest, RadixOrderMatchesStableSortAtEveryKeyWidth)
+{
+    // From 16 vertices (one 12-bit digit pass) to 2^32 - 1 (six
+    // passes), the sorting constructor must equal a stable comparison
+    // sort of the global order IDs. Every fifth edge repeats an
+    // earlier cell under a new weight.
+    for (const VertexId n : {16u, 1000u, 70000u, 5000000u, 4294967295u}) {
+        SCOPED_TRACE(n);
+        const GridPartition part(n, tiling(4, 2, 2));
+        std::mt19937_64 rng(n);
+        std::uniform_int_distribution<VertexId> vertex(0, n - 1);
+        CooGraph g(n, {});
+        for (int e = 0; e < 3000; ++e) {
+            if (e % 5 == 4) {
+                const Edge earlier = g.edges()[rng() % g.edges().size()];
+                g.addEdge(earlier.src, earlier.dst, e);
+            } else {
+                const VertexId src = vertex(rng);
+                g.addEdge(src, vertex(rng), e);
+            }
+        }
+        std::vector<Edge> want(g.edges().begin(), g.edges().end());
+        std::stable_sort(want.begin(), want.end(),
+                         [&part](const Edge &a, const Edge &b) {
+                             return part.globalOrderId(a.src, a.dst) <
+                                    part.globalOrderId(b.src, b.dst);
+                         });
+        const OrderedEdgeList ordered(g, part);
+        ASSERT_EQ(ordered.edges().size(), want.size());
+        EXPECT_TRUE(std::equal(want.begin(), want.end(),
+                               ordered.edges().begin()));
+    }
 }
 
 /** Property sweep: streaming order invariants for many configs. */

@@ -935,6 +935,33 @@ TEST_F(PlanStoreTest, GoldenCompressedArtifactDecodesToGoldenReport)
         << "compressed-artifact run drifted from the golden report";
 }
 
+TEST_F(PlanStoreTest, FreshPrepareReproducesGoldenArtifactBytes)
+{
+    // The checked-in artifacts pin the canonical plan: a fresh prepare
+    // of the golden spec (stable edge order included) must write them
+    // byte for byte, not merely decode to the same report.
+    const fs::path golden(GRAPHR_GOLDEN_DIR);
+    const std::string dir = freshDir("golden_bytes");
+    driver::PrepareSpec prep;
+    prep.datasets = {"rmat:vertices=256,edges=2048,seed=7"};
+    prep.store.planDir = dir;
+    ASSERT_EQ(driver::runPrepare(prep).size(), 2u);
+
+    std::size_t compared = 0;
+    for (const fs::directory_entry &e : fs::directory_iterator(golden)) {
+        if (e.path().extension() != ".gplan")
+            continue;
+        const fs::path fresh = fs::path(dir) / e.path().filename();
+        ASSERT_TRUE(fs::exists(fresh))
+            << "fresh prepare wrote no " << e.path().filename();
+        EXPECT_TRUE(readFileBytes(fresh.string()) ==
+                    readFileBytes(e.path().string()))
+            << e.path().filename() << " differs from a fresh prepare";
+        ++compared;
+    }
+    EXPECT_EQ(compared, 2u);
+}
+
 /** Regeneration helper: GRAPHR_UPDATE_GOLDEN=1 rewrites the golden
  *  compressed artifact (the JSON report belongs to test_driver). */
 TEST_F(PlanStoreTest, UpdateGoldenArtifactWhenRequested)
