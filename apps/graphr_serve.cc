@@ -15,11 +15,13 @@
  *   graphr_serve --port 7447 --jobs 4 --plan-dir plans/
  *
  * One response line per request, ids echoed, per-connection admission
- * order. TCP mode serves up to --max-connections loopback clients
- * simultaneously over one shared warm state (src/net/event_loop.hh):
- * requests interleave round-robin across connections, each connection
- * gets its own --conn-queue-depth admission quota, and every stream's
- * responses come back in that stream's admission order.
+ * order. Both modes run one event loop (src/net/event_loop.hh):
+ * --stdin serves fds 0/1 as its single connection, and TCP mode
+ * serves up to --max-connections loopback clients simultaneously over
+ * one shared warm state. Requests interleave round-robin across
+ * connections, each connection gets its own --conn-queue-depth
+ * admission quota, and every stream's responses come back in that
+ * stream's admission order.
  * SIGTERM/SIGINT and EOF both drain gracefully: the listener closes
  * at signal receipt (stop accepting), in-flight requests finish,
  * every pending response is flushed, then the process exits.
@@ -30,6 +32,7 @@
 #include <csignal>
 #include <cstdlib>
 #include <iostream>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -40,7 +43,6 @@
 #include "driver/params.hh"
 #include "net/event_loop.hh"
 #include "net/listener.hh"
-#include "service/fd_stream.hh"
 #include "service/server.hh"
 
 namespace
@@ -58,7 +60,7 @@ onSignal(int)
         server->requestStop();
 }
 
-/** No SA_RESTART: a signal must interrupt blocked read()/accept(). */
+/** No SA_RESTART: a signal must interrupt the event loop's poll(). */
 void
 installSignalHandlers()
 {
@@ -244,19 +246,6 @@ parseServeCli(const std::vector<std::string> &args)
     return opts;
 }
 
-/** TCP mode: the poll(2) event loop over shared warm state. */
-int
-serveTcp(service::Server &server, const ServeCliOptions &opts)
-{
-    net::Listener listener(opts.port, std::cerr);
-    net::EventLoopOptions loop_opts;
-    loop_opts.maxConnections = opts.maxConnections;
-    loop_opts.maxLineBytes = opts.server.maxLineBytes;
-    net::EventLoop loop(server, listener, loop_opts, std::cerr);
-    loop.run();
-    return 0;
-}
-
 } // namespace
 
 int
@@ -289,19 +278,16 @@ main(int argc, char **argv)
         const ServerRegistration registration(server);
         installSignalHandlers();
 
-        if (opts.port < 0) {
-            // Serve stdin through the fd buffers rather than
-            // std::cin, so the stop-flag polling (graceful SIGTERM
-            // drain) covers a read blocked on the pipe too.
-            service::FdInBuf inbuf(STDIN_FILENO, &server.stopFlag());
-            service::FdOutBuf outbuf(STDOUT_FILENO,
-                                     &server.stopFlag());
-            std::istream in(&inbuf);
-            std::ostream out(&outbuf);
-            server.serve(in, out);
-        } else {
-            serveTcp(server, opts);
-        }
+        std::optional<net::Listener> listener;
+        if (opts.port >= 0)
+            listener.emplace(opts.port, std::cerr);
+        net::EventLoopOptions loop_opts;
+        loop_opts.maxConnections = opts.maxConnections;
+        net::EventLoop loop(server, listener ? &*listener : nullptr,
+                            loop_opts, std::cerr);
+        if (!listener)
+            loop.adopt(STDIN_FILENO, STDOUT_FILENO);
+        loop.run();
         return 0;
     } catch (const driver::DriverError &err) {
         std::cerr << "error: " << err.what() << "\n\n"

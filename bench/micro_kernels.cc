@@ -373,12 +373,19 @@ serveRequest(const perf::RepOptions &rep, bool warm)
     const std::string request =
         "{\"id\":\"r\",\"type\":\"run\",\"workload\":\"pagerank\","
         "\"backend\":\"outofcore\","
-        "\"dataset\":\"rmat:vertices=16384,edges=131072,seed=5\"}\n";
-    if (warm) {
-        std::istringstream in(request);
-        std::ostringstream out;
-        server.serve(in, out);
-    }
+        "\"dataset\":\"rmat:vertices=16384,edges=131072,seed=5\"}";
+    std::string response;
+    const auto serve = [&server, &request, &response] {
+        const service::Server::SessionPtr session =
+            server.openSession([&response](std::string &&line) {
+                response = std::move(line);
+            });
+        server.handleLine(session, request);
+        server.drainSession(*session);
+        server.closeSession(session);
+    };
+    if (warm)
+        serve();
     CaseResult result;
     result.stats = timeLoop(rep, 1, [&] {
         if (!warm) {
@@ -388,10 +395,8 @@ serveRequest(const perf::RepOptions &rep, bool warm)
             PlanCache::instance().clear();
             driver::clearGoldenCache();
         }
-        std::istringstream in(request);
-        std::ostringstream out;
-        server.serve(in, out);
-        perf::doNotOptimize(out.str().size());
+        serve();
+        perf::doNotOptimize(response.size());
     });
     result.itemsPerIter = 1;
     result.label = warm ? "warm" : "cold";

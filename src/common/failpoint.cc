@@ -25,11 +25,8 @@ constexpr std::string_view kKnownSites[] = {
     "net.accept.fail",     ///< accept() reports a transient error
     "net.conn.read.fail",  ///< connection read reports an I/O error
     "net.conn.write.fail", ///< connection write reports an I/O error
+    "net.conn.write.short", ///< connection write transfers one byte
     "pool.task.slow",    ///< worker stalls `=ms` (default 50) pre-task
-    "serve.read.eintr",  ///< fd read reports a transient EINTR
-    "serve.read.eio",    ///< fd read reports a permanent I/O error
-    "serve.write.eio",   ///< fd write reports a permanent I/O error
-    "serve.write.short", ///< fd write transfers a single byte
     "store.decode.fail", ///< compressed edge stream decode faults
     "store.fsync.fail",  ///< artifact temp-file fsync fails
     "store.mmap.fail",   ///< artifact mmap fails (buffered fallback)

@@ -25,9 +25,10 @@
  *   =arg    optional unsigned payload a site may consult (e.g. the
  *           stall milliseconds of pool.task.slow)
  *
- *   GRAPHR_FAILPOINTS=store.read.short:1@3,serve.write.eio:1@*
+ *   GRAPHR_FAILPOINTS=store.read.short:1@3,net.conn.write.fail:1@*
  *       -> the third buffered store read comes back short once, and
- *          every serve-side socket write reports an I/O error.
+ *          every connection write (stdin's stdout included) reports
+ *          an I/O error.
  *
  * Sites are reached via the GRAPHR_FAILPOINT macros. When no spec is
  * configured (the production case) a site costs one relaxed atomic

@@ -162,7 +162,12 @@ loadFile(const std::string &path)
         slash == std::string::npos ? path : path.substr(slash + 1);
     const bool binary = path.size() >= 4 &&
                         (path.ends_with(".bin") || path.ends_with(".grph"));
-    out.graph = binary ? loadBinary(path) : loadEdgeListText(path);
+    try {
+        out.graph = binary ? loadBinary(path) : loadEdgeListText(path);
+    } catch (const GraphIoError &err) {
+        throw DriverError("cannot load dataset file '" + path +
+                          "': " + err.what());
+    }
     return out;
 }
 

@@ -4,9 +4,8 @@
 #include <array>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <sstream>
-
-#include "common/logging.hh"
 
 namespace graphr
 {
@@ -22,7 +21,7 @@ openOut(const std::string &path)
 {
     std::ofstream os(path, std::ios::binary);
     if (!os)
-        GRAPHR_FATAL("cannot open ", path, " for writing");
+        throw GraphIoError("cannot open " + path + " for writing");
     return os;
 }
 
@@ -31,7 +30,7 @@ openIn(const std::string &path)
 {
     std::ifstream is(path, std::ios::binary);
     if (!is)
-        GRAPHR_FATAL("cannot open ", path, " for reading");
+        throw GraphIoError("cannot open " + path + " for reading");
     return is;
 }
 
@@ -49,7 +48,7 @@ readRaw(std::istream &is)
     T value{};
     is.read(reinterpret_cast<char *>(&value), sizeof(T));
     if (!is)
-        GRAPHR_FATAL("truncated binary graph file");
+        throw GraphIoError("truncated binary graph file");
     return value;
 }
 
@@ -97,8 +96,16 @@ loadEdgeListText(std::istream &is)
         std::uint64_t dst = 0;
         double weight = 1.0;
         if (!(ls >> src >> dst)) {
-            GRAPHR_FATAL("malformed edge at line ", line_no, ": '",
-                         line, "'");
+            throw GraphIoError("malformed edge at line " +
+                               std::to_string(line_no) + ": '" + line +
+                               "'");
+        }
+        // The largest id is reserved so the vertex count (max id + 1)
+        // still fits a VertexId.
+        if (std::max(src, dst) >= std::numeric_limits<VertexId>::max()) {
+            throw GraphIoError("vertex id out of range at line " +
+                               std::to_string(line_no) + ": '" + line +
+                               "'");
         }
         ls >> weight; // optional third column
         edges.push_back(Edge{static_cast<VertexId>(src),
@@ -147,10 +154,12 @@ loadBinary(std::istream &is)
     std::array<char, 4> magic{};
     is.read(magic.data(), magic.size());
     if (!is || magic != kMagic)
-        GRAPHR_FATAL("not a GraphR binary graph file");
+        throw GraphIoError("not a GraphR binary graph file");
     const auto version = readRaw<std::uint32_t>(is);
-    if (version != kVersion)
-        GRAPHR_FATAL("unsupported binary graph version ", version);
+    if (version != kVersion) {
+        throw GraphIoError("unsupported binary graph version " +
+                           std::to_string(version));
+    }
     const auto nv = readRaw<VertexId>(is);
     const auto ne = readRaw<EdgeId>(is);
     std::vector<Edge> edges;
@@ -160,6 +169,13 @@ loadBinary(std::istream &is)
         e.src = readRaw<VertexId>(is);
         e.dst = readRaw<VertexId>(is);
         e.weight = readRaw<double>(is);
+        if (e.src >= nv || e.dst >= nv) {
+            throw GraphIoError(
+                "edge " + std::to_string(i) + " (" +
+                std::to_string(e.src) + "," + std::to_string(e.dst) +
+                ") out of range for " + std::to_string(nv) +
+                " vertices");
+        }
         edges.push_back(e);
     }
     return CooGraph(nv, std::move(edges));

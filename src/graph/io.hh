@@ -14,12 +14,21 @@
 #define GRAPHR_GRAPH_IO_HH
 
 #include <iosfwd>
+#include <stdexcept>
 #include <string>
 
 #include "graph/coo.hh"
 
 namespace graphr
 {
+
+/** A graph file that cannot be opened, is malformed, or names an
+ *  edge outside its vertex range. */
+class GraphIoError : public std::runtime_error
+{
+  public:
+    using std::runtime_error::runtime_error;
+};
 
 /**
  * Write "src dst weight" lines. Lines starting with '#' are comments
@@ -32,7 +41,8 @@ void saveEdgeListText(const CooGraph &graph, const std::string &path);
  * Parse a text edge list. Accepts 2-column (unweighted, weight = 1)
  * and 3-column lines; skips blank lines and '#' comments. The vertex
  * count is max id + 1 unless a "# vertices: N" header is present.
- * Malformed lines are a fatal (user) error.
+ * Throws GraphIoError for an unopenable file, a malformed line or an
+ * id that does not fit a VertexId.
  */
 CooGraph loadEdgeListText(std::istream &is);
 CooGraph loadEdgeListText(const std::string &path);
@@ -40,7 +50,8 @@ CooGraph loadEdgeListText(const std::string &path);
 /**
  * Binary format: magic "GRPH" + u32 version + u32 vertex count +
  * u64 edge count, then packed records of (u32 src, u32 dst,
- * f64 weight). Round-trips exactly.
+ * f64 weight). Round-trips exactly. Loading throws GraphIoError for
+ * a bad header, a truncated file or an endpoint >= the vertex count.
  */
 void saveBinary(const CooGraph &graph, std::ostream &os);
 void saveBinary(const CooGraph &graph, const std::string &path);

@@ -10,12 +10,23 @@
 
 #include "common/failpoint.hh"
 #include "driver/driver.hh"
+#include "perf/counters.hh"
 
 namespace graphr::net
 {
 
 namespace
 {
+
+/** One transparently retried transient write or read fault (EINTR,
+ *  an injected short write). */
+void
+noteServeRetry()
+{
+    static perf::Counter &retries =
+        perf::Registry::instance().counter("serve.retries");
+    retries.add();
+}
 
 /** Strip surrounding whitespace (JSONL lines may end in \r). */
 std::string
@@ -43,7 +54,12 @@ trimmed(const std::string &line)
  */
 struct EventLoop::Connection
 {
-    int fd = -1;
+    int readFd = -1;
+    int writeFd = -1; ///< == readFd for a socket (polled twice)
+    /** Adopted fds' flags before adopt(), restored by release();
+     *  -1 for an accepted socket, which the loop owns and closes. */
+    int readFlags = -1;
+    int writeFlags = -1;
     service::Server::SessionPtr session;
     LineBuffer lines;
     /** Sink-delivered response bytes (guarded by EventLoop::mutex_). */
@@ -62,7 +78,7 @@ struct EventLoop::Connection
     }
 };
 
-EventLoop::EventLoop(service::Server &server, Listener &listener,
+EventLoop::EventLoop(service::Server &server, Listener *listener,
                      const EventLoopOptions &options,
                      std::ostream &log)
     : server_(server), listener_(listener), options_(options),
@@ -86,11 +102,29 @@ EventLoop::EventLoop(service::Server &server, Listener &listener,
 EventLoop::~EventLoop()
 {
     for (const std::unique_ptr<Connection> &conn : conns_) {
-        if (conn->fd >= 0)
-            ::close(conn->fd);
+        if (conn->readFd >= 0)
+            release(*conn);
     }
     ::close(wakeRead_);
     ::close(wakeWrite_);
+}
+
+void
+EventLoop::adopt(int readFd, int writeFd)
+{
+    auto conn = std::make_unique<Connection>(server_.maxLineBytes());
+    conn->readFlags = ::fcntl(readFd, F_GETFL, 0);
+    conn->writeFlags = ::fcntl(writeFd, F_GETFL, 0);
+    if (conn->readFlags < 0 || conn->writeFlags < 0) {
+        throw driver::DriverError(
+            "cannot serve fds " + std::to_string(readFd) + "/" +
+            std::to_string(writeFd) + ": " + std::strerror(errno));
+    }
+    conn->readFd = readFd;
+    conn->writeFd = writeFd;
+    ::fcntl(readFd, F_SETFL, conn->readFlags | O_NONBLOCK);
+    ::fcntl(writeFd, F_SETFL, conn->writeFlags | O_NONBLOCK);
+    addConnection(std::move(conn));
 }
 
 void
@@ -122,28 +156,29 @@ EventLoop::run()
             // signal lands, finish what is in flight. Closing the
             // listen fd here is the "stop accepting" half; connected
             // clients keep their already-framed lines.
-            listener_.close();
+            if (listener_ != nullptr)
+                listener_->close();
             for (const std::unique_ptr<Connection> &conn : conns_)
                 conn->closing = true;
         }
 
         reapFinished();
-        if (stopping_ && conns_.empty())
+        if ((stopping_ || listener_ == nullptr) && conns_.empty())
             return;
 
         fds.clear();
         owner.clear();
         fds.push_back(pollfd{wakeRead_, POLLIN, 0});
         owner.push_back(nullptr);
-        const bool acceptable = !stopping_ && !listener_.closed() &&
+        const bool acceptable = !stopping_ && listener_ != nullptr &&
+                                !listener_->closed() &&
                                 conns_.size() <
                                     options_.maxConnections;
         if (acceptable) {
-            fds.push_back(pollfd{listener_.fd(), POLLIN, 0});
+            fds.push_back(pollfd{listener_->fd(), POLLIN, 0});
             owner.push_back(nullptr);
         }
         for (const std::unique_ptr<Connection> &conn : conns_) {
-            short events = 0;
             bool wantRead = !conn->closing;
             std::size_t queued = 0;
             {
@@ -158,19 +193,24 @@ EventLoop::run()
                     options_.maxPendingLines ||
                 queued >= options_.maxOutboundBytes)
                 wantRead = false;
-            if (wantRead)
-                events |= POLLIN;
-            if (queued > 0)
-                events |= POLLOUT;
-            // events == 0 still reports POLLERR/POLLHUP, which is
-            // what a fully-backpressured connection is waiting on.
-            fds.push_back(pollfd{conn->fd, events, 0});
+            // The read end is polled only while reads are wanted: a
+            // hung-up pipe reports POLLHUP whatever events are
+            // requested, so an adopted stdin at EOF would spin the
+            // loop. The write end is always polled — with no events
+            // it still reports POLLERR, which is how a client that
+            // went away while backpressured is noticed.
+            if (wantRead) {
+                fds.push_back(pollfd{conn->readFd, POLLIN, 0});
+                owner.push_back(conn.get());
+            }
+            fds.push_back(pollfd{
+                conn->writeFd, static_cast<short>(queued > 0 ? POLLOUT : 0),
+                0});
             owner.push_back(conn.get());
         }
 
-        // The 500 ms tick mirrors fd_stream's stop-flag polling: a
-        // signal that lands outside poll() still stops the loop
-        // within half a second.
+        // A signal that lands outside poll() still stops the loop
+        // within one 500 ms tick.
         const int ready =
             ::poll(fds.data(),
                    static_cast<nfds_t>(fds.size()), 500);
@@ -197,8 +237,8 @@ EventLoop::run()
                 teardown(*conn, "socket error");
                 continue;
             }
-            if ((fds[i].revents & (POLLIN | POLLHUP)) != 0 &&
-                !conn->closing)
+            if ((fds[i].events & POLLIN) != 0 &&
+                (fds[i].revents & (POLLIN | POLLHUP)) != 0)
                 readConnection(*conn);
         }
 
@@ -215,32 +255,39 @@ void
 EventLoop::acceptPending()
 {
     while (conns_.size() < options_.maxConnections) {
-        const int fd = listener_.acceptClient(log_);
+        const int fd = listener_->acceptClient(log_);
         if (fd < 0)
             return;
         auto conn =
-            std::make_unique<Connection>(options_.maxLineBytes);
-        conn->fd = fd;
-        Connection *raw = conn.get();
-        // The sink runs on worker threads under the server mutex:
-        // append the response bytes under the loop mutex and nudge
-        // poll(). Server::closeSession() drops the sink before the
-        // Connection is ever destroyed, so `raw` cannot dangle.
-        conn->session = server_.openSession(
-            [this, raw](std::string &&line) {
-                {
-                    const std::lock_guard<std::mutex> lock(mutex_);
-                    raw->inbox.append(line);
-                    raw->inbox.push_back('\n');
-                }
-                wake();
-            });
+            std::make_unique<Connection>(server_.maxLineBytes());
+        conn->readFd = fd;
+        conn->writeFd = fd;
         {
             const std::lock_guard<std::mutex> lock(mutex_);
             ++stats_.accepted;
         }
-        conns_.push_back(std::move(conn));
+        addConnection(std::move(conn));
     }
+}
+
+void
+EventLoop::addConnection(std::unique_ptr<Connection> conn)
+{
+    Connection *raw = conn.get();
+    // The sink runs on worker threads under the server mutex: append
+    // the response bytes under the loop mutex and nudge poll().
+    // Server::closeSession() drops the sink before the Connection is
+    // ever destroyed, so `raw` cannot dangle.
+    conn->session =
+        server_.openSession([this, raw](std::string &&line) {
+            {
+                const std::lock_guard<std::mutex> lock(mutex_);
+                raw->inbox.append(line);
+                raw->inbox.push_back('\n');
+            }
+            wake();
+        });
+    conns_.push_back(std::move(conn));
 }
 
 void
@@ -258,7 +305,7 @@ EventLoop::readConnection(Connection &conn)
         teardown(conn, "read failed (injected fault)");
         return;
     }
-    const ssize_t n = ::read(conn.fd, buf, sizeof(buf));
+    const ssize_t n = ::read(conn.readFd, buf, sizeof(buf));
     if (n > 0) {
         conn.lines.append(buf, static_cast<std::size_t>(n));
         return;
@@ -270,7 +317,11 @@ EventLoop::readConnection(Connection &conn)
         conn.closing = true;
         return;
     }
-    if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR)
+    if (errno == EINTR) {
+        noteServeRetry();
+        return;
+    }
+    if (errno == EAGAIN || errno == EWOULDBLOCK)
         return;
     {
         const std::lock_guard<std::mutex> lock(mutex_);
@@ -296,7 +347,8 @@ EventLoop::dispatchLines()
         const std::size_t count = conns_.size();
         for (std::size_t k = 0; k < count; ++k) {
             Connection &conn = *conns_[(cursor_ + k) % count];
-            if (conn.dead)
+            if (conn.dead || conn.lines.pendingLines() == 0 ||
+                !server_.acceptsLine(*conn.session))
                 continue;
             std::string line;
             switch (conn.lines.pop(line)) {
@@ -336,17 +388,31 @@ EventLoop::flushConnection(Connection &conn)
             teardown(conn, "write failed (injected fault)");
             return;
         }
+        std::size_t len = conn.sendBuf.size() - conn.sendOff;
+        if (len > 1 && GRAPHR_FAILPOINT("net.conn.write.short")) {
+            len = 1; // deterministic short write; the loop resumes
+            noteServeRetry();
+        }
         const ssize_t n =
-            ::write(conn.fd, conn.sendBuf.data() + conn.sendOff,
-                    conn.sendBuf.size() - conn.sendOff);
+            ::write(conn.writeFd, conn.sendBuf.data() + conn.sendOff,
+                    len);
         if (n > 0) {
             conn.sendOff += static_cast<std::size_t>(n);
             continue;
         }
-        if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK))
-            return; // kernel buffer full; POLLOUT will resume us
-        if (n < 0 && errno == EINTR)
+        if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
+            // After stop, a client that is not draining is not
+            // waited on; until then POLLOUT resumes the write. The
+            // flag is read directly: this pass may have been woken by
+            // the stop itself, before run() has seen it.
+            if (server_.stopRequested())
+                teardown(conn, "not draining at shutdown");
+            return;
+        }
+        if (n < 0 && errno == EINTR) {
+            noteServeRetry();
             continue;
+        }
         {
             const std::lock_guard<std::mutex> lock(mutex_);
             ++stats_.writeFaults;
@@ -369,10 +435,22 @@ EventLoop::teardown(Connection &conn, const char *why)
     // marking it dead (reaped next cycle) is safe. In-flight requests
     // still finish — their responses are counted and discarded.
     server_.closeSession(conn.session);
-    ::close(conn.fd);
-    conn.fd = -1;
+    release(conn);
     conn.closing = true;
     conn.dead = true;
+}
+
+void
+EventLoop::release(Connection &conn)
+{
+    if (conn.readFlags < 0) {
+        ::close(conn.readFd);
+    } else {
+        ::fcntl(conn.readFd, F_SETFL, conn.readFlags);
+        ::fcntl(conn.writeFd, F_SETFL, conn.writeFlags);
+    }
+    conn.readFd = -1;
+    conn.writeFd = -1;
 }
 
 void
@@ -390,8 +468,7 @@ EventLoop::reapFinished()
             }
             if (drained && conn.sendOff == conn.sendBuf.size()) {
                 server_.closeSession(conn.session);
-                ::close(conn.fd);
-                conn.fd = -1;
+                release(conn);
                 conn.dead = true;
             }
         }

@@ -19,7 +19,7 @@ LineBuffer::append(const char *data, std::size_t n)
         const std::size_t len = end - i;
         if (discarding_) {
             // Oversized line in progress: keep consuming, keep
-            // nothing (matches readLineBounded's cap discipline).
+            // nothing.
         } else if (cap_ != 0 && partial_.size() + len > cap_) {
             discarding_ = true;
             partial_.clear();

@@ -2,13 +2,12 @@
  * @file
  * Incremental JSONL framing with bounded memory.
  *
- * The event loop reads whatever bytes a socket has and feeds them in
- * here; LineBuffer cuts them into complete lines and applies the same
- * oversized-line discipline as the blocking reader (server.cc's
- * readLineBounded): a line longer than the cap is consumed and
- * discarded — memory stays bounded at the cap — and surfaces as one
- * kOversized event so the server can answer it with a structured
- * error instead of buffering a hostile request without limit.
+ * The event loop reads whatever bytes a connection has and feeds
+ * them in here; LineBuffer cuts them into complete lines. A line
+ * longer than the cap is consumed and discarded — memory stays
+ * bounded at the cap — and surfaces as one kOversized event so the
+ * server can answer it with a structured error instead of buffering
+ * a hostile request without limit.
  */
 
 #ifndef GRAPHR_NET_LINE_BUFFER_HH
@@ -31,7 +30,7 @@ class LineBuffer
     {
     }
 
-    /** Feed @p n raw bytes from the socket. */
+    /** Feed @p n raw bytes from the connection. */
     void append(const char *data, std::size_t n);
 
     /**

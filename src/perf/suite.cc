@@ -329,12 +329,17 @@ serveScenario(SuiteBuilder &b, const std::string &prefix,
     const std::string request =
         "{\"id\":\"bench\",\"type\":\"run\",\"workload\":\"pagerank\","
         "\"backend\":\"outofcore\",\"dataset\":\"" +
-        dataset_spec + "\"}\n";
+        dataset_spec + "\"}";
     const auto one_request = [&server, &request] {
-        std::istringstream in(request);
-        std::ostringstream out;
-        server.serve(in, out);
-        doNotOptimize(out.str().size());
+        std::string response;
+        const service::Server::SessionPtr session =
+            server.openSession([&response](std::string &&line) {
+                response = std::move(line);
+            });
+        server.handleLine(session, request);
+        server.drainSession(*session);
+        server.closeSession(session);
+        doNotOptimize(response.size());
     };
 
     const RepStats warm = b.timed(prefix + ".warm_wall_s",
@@ -399,7 +404,7 @@ concurrentServeScenario(SuiteBuilder &b, const std::string &prefix,
     net::Listener listener(0, net_log);
     net::EventLoopOptions loop_opts;
     loop_opts.maxConnections = connections;
-    net::EventLoop loop(server, listener, loop_opts, net_log);
+    net::EventLoop loop(server, &listener, loop_opts, net_log);
     std::thread loop_thread([&loop] { loop.run(); });
 
     const std::string request_tmpl =

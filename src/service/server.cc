@@ -33,61 +33,6 @@ bump(std::string_view name)
     perf::Registry::instance().counter(name).add();
 }
 
-/** Strip surrounding whitespace (JSONL lines may end in \r). */
-std::string
-trimmed(const std::string &line)
-{
-    std::size_t first = 0;
-    std::size_t last = line.size();
-    while (first < last &&
-           (line[first] == ' ' || line[first] == '\t'))
-        ++first;
-    while (last > first &&
-           (line[last - 1] == ' ' || line[last - 1] == '\t' ||
-            line[last - 1] == '\r' || line[last - 1] == '\n'))
-        --last;
-    return line.substr(first, last - first);
-}
-
-/**
- * std::getline with a byte cap. Returns false only at immediate EOF
- * (no line at all). @p complete reports whether the terminating
- * newline was seen — false means the stream ended (or was stopped)
- * mid-line. A line longer than @p cap (0 = unlimited) sets
- * @p oversized: the excess bytes are consumed and discarded, so
- * memory stays bounded at cap and the stream is positioned at the
- * next line, but @p line is then truncated garbage, not a request.
- */
-bool
-readLineBounded(std::istream &in, std::string &line, std::size_t cap,
-                bool &complete, bool &oversized)
-{
-    using traits = std::char_traits<char>;
-    line.clear();
-    complete = false;
-    oversized = false;
-    std::streambuf *buf = in.rdbuf();
-    int ch = buf->sbumpc();
-    if (traits::eq_int_type(ch, traits::eof())) {
-        in.setstate(std::ios::eofbit | std::ios::failbit);
-        return false;
-    }
-    for (; !traits::eq_int_type(ch, traits::eof());
-         ch = buf->sbumpc()) {
-        if (ch == '\n') {
-            complete = true;
-            break;
-        }
-        if (cap != 0 && line.size() >= cap)
-            oversized = true; // keep consuming, stop accumulating
-        else
-            line.push_back(traits::to_char_type(ch));
-    }
-    if (traits::eq_int_type(ch, traits::eof()))
-        in.setstate(std::ios::eofbit);
-    return true;
-}
-
 } // namespace
 
 Server::Server(const ServeOptions &options)
@@ -136,43 +81,6 @@ Server::closeSession(const SessionPtr &session)
 }
 
 void
-Server::serve(std::istream &in, std::ostream &out)
-{
-    const SessionPtr session =
-        openSession([&out](std::string &&line) {
-            // One line per response, flushed immediately so pipelined
-            // clients see answers as they drain, not at EOF.
-            out << line << '\n' << std::flush;
-        });
-    {
-        const std::lock_guard<std::mutex> lock(mutex_);
-        session->blockingReader_ = true;
-    }
-    std::string line;
-    bool complete = false;
-    bool oversized = false;
-    while (!stop_.load() &&
-           readLineBounded(in, line, options_.maxLineBytes, complete,
-                           oversized)) {
-        // A stop-flag EOF can surface mid-line; the unterminated
-        // fragment is half a request the client never finished, not
-        // input to answer (a final newline-less line from a client
-        // that simply closed cleanly still parses: stop_ is unset).
-        if (!complete && stop_.load())
-            break;
-        if (oversized) {
-            handleOversizedLine(session);
-            continue;
-        }
-        const std::string request = trimmed(line);
-        if (!request.empty())
-            handleLine(session, request);
-    }
-    drainSession(*session);
-    closeSession(session);
-}
-
-void
 Server::handleLine(const SessionPtr &session, const std::string &line)
 {
     const ParsedLine parsed = parseRequestLine(line);
@@ -181,19 +89,6 @@ Server::handleLine(const SessionPtr &session, const std::string &line)
 
     std::unique_lock<std::mutex> lock(mutex_);
     Session &sess = *session;
-    // Backpressure for blocking readers: responses flush in admission
-    // order, so a slow in-flight request makes later (even immediate)
-    // responses buffer in ready_. Cap that buffer at the admission
-    // depth by pausing the reader — a flood of malformed or rejected
-    // lines then blocks on the pipe instead of growing daemon memory.
-    // Event-loop sessions skip this (the loop thread must never
-    // sleep); they apply backpressure at the socket via
-    // sessionBacklog() instead.
-    if (sess.blockingReader_) {
-        idle_.wait(lock, [this, &sess] {
-            return sess.ready_.size() <= options_.queueDepth;
-        });
-    }
     const std::uint64_t seq = sess.nextSeq_++;
 
     if (!parsed.ok) {
@@ -381,15 +276,8 @@ Server::handleLine(const SessionPtr &session, const std::string &line)
 void
 Server::handleOversizedLine(const SessionPtr &session)
 {
-    std::unique_lock<std::mutex> lock(mutex_);
+    const std::lock_guard<std::mutex> lock(mutex_);
     Session &sess = *session;
-    // Same backpressure as handleLine: the error response still
-    // occupies an admission-order slot in ready_.
-    if (sess.blockingReader_) {
-        idle_.wait(lock, [this, &sess] {
-            return sess.ready_.size() <= options_.queueDepth;
-        });
-    }
     const std::uint64_t seq = sess.nextSeq_++;
     ++counters_.invalid;
     ++sess.counters_.invalid;
@@ -404,6 +292,13 @@ Server::handleOversizedLine(const SessionPtr &session)
                           std::to_string(options_.maxLineBytes) +
                           "-byte limit; split the request or raise "
                           "--max-line-bytes"));
+}
+
+bool
+Server::acceptsLine(const Session &session) const
+{
+    const std::lock_guard<std::mutex> lock(mutex_);
+    return session.ready_.size() <= options_.queueDepth;
 }
 
 std::size_t
@@ -518,9 +413,8 @@ Server::finishJob(const SessionPtr &session, std::uint64_t seq,
     --outstanding_;
     --sess.outstanding_;
     flushSessionLocked(sess);
-    // Wakes the status barrier (outstanding_ may have hit zero), the
-    // drain waits and the blocking readers' backpressure wait (ready_
-    // may have drained).
+    // Wakes the status barrier (outstanding_ may have hit zero) and
+    // the drain waits.
     idle_.notify_all();
 }
 

@@ -34,6 +34,13 @@
  *    (completion order may differ), so a fixed request stream yields
  *    byte-identical run/sweep/prepare responses at any --jobs and
  *    regardless of what sibling connections are doing.
+ *  - That order makes a slow request hold every later (even
+ *    immediate) response in its session's reorder buffer.
+ *    acceptsLine() caps that buffer: a session holding more
+ *    answered-but-unflushed responses than `queueDepth` is fed no
+ *    further line until the head answers, so a flood of malformed or
+ *    rejected lines waits in the client's socket or pipe instead of
+ *    in daemon memory.
  *  - A request may carry a "tenant" name: its plan artifacts then
  *    live in `<plan-dir>/<tenant>/` (a per-tenant PlanStore namespace
  *    with its own memory-cache namespace), so independent users
@@ -45,11 +52,10 @@
  *    deterministic numbers, which the CI smoke relies on.
  *
  * Thread-safety: handleLine()/handleOversizedLine() for one Session
- *  must be called from one thread at a time (the event loop or the
- *  blocking serve() reader); different Sessions may be fed from
- *  different threads. Sinks are invoked with the server mutex held,
- *  from whatever thread completes the request — keep them cheap
- *  (buffer-append) or accept the serialisation (stream write).
+ *  must be called from one thread at a time (the event loop);
+ *  different Sessions may be fed from different threads. Sinks are
+ *  invoked with the server mutex held, from whatever thread completes
+ *  the request — keep them cheap (buffer-append).
  *  requestStop() may be called from any thread or from a signal
  *  handler (it only stores a lock-free atomic).
  */
@@ -62,11 +68,9 @@
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
-#include <istream>
 #include <map>
 #include <memory>
 #include <mutex>
-#include <ostream>
 #include <string>
 #include <vector>
 
@@ -176,20 +180,9 @@ class Server
     Server(const Server &) = delete;
     Server &operator=(const Server &) = delete;
 
-    /**
-     * Serve one request stream on the calling thread: read JSONL
-     * requests from @p in until EOF or requestStop(), answer each on
-     * @p out (one line per request, admission order, flushed per
-     * line). Returns after every request this stream admitted has
-     * been answered. Implemented as one Session over the connection
-     * seam below; call again with a new stream to serve the next
-     * client on the same warm state.
-     */
-    void serve(std::istream &in, std::ostream &out);
-
     // ------------------------------------------------ connection seam
-    // The multi-client surface src/net/EventLoop drives. One Session
-    // per client connection; the caller owns line framing (see
+    // The surface src/net/EventLoop drives: one Session per client
+    // connection, stdin included. The caller owns line framing (see
     // net/line_buffer.hh) and feeds complete lines in.
 
     /** Open a session: responses flow to @p sink in admission order.
@@ -204,17 +197,25 @@ class Server
     void closeSession(const SessionPtr &session);
 
     /** Parse, validate, admit and dispatch one request line for a
-     *  session. Never blocks on I/O; may block on the status barrier
-     *  or (blocking sessions only) response backpressure. */
+     *  session. Never blocks on I/O; may block on the status
+     *  barrier. */
     void handleLine(const SessionPtr &session, const std::string &line);
 
-    /** Answer a line the bounded reader refused (too long) with a
-     *  structured error in the session's admission slot. */
+    /** Answer a line the framer refused (longer than maxLineBytes())
+     *  with a structured error in the session's admission slot. */
     void handleOversizedLine(const SessionPtr &session);
 
-    /** Admitted-but-unanswered requests on this session — the event
-     *  loop's read-backpressure signal. */
+    /** Whether @p session may be fed another line: false while it
+     *  holds more answered-but-unflushed responses than the queue
+     *  depth. The event loop checks it before every dispatch. */
+    bool acceptsLine(const Session &session) const;
+
+    /** Admitted-but-unanswered requests plus unflushed responses on
+     *  this session; zero once it has nothing left to send. */
     std::size_t sessionBacklog(const Session &session) const;
+
+    /** The longest request line a connection may frame. */
+    std::size_t maxLineBytes() const { return options_.maxLineBytes; }
 
     /** Block until every request this session admitted is answered
      *  (its sink has seen every line). */
@@ -231,10 +232,6 @@ class Server
     void requestStop() { stop_.store(true); }
 
     bool stopRequested() const { return stop_.load(); }
-
-    /** The stop flag itself, for read loops that block in I/O
-     *  (fd_stream.hh turns an interrupted read into EOF with it). */
-    const std::atomic<bool> &stopFlag() const { return stop_; }
 
     ServeCounters counters() const;
 
@@ -329,10 +326,6 @@ class Server::Session
     std::uint64_t id_;
     ResponseSink sink_;      ///< dropped (nullptr) once closed
     bool open_ = true;
-    /** Blocking sessions (the serve() reader) pause their reader when
-     *  the reorder buffer outgrows the queue depth; event-loop
-     *  sessions apply backpressure at the socket instead. */
-    bool blockingReader_ = false;
 
     std::uint64_t outstanding_ = 0; ///< admitted, not yet answered
     std::uint64_t nextSeq_ = 0;     ///< next admission slot

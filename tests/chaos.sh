@@ -15,9 +15,11 @@
 #      actually fired (failpoint.fires >= 1);
 #   3. sites classified `erroring` must answer the affected request
 #      with a structured `"ok":false` error while later requests in
-#      the same session still match the baseline;
-#   4. sites classified `session` (the fd-level permanent faults) end
-#      the client session early — only the clean exit is asserted.
+#      the same session still match the baseline.
+# The status line is sent only once both work responses are out: the
+# status barrier holds the event loop before it writes anything, so a
+# status sent with the work requests would report before a
+# write-path fault could fire.
 #
 # Two extra scenarios close the loop on the server hardening: a
 # deadline miss (pool.task.slow vs --request-timeout-ms) must yield a
@@ -33,11 +35,27 @@ trap 'rm -rf "$workdir"' EXIT
 
 dataset='rmat:vertices=128,edges=512,seed=3'
 
-requests() {
+work_requests() {
   printf '%s\n' \
     '{"id":"r1","type":"run","workload":"pagerank","backend":"outofcore","dataset":"'"$dataset"'"}' \
-    '{"id":"r2","type":"run","workload":"wcc","backend":"outofcore","dataset":"'"$dataset"'"}' \
-    '{"id":"q1","type":"status"}'
+    '{"id":"r2","type":"run","workload":"wcc","backend":"outofcore","dataset":"'"$dataset"'"}'
+}
+
+status_request() {
+  printf '%s\n' '{"id":"q1","type":"status"}'
+}
+
+requests() {
+  work_requests
+  status_request
+}
+
+wait_for_lines() { # $1=file, $2=count; waits 60 s at most
+  for _ in $(seq 1 600); do
+    if [ "$(wc -l < "$1")" -ge "$2" ]; then return 0; fi
+    sleep 0.1
+  done
+  return 1
 }
 
 work_lines() { # responses to the run requests, id order
@@ -85,24 +103,25 @@ for site in $sites; do
       env_extra=(GRAPHR_STORE_NO_MMAP=1) ;;
     store.write.fail|store.write.short|store.fsync.fail|store.rename.fail)
       kind=transient; mkdir -p "$plan_dir" ;;
-    serve.read.eintr|serve.write.short|pool.task.slow)
+    net.conn.write.short|pool.task.slow)
       kind=transient; mkdir -p "$plan_dir" ;;
     cache.build.fail)
       kind=erroring; mkdir -p "$plan_dir" ;;
-    serve.read.eio|serve.write.eio)
-      kind=session; mkdir -p "$plan_dir" ;;
     net.accept.fail|net.conn.read.fail|net.conn.write.fail)
-      # Connection-layer sites: nothing on the --stdin path can reach
-      # them, so each gets a dedicated TCP scenario below.
+      # The listener and the connection-fatal sites each get a
+      # dedicated TCP scenario below, where a sibling connection can
+      # prove the fault stayed contained.
       continue ;;
     *)
       fail "unclassified failpoint site '$site' — extend tests/chaos.sh" ;;
   esac
 
   out="$workdir/out_$site"
-  if ! requests | env "${env_extra[@]+"${env_extra[@]}"}" \
-      GRAPHR_FAILPOINTS="$site:1@1" \
-      "$serve_bin" --stdin --plan-dir "$plan_dir" > "$out"; then
+  : > "$out"
+  if ! { work_requests; wait_for_lines "$out" 2 || true; status_request; } \
+      | env "${env_extra[@]+"${env_extra[@]}"}" \
+        GRAPHR_FAILPOINTS="$site:1@1" \
+        "$serve_bin" --stdin --plan-dir "$plan_dir" > "$out"; then
     fail "$site: daemon exited nonzero"
   fi
 
@@ -130,9 +149,6 @@ for site in $sites; do
           | cmp -s - "$workdir/work_$site"; then
         fail "$site: the request after the fault diverged"
       fi
-      ;;
-    session)
-      : # clean exit already asserted; the session may end early
       ;;
   esac
   echo "chaos: $site ($kind) ok"

@@ -7,14 +7,14 @@
  * failures (loud error, no torn or stray files), transparent retry of
  * transient store I/O faults, short-read degradation to a cache miss,
  * the LruCache failed-build retry contract via cache.build.fail, and
- * the server's per-request deadline and oversized-line hardening.
+ * the server's per-request deadline, short-write and oversized-line
+ * hardening.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <filesystem>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -25,6 +25,7 @@
 #include "perf/counters.hh"
 #include "service/server.hh"
 #include "store/plan_store.hh"
+#include "tests/serve_text.hh"
 
 namespace graphr
 {
@@ -92,27 +93,6 @@ filesIn(const std::string &dir)
         ++n;
     }
     return n;
-}
-
-/** One serve session over string streams; returns the response text. */
-std::string
-serveText(service::Server &server, const std::string &input)
-{
-    std::istringstream in(input);
-    std::ostringstream out;
-    server.serve(in, out);
-    return out.str();
-}
-
-std::vector<std::string>
-lines(const std::string &text)
-{
-    std::vector<std::string> out;
-    std::istringstream is(text);
-    std::string line;
-    while (std::getline(is, line))
-        out.push_back(line);
-    return out;
 }
 
 // ---------------------------------------------------------------------
@@ -378,7 +358,7 @@ TEST_F(FailpointTest, FailedPlanBuildReachesTheCallerAndIsRetried)
 }
 
 // ---------------------------------------------------------------------
-// Server hardening: deadlines and oversized lines
+// Server hardening: deadlines, short writes and oversized lines
 // ---------------------------------------------------------------------
 
 TEST_F(FailpointTest, SlowRequestMissesItsDeadlineWithAStructuredError)
@@ -421,6 +401,18 @@ TEST_F(FailpointTest, FastRequestsAreUntouchedByTheDeadline)
     EXPECT_TRUE(JsonValue::parse(out[0]).find("ok")->asBool())
         << out[0];
     EXPECT_EQ(counterValue("serve.timeouts"), 0u);
+}
+
+TEST_F(FailpointTest, ShortConnectionWritesAreResumedAndCountedAsRetries)
+{
+    const std::string input =
+        R"({"id":"r","type":"run","dataset":"chain:n=16"})" "\n";
+    service::Server server({});
+    const std::string clean = serveText(server, input);
+
+    failpoint::configure("net.conn.write.short:3@1");
+    EXPECT_EQ(serveText(server, input), clean);
+    EXPECT_EQ(counterValue("serve.retries"), 3u);
 }
 
 TEST_F(FailpointTest, OversizedLineGetsAStructuredErrorNotSilence)

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <sstream>
 
 #include "graph/generator.hh"
@@ -62,11 +63,23 @@ TEST(TextIoTest, VertexCountFromMaxIdWithoutHeader)
     EXPECT_EQ(g.numVertices(), 10u);
 }
 
-TEST(TextIoTest, MalformedLineIsFatal)
+TEST(TextIoTest, MalformedLineThrows)
 {
     std::stringstream in("0 1\nnot an edge\n");
-    EXPECT_EXIT(loadEdgeListText(in), ::testing::ExitedWithCode(1),
-                "malformed");
+    EXPECT_THROW(loadEdgeListText(in), GraphIoError);
+}
+
+TEST(TextIoTest, VertexIdBeyondTheVertexIdRangeThrows)
+{
+    // 4294967295 would wrap the vertex count (max id + 1) to zero.
+    std::stringstream in("0 4294967295\n");
+    EXPECT_THROW(loadEdgeListText(in), GraphIoError);
+}
+
+TEST(TextIoTest, MissingFileThrows)
+{
+    EXPECT_THROW(loadEdgeListText("/nonexistent/graph.txt"),
+                 GraphIoError);
 }
 
 TEST(BinaryIoTest, RoundTripExact)
@@ -87,8 +100,7 @@ TEST(BinaryIoTest, RoundTripExact)
 TEST(BinaryIoTest, RejectsWrongMagic)
 {
     std::stringstream in("NOPE....");
-    EXPECT_EXIT(loadBinary(in), ::testing::ExitedWithCode(1),
-                "not a GraphR");
+    EXPECT_THROW(loadBinary(in), GraphIoError);
 }
 
 TEST(BinaryIoTest, RejectsTruncatedFile)
@@ -99,8 +111,20 @@ TEST(BinaryIoTest, RejectsTruncatedFile)
     std::string bytes = buffer.str();
     bytes.resize(bytes.size() / 2);
     std::stringstream cut(bytes);
-    EXPECT_EXIT(loadBinary(cut), ::testing::ExitedWithCode(1),
-                "truncated");
+    EXPECT_THROW(loadBinary(cut), GraphIoError);
+}
+
+TEST(BinaryIoTest, RejectsAnEndpointBeyondTheVertexCount)
+{
+    // A chain over 8 vertices, then the vertex count in the header
+    // (bytes 8..11) cut to 4: its later edges name vertices 4..7.
+    std::stringstream buffer;
+    saveBinary(makeChain(8), buffer);
+    std::string bytes = buffer.str();
+    const std::uint32_t vertices = 4;
+    std::memcpy(bytes.data() + 8, &vertices, sizeof(vertices));
+    std::stringstream bad(bytes);
+    EXPECT_THROW(loadBinary(bad), GraphIoError);
 }
 
 TEST(BinaryIoTest, EmptyGraphRoundTrips)

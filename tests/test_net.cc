@@ -1,12 +1,13 @@
 /**
  * @file
- * Tests for the TCP connection layer (src/net/) and the blocking
- * client library (src/client/): LineBuffer's bounded-memory JSONL
- * framing, the listener's port handling and SO_REUSEADDR rebinding,
- * and the event loop end to end — per-connection response streams
- * byte-identical to a blocking session at any worker count, and the
+ * Tests for the connection layer (src/net/) and the blocking client
+ * library (src/client/): LineBuffer's bounded-memory JSONL framing,
+ * the listener's port handling and SO_REUSEADDR rebinding, and the
+ * event loop end to end — per-connection response streams
+ * byte-identical to a stdin session at any worker count, the
  * per-connection admission quota keeping a greedy client from
- * starving its siblings.
+ * starving its siblings, a slow request capping its session's
+ * reorder buffer, and a stop that a non-reading client cannot hold.
  */
 
 #include <gtest/gtest.h>
@@ -17,6 +18,9 @@
 #include <thread>
 #include <vector>
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include "client/client.hh"
@@ -29,6 +33,7 @@
 #include "net/listener.hh"
 #include "perf/counters.hh"
 #include "service/server.hh"
+#include "tests/serve_text.hh"
 
 namespace graphr
 {
@@ -59,9 +64,9 @@ TEST(LineBufferTest, FramesLinesAcrossArbitraryChunkBoundaries)
 
 TEST(LineBufferTest, OversizedLineIsDiscardedAndReportedOnce)
 {
-    // Same discipline as the blocking reader: exactly cap bytes is
-    // still a line, one byte more is consumed-and-discarded and
-    // surfaces as a single kOversized event.
+    // Exactly cap bytes is still a line; one byte more is
+    // consumed-and-discarded and surfaces as a single kOversized
+    // event.
     LineBuffer buf(4);
     const std::string text = "abcd\nabcde\nok\n";
     buf.append(text.data(), text.size());
@@ -183,17 +188,22 @@ struct LoopHarness
     explicit LoopHarness(const service::ServeOptions &options,
                          const net::EventLoopOptions &loop_options = {})
         : server(options), listener(0, log),
-          loop(server, listener, loop_options, log)
+          loop(server, &listener, loop_options, log)
     {
         thread = std::thread([this] { loop.run(); });
     }
 
-    ~LoopHarness()
+    /** Stop the loop and wait for run() to return. */
+    void
+    stop()
     {
         server.requestStop();
         loop.wake();
-        thread.join();
+        if (thread.joinable())
+            thread.join();
     }
+
+    ~LoopHarness() { stop(); }
 };
 
 const std::vector<std::string> kStreamRequests = {
@@ -203,26 +213,22 @@ const std::vector<std::string> kStreamRequests = {
     R"({"id":"r2","type":"run","dataset":"grid:width=8,height=8"})",
 };
 
-/** The same requests through a blocking stdin-style session. */
+/** The same requests through a stdin session. */
 std::string
-blockingStream()
+stdinStream()
 {
     std::string input;
     for (const std::string &line : kStreamRequests)
         input += line + "\n";
-    std::istringstream in(input);
-    std::ostringstream out;
     service::ServeOptions options;
     options.jobs = 1;
-    service::Server server(options);
-    server.serve(in, out);
-    return out.str();
+    return serveText(input, options);
 }
 
 void
-expectConnectionsMatchBlocking(std::uint32_t jobs)
+expectConnectionsMatchStdin(std::uint32_t jobs)
 {
-    const std::string expected = blockingStream();
+    const std::string expected = stdinStream();
     ASSERT_FALSE(expected.empty());
 
     PlanCache::instance().clear();
@@ -235,7 +241,7 @@ expectConnectionsMatchBlocking(std::uint32_t jobs)
 
     // Every connection pipelines the whole request stream at once,
     // concurrently with its siblings; each must read back exactly
-    // the blocking session's bytes, in admission order.
+    // the stdin session's bytes, in admission order.
     constexpr int kConnections = 3;
     std::vector<std::string> streams(kConnections);
     std::vector<std::string> errors(kConnections);
@@ -265,14 +271,14 @@ expectConnectionsMatchBlocking(std::uint32_t jobs)
     }
 }
 
-TEST_F(NetServeTest, ConnectionStreamsMatchTheBlockingSessionSerial)
+TEST_F(NetServeTest, ConnectionStreamsMatchTheStdinSessionSerial)
 {
-    expectConnectionsMatchBlocking(1);
+    expectConnectionsMatchStdin(1);
 }
 
-TEST_F(NetServeTest, ConnectionStreamsMatchTheBlockingSessionJobs4)
+TEST_F(NetServeTest, ConnectionStreamsMatchTheStdinSessionJobs4)
 {
-    expectConnectionsMatchBlocking(4);
+    expectConnectionsMatchStdin(4);
 }
 
 TEST_F(NetServeTest, GreedyClientIsBoundedAndCannotStarveASibling)
@@ -313,6 +319,92 @@ TEST_F(NetServeTest, GreedyClientIsBoundedAndCannotStarveASibling)
     EXPECT_EQ(ok, static_cast<int>(options.connQueueDepth));
     EXPECT_EQ(ok + rejected, kBurst);
     failpoint::disarmAll();
+}
+
+TEST_F(NetServeTest, AStalledRequestCapsItsSessionsReorderBuffer)
+{
+    // Every response waits behind the stalled head request, so the
+    // session's reorder buffer grows with each answered line. The
+    // loop must stop feeding the session once that buffer holds more
+    // than --queue-depth responses: queueDepth + 1 lines at most.
+    failpoint::configure("pool.task.slow:1@1=1500");
+    service::ServeOptions options;
+    options.jobs = 1;
+    options.queueDepth = 8;
+    LoopHarness harness(options);
+
+    client::Client client(harness.listener.port());
+    client.setRecvTimeoutMs(120000);
+    constexpr int kMalformed = 1000;
+    client.sendLine(R"({"id":"head","type":"run","dataset":"chain:n=16"})");
+    for (int i = 0; i < kMalformed; ++i)
+        client.sendLine(R"({"id":"m)" + std::to_string(i) +
+                        R"(","type":"nope"})");
+    std::this_thread::sleep_for(std::chrono::milliseconds(500));
+    const std::uint64_t answered = harness.server.counters().invalid;
+    EXPECT_GT(answered, 0u);
+    EXPECT_LE(answered, options.queueDepth + 1u);
+
+    // Once the head answers, every line is served, in order.
+    EXPECT_NE(client.recvLine().find(R"("id":"head","ok":true)"),
+              std::string::npos);
+    for (int i = 0; i < kMalformed; ++i) {
+        const std::string response = client.recvLine();
+        EXPECT_NE(response.find(R"("id":"m)" + std::to_string(i) +
+                                R"(","ok":false)"),
+                  std::string::npos)
+            << response;
+    }
+    EXPECT_EQ(harness.server.counters().invalid,
+              static_cast<std::uint64_t>(kMalformed));
+}
+
+TEST_F(NetServeTest, StopTearsDownAClientThatStoppedReading)
+{
+    LoopHarness harness({});
+
+    // A raw client with a small receive window, so the daemon's
+    // responses back up into its send buffer quickly.
+    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    ASSERT_GE(fd, 0);
+    const int window = 4096;
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &window, sizeof(window));
+    sockaddr_in addr = {};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(static_cast<std::uint16_t>(
+        harness.listener.port()));
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    ASSERT_EQ(::connect(fd, reinterpret_cast<const sockaddr *>(&addr),
+                        sizeof(addr)),
+              0);
+
+    // Pipeline far more status answers (650 bytes each, 26 MB in
+    // all) than the socket buffers hold, and never read one. The
+    // sender blocks once the daemon stops reading; the teardown
+    // releases it.
+    std::thread sender([fd] {
+        std::string burst;
+        for (int i = 0; i < 40000; ++i)
+            burst += R"({"id":"q","type":"status"})" "\n";
+        std::size_t off = 0;
+        while (off < burst.size()) {
+            const ssize_t n = ::send(fd, burst.data() + off,
+                                     burst.size() - off, MSG_NOSIGNAL);
+            if (n <= 0)
+                return;
+            off += static_cast<std::size_t>(n);
+        }
+    });
+    std::this_thread::sleep_for(std::chrono::milliseconds(500));
+
+    const auto start = std::chrono::steady_clock::now();
+    harness.stop();
+    const auto elapsed = std::chrono::steady_clock::now() - start;
+    EXPECT_LT(elapsed, std::chrono::seconds(2));
+    EXPECT_NE(harness.log.str().find("not draining"), std::string::npos)
+        << harness.log.str();
+    sender.join();
+    ::close(fd);
 }
 
 TEST_F(NetServeTest, StatusReportsTheConnectionLayer)

@@ -1,30 +1,41 @@
 /**
  * @file
- * Tests for the graphr_serve serving core: the request parser's
- * error paths (malformed JSON, unknown type/workload/backend/dataset,
- * queue overflow — all structured responses, never a crash), the
- * warm-state guarantees (a repeated request is plan-cache-hot and
- * edge-sort-free, and finds its dataset resident), response/one-shot-
- * driver equivalence, and serial-vs-concurrent byte-identical
- * response streams.
+ * Tests for the graphr_serve serving core, driven through the
+ * daemon's stdin path: the request parser's error paths (malformed
+ * JSON, unknown type/workload/backend/dataset, unreadable dataset
+ * files, queue overflow — all structured responses, never a crash),
+ * stdin framing at EOF and at stop, the warm-state guarantees (a
+ * repeated request is plan-cache-hot and edge-sort-free, and finds
+ * its dataset resident), response/one-shot-driver equivalence, and
+ * serial-vs-concurrent byte-identical response streams.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <regex>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
+
+#include <unistd.h>
 
 #include "common/json_reader.hh"
 #include "driver/driver.hh"
 #include "driver/golden_cache.hh"
+#include "graph/generator.hh"
+#include "graph/io.hh"
 #include "graph/preprocess.hh"
 #include "graphr/engine/plan_cache.hh"
+#include "net/event_loop.hh"
 #include "perf/counters.hh"
 #include "service/request.hh"
 #include "service/server.hh"
+#include "tests/serve_text.hh"
 
 namespace graphr
 {
@@ -60,36 +71,6 @@ class ServeTest : public ::testing::Test
         perf::Registry::instance().resetAll();
     }
 };
-
-/** One serve session over string streams; returns the response text. */
-std::string
-serveText(service::Server &server, const std::string &input)
-{
-    std::istringstream in(input);
-    std::ostringstream out;
-    server.serve(in, out);
-    return out.str();
-}
-
-std::string
-serveText(const std::string &input,
-          const service::ServeOptions &options = {})
-{
-    service::Server server(options);
-    return serveText(server, input);
-}
-
-/** Split response text into lines (each one JSON object). */
-std::vector<std::string>
-lines(const std::string &text)
-{
-    std::vector<std::string> out;
-    std::istringstream is(text);
-    std::string line;
-    while (std::getline(is, line))
-        out.push_back(line);
-    return out;
-}
 
 /** Every response must parse back as one JSON object per line. */
 JsonValue
@@ -169,6 +150,107 @@ TEST_F(ServeTest, UnknownDatasetFailsAtExecutionWithAnErrorResponse)
         R"({"id":"a","type":"run","dataset":"no-such-graph"})" "\n"));
     ASSERT_EQ(out.size(), 1u);
     expectError(out[0], "a", "no-such-graph");
+}
+
+TEST_F(ServeTest, UnreadableDatasetFilesAreErrorsAndServingContinues)
+{
+    // A served file: dataset is outside input. Each way it can be bad
+    // answers its own request with an error; none ends the daemon.
+    const fs::path dir = fs::path(::testing::TempDir()) / "serve_files";
+    fs::remove_all(dir);
+    fs::create_directories(dir);
+    const fs::path malformed = dir / "malformed.txt";
+    std::ofstream(malformed) << "0 1\nnot an edge\n";
+    // A chain over 8 vertices whose header (bytes 8..11) claims 4.
+    const fs::path out_of_range = dir / "out_of_range.bin";
+    {
+        std::stringstream buffer;
+        saveBinary(makeChain(8), buffer);
+        std::string bytes = buffer.str();
+        const std::uint32_t vertices = 4;
+        std::memcpy(bytes.data() + 8, &vertices, sizeof(vertices));
+        std::ofstream(out_of_range, std::ios::binary) << bytes;
+    }
+    const auto request = [](const std::string &id,
+                            const std::string &dataset) {
+        return "{\"id\":\"" + id + "\",\"type\":\"run\",\"dataset\":\"" +
+               dataset + "\"}\n";
+    };
+    const auto out = lines(serveText(
+        request("missing", "file:" + (dir / "missing.txt").string()) +
+        request("malformed", "file:" + malformed.string()) +
+        request("range", "file:" + out_of_range.string()) +
+        request("good", "chain:n=16")));
+    ASSERT_EQ(out.size(), 4u);
+    expectError(out[0], "missing", "cannot open");
+    expectError(out[1], "malformed", "malformed edge at line 2");
+    expectError(out[2], "range", "out of range");
+    EXPECT_TRUE(parsedResponse(out[3]).find("ok")->asBool()) << out[3];
+    fs::remove_all(dir);
+}
+
+TEST_F(ServeTest, ALastLineWithoutANewlineIsAnsweredAtEof)
+{
+    const auto out = lines(serveText(R"({"id":"q","type":"status"})"));
+    ASSERT_EQ(out.size(), 1u);
+    EXPECT_EQ(parsedResponse(out[0]).find("id")->asString(), "q");
+}
+
+TEST_F(ServeTest, OversizedLinesGetAStructuredErrorAndServingContinues)
+{
+    // One oversized line mid-stream and one cut off by EOF: each is
+    // answered with the structured error, and the line between them
+    // is served.
+    service::ServeOptions options;
+    options.maxLineBytes = 64;
+    const std::string big =
+        R"({"id":"big","type":"run","junk":")" + std::string(200, 'x') +
+        "\"}";
+    const auto out = lines(serveText(
+        big + "\n" + R"({"id":"q","type":"status"})" + "\n" + big,
+        options));
+    ASSERT_EQ(out.size(), 3u);
+    expectError(out[0], "", "64-byte limit");
+    EXPECT_TRUE(parsedResponse(out[1]).find("ok")->asBool()) << out[1];
+    expectError(out[2], "", "64-byte limit");
+}
+
+TEST_F(ServeTest, AFragmentCutOffByStopIsDropped)
+{
+    // Over a pipe the loop frames the complete line and then waits
+    // for the rest of the fragment; a stop must drop the fragment,
+    // not answer half a request.
+    int in[2] = {-1, -1};
+    int out[2] = {-1, -1};
+    ASSERT_EQ(::pipe(in), 0);
+    ASSERT_EQ(::pipe(out), 0);
+    const std::string text =
+        R"({"id":"q","type":"status"})" "\n" R"({"id":"half","ty)";
+    ASSERT_EQ(::write(in[1], text.data(), text.size()),
+              static_cast<ssize_t>(text.size()));
+
+    service::Server server({});
+    std::ostringstream log;
+    net::EventLoop loop(server, nullptr, {}, log);
+    loop.adopt(in[0], out[1]);
+    std::thread thread([&loop] { loop.run(); });
+    // The status answer proves the loop has read the fragment too.
+    std::string answer;
+    char c = 0;
+    while (::read(out[0], &c, 1) == 1 && c != '\n')
+        answer.push_back(c);
+    server.requestStop();
+    loop.wake();
+    thread.join();
+    ::close(in[1]);
+    ::close(out[1]);
+
+    EXPECT_EQ(parsedResponse(answer).find("id")->asString(), "q");
+    char rest[64];
+    EXPECT_EQ(::read(out[0], rest, sizeof(rest)), 0)
+        << "the fragment was answered";
+    ::close(in[0]);
+    ::close(out[0]);
 }
 
 TEST_F(ServeTest, RunRequestRejectsListValuedSpecs)
@@ -539,7 +621,7 @@ TEST_F(ServeTest, TenantNamespacesIsolatePlansOnDiskAndInMemory)
 
 TEST_F(ServeTest, StatusReportsTheStdinSessionInItsConnectionsBlock)
 {
-    // A lone blocking session is connection 1 of 1; every fault-free
+    // A lone stdin session is connection 1 of 1; every fault-free
     // counter that can be zero must be zero.
     service::Server server({});
     const auto out = lines(serveText(
