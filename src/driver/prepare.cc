@@ -147,16 +147,14 @@ storeStatsText(const StoreSpec &spec)
     os << "\n";
     TextTable table;
     table.header({"file", "vertices", "edges", "tiles", "tiling",
-                  "v", "codec", "KiB", "payloadKiB", "B/edge",
-                  "status"});
+                  "v", "KiB", "payloadKiB", "B/edge", "status"});
     for (const PlanArtifactInfo &a : artifacts) {
         std::ostringstream tiling;
         tiling << "C" << a.tiling.crossbarDim << " N"
                << a.tiling.crossbarsPerGe << " G" << a.tiling.numGe
                << " B" << a.tiling.blockSize;
-        // Payload bytes per edge: the compression-ratio column (a
-        // raw edge record is 16 bytes, so "delta" artifacts should
-        // sit far below that).
+        // Payload bytes per edge: the compression-ratio column (an
+        // uncompressed edge record would take 16 bytes).
         const std::string per_edge =
             a.edges == 0 ? "-"
                          : TextTable::num(
@@ -167,7 +165,6 @@ storeStatsText(const StoreSpec &spec)
                    std::to_string(a.edges), std::to_string(a.tiles),
                    tiling.str(),
                    a.version == 0 ? "?" : std::to_string(a.version),
-                   a.codec.empty() ? "?" : a.codec,
                    TextTable::num(static_cast<double>(a.bytes) / 1024.0,
                                   1),
                    TextTable::num(

@@ -116,14 +116,6 @@ OrderedEdgeList::OrderedEdgeList(const CooGraph &graph,
 }
 
 OrderedEdgeList::OrderedEdgeList(const GridPartition &partition,
-                                 std::vector<Edge> edges,
-                                 std::vector<TileSpan> tiles)
-    : partition_(partition), edges_(std::move(edges)),
-      tiles_(std::move(tiles))
-{
-}
-
-OrderedEdgeList::OrderedEdgeList(const GridPartition &partition,
                                  TileChunkSource &chunks)
     : partition_(partition)
 {

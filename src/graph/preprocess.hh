@@ -80,21 +80,10 @@ class OrderedEdgeList
     OrderedEdgeList(const CooGraph &graph, const GridPartition &partition);
 
     /**
-     * Adopt an already-ordered edge list and tile directory without
-     * re-sorting: the deserialisation path of the on-disk plan store.
-     * The caller (the store, after checksum validation) guarantees
-     * the parts were produced by the sorting constructor under an
-     * identical partition.
-     */
-    OrderedEdgeList(const GridPartition &partition,
-                    std::vector<Edge> edges,
-                    std::vector<TileSpan> tiles);
-
-    /**
      * Drain a tile-at-a-time chunk source (streaming decode of a
-     * compressed plan artifact) without re-sorting. The source
-     * guarantees canonical streaming order; like the adopting
-     * constructor this does not count as a preprocessing sort.
+     * plan artifact) without re-sorting. The source guarantees
+     * canonical streaming order; this does not count as a
+     * preprocessing sort.
      */
     OrderedEdgeList(const GridPartition &partition,
                     TileChunkSource &chunks);
@@ -125,9 +114,9 @@ class OrderedEdgeList
     std::vector<TileSpan> tilesOfBlock(std::uint64_t block_index) const;
 
     /**
-     * Process-wide count of preprocessing sorts executed
-     * (the adopting constructor does not count). Lets tests assert a
-     * warm plan store makes a run sort-free.
+     * Process-wide count of preprocessing sorts executed (draining a
+     * chunk source does not count). Lets tests assert a warm plan
+     * store makes a run sort-free.
      */
     static std::uint64_t sortsPerformed();
 

@@ -1,9 +1,5 @@
 #include "tile_plan.hh"
 
-#include <utility>
-
-#include "common/logging.hh"
-
 namespace graphr
 {
 
@@ -12,21 +8,6 @@ TilePlan::TilePlan(const CooGraph &graph, const TilingParams &tiling)
       ordered(graph, partition), meta(ordered),
       fingerprint(graph.fingerprint())
 {
-}
-
-TilePlan::TilePlan(VertexId num_vertices, const TilingParams &tiling,
-                   std::vector<Edge> edges,
-                   std::vector<TileSpan> tile_spans,
-                   std::vector<TileMeta> tile_meta,
-                   std::uint64_t total_nnz,
-                   std::uint64_t graph_fingerprint)
-    : partition(num_vertices, tiling),
-      ordered(partition, std::move(edges), std::move(tile_spans)),
-      meta(std::move(tile_meta), total_nnz),
-      fingerprint(graph_fingerprint)
-{
-    GRAPHR_ASSERT(ordered.tiles().size() == meta.tiles().size(),
-                  "tile directory and metadata table disagree");
 }
 
 TilePlan::TilePlan(VertexId num_vertices, const TilingParams &tiling,

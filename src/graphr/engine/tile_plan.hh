@@ -46,19 +46,8 @@ struct TilePlan
     TilePlan(const CooGraph &graph, const TilingParams &tiling);
 
     /**
-     * Assemble a plan from already-prepared parts (no sort): the
-     * deserialisation path of the on-disk plan store. The parts must
-     * come from a prior prepare under the same tiling — the store
-     * validates checksums and fingerprints before calling this.
-     */
-    TilePlan(VertexId num_vertices, const TilingParams &tiling,
-             std::vector<Edge> edges, std::vector<TileSpan> tile_spans,
-             std::vector<TileMeta> tile_meta, std::uint64_t total_nnz,
-             std::uint64_t graph_fingerprint);
-
-    /**
      * Assemble a plan by draining a tile-at-a-time chunk source (the
-     * streaming decode path of compressed plan artifacts): edges and
+     * deserialisation path of the on-disk plan store): edges and
      * tile spans come from the cursor without a sort, and the per-tile
      * metadata is recomputed deterministically from the ordered list —
      * the same code path a fresh prepare takes, so downstream results

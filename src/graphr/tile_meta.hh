@@ -13,7 +13,6 @@
 #define GRAPHR_GRAPHR_TILE_META_HH
 
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "graph/preprocess.hh"
@@ -41,15 +40,6 @@ class TileMetaTable
 {
   public:
     explicit TileMetaTable(const OrderedEdgeList &ordered);
-
-    /**
-     * Adopt precomputed metadata (the plan store's deserialisation
-     * path; the store validates checksums before calling this).
-     */
-    TileMetaTable(std::vector<TileMeta> tiles, std::uint64_t total_nnz)
-        : tiles_(std::move(tiles)), totalNnz_(total_nnz)
-    {
-    }
 
     const std::vector<TileMeta> &tiles() const { return tiles_; }
 

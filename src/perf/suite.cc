@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <cstdlib>
 #include <filesystem>
 #include <numeric>
 #include <sstream>
@@ -257,11 +256,10 @@ storeScenario(SuiteBuilder &b, const std::string &prefix,
 }
 
 /**
- * The compressed-artifact scenario: raw vs delta footprint of one
- * pinned graph's artifact plus the streaming-decode work of a warm
- * load. The byte counts and decode counters are deterministic
- * functions of the dataset, so they gate; only the wall clocks are
- * trajectory points.
+ * The compressed-artifact scenario: the footprint of one pinned
+ * graph's artifact plus the streaming-decode work of a warm load. The
+ * byte counts and decode counters are deterministic functions of the
+ * dataset, so they gate; only the wall clocks are trajectory points.
  */
 void
 compressScenario(SuiteBuilder &b, const std::string &prefix,
@@ -275,25 +273,12 @@ compressScenario(SuiteBuilder &b, const std::string &prefix,
 
     const ScratchStoreDir dir;
     const PlanStore store(dir.path());
-
-    // Raw footprint via the escape hatch. The suite runs these
-    // scenarios on one thread, so toggling the env var cannot race a
-    // concurrent save.
-    ::setenv("GRAPHR_STORE_RAW", "1", 1);
-    const double raw_bytes = static_cast<double>(
-        std::filesystem::file_size(store.save(plan, tiling)));
-    ::unsetenv("GRAPHR_STORE_RAW");
-
-    // Compressed save overwrites the same artifact name.
     const std::string artifact = store.save(plan, tiling);
     const double bytes = static_cast<double>(
         std::filesystem::file_size(artifact));
-    b.scalar(prefix + ".raw_bytes", raw_bytes, "bytes", true);
     b.scalar(prefix + ".bytes", bytes, "bytes", true);
     b.scalar(prefix + ".bytes_per_edge",
              bytes / static_cast<double>(graph.numEdges()), "bytes",
-             true);
-    b.scalar(prefix + ".compression_ratio", bytes / raw_bytes, "x",
              true);
 
     const std::uint64_t fingerprint = graphFingerprint(graph);

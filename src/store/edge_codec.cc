@@ -30,17 +30,6 @@ putVarint(std::vector<unsigned char> &out, std::uint64_t v)
     out.push_back(static_cast<unsigned char>(v));
 }
 
-std::size_t
-varintBytes(std::uint64_t v)
-{
-    std::size_t n = 1;
-    while (v >= 0x80) {
-        v >>= 7;
-        ++n;
-    }
-    return n;
-}
-
 void
 putU64(std::vector<unsigned char> &out, std::uint64_t v)
 {
@@ -139,13 +128,14 @@ class BitReader
  * exception (its high part as a varint plus ~one run-length byte).
  * The estimate only has to be deterministic and reasonable — the
  * chosen k is written into the tile's flags, so the decoder never
- * re-derives it.
+ * re-derives it. k is at least @p min_bits.
  */
 unsigned
-chooseLowBits(const std::uint64_t *deltas, std::size_t m)
+chooseLowBits(const std::uint64_t *deltas, std::size_t m,
+              unsigned min_bits)
 {
     if (m == 0)
-        return 0;
+        return min_bits;
     std::size_t hist[65] = {};
     unsigned max_width = 0;
     for (std::size_t i = 0; i < m; ++i) {
@@ -154,9 +144,9 @@ chooseLowBits(const std::uint64_t *deltas, std::size_t m)
         ++hist[w];
         max_width = std::max(max_width, w);
     }
-    unsigned best_k = 0;
+    unsigned best_k = min_bits;
     std::uint64_t best_cost = ~std::uint64_t{0};
-    for (unsigned k = 0; k <= max_width; ++k) {
+    for (unsigned k = min_bits; k <= std::max(max_width, min_bits); ++k) {
         std::uint64_t cost = static_cast<std::uint64_t>(m) * k;
         for (unsigned w = k + 1; w <= max_width; ++w) {
             // High part is w-k bits -> ceil((w-k)/7) varint bytes,
@@ -178,16 +168,14 @@ malformedInput(const std::string &why)
     throw CodecError("edge codec: " + why);
 }
 
-} // namespace
-
+/**
+ * One encoding pass of encodeEdgeStream, with every tile's low-bits
+ * width at least @p min_low_bits.
+ */
 std::vector<unsigned char>
-encodeEdgeStream(const GridPartition &partition,
-                 std::span<const Edge> edges,
-                 std::span<const TileSpan> tiles)
+encodeTiles(const GridPartition &partition, std::span<const Edge> edges,
+            std::span<const TileSpan> tiles, unsigned min_low_bits)
 {
-    static perf::Counter &encoded =
-        perf::Registry::instance().counter("store.codec.encoded_edges");
-
     const std::uint64_t one_bits = std::bit_cast<std::uint64_t>(1.0);
     const std::uint32_t dim = partition.crossbarDim();
     const std::uint64_t width = partition.tileWidth();
@@ -255,7 +243,8 @@ encodeEdgeStream(const GridPartition &partition,
         const unsigned mode = all_ones    ? kWeightAllOnes
                               : constant  ? kWeightConstant
                                           : kWeightRaw;
-        const unsigned k = chooseLowBits(deltas.data(), deltas.size());
+        const unsigned k =
+            chooseLowBits(deltas.data(), deltas.size(), min_low_bits);
 
         putVarint(out, t == 0 ? span.tileIndex
                               : span.tileIndex - prev_tile);
@@ -297,6 +286,27 @@ encodeEdgeStream(const GridPartition &partition,
     }
     if (covered != edges.size())
         malformedInput("tile directory does not cover the edge list");
+    return out;
+}
+
+} // namespace
+
+std::vector<unsigned char>
+encodeEdgeStream(const GridPartition &partition,
+                 std::span<const Edge> edges,
+                 std::span<const TileSpan> tiles)
+{
+    static perf::Counter &encoded =
+        perf::Registry::instance().counter("store.codec.encoded_edges");
+
+    std::vector<unsigned char> out =
+        encodeTiles(partition, edges, tiles, 0);
+    // Runs of equal cells pick k = 0 and cost next to nothing per
+    // edge, so a duplicate-heavy stream can pass the decoder's
+    // expansion bound. Flooring k at 1 makes every delta pay a packed
+    // bit, which keeps the stream under 8 edges per byte.
+    if (edges.size() > out.size() * kMaxEdgesPerStreamByte)
+        out = encodeTiles(partition, edges, tiles, 1);
     encoded.add(edges.size());
     return out;
 }

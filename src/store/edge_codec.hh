@@ -76,9 +76,11 @@ class CodecError : public std::runtime_error
  * this many per encoded byte. Duplicate-heavy tiles compress without
  * limit (a run of equal cells is one varint), so without a cap a
  * hand-crafted 100-byte artifact could declare 2^40 edges and force
- * an unbounded allocation before any data is decoded. The writer
- * falls back to the raw payload for streams past the bound, so every
- * artifact the store writes is loadable.
+ * an unbounded allocation before any data is decoded. The encoder
+ * keeps its own streams inside the bound: a stream that would pass it
+ * is encoded again with every tile's low-bits width k floored at 1,
+ * so each delta costs at least one packed bit and the stream stays
+ * under 8 edges per byte.
  */
 constexpr std::uint64_t kMaxEdgesPerStreamByte = 1024;
 

@@ -38,18 +38,12 @@ namespace
 
 constexpr std::uint32_t kMagic = 'G' | ('P' << 8) | ('L' << 16) |
                                  ('N' << 24);
-/** Payload codec tags (first four payload bytes, format v2+). */
-constexpr std::uint32_t kCodecRaw = 'R' | ('A' << 8) | ('W' << 16) |
-                                    ('0' << 24);
+/** Payload codec tag (first four payload bytes, format v2). */
 constexpr std::uint32_t kCodecDelta = 'D' | ('L' << 8) | ('T' << 16) |
                                       ('1' << 24);
 constexpr std::size_t kHeaderBytes = 88;
 /** Bytes of the header covered by the header checksum. */
 constexpr std::size_t kHeaderChecksummedBytes = kHeaderBytes - 8;
-constexpr std::size_t kEdgeRecordBytes = 4 + 4 + 8;
-constexpr std::size_t kSpanRecordBytes = 3 * 8;
-/** Fixed (pre-rowNnz) part of one serialised TileMeta record. */
-constexpr std::size_t kMetaFixedBytes = 4 * 8 + 2 * 4 + 2 * 8 + 4;
 
 /** Append-only little buffer builder for headers and payloads. */
 class ByteWriter
@@ -72,8 +66,6 @@ class ByteWriter
     }
 
     const std::vector<unsigned char> &bytes() const { return bytes_; }
-
-    void reserve(std::size_t n) { bytes_.reserve(n); }
 
   private:
     std::vector<unsigned char> bytes_;
@@ -99,8 +91,6 @@ class ByteReader
         pos_ += sizeof(T);
         return true;
     }
-
-    std::size_t remaining() const { return size_ - pos_; }
 
   private:
     const unsigned char *data_;
@@ -438,171 +428,33 @@ decodeHeader(const unsigned char *data, std::size_t size, Header &h,
     return true;
 }
 
-void
-serializePayload(ByteWriter &w, const TilePlan &plan)
-{
-    const std::span<const Edge> edges = plan.ordered.edges();
-    const std::span<const TileSpan> spans = plan.ordered.tiles();
-    const std::vector<TileMeta> &meta = plan.meta.tiles();
-
-    std::size_t meta_bytes = 0;
-    for (const TileMeta &m : meta)
-        meta_bytes += kMetaFixedBytes + m.rowNnz.size() * 4;
-    w.reserve(edges.size() * kEdgeRecordBytes +
-              spans.size() * kSpanRecordBytes + meta_bytes);
-
-    for (const Edge &e : edges) {
-        w.raw(e.src);
-        w.raw(e.dst);
-        w.raw(static_cast<double>(e.weight));
-    }
-    for (const TileSpan &s : spans) {
-        w.raw(s.tileIndex);
-        w.raw(s.firstEdge);
-        w.raw(s.numEdges);
-    }
-    for (const TileMeta &m : meta) {
-        w.raw(m.tileIndex);
-        w.raw(m.row0);
-        w.raw(m.col0);
-        w.raw(m.nnz);
-        w.raw(m.crossbarsUsed);
-        w.raw(m.maxRowsProgrammed);
-        w.raw(m.rowMask);
-        w.raw(m.nnzColumns);
-        w.raw(static_cast<std::uint32_t>(m.rowNnz.size()));
-        for (const std::uint32_t n : m.rowNnz)
-            w.raw(n);
-    }
-}
-
-/** Deserialised payload, ready to assemble into a TilePlan. */
-struct PayloadParts
-{
-    std::vector<Edge> edges;
-    std::vector<TileSpan> spans;
-    std::vector<TileMeta> meta;
-};
-
 /**
- * Parse a checksum-verified payload. Structural and semantic bounds
- * are still checked (a checksummed file can legitimately come from a
- * buggy writer), so every accepted plan is safe for downstream
- * consumers — every failure is a reject, never UB, an abort, or an
- * unbounded allocation.
+ * The payload checks load() and list() share: checksum, codec tag, an
+ * nnz total equal to the edge count (the stream carries no metadata
+ * table, so every tile's nnz is its edge count), and the stream's
+ * declared totals against the header. Returns the decoder opened over
+ * the stream body; it reads @p part and @p payload, which must outlive
+ * it. Throws CodecError on the first failed check.
  */
-bool
-parsePayload(const Header &h, const unsigned char *data,
-             std::size_t size, PayloadParts &parts, std::string &issue)
+EdgeStreamDecoder
+openPayload(const Header &h, const GridPartition &part,
+            const unsigned char *payload, std::size_t size)
 {
-    // Cheap overflow-safe bound before any allocation: the fixed
-    // records alone must fit in the declared payload.
-    if (h.edges > size / kEdgeRecordBytes ||
-        h.tiles > size / kSpanRecordBytes) {
-        issue = "record counts exceed payload size";
-        return false;
-    }
-    // Safe after decodeHeader's tiling/vertex validation.
-    const GridPartition part(static_cast<VertexId>(h.vertices),
-                             h.tiling);
-    ByteReader r(data, size);
-
-    parts.edges.resize(h.edges);
-    for (Edge &e : parts.edges) {
-        double weight = 0.0;
-        if (!r.raw(e.src) || !r.raw(e.dst) || !r.raw(weight)) {
-            issue = "truncated edge records";
-            return false;
-        }
-        if (e.src >= h.vertices || e.dst >= h.vertices) {
-            issue = "edge endpoint outside the vertex range";
-            return false;
-        }
-        e.weight = weight;
-    }
-    parts.spans.resize(h.tiles);
-    std::uint64_t covered = 0; ///< edges accounted for by spans
-    std::uint64_t prev_tile = 0;
-    for (std::size_t i = 0; i < parts.spans.size(); ++i) {
-        TileSpan &s = parts.spans[i];
-        if (!r.raw(s.tileIndex) || !r.raw(s.firstEdge) ||
-            !r.raw(s.numEdges)) {
-            issue = "truncated tile directory";
-            return false;
-        }
-        // The computing path emits non-empty tiles, contiguous over
-        // the whole edge list, in strictly increasing tile order —
-        // require the same canonical shape back.
-        if (s.numEdges == 0 || s.firstEdge != covered ||
-            s.numEdges > h.edges - covered) {
-            issue = "tile directory is not a contiguous cover of "
-                    "the edge list";
-            return false;
-        }
-        if (s.tileIndex >= part.numTiles() ||
-            (i > 0 && s.tileIndex <= prev_tile)) {
-            issue = "tile directory out of streaming order";
-            return false;
-        }
-        prev_tile = s.tileIndex;
-        covered += s.numEdges;
-    }
-    if (covered != h.edges) {
-        issue = "tile directory is not a contiguous cover of "
-                "the edge list";
-        return false;
-    }
-    parts.meta.resize(h.tiles);
-    std::uint64_t total_nnz = 0;
-    for (std::size_t i = 0; i < parts.meta.size(); ++i) {
-        TileMeta &m = parts.meta[i];
-        std::uint32_t row_nnz_len = 0;
-        if (!r.raw(m.tileIndex) || !r.raw(m.row0) || !r.raw(m.col0) ||
-            !r.raw(m.nnz) || !r.raw(m.crossbarsUsed) ||
-            !r.raw(m.maxRowsProgrammed) || !r.raw(m.rowMask) ||
-            !r.raw(m.nnzColumns) || !r.raw(row_nnz_len)) {
-            issue = "truncated tile metadata";
-            return false;
-        }
-        if (row_nnz_len != h.tiling.crossbarDim) {
-            issue = "tile metadata row count disagrees with tiling";
-            return false;
-        }
-        const TileSpan &s = parts.spans[i];
-        if (m.tileIndex != s.tileIndex || m.nnz != s.numEdges) {
-            issue = "tile metadata disagrees with the tile directory";
-            return false;
-        }
-        // Every edge of the tile must sit inside the tile's window —
-        // the guarantee GraphEngineArray::programTile and the
-        // out-of-core block accounting rely on (unsigned wraparound
-        // also catches src/dst below the origin).
-        for (std::uint64_t e = s.firstEdge;
-             e < s.firstEdge + s.numEdges; ++e) {
-            if (parts.edges[e].src - m.row0 >= h.tiling.crossbarDim ||
-                parts.edges[e].dst - m.col0 >= part.tileWidth()) {
-                issue = "tile metadata outside its tile window";
-                return false;
-            }
-        }
-        m.rowNnz.resize(row_nnz_len);
-        for (std::uint32_t &n : m.rowNnz) {
-            if (!r.raw(n)) {
-                issue = "truncated tile metadata rows";
-                return false;
-            }
-        }
-        total_nnz += m.nnz;
-    }
-    if (r.remaining() != 0) {
-        issue = "trailing bytes after payload";
-        return false;
-    }
-    if (total_nnz != h.totalNnz) {
-        issue = "total nnz disagrees with header";
-        return false;
-    }
-    return true;
+    if (fnv1a64(payload, size) != h.payloadChecksum)
+        throw CodecError("payload checksum mismatch");
+    std::uint32_t codec = 0;
+    if (size < sizeof(codec))
+        throw CodecError("payload too small for a codec tag");
+    std::memcpy(&codec, payload, sizeof(codec));
+    if (codec != kCodecDelta)
+        throw CodecError("unknown payload codec tag");
+    if (h.totalNnz != h.edges)
+        throw CodecError("total nnz disagrees with the edge count");
+    EdgeStreamDecoder dec(part, payload + sizeof(codec),
+                          size - sizeof(codec));
+    if (dec.totalEdges() != h.edges || dec.totalTiles() != h.tiles)
+        throw CodecError("stream totals disagree with header");
+    return dec;
 }
 
 /** Unique temporary suffix so concurrent saves never collide. */
@@ -739,48 +591,19 @@ PlanStore::load(std::uint64_t fingerprint,
         h.tiling.blockSize != tiling.blockSize)
         return reject("tiling mismatch");
 
-    const unsigned char *payload = bytes.data() + kHeaderBytes;
-    const std::size_t payload_size = bytes.size() - kHeaderBytes;
-    if (fnv1a64(payload, payload_size) != h.payloadChecksum)
-        return reject("payload checksum mismatch");
-
-    if (payload_size < 4)
-        return reject("payload too small for a codec tag");
-    std::uint32_t codec = 0;
-    std::memcpy(&codec, payload, 4);
-    const unsigned char *body = payload + 4;
-    const std::size_t body_size = payload_size - 4;
-
     TilePlanPtr plan;
-    if (codec == kCodecRaw) {
-        PayloadParts parts;
-        if (!parsePayload(h, body, body_size, parts, issue))
-            return reject(issue);
+    try {
+        // Safe after decodeHeader's tiling/vertex validation.
+        const GridPartition part(static_cast<VertexId>(h.vertices),
+                                 h.tiling);
+        EdgeStreamDecoder dec =
+            openPayload(h, part, bytes.data() + kHeaderBytes,
+                        bytes.size() - kHeaderBytes);
         plan = std::make_shared<const TilePlan>(
-            static_cast<VertexId>(h.vertices), h.tiling,
-            std::move(parts.edges), std::move(parts.spans),
-            std::move(parts.meta), h.totalNnz, h.fingerprint);
-    } else if (codec == kCodecDelta) {
-        // The delta body carries no metadata table, so every tile's
-        // nnz is its edge count and the header totals must agree.
-        if (h.totalNnz != h.edges)
-            return reject("total nnz disagrees with the edge count");
-        try {
-            // Safe after decodeHeader's tiling/vertex validation.
-            const GridPartition part(
-                static_cast<VertexId>(h.vertices), h.tiling);
-            EdgeStreamDecoder dec(part, body, body_size);
-            if (dec.totalEdges() != h.edges ||
-                dec.totalTiles() != h.tiles)
-                return reject("stream totals disagree with header");
-            plan = std::make_shared<const TilePlan>(
-                static_cast<VertexId>(h.vertices), h.tiling, dec,
-                h.fingerprint);
-        } catch (const CodecError &e) {
-            return reject(e.what());
-        }
-    } else {
-        return reject("unknown payload codec tag");
+            static_cast<VertexId>(h.vertices), h.tiling, dec,
+            h.fingerprint);
+    } catch (const CodecError &e) {
+        return reject(e.what());
     }
 
     loadHits_.fetch_add(1, std::memory_order_relaxed);
@@ -791,28 +614,11 @@ PlanStore::load(std::uint64_t fingerprint,
 std::string
 PlanStore::save(const TilePlan &plan, const TilingParams &tiling) const
 {
+    const std::vector<unsigned char> stream = encodeEdgeStream(
+        plan.partition, plan.ordered.edges(), plan.ordered.tiles());
     ByteWriter payload;
-    const char *raw_env = std::getenv("GRAPHR_STORE_RAW");
-    const bool force_raw =
-        raw_env != nullptr && raw_env[0] != '\0' && raw_env[0] != '0';
-    bool wrote_delta = false;
-    if (!force_raw) {
-        const std::vector<unsigned char> stream = encodeEdgeStream(
-            plan.partition, plan.ordered.edges(), plan.ordered.tiles());
-        // Respect the decoder's expansion bound: a duplicate-heavy
-        // stream the decoder would refuse is written raw instead, so
-        // every artifact the store emits is loadable.
-        if (plan.ordered.edges().size() <=
-            stream.size() * kMaxEdgesPerStreamByte) {
-            payload.raw(kCodecDelta);
-            payload.append(stream.data(), stream.size());
-            wrote_delta = true;
-        }
-    }
-    if (!wrote_delta) {
-        payload.raw(kCodecRaw);
-        serializePayload(payload, plan);
-    }
+    payload.raw(kCodecDelta);
+    payload.append(stream.data(), stream.size());
 
     Header h;
     h.version = kFormatVersion;
@@ -955,55 +761,21 @@ PlanStore::list() const
             info.edges = h.edges;
             info.tiles = h.tiles;
             info.payloadBytes = h.payloadBytes;
-            const unsigned char *payload =
-                bytes.data() + kHeaderBytes;
-            const std::size_t payload_size =
-                bytes.size() - kHeaderBytes;
-            if (fnv1a64(payload, payload_size) != h.payloadChecksum) {
-                issue = "payload checksum mismatch";
-            } else if (payload_size < 4) {
-                issue = "payload too small for a codec tag";
-            } else {
-                std::uint32_t codec = 0;
-                std::memcpy(&codec, payload, 4);
-                const unsigned char *body = payload + 4;
-                const std::size_t body_size = payload_size - 4;
-                if (codec == kCodecRaw) {
-                    info.codec = "raw";
-                    PayloadParts parts;
-                    if (parsePayload(h, body, body_size, parts,
-                                     issue))
-                        info.valid = true;
-                } else if (codec == kCodecDelta) {
-                    info.codec = "delta";
-                    // Full decode-drain: listing promises the same
-                    // validation depth a load performs.
-                    try {
-                        const GridPartition part(
-                            static_cast<VertexId>(h.vertices),
-                            h.tiling);
-                        EdgeStreamDecoder dec(part, body, body_size);
-                        std::uint64_t edges = 0;
-                        std::uint64_t tiles = 0;
-                        TileChunkSource::Chunk chunk;
-                        while (dec.next(chunk)) {
-                            edges += chunk.edges.size();
-                            ++tiles;
-                        }
-                        if (edges != h.edges || tiles != h.tiles)
-                            issue = "stream totals disagree with "
-                                    "header";
-                        else if (h.totalNnz != h.edges)
-                            issue = "total nnz disagrees with the "
-                                    "edge count";
-                        else
-                            info.valid = true;
-                    } catch (const CodecError &e) {
-                        issue = e.what();
-                    }
-                } else {
-                    issue = "unknown payload codec tag";
+            // Full decode-drain: listing promises the same validation
+            // depth a load performs.
+            try {
+                const GridPartition part(
+                    static_cast<VertexId>(h.vertices), h.tiling);
+                EdgeStreamDecoder dec =
+                    openPayload(h, part, bytes.data() + kHeaderBytes,
+                                bytes.size() - kHeaderBytes);
+                TileChunkSource::Chunk chunk;
+                while (dec.next(chunk)) {
+                    // every tile is checked as it decodes
                 }
+                info.valid = true;
+            } catch (const CodecError &e) {
+                issue = e.what();
             }
         }
         info.version = h.version;

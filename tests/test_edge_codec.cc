@@ -54,13 +54,20 @@ putV(std::vector<unsigned char> &out, std::uint64_t v)
     out.push_back(static_cast<unsigned char>(v));
 }
 
+/** An edge list in canonical streaming order and its tile directory. */
+struct Ordered
+{
+    std::vector<Edge> edges;
+    std::vector<TileSpan> tiles;
+};
+
 /**
  * Sort arbitrary in-range edges into canonical streaming order and
  * build the tile directory — the reference path the codec must match,
  * without materialising per-vertex arrays (so near-2^32 vertex counts
  * stay cheap).
  */
-OrderedEdgeList
+Ordered
 orderEdges(const GridPartition &part, std::vector<Edge> edges)
 {
     std::vector<std::uint64_t> keys(edges.size());
@@ -87,7 +94,7 @@ orderEdges(const GridPartition &part, std::vector<Edge> edges)
             ++tiles.back().numEdges;
         }
     }
-    return OrderedEdgeList(part, std::move(sorted), std::move(tiles));
+    return Ordered{std::move(sorted), std::move(tiles)};
 }
 
 /** Bit-pattern edge equality: NaN payloads and -0.0 must survive,
@@ -109,28 +116,30 @@ expectEdgesBitIdentical(std::span<const Edge> a, std::span<const Edge> b)
 
 /** Encode, stream-decode, and require a bit-identical ordered list. */
 std::vector<unsigned char>
-expectRoundTrip(const GridPartition &part,
-                const OrderedEdgeList &ordered)
+expectRoundTrip(const GridPartition &part, std::span<const Edge> edges,
+                std::span<const TileSpan> tiles)
 {
     std::vector<unsigned char> bytes =
-        encodeEdgeStream(part, ordered.edges(), ordered.tiles());
+        encodeEdgeStream(part, edges, tiles);
     EdgeStreamDecoder dec(part, bytes.data(), bytes.size());
-    EXPECT_EQ(dec.totalEdges(), ordered.edges().size());
-    EXPECT_EQ(dec.totalTiles(), ordered.tiles().size());
+    EXPECT_EQ(dec.totalEdges(), edges.size());
+    EXPECT_EQ(dec.totalTiles(), tiles.size());
     const OrderedEdgeList decoded(part, dec);
-    expectEdgesBitIdentical(decoded.edges(), ordered.edges());
-    EXPECT_EQ(decoded.tiles().size(), ordered.tiles().size());
-    for (std::size_t t = 0; t < std::min(decoded.tiles().size(),
-                                         ordered.tiles().size());
-         ++t) {
-        EXPECT_EQ(decoded.tiles()[t].tileIndex,
-                  ordered.tiles()[t].tileIndex);
-        EXPECT_EQ(decoded.tiles()[t].firstEdge,
-                  ordered.tiles()[t].firstEdge);
-        EXPECT_EQ(decoded.tiles()[t].numEdges,
-                  ordered.tiles()[t].numEdges);
+    expectEdgesBitIdentical(decoded.edges(), edges);
+    EXPECT_EQ(decoded.tiles().size(), tiles.size());
+    for (std::size_t t = 0;
+         t < std::min(decoded.tiles().size(), tiles.size()); ++t) {
+        EXPECT_EQ(decoded.tiles()[t].tileIndex, tiles[t].tileIndex);
+        EXPECT_EQ(decoded.tiles()[t].firstEdge, tiles[t].firstEdge);
+        EXPECT_EQ(decoded.tiles()[t].numEdges, tiles[t].numEdges);
     }
     return bytes;
+}
+
+std::vector<unsigned char>
+expectRoundTrip(const GridPartition &part, const Ordered &ordered)
+{
+    return expectRoundTrip(part, ordered.edges, ordered.tiles);
 }
 
 /** Expect CodecError from constructing + fully draining a stream. */
@@ -195,7 +204,7 @@ randomEdges(const GridPartition &part, std::size_t want,
 TEST(EdgeCodec, EmptyEdgeListRoundTrips)
 {
     const GridPartition part(64, smallTiling());
-    const OrderedEdgeList ordered = orderEdges(part, {});
+    const Ordered ordered = orderEdges(part, {});
     const std::vector<unsigned char> bytes =
         expectRoundTrip(part, ordered);
     EXPECT_EQ(bytes.size(), 2u); // two zero varints, nothing else
@@ -226,8 +235,7 @@ TEST(EdgeCodec, DenseFullTileRoundTrips)
     for (VertexId i = 0; i < 4; ++i)
         for (VertexId j = 0; j < 16; ++j)
             edges.push_back(Edge{i, j, 1.0});
-    const OrderedEdgeList ordered =
-        orderEdges(part, std::move(edges));
+    const Ordered ordered = orderEdges(part, std::move(edges));
     const std::vector<unsigned char> bytes =
         expectRoundTrip(part, ordered);
     // 64 dense edges must beat one byte per edge by a wide margin.
@@ -294,9 +302,8 @@ TEST(EdgeCodec, FirstTileNotZeroRoundTrips)
     const GridPartition part(64, smallTiling());
     // Only cells whose tile index is far from zero.
     std::vector<Edge> edges = {Edge{60, 63, 1.0}, Edge{63, 60, 1.0}};
-    const OrderedEdgeList ordered =
-        orderEdges(part, std::move(edges));
-    ASSERT_GT(ordered.tiles().front().tileIndex, 0u);
+    const Ordered ordered = orderEdges(part, std::move(edges));
+    ASSERT_GT(ordered.tiles.front().tileIndex, 0u);
     expectRoundTrip(part, ordered);
 }
 
@@ -376,6 +383,23 @@ TEST(EdgeCodec, ZeroDeltaRunsRoundTrip)
     expectRoundTrip(part, orderEdges(part, std::move(edges)));
 }
 
+TEST(EdgeCodec, DuplicateHeavyStreamsStayWithinTheExpansionBound)
+{
+    // 200k edges on four cells: runs of equal cells code as zero-width
+    // deltas, so a first encoding would declare far more edges per
+    // byte than the decoder accepts. The encoder must stay within the
+    // bound on its own.
+    const GridPartition part(64, smallTiling());
+    const std::vector<Edge> cells = {Edge{0, 0, 1.0}, Edge{3, 15, 1.0},
+                                     Edge{4, 0, 1.0}, Edge{63, 63, 1.0}};
+    std::vector<Edge> edges;
+    for (int i = 0; i < 50000; ++i)
+        edges.insert(edges.end(), cells.begin(), cells.end());
+    const std::vector<unsigned char> bytes =
+        expectRoundTrip(part, orderEdges(part, std::move(edges)));
+    EXPECT_LE(200000u, bytes.size() * kMaxEdgesPerStreamByte);
+}
+
 TEST(EdgeCodec, RandomSmallTilingSweepRoundTrips)
 {
     const GridPartition part(61, smallTiling()); // odd |V|: padding
@@ -419,7 +443,7 @@ TEST(EdgeCodec, RmatThroughRealPreprocessingRoundTrips)
         makeRmat({.numVertices = 512, .numEdges = 8192, .seed = 21});
     const GridPartition part(g.numVertices(), TilingParams{});
     const OrderedEdgeList ordered(g, part);
-    expectRoundTrip(part, ordered);
+    expectRoundTrip(part, ordered.edges(), ordered.tiles());
 }
 
 TEST(EdgeCodec, CursorTilePlanMatchesDirectPreparation)
@@ -524,10 +548,10 @@ TEST(EdgeCodec, EncoderRejectsNonContiguousDirectory)
 TEST(EdgeCodec, TruncationAtEveryByteIsRejected)
 {
     const GridPartition part(64, smallTiling());
-    const OrderedEdgeList ordered = orderEdges(
-        part, randomEdges(part, 120, 424242, 2));
+    const Ordered ordered =
+        orderEdges(part, randomEdges(part, 120, 424242, 2));
     const std::vector<unsigned char> bytes =
-        encodeEdgeStream(part, ordered.edges(), ordered.tiles());
+        encodeEdgeStream(part, ordered.edges, ordered.tiles);
     ASSERT_GT(bytes.size(), 8u);
     for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
         SCOPED_TRACE("cut at " + std::to_string(cut));
@@ -545,10 +569,10 @@ TEST(EdgeCodec, FlippedBitSweepNeverCrashes)
     // — never a crash, hang, or out-of-bounds access (the sanitizer
     // jobs run this test too).
     const GridPartition part(64, smallTiling());
-    const OrderedEdgeList ordered = orderEdges(
-        part, randomEdges(part, 60, 31337, 2));
+    const Ordered ordered =
+        orderEdges(part, randomEdges(part, 60, 31337, 2));
     const std::vector<unsigned char> bytes =
-        encodeEdgeStream(part, ordered.edges(), ordered.tiles());
+        encodeEdgeStream(part, ordered.edges, ordered.tiles);
     for (std::size_t bit = 0; bit < bytes.size() * 8; ++bit) {
         std::vector<unsigned char> mutated = bytes;
         mutated[bit / 8] ^= static_cast<unsigned char>(
@@ -707,10 +731,9 @@ TEST(EdgeCodec, NonCanonicalZeroExceptionIsRejected)
 TEST(EdgeCodec, TrailingBytesAreRejected)
 {
     const GridPartition part(64, smallTiling());
-    const OrderedEdgeList ordered =
-        orderEdges(part, {Edge{1, 2, 1.0}});
+    const Ordered ordered = orderEdges(part, {Edge{1, 2, 1.0}});
     std::vector<unsigned char> bytes =
-        encodeEdgeStream(part, ordered.edges(), ordered.tiles());
+        encodeEdgeStream(part, ordered.edges, ordered.tiles);
     bytes.push_back(0);
     expectDecodeThrows(part, bytes);
 }

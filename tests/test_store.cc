@@ -129,6 +129,25 @@ TEST_F(PlanStoreTest, RoundTripPreservesEveryArtifactField)
     EXPECT_EQ(store.stats().saves, 1u);
 }
 
+TEST_F(PlanStoreTest, DuplicateHeavyGraphIsStoredCompressed)
+{
+    // 100k edges on 4 vertices fill at most 16 cells, so nearly every
+    // delta in the stream is zero: the artifact must still be a
+    // compressed one, and load back to the same plan.
+    const std::string dir = freshDir("duplicates");
+    const CooGraph g =
+        makeRmat({.numVertices = 4, .numEdges = 100000, .seed = 1});
+    const TilingParams tiling;
+    const TilePlan direct(g, tiling);
+
+    PlanStore store(dir);
+    EXPECT_LT(fs::file_size(store.save(direct, tiling)), g.numEdges())
+        << "artifact takes a byte or more per edge";
+    const TilePlanPtr loaded = store.load(direct.fingerprint, tiling);
+    ASSERT_NE(loaded, nullptr);
+    expectPlansEqual(direct, *loaded);
+}
+
 TEST_F(PlanStoreTest, ChunkedReadFallbackMatchesMmap)
 {
     const std::string dir = freshDir("nommap");
@@ -313,41 +332,6 @@ TEST_F(PlanStoreTest, FingerprintMismatchFallsBackToFreshPrepare)
                   artifactPath(dir, direct, tiling));
 
     expectFreshPrepareFallback(dir, g, tiling, direct);
-}
-
-TEST_F(PlanStoreTest, SemanticallyInvalidArtifactIsRejected)
-{
-    // Checksums guard against corruption, not buggy writers: an
-    // artifact whose payload is internally consistent bytes but
-    // semantic nonsense (a tile origin outside the graph) must be
-    // rejected before it can reach downstream index arithmetic. Only
-    // the raw codec carries a metadata table (the delta codec
-    // recomputes it on load), so pin the save to the raw layout.
-    const std::string dir = freshDir("semantic");
-    const CooGraph g = testGraph();
-    const TilingParams tiling;
-    const TilePlan direct(g, tiling);
-
-    std::vector<Edge> edges(direct.ordered.edges().begin(),
-                            direct.ordered.edges().end());
-    std::vector<TileSpan> spans(direct.ordered.tiles().begin(),
-                                direct.ordered.tiles().end());
-    std::vector<TileMeta> meta = direct.meta.tiles();
-    meta.front().row0 += std::uint64_t{1} << 20;
-    const TilePlan bogus(g.numVertices(), tiling, std::move(edges),
-                         std::move(spans), std::move(meta),
-                         direct.meta.totalNnz(), direct.fingerprint);
-
-    PlanStore store(dir);
-    ::setenv("GRAPHR_STORE_RAW", "1", 1);
-    store.save(bogus, tiling);
-    ::unsetenv("GRAPHR_STORE_RAW");
-    EXPECT_EQ(store.load(direct.fingerprint, tiling), nullptr);
-    EXPECT_GE(store.stats().loadRejects, 1u);
-
-    // The listing flags it rather than crashing on it.
-    const std::string text = driver::storeStatsText(StoreSpec{dir});
-    EXPECT_NE(text.find("corrupt"), std::string::npos);
 }
 
 TEST_F(PlanStoreTest, TilingMismatchIsRejected)
@@ -659,13 +643,43 @@ TEST_F(PlanStoreTest, ValidHeaderGarbageStreamDegrades)
     writeFileBytes(file, bytes);
     expectFreshPrepareFallback(dir, g, tiling, direct);
 
-    // An unknown codec tag is rejected the same way.
+    // An unknown codec tag is rejected the same way. The retired
+    // uncompressed payload's tag is the one old stores still hold.
     bytes = readFileBytes(file);
-    std::memcpy(bytes.data() + 88, "????", 4);
+    std::memcpy(bytes.data() + 88, "RAW0", 4);
     resealChecksums(bytes);
     writeFileBytes(file, bytes);
+    expectFreshPrepareFallback(dir, g, tiling, direct);
+}
+
+TEST_F(PlanStoreTest, SemanticallyInvalidArtifactIsRejected)
+{
+    // Checksums guard against corruption, not buggy writers: an
+    // artifact whose checksums match but whose stream is nonsense for
+    // the graph its header declares (edges outside the vertex range)
+    // must be rejected before it can reach downstream index
+    // arithmetic.
+    const std::string dir = freshDir("semantic");
+    const CooGraph g = testGraph();
+    const TilingParams tiling;
+    const TilePlan direct(g, tiling);
+    PlanStore(dir).save(direct, tiling);
+    const std::string file = artifactPath(dir, direct, tiling);
+
+    // The vertex count lives at byte offset 16.
+    std::vector<unsigned char> bytes = readFileBytes(file);
+    const std::uint64_t two = 2;
+    std::memcpy(bytes.data() + 16, &two, 8);
+    resealChecksums(bytes);
+    writeFileBytes(file, bytes);
+
     PlanStore store(dir);
     EXPECT_EQ(store.load(direct.fingerprint, tiling), nullptr);
+    EXPECT_GE(store.stats().loadRejects, 1u);
+
+    // The listing flags it rather than crashing on it.
+    const std::string text = driver::storeStatsText(StoreSpec{dir});
+    EXPECT_NE(text.find("corrupt"), std::string::npos);
 }
 
 TEST_F(PlanStoreTest, TruncatedCompressedStreamDegrades)
@@ -809,69 +823,6 @@ TEST_F(PlanStoreTest, DecodeFailpointFallsBackToFreshPrepare)
     expectPlansEqual(direct, *loaded);
 }
 
-// --------------------------------------------- raw escape hatch
-
-TEST_F(PlanStoreTest, RawEscapeHatchWritesUncompressedArtifacts)
-{
-    const std::string raw_dir = freshDir("raw");
-    const std::string delta_dir = freshDir("delta");
-    const CooGraph g = testGraph();
-    const TilingParams tiling;
-    const TilePlan direct(g, tiling);
-
-    ::setenv("GRAPHR_STORE_RAW", "1", 1);
-    PlanStore(raw_dir).save(direct, tiling);
-    ::unsetenv("GRAPHR_STORE_RAW");
-    PlanStore(delta_dir).save(direct, tiling);
-
-    const std::vector<PlanArtifactInfo> raw_list =
-        PlanStore(raw_dir).list();
-    const std::vector<PlanArtifactInfo> delta_list =
-        PlanStore(delta_dir).list();
-    ASSERT_EQ(raw_list.size(), 1u);
-    ASSERT_EQ(delta_list.size(), 1u);
-    EXPECT_TRUE(raw_list[0].valid) << raw_list[0].issue;
-    EXPECT_TRUE(delta_list[0].valid) << delta_list[0].issue;
-    EXPECT_EQ(raw_list[0].codec, "raw");
-    EXPECT_EQ(delta_list[0].codec, "delta");
-
-    // Both decode to the same plan; the compressed one is at most
-    // half the raw bytes even at this small size.
-    const TilePlanPtr from_raw =
-        PlanStore(raw_dir).load(direct.fingerprint, tiling);
-    const TilePlanPtr from_delta =
-        PlanStore(delta_dir).load(direct.fingerprint, tiling);
-    ASSERT_NE(from_raw, nullptr);
-    ASSERT_NE(from_delta, nullptr);
-    expectPlansEqual(direct, *from_raw);
-    expectPlansEqual(direct, *from_delta);
-    EXPECT_LE(delta_list[0].bytes * 2, raw_list[0].bytes);
-}
-
-TEST_F(PlanStoreTest, RawAndCompressedWarmSweepsAreByteIdentical)
-{
-    // The whole point of recomputing metadata on decode: warm sweep
-    // reports must not depend on the artifact codec, serial or
-    // parallel.
-    for (const std::uint32_t jobs : {1u, 4u}) {
-        const std::string raw_dir =
-            freshDir("codec_raw_j" + std::to_string(jobs));
-        const std::string delta_dir =
-            freshDir("codec_delta_j" + std::to_string(jobs));
-
-        ::setenv("GRAPHR_STORE_RAW", "1", 1);
-        sweepJson(sweepSpec(raw_dir, jobs)); // cold, writes raw
-        ::unsetenv("GRAPHR_STORE_RAW");
-        sweepJson(sweepSpec(delta_dir, jobs)); // cold, writes delta
-
-        const std::string warm_raw =
-            sweepJson(sweepSpec(raw_dir, jobs));
-        const std::string warm_delta =
-            sweepJson(sweepSpec(delta_dir, jobs));
-        EXPECT_EQ(warm_raw, warm_delta) << "jobs=" << jobs;
-    }
-}
-
 // --------------------------------------------- golden artifact
 
 /** The golden run: must mirror test_driver's runGoldenReport(). */
@@ -918,7 +869,6 @@ TEST_F(PlanStoreTest, GoldenCompressedArtifactDecodesToGoldenReport)
         EXPECT_TRUE(info.valid) << info.file << ": " << info.issue;
         EXPECT_EQ(info.version, PlanStore::kFormatVersion)
             << info.file;
-        EXPECT_EQ(info.codec, "delta") << info.file;
     }
 
     const std::uint64_t sorts_before =
