@@ -27,7 +27,6 @@
 #include "common/random.hh"
 #include "common/table.hh"
 #include "driver/driver.hh"
-#include "driver/golden_cache.hh"
 #include "graph/generator.hh"
 #include "graph/preprocess.hh"
 #include "graphr/engine/plan_cache.hh"
@@ -342,9 +341,10 @@ CaseResult
 sweepThroughput(const perf::RepOptions &rep, std::uint32_t jobs)
 {
     // Driver sweep throughput at --jobs N: the full workload x
-    // backend matrix on one small graph. Warm caches: the plan and
-    // golden results are shared, so this measures the parallel
-    // execution scaling, not preprocessing.
+    // backend matrix on one small graph. Warm plan cache: the plans
+    // are shared, so this measures the parallel execution scaling,
+    // not preprocessing (each sweep resolves a fresh graph, whose
+    // golden counts it computes once).
     driver::SweepSpec spec;
     spec.workloads = {"all"};
     spec.backends = {"all"};
@@ -393,7 +393,6 @@ serveRequest(const perf::RepOptions &rep, bool warm)
             // worth excluding: the sort they force dominates anyway.
             server.datasets().clear();
             PlanCache::instance().clear();
-            driver::clearGoldenCache();
         }
         serve();
         perf::doNotOptimize(response.size());

@@ -1,8 +1,10 @@
 #include "pagerank.hh"
 
+#include <bit>
 #include <cmath>
 
 #include "common/logging.hh"
+#include "graph/graph_memo.hh"
 
 namespace graphr
 {
@@ -59,6 +61,20 @@ pagerank(const CooGraph &graph, const PageRankParams &params)
         }
     }
     return result;
+}
+
+int
+goldenPageRankIterations(const CooGraph &graph,
+                         const PageRankParams &params)
+{
+    const GraphMemo::GoldenKey key{
+        GraphMemo::GoldenKey::Product::kPageRankIterations,
+        {std::bit_cast<std::uint64_t>(params.damping),
+         static_cast<std::uint64_t>(params.maxIterations),
+         std::bit_cast<std::uint64_t>(params.tolerance)}};
+    return graph.memo()->goldenCount(key, [&graph, &params] {
+        return pagerank(graph, params).iterations;
+    });
 }
 
 } // namespace graphr

@@ -36,6 +36,14 @@ struct PageRankResult
  */
 PageRankResult pagerank(const CooGraph &graph, const PageRankParams &params);
 
+/**
+ * pagerank(graph, params).iterations, computed once per graph and
+ * parameter set and memoised on the graph (CooGraph::memo()). The
+ * timing-mode runners and baselines charge this many sweeps.
+ */
+int goldenPageRankIterations(const CooGraph &graph,
+                             const PageRankParams &params);
+
 /** One synchronous PageRank iteration (exposed for the mappings). */
 std::vector<Value> pagerankIteration(const CooGraph &graph,
                                      const std::vector<Value> &ranks,

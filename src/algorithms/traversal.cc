@@ -1,6 +1,7 @@
 #include "traversal.hh"
 
 #include "common/logging.hh"
+#include "graph/graph_memo.hh"
 
 namespace graphr
 {
@@ -70,6 +71,22 @@ TraversalResult
 bfs(const CooGraph &graph, VertexId source)
 {
     return relax(graph, source, /*unit_weights=*/true);
+}
+
+int
+goldenBfsRounds(const CooGraph &graph, VertexId source)
+{
+    return graph.memo()->goldenCount(
+        {GraphMemo::GoldenKey::Product::kBfsRounds, {source}},
+        [&graph, source] { return bfs(graph, source).iterations; });
+}
+
+int
+goldenSsspRounds(const CooGraph &graph, VertexId source)
+{
+    return graph.memo()->goldenCount(
+        {GraphMemo::GoldenKey::Product::kSsspRounds, {source}},
+        [&graph, source] { return sssp(graph, source).iterations; });
 }
 
 RelaxationSweep::RelaxationSweep(const CooGraph &graph, VertexId source,

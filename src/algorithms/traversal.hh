@@ -38,6 +38,14 @@ TraversalResult sssp(const CooGraph &graph, VertexId source);
 TraversalResult bfs(const CooGraph &graph, VertexId source);
 
 /**
+ * bfs(graph, source).iterations and sssp(graph, source).iterations,
+ * each computed once per graph and source and memoised on the graph
+ * (CooGraph::memo()).
+ */
+int goldenBfsRounds(const CooGraph &graph, VertexId source);
+int goldenSsspRounds(const CooGraph &graph, VertexId source);
+
+/**
  * How edge weights enter the relaxation candidate label:
  * kOriginal -> label(u) + w (SSSP), kUnit -> label(u) + 1 (BFS),
  * kZero -> label(u) (WCC min-label propagation).

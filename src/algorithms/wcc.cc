@@ -4,6 +4,7 @@
 #include <unordered_set>
 
 #include "common/logging.hh"
+#include "graph/graph_memo.hh"
 
 namespace graphr
 {
@@ -19,6 +20,13 @@ symmetrize(const CooGraph &graph)
             edges.push_back(Edge{e.dst, e.src, e.weight});
     }
     return CooGraph(graph.numVertices(), std::move(edges));
+}
+
+std::shared_ptr<const CooGraph>
+symmetrized(const CooGraph &graph)
+{
+    return graph.memo()->symmetrized(
+        [&graph] { return symmetrize(graph); });
 }
 
 namespace
@@ -56,6 +64,14 @@ wcc(const CooGraph &graph)
     }
     result.numComponents = countDistinct(result.labels);
     return result;
+}
+
+int
+goldenWccRounds(const CooGraph &graph)
+{
+    return graph.memo()->goldenCount(
+        {GraphMemo::GoldenKey::Product::kWccRounds, {}},
+        [&graph] { return wcc(graph).iterations; });
 }
 
 WccResult

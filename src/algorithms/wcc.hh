@@ -12,6 +12,7 @@
 #ifndef GRAPHR_ALGORITHMS_WCC_HH
 #define GRAPHR_ALGORITHMS_WCC_HH
 
+#include <memory>
 #include <vector>
 
 #include "algorithms/traversal.hh"
@@ -40,8 +41,20 @@ WccResult wcc(const CooGraph &graph);
  */
 WccResult wccUnionFind(const CooGraph &graph);
 
+/** wcc(graph).iterations, computed once per graph and memoised on
+ *  it (CooGraph::memo()). */
+int goldenWccRounds(const CooGraph &graph);
+
 /** Edges plus their reverses (weights preserved). */
 CooGraph symmetrize(const CooGraph &graph);
+
+/**
+ * symmetrize(graph), built once per graph and memoised on it
+ * (CooGraph::memo()): every WCC runner of a graph shares one copy,
+ * and the copy's own fingerprint is folded once. The copy lives as
+ * long as the graph's memo or the returned pointer.
+ */
+std::shared_ptr<const CooGraph> symmetrized(const CooGraph &graph);
 
 /**
  * The WCC relaxation over an already-symmetrised graph: every vertex

@@ -217,9 +217,9 @@ CpuModel::runSssp(const CooGraph &graph, VertexId source)
 BaselineReport
 CpuModel::runWcc(const CooGraph &graph)
 {
-    const CooGraph sym = symmetrize(graph);
-    RelaxationSweep sweep = makeWccSweep(sym);
-    return relaxationTrace(sym, sweep, "wcc", params_);
+    const std::shared_ptr<const CooGraph> sym = symmetrized(graph);
+    RelaxationSweep sweep = makeWccSweep(*sym);
+    return relaxationTrace(*sym, sweep, "wcc", params_);
 }
 
 BaselineReport

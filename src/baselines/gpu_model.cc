@@ -151,9 +151,9 @@ GpuModel::runSssp(const CooGraph &graph, VertexId source)
 BaselineReport
 GpuModel::runWcc(const CooGraph &graph)
 {
-    const CooGraph sym = symmetrize(graph);
-    RelaxationSweep sweep = makeWccSweep(sym);
-    return gpuRelaxation(sym, sweep, "wcc", params_);
+    const std::shared_ptr<const CooGraph> sym = symmetrized(graph);
+    RelaxationSweep sweep = makeWccSweep(*sym);
+    return gpuRelaxation(*sym, sweep, "wcc", params_);
 }
 
 BaselineReport

@@ -122,9 +122,9 @@ PimModel::runSssp(const CooGraph &graph, VertexId source)
 BaselineReport
 PimModel::runWcc(const CooGraph &graph)
 {
-    const CooGraph sym = symmetrize(graph);
-    RelaxationSweep sweep = makeWccSweep(sym);
-    return pimRelaxation(sym, sweep, "wcc", *this, params_);
+    const std::shared_ptr<const CooGraph> sym = symmetrized(graph);
+    RelaxationSweep sweep = makeWccSweep(*sym);
+    return pimRelaxation(*sym, sweep, "wcc", *this, params_);
 }
 
 BaselineReport

@@ -1,11 +1,12 @@
 /**
  * @file
- * Small thread-safe keyed LRU used by the engine's PlanCache and the
- * driver's golden-result cache.
+ * Small thread-safe keyed LRU used by the engine's PlanCache, the
+ * driver's resident datasets and each graph's golden counts
+ * (graph/graph_memo.hh).
  *
  * Values are shared_ptrs: eviction never invalidates a value a caller
  * still holds. Capacity is small by design — cached values (tile
- * plans, golden rank vectors) are memory-heavy for large graphs.
+ * plans, resolved graphs) are memory-heavy for large graphs.
  *
  * Built for the parallel sweep driver: lookups take a shared lock and
  * builds happen *outside* the cache lock with per-key

@@ -1,7 +1,6 @@
 #include "backend.hh"
 
 #include "algorithms/pagerank.hh"
-#include "driver/golden_cache.hh"
 #include "graphr/node.hh"
 
 namespace graphr::driver
@@ -220,15 +219,11 @@ runBaseline(Model &model, const std::string &backend_name,
     RunResult result = makeResult(backend_name, workload, dataset);
     const CooGraph &graph = dataset.graph;
     switch (workload.kind) {
-      case WorkloadKind::kPageRank: {
-        // Cached: a `--backend all` sweep computes the golden
-        // iteration count once, not once per baseline backend.
-        const std::shared_ptr<const PageRankResult> golden =
-            cachedGoldenPageRank(graph, workload.params.pagerank);
+      case WorkloadKind::kPageRank:
         result.absorb(model.runPageRank(
-            graph, static_cast<std::uint64_t>(golden->iterations)));
+            graph, static_cast<std::uint64_t>(goldenPageRankIterations(
+                       graph, workload.params.pagerank))));
         break;
-      }
       case WorkloadKind::kSpmv:
         result.absorb(model.runSpmv(graph));
         break;

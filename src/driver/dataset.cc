@@ -3,7 +3,10 @@
 #include <algorithm>
 #include <bit>
 #include <cctype>
+#include <cmath>
+#include <limits>
 #include <optional>
+#include <utility>
 
 #include <sys/stat.h>
 
@@ -69,6 +72,82 @@ maxSrcPlusOne(const CooGraph &graph)
     return users;
 }
 
+/** Throws DriverError naming generator parameter @p name unless
+ *  @p value >= @p min. */
+void
+requireAtLeast(const std::string &kind, const std::string &name,
+               std::uint64_t value, std::uint64_t min)
+{
+    if (value < min) {
+        throw DriverError("dataset spec '" + kind + "': " + name +
+                          " must be >= " + std::to_string(min) +
+                          " (got " + std::to_string(value) + ")");
+    }
+}
+
+/** Throws DriverError unless @p count, the vertex count generator
+ *  parameters @p what give, fits the 32-bit vertex id range. */
+void
+requireVertexIdRange(const std::string &kind, const std::string &what,
+                     std::uint64_t count)
+{
+    if (count > std::numeric_limits<VertexId>::max()) {
+        throw DriverError(
+            "dataset spec '" + kind + "': " + what + " = " +
+            std::to_string(count) + " vertices exceeds the 32-bit " +
+            "vertex id limit of " +
+            std::to_string(std::numeric_limits<VertexId>::max()));
+    }
+}
+
+/** Edge weights are drawn from [1, maxweight]; NaN or infinity would
+ *  reach the traversals as a weight no relaxation accepts. */
+void
+requireFiniteMaxWeight(const std::string &kind, double max_weight)
+{
+    if (!std::isfinite(max_weight)) {
+        throw DriverError("dataset spec '" + kind +
+                          "': maxweight must be a finite number");
+    }
+}
+
+/** Reject R-MAT parameters makeRmat() would abort on or loop on
+ *  forever (the reachability rule is rmatCanDrawEdge()'s). */
+void
+checkRmat(const RmatParams &p)
+{
+    requireAtLeast("rmat", "vertices", p.numVertices, 2);
+    if (p.numVertices > VertexId{1} << 31) {
+        throw DriverError("dataset spec 'rmat': vertices must be <= " +
+                          std::to_string(VertexId{1} << 31) +
+                          ", since R-MAT pads it to a power of two");
+    }
+    requireFiniteMaxWeight("rmat", p.maxWeight);
+    const std::pair<const char *, double> quadrants[] = {
+        {"a", p.a}, {"b", p.b}, {"c", p.c}, {"d", p.d}};
+    for (const auto &[name, value] : quadrants) {
+        if (!(value >= 0.0)) { // negated so NaN is rejected too
+            throw DriverError(std::string("dataset spec 'rmat': ") +
+                              name + " must be >= 0");
+        }
+    }
+    const double sum = p.a + p.b + p.c + p.d;
+    if (!(std::abs(sum - 1.0) < 1e-6)) {
+        throw DriverError("dataset spec 'rmat': a+b+c+d must sum to 1 "
+                          "(got " + std::to_string(sum) + ")");
+    }
+    if (!rmatCanDrawEdge(p)) {
+        throw DriverError(
+            "dataset spec 'rmat': quadrant probabilities a,b,c,d can "
+            "never draw an edge between two distinct vertices below "
+            "vertices=" + std::to_string(p.numVertices) +
+            ". Each level draws r in [0,1) in steps of 2^-53 and picks "
+            "a for r < a, b for r < a+b, c for r < a+b+c, else d; an "
+            "edge needs b or c to be picked, and unless vertices is a "
+            "power of two, also a, or both b and c");
+    }
+}
+
 ResolvedDataset
 resolveGenerator(const std::string &kind, const ParamMap &params,
                  std::uint64_t seed)
@@ -86,6 +165,7 @@ resolveGenerator(const std::string &kind, const ParamMap &params,
         p.maxWeight = params.getDouble("maxweight", p.maxWeight);
         p.seed = params.getU64("seed", seed);
         params.rejectUnread("dataset spec 'rmat'");
+        checkRmat(p);
         out.graph = makeRmat(p);
     } else if (kind == "er") {
         const VertexId v =
@@ -94,6 +174,8 @@ resolveGenerator(const std::string &kind, const ParamMap &params,
         const double w = params.getDouble("maxweight", 1.0);
         const std::uint64_t s = params.getU64("seed", seed);
         params.rejectUnread("dataset spec 'er'");
+        requireAtLeast(kind, "vertices", v, 2);
+        requireFiniteMaxWeight(kind, w);
         out.graph = makeErdosRenyi(v, e, s, w);
     } else if (kind == "grid") {
         const VertexId width =
@@ -103,18 +185,26 @@ resolveGenerator(const std::string &kind, const ParamMap &params,
         const double w = params.getDouble("maxweight", 10.0);
         const std::uint64_t s = params.getU64("seed", seed);
         params.rejectUnread("dataset spec 'grid'");
+        requireAtLeast(kind, "width", width, 1);
+        requireAtLeast(kind, "height", height, 1);
+        requireFiniteMaxWeight(kind, w);
+        requireVertexIdRange(kind, "width*height",
+                             std::uint64_t{width} * height);
         out.graph = makeGrid2d(width, height, s, w);
     } else if (kind == "chain") {
         const VertexId n = params.getU32("n", 16);
         params.rejectUnread("dataset spec 'chain'");
+        requireAtLeast(kind, "n", n, 1);
         out.graph = makeChain(n);
     } else if (kind == "star") {
         const VertexId n = params.getU32("n", 16);
         params.rejectUnread("dataset spec 'star'");
+        requireAtLeast(kind, "n", n, 2);
         out.graph = makeStar(n);
     } else if (kind == "complete") {
         const VertexId n = params.getU32("n", 8);
         params.rejectUnread("dataset spec 'complete'");
+        requireAtLeast(kind, "n", n, 2);
         out.graph = makeComplete(n);
     } else if (kind == "bipartite") {
         const VertexId users =
@@ -124,6 +214,10 @@ resolveGenerator(const std::string &kind, const ParamMap &params,
         const EdgeId ratings = params.getU64("ratings", 512);
         const std::uint64_t s = params.getU64("seed", seed);
         params.rejectUnread("dataset spec 'bipartite'");
+        requireAtLeast(kind, "users", users, 1);
+        requireAtLeast(kind, "items", items, 1);
+        requireVertexIdRange(kind, "users+items",
+                             std::uint64_t{users} + items);
         out.graph = makeBipartiteRatings(users, items, ratings, s);
         out.bipartite = true;
         out.numUsers = users;

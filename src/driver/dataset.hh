@@ -9,7 +9,10 @@
  *  - Generator specs: "rmat:vertices=1024,edges=8192,seed=1",
  *    "er:vertices=...,edges=...", "grid:width=8,height=8",
  *    "chain:n=16", "star:n=32", "complete:n=8",
- *    "bipartite:users=64,items=32,ratings=512".
+ *    "bipartite:users=64,items=32,ratings=512". A size below the
+ *    generator's minimum, a vertex count past the 32-bit id range, a
+ *    non-finite maxweight or R-MAT probabilities that cannot draw an
+ *    edge throw DriverError naming the parameter.
  *  - Files: "file:path" explicitly, or any spec containing a '/' —
  *    ".bin"/".grph" loads the binary format, anything else the text
  *    edge list (graph/io).

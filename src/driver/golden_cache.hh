@@ -1,49 +1,35 @@
 /**
  * @file
- * Golden-result cache for the workload driver.
+ * The golden-count counters of the graph memo.
  *
- * The three baseline backends (cpu/gpu/pim) take their PageRank
- * iteration count from the golden run so every backend converges
- * identically. Before this cache, a `--backend all` sweep recomputed
- * that golden PageRank once per baseline; now it is computed once per
- * (graph, parameters) and shared — the ROADMAP's "redundant golden
- * recomputation" open item.
- *
- * Keyed by the graph fingerprint (engine/tile_plan.hh) plus the
- * PageRank parameters, so any dataset spec that resolves to the same
- * graph shares one entry. Entries are shared_ptrs: eviction never
- * invalidates a result a caller still holds.
+ * Every backend takes its PageRank iteration count, and multinode its
+ * BFS/SSSP/WCC round counts, from the golden algorithms through the
+ * graph's memo (graph/graph_memo.hh), so each count is computed once
+ * per graph and parameter set. The memo publishes one
+ * golden_cache.hits or golden_cache.misses count per lookup; these
+ * calls read and reset that pair for graphr_serve's status, the perf
+ * suites and tests. There is no separate cache to clear: the products
+ * live and die with their graph.
  */
 
 #ifndef GRAPHR_DRIVER_GOLDEN_CACHE_HH
 #define GRAPHR_DRIVER_GOLDEN_CACHE_HH
 
 #include <cstdint>
-#include <memory>
-
-#include "algorithms/pagerank.hh"
-#include "graph/coo.hh"
 
 namespace graphr::driver
 {
 
-/** Hit/miss counters of the golden PageRank cache. */
+/** Golden-count lookups answered from a memo (hits) or computed. */
 struct GoldenCacheStats
 {
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;
 };
 
-/**
- * Golden PageRank for (graph, params), computed once per key and
- * memoised process-wide.
- */
-std::shared_ptr<const PageRankResult>
-cachedGoldenPageRank(const CooGraph &graph, const PageRankParams &params);
-
 GoldenCacheStats goldenCacheStats();
 
-/** Drop all entries and reset the statistics. */
+/** Reset the golden-count counters to zero. */
 void clearGoldenCache();
 
 } // namespace graphr::driver

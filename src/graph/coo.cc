@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <bit>
+#include <utility>
 
 #include "common/checksum.hh"
 #include "common/logging.hh"
+#include "graph/graph_memo.hh"
 
 namespace graphr
 {
@@ -26,7 +28,7 @@ CooGraph::addEdge(VertexId src, VertexId dst, Value weight)
                   "edge (", src, ",", dst, ") out of range for |V|=",
                   numVertices_);
     edges_.push_back(Edge{src, dst, weight});
-    fingerprint_.reset();
+    memo_.reset();
 }
 
 void
@@ -36,7 +38,7 @@ CooGraph::sortBySource()
               [](const Edge &a, const Edge &b) {
                   return a.src != b.src ? a.src < b.src : a.dst < b.dst;
               });
-    fingerprint_.reset();
+    memo_.reset();
 }
 
 void
@@ -48,7 +50,7 @@ CooGraph::dedupe()
                                 return a.src == b.src && a.dst == b.dst;
                             });
     edges_.erase(last, edges_.end());
-    fingerprint_.reset();
+    memo_.reset();
 }
 
 void
@@ -57,7 +59,7 @@ CooGraph::removeSelfLoops()
     auto last = std::remove_if(edges_.begin(), edges_.end(),
                                [](const Edge &e) { return e.src == e.dst; });
     edges_.erase(last, edges_.end());
-    fingerprint_.reset();
+    memo_.reset();
 }
 
 std::vector<EdgeId>
@@ -90,20 +92,59 @@ CooGraph::density() const
 std::uint64_t
 CooGraph::fingerprint() const
 {
-    if (const std::uint64_t memo = fingerprint_.value.load(); memo != 0)
-        return memo;
-    // Concurrent first calls may both fold; they store the same value.
-    Fnv1a64 h;
-    h.updateWord(numVertices_);
-    h.updateWord(numEdges());
-    for (const Edge &e : edges_) {
-        h.updateWord((static_cast<std::uint64_t>(e.src) << 32) |
-                     static_cast<std::uint64_t>(e.dst));
-        h.updateWord(std::bit_cast<std::uint64_t>(
-            static_cast<double>(e.weight)));
-    }
-    fingerprint_.value = h.digest();
-    return h.digest();
+    return memo()->fingerprint([this] {
+        Fnv1a64 h;
+        h.updateWord(numVertices_);
+        h.updateWord(numEdges());
+        for (const Edge &e : edges_) {
+            h.updateWord((static_cast<std::uint64_t>(e.src) << 32) |
+                         static_cast<std::uint64_t>(e.dst));
+            h.updateWord(std::bit_cast<std::uint64_t>(
+                static_cast<double>(e.weight)));
+        }
+        return h.digest();
+    });
+}
+
+CooGraph::MemoSlot &
+CooGraph::MemoSlot::operator=(const MemoSlot &other)
+{
+    std::shared_ptr<GraphMemo> memo = other.peek();
+    const std::lock_guard<std::mutex> lock(mutex_);
+    memo_ = std::move(memo);
+    return *this;
+}
+
+CooGraph::MemoSlot &
+CooGraph::MemoSlot::operator=(MemoSlot &&other) noexcept
+{
+    std::shared_ptr<GraphMemo> memo = other.take();
+    const std::lock_guard<std::mutex> lock(mutex_);
+    memo_ = std::move(memo);
+    return *this;
+}
+
+std::shared_ptr<GraphMemo>
+CooGraph::MemoSlot::get() const
+{
+    const std::lock_guard<std::mutex> lock(mutex_);
+    if (!memo_)
+        memo_ = std::make_shared<GraphMemo>();
+    return memo_;
+}
+
+std::shared_ptr<GraphMemo>
+CooGraph::MemoSlot::peek() const
+{
+    const std::lock_guard<std::mutex> lock(mutex_);
+    return memo_;
+}
+
+std::shared_ptr<GraphMemo>
+CooGraph::MemoSlot::take()
+{
+    const std::lock_guard<std::mutex> lock(mutex_);
+    return std::exchange(memo_, nullptr);
 }
 
 } // namespace graphr

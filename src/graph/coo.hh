@@ -6,8 +6,9 @@
 #ifndef GRAPHR_GRAPH_COO_HH
 #define GRAPHR_GRAPH_COO_HH
 
-#include <atomic>
 #include <cstdint>
+#include <memory>
+#include <mutex>
 #include <span>
 #include <vector>
 
@@ -17,13 +18,16 @@
 namespace graphr
 {
 
+class GraphMemo;
+
 /**
  * A directed graph stored as a coordinate list, the representation
  * GraphR keeps in memory ReRAM and on disk (paper Fig. 4/5). Vertices
  * are implicit in [0, numVertices).
  *
  * Edges change only through the mutators below, so the graph can
- * memoise its fingerprint: every mutator drops the memo.
+ * memoise what its edges alone determine (graph/graph_memo.hh):
+ * every mutator drops the memo.
  */
 class CooGraph
 {
@@ -68,41 +72,42 @@ class CooGraph
      */
     std::uint64_t fingerprint() const;
 
-  private:
-    /** The memoised fingerprint; 0 means not computed yet (a graph
-     *  whose real fingerprint is 0 just recomputes it). Copies keep
-     *  it; a moved-from graph loses it with its edges. */
-    struct FingerprintMemo
-    {
-        mutable std::atomic<std::uint64_t> value{0};
+    /**
+     * This graph's build-once products (graph/graph_memo.hh),
+     * allocated on the first call. Copies share the memo; every
+     * mutator drops this graph's reference, and a moved-from graph
+     * loses it with its edges. Safe to call from concurrent readers.
+     */
+    std::shared_ptr<GraphMemo> memo() const { return memo_.get(); }
 
-        FingerprintMemo() = default;
-        FingerprintMemo(const FingerprintMemo &other)
-            : value(other.value.load())
-        {
-        }
-        FingerprintMemo(FingerprintMemo &&other) noexcept
-            : value(other.value.exchange(0))
-        {
-        }
-        FingerprintMemo &
-        operator=(const FingerprintMemo &other)
-        {
-            value = other.value.load();
-            return *this;
-        }
-        FingerprintMemo &
-        operator=(FingerprintMemo &&other) noexcept
-        {
-            value = other.value.exchange(0);
-            return *this;
-        }
-        void reset() { value = 0; }
+  private:
+    /** Holds this graph's reference to its memo: copies share the
+     *  memo, a move takes it, and reset() drops this graph's
+     *  reference (other holders keep theirs). */
+    class MemoSlot
+    {
+      public:
+        MemoSlot() = default;
+        MemoSlot(const MemoSlot &other) : memo_(other.peek()) {}
+        MemoSlot(MemoSlot &&other) noexcept : memo_(other.take()) {}
+        MemoSlot &operator=(const MemoSlot &other);
+        MemoSlot &operator=(MemoSlot &&other) noexcept;
+
+        /** The memo, allocated on the first call. */
+        std::shared_ptr<GraphMemo> get() const;
+        void reset() { take(); }
+
+      private:
+        std::shared_ptr<GraphMemo> peek() const;
+        std::shared_ptr<GraphMemo> take();
+
+        mutable std::mutex mutex_;
+        mutable std::shared_ptr<GraphMemo> memo_; ///< guarded by mutex_
     };
 
     VertexId numVertices_ = 0;
     std::vector<Edge> edges_;
-    FingerprintMemo fingerprint_;
+    MemoSlot memo_;
 };
 
 } // namespace graphr

@@ -1,5 +1,6 @@
 #include "generator.hh"
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 
@@ -19,16 +20,61 @@ ceilPow2(VertexId n)
     return std::bit_ceil(n);
 }
 
+/** The cumulative thresholds an R-MAT level compares its uniform
+ *  draw r against: r < a picks quadrant a, else r < ab picks b, else
+ *  r < abc picks c, else d. */
+struct RmatThresholds
+{
+    explicit RmatThresholds(const RmatParams &p)
+        : a(p.a), ab(p.a + p.b), abc(p.a + p.b + p.c)
+    {
+    }
+
+    double a;
+    double ab;
+    double abc;
+};
+
+/** Whether Rng::uniform(), which returns k * 2^-53 for k in
+ *  [0, 2^53), can return a value in [lo, hi). */
+bool
+drawable(double lo, double hi)
+{
+    constexpr double kSteps = 0x1.0p53;
+    return std::ceil(std::max(lo, 0.0) * kSteps) <
+           std::ceil(std::min(hi, 1.0) * kSteps);
+}
+
 } // namespace
+
+bool
+rmatCanDrawEdge(const RmatParams &params)
+{
+    const RmatThresholds t(params);
+    // Each quadrant is picked for r at or above every earlier
+    // threshold and below its own.
+    const bool a = drawable(0.0, t.a);
+    const bool b = drawable(t.a, t.ab);
+    const bool c = drawable(std::max(t.a, t.ab), t.abc);
+    const bool off_diagonal = !params.removeSelfLoops || b || c;
+    const bool in_range =
+        a || std::has_single_bit(params.numVertices) || (b && c);
+    return off_diagonal && in_range;
+}
 
 CooGraph
 makeRmat(const RmatParams &params)
 {
     GRAPHR_ASSERT(params.numVertices > 1, "R-MAT needs >= 2 vertices");
+    GRAPHR_ASSERT(params.numVertices <= VertexId{1} << 31,
+                  "R-MAT pads the vertex count to a 32-bit power of two");
     const double sum = params.a + params.b + params.c + params.d;
     GRAPHR_ASSERT(std::abs(sum - 1.0) < 1e-6,
                   "R-MAT probabilities sum to ", sum);
+    GRAPHR_ASSERT(params.numEdges == 0 || rmatCanDrawEdge(params),
+                  "R-MAT probabilities can never draw a kept edge");
 
+    const RmatThresholds t(params);
     const VertexId padded = ceilPow2(params.numVertices);
     const int levels = std::countr_zero(padded);
     Rng rng(params.seed);
@@ -43,11 +89,11 @@ makeRmat(const RmatParams &params)
             // collapsing onto exact quadrant boundaries.
             const double r = rng.uniform();
             const VertexId bit = VertexId{1} << (levels - 1 - level);
-            if (r < params.a) {
+            if (r < t.a) {
                 // top-left: nothing to add
-            } else if (r < params.a + params.b) {
+            } else if (r < t.ab) {
                 col |= bit;
-            } else if (r < params.a + params.b + params.c) {
+            } else if (r < t.abc) {
                 row |= bit;
             } else {
                 row |= bit;

@@ -44,6 +44,27 @@ struct RmatParams
  */
 CooGraph makeRmat(const RmatParams &params);
 
+/**
+ * Whether makeRmat(@p params) can ever keep an edge; when it cannot,
+ * makeRmat would draw forever. A draw descends log2(numVertices
+ * rounded up to a power of two) levels and keeps only cells below
+ * numVertices and, with removeSelfLoops, off the diagonal:
+ *  - a quadrant counts only if a level can pick it. A level draws r
+ *    in [0, 1) in steps of 2^-53 and picks a for r < a, b for
+ *    r < a+b, c for r < a+b+c and d otherwise, so a probability the
+ *    thresholds before it already push past 1, or one narrower than
+ *    a step, may give its quadrant no r at all;
+ *  - only a b or c step sets one endpoint's bit without the other's,
+ *    so an off-diagonal cell needs b or c;
+ *  - with a, the cells (0,0), (0,1) and (1,0) are reachable, and with
+ *    a power-of-two vertex count every cell is in range; otherwise a
+ *    draw sets a bit at every level and stays in range only with both
+ *    b and c (their endpoints are complements, and one such pair
+ *    always lies below the vertex count).
+ * Requires 2 <= numVertices <= 2^31 and finite probabilities.
+ */
+bool rmatCanDrawEdge(const RmatParams &params);
+
 /** Uniform (Erdős–Rényi style) random directed multigraph. */
 CooGraph makeErdosRenyi(VertexId num_vertices, EdgeId num_edges,
                         std::uint64_t seed, double max_weight = 1.0);

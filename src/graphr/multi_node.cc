@@ -106,9 +106,9 @@ MultiNodeGraphR::runPageRank(const CooGraph &graph,
 {
     // Iteration count from the golden run (identical convergence on
     // every partitioning).
-    const PageRankResult golden = pagerank(graph, params);
     return runSweeps(graph,
-                     static_cast<std::uint64_t>(golden.iterations),
+                     static_cast<std::uint64_t>(
+                         goldenPageRankIterations(graph, params)),
                      spmvSweep, /*props_per_vertex=*/1.0);
 }
 
@@ -122,18 +122,18 @@ MultiNodeGraphR::runSpmv(const CooGraph &graph)
 MultiNodeReport
 MultiNodeGraphR::runBfs(const CooGraph &graph, VertexId source)
 {
-    const TraversalResult golden = bfs(graph, source);
     return runSweeps(graph,
-                     static_cast<std::uint64_t>(golden.iterations),
+                     static_cast<std::uint64_t>(
+                         goldenBfsRounds(graph, source)),
                      spmvSweep, /*props_per_vertex=*/1.0);
 }
 
 MultiNodeReport
 MultiNodeGraphR::runSssp(const CooGraph &graph, VertexId source)
 {
-    const TraversalResult golden = sssp(graph, source);
     return runSweeps(graph,
-                     static_cast<std::uint64_t>(golden.iterations),
+                     static_cast<std::uint64_t>(
+                         goldenSsspRounds(graph, source)),
                      spmvSweep, /*props_per_vertex=*/1.0);
 }
 
@@ -142,9 +142,8 @@ MultiNodeGraphR::runWcc(const CooGraph &graph)
 {
     // Labels propagate over the symmetrised edge set; each node owns
     // the symmetrised edges of its destination stripe.
-    const CooGraph sym = symmetrize(graph);
-    const WccResult golden = wcc(graph);
-    return runSweeps(sym, static_cast<std::uint64_t>(golden.iterations),
+    return runSweeps(*symmetrized(graph),
+                     static_cast<std::uint64_t>(goldenWccRounds(graph)),
                      spmvSweep, /*props_per_vertex=*/1.0);
 }
 

@@ -65,7 +65,8 @@ class MultiNodeGraphR
 
     /**
      * Multi-node PageRank: per-iteration parallel sweeps + property
-     * all-gather. Iteration count comes from the golden run.
+     * all-gather. Iteration count comes from the golden run, memoised
+     * on the graph (goldenPageRankIterations).
      */
     MultiNodeReport runPageRank(const CooGraph &graph,
                                 const PageRankParams &params);
@@ -75,10 +76,12 @@ class MultiNodeGraphR
 
     /**
      * Add-op workloads (BFS/SSSP/WCC): round count from the golden
-     * run; each round every node sweeps its stripe and the updated
-     * labels are all-gathered. Charging a full stripe sweep per round
-     * is a conservative bound — sparse-frontier rounds touch fewer
-     * tiles.
+     * run, memoised on the graph (goldenBfsRounds and its siblings;
+     * WCC counts wcc()'s in-place propagation rounds); each round
+     * every node sweeps its stripe of the graph (for WCC, of its
+     * symmetrised copy) and the updated labels are all-gathered.
+     * Charging a full stripe sweep per round is a conservative bound
+     * — sparse-frontier rounds touch fewer tiles.
      */
     MultiNodeReport runBfs(const CooGraph &graph, VertexId source);
     MultiNodeReport runSssp(const CooGraph &graph, VertexId source);

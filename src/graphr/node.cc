@@ -90,10 +90,13 @@ GraphRNode::runPageRank(const CooGraph &graph,
             if (params.tolerance > 0.0 && delta < params.tolerance)
                 break;
         }
-    } else {
-        const PageRankResult golden = pagerank(graph, params);
+    } else if (ranks_out != nullptr) {
+        PageRankResult golden = pagerank(graph, params);
         iterations = static_cast<std::uint64_t>(golden.iterations);
-        ranks = golden.ranks;
+        ranks = std::move(golden.ranks);
+    } else {
+        iterations = static_cast<std::uint64_t>(
+            goldenPageRankIterations(graph, params));
     }
 
     spec.sweeps = iterations;
@@ -124,7 +127,7 @@ GraphRNode::runSpmv(const CooGraph &graph, const std::vector<Value> &x,
         };
         y.assign(graph.numVertices(), 0.0);
         exec.functionalMacSweep(spec, x, y);
-    } else {
+    } else if (y_out != nullptr) {
         y = spmv(graph, x);
     }
 
@@ -174,19 +177,19 @@ GraphRNode::runWcc(const CooGraph &graph,
                    std::vector<VertexId> *labels_out)
 {
     // Min-label propagation needs both edge directions.
-    const CooGraph sym = symmetrize(graph);
-    TileExecutor exec = makeExecutor(sym);
+    const std::shared_ptr<const CooGraph> sym = symmetrized(graph);
+    TileExecutor exec = makeExecutor(*sym);
 
     AddOpSpec spec;
-    spec.initLabels.resize(sym.numVertices());
-    for (VertexId v = 0; v < sym.numVertices(); ++v)
+    spec.initLabels.resize(sym->numVertices());
+    for (VertexId v = 0; v < sym->numVertices(); ++v)
         spec.initLabels[v] = static_cast<Value>(v);
-    spec.initActive.assign(sym.numVertices(), true);
+    spec.initActive.assign(sym->numVertices(), true);
     spec.mode = WeightMode::kZero;
 
     std::vector<Value> labels;
     SimReport report =
-        exec.addOpRun(sym, spec, "wcc",
+        exec.addOpRun(*sym, spec, "wcc",
                       labels_out != nullptr ? &labels : nullptr);
     lastStats_ = exec.stats();
     if (labels_out != nullptr) {

@@ -14,7 +14,9 @@
  *    fixed point). Exact but slow; used by tests and examples.
  *  - timing-only: semantics come from the golden algorithms; the node
  *    walks the tile stream and charges the cost model. Used by the
- *    benches on large graphs.
+ *    benches on large graphs. Iteration counts come from the graph's
+ *    memo (graph/graph_memo.hh), and golden vectors are computed only
+ *    when the caller asks for them.
  *
  * Both modes charge identical event counts per processed tile (a
  * property test asserts this).
@@ -52,13 +54,15 @@ class GraphRNode
 
     /**
      * PageRank (parallel MAC; paper Fig. 13/16b).
-     * @param ranks_out optional: final rank vector
+     * @param ranks_out optional: final rank vector (in timing mode,
+     *                  the golden ranks, computed for this call)
      */
     SimReport runPageRank(const CooGraph &graph,
                           const PageRankParams &params,
                           std::vector<Value> *ranks_out = nullptr);
 
-    /** One SpMV pass y = A^T x (parallel MAC; Table 2 row 1). */
+    /** One SpMV pass y = A^T x (parallel MAC; Table 2 row 1). In
+     *  timing mode @p y_out, when given, receives the golden spmv(). */
     SimReport runSpmv(const CooGraph &graph, const std::vector<Value> &x,
                       std::vector<Value> *y_out = nullptr);
 

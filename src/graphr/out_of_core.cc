@@ -162,9 +162,9 @@ OutOfCoreRunner::runWcc(const CooGraph &graph)
     GraphRNode node(config_);
     SimReport sim = node.runWcc(graph);
 
-    const CooGraph sym = symmetrize(graph);
-    RelaxationSweep sweep = makeWccSweep(sym);
-    return selectiveRounds(sym, std::move(sim), sweep);
+    const std::shared_ptr<const CooGraph> sym = symmetrized(graph);
+    RelaxationSweep sweep = makeWccSweep(*sym);
+    return selectiveRounds(*sym, std::move(sim), sweep);
 }
 
 } // namespace graphr

@@ -7,8 +7,8 @@
  * No google-benchmark dependency — the old micro_kernels target
  * silently disappeared when the package was missing; everything here
  * builds from the repo alone. measure() runs warmup repetitions
- * (uncounted: they fill the plan/golden caches so warm-path metrics
- * measure the steady state), then N timed repetitions on
+ * (uncounted: they fill the plan cache and graph memos so warm-path
+ * metrics measure the steady state), then N timed repetitions on
  * std::chrono::steady_clock, and reports min/median/IQR over the
  * per-repetition wall times together with the perf-counter deltas
  * (perf/counters.hh) accumulated across the timed window. The

@@ -3,9 +3,9 @@
  * The long-lived batch-serving core of graphr_serve.
  *
  * A Server owns a worker pool and process-resident warm state (its
- * resident datasets, the PlanCache with an optionally attached
- * PlanStore, the golden-result cache) and answers JSONL request
- * streams. Since the connection
+ * resident datasets with their memoised golden counts and symmetrised
+ * copies, the PlanCache with an optionally attached PlanStore) and
+ * answers JSONL request streams. Since the connection
  * layer (src/net/) arrived, a Server serves many streams at once:
  * each client connection opens a Session — the per-connection unit of
  * response ordering, admission quota and counters — and feeds it

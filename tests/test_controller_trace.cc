@@ -60,8 +60,9 @@ TEST(ControllerTraceTest, BlocksLoadInStreamingOrder)
     for (const ControllerOp &op : trace.ops()) {
         if (op.kind != ControllerOp::Kind::kLoadBlock)
             continue;
-        if (!first)
+        if (!first) {
             EXPECT_GT(op.tileIndex, prev_block);
+        }
         prev_block = op.tileIndex;
         first = false;
     }

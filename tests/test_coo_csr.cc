@@ -1,17 +1,27 @@
 /**
  * @file
- * Unit tests for the COO container (including its memoised
- * fingerprint) and the CSR/CSC adjacency builder.
+ * Unit tests for the COO container (including its memo: the
+ * fingerprint, golden counts and symmetrised copy) and the CSR/CSC
+ * adjacency builder.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <memory>
 #include <thread>
 #include <utility>
 #include <vector>
 
+#include "algorithms/pagerank.hh"
+#include "algorithms/traversal.hh"
+#include "algorithms/wcc.hh"
 #include "graph/coo.hh"
 #include "graph/csr.hh"
+#include "graph/generator.hh"
+#include "graph/graph_memo.hh"
+#include "perf/counters.hh"
 
 namespace graphr
 {
@@ -241,6 +251,126 @@ TEST(CooFingerprintTest, ConcurrentFirstCallsAgree)
         t.join();
     for (const std::uint64_t fp : got)
         EXPECT_EQ(fp, want);
+}
+
+// ------------------------------------------------------------- memo
+
+std::uint64_t
+counterValue(const char *name)
+{
+    return perf::Registry::instance().counter(name).value();
+}
+
+TEST(CooMemoTest, SymmetrizedCopyIsSymmetrizeBuiltOnce)
+{
+    const CooGraph g = paperGraph();
+    const std::shared_ptr<const CooGraph> sym = symmetrized(g);
+    const CooGraph want = symmetrize(g);
+    ASSERT_EQ(sym->numVertices(), want.numVertices());
+    ASSERT_EQ(sym->numEdges(), want.numEdges());
+    EXPECT_TRUE(std::equal(sym->edges().begin(), sym->edges().end(),
+                           want.edges().begin()));
+    EXPECT_EQ(sym->fingerprint(), want.fingerprint());
+    EXPECT_EQ(symmetrized(g).get(), sym.get());
+}
+
+TEST(CooMemoTest, MutatorsDropItCopiesShareItMovesTakeIt)
+{
+    CooGraph g = paperGraph();
+    g.addEdge(0, 0); // a self loop and a duplicate for the others
+    g.addEdge(0, 2, 3.0);
+    const std::pair<const char *, std::function<void(CooGraph &)>>
+        mutators[] = {
+            {"addEdge", [](CooGraph &m) { m.addEdge(1, 0); }},
+            {"sortBySource", [](CooGraph &m) { m.sortBySource(); }},
+            {"removeSelfLoops", [](CooGraph &m) { m.removeSelfLoops(); }},
+            {"dedupe", [](CooGraph &m) { m.dedupe(); }},
+        };
+    for (const auto &[what, mutate] : mutators) {
+        const std::shared_ptr<const CooGraph> before = symmetrized(g);
+        mutate(g);
+        const std::shared_ptr<const CooGraph> after = symmetrized(g);
+        EXPECT_NE(after.get(), before.get()) << what;
+        EXPECT_EQ(after->fingerprint(), symmetrize(g).fingerprint())
+            << what;
+    }
+
+    CooGraph copy = g;
+    const std::shared_ptr<GraphMemo> memo = g.memo();
+    EXPECT_EQ(copy.memo(), memo);
+    CooGraph assigned;
+    assigned = g;
+    EXPECT_EQ(assigned.memo(), memo);
+    copy.addEdge(1, 1);
+    EXPECT_NE(copy.memo(), memo);
+    EXPECT_EQ(g.memo(), memo) << "a copy's mutation leaked back";
+
+    CooGraph moved = std::move(g);
+    EXPECT_EQ(moved.memo(), memo);
+    EXPECT_NE(g.memo(), memo); // NOLINT: moved-from
+    assigned = std::move(moved);
+    EXPECT_EQ(assigned.memo(), memo);
+    EXPECT_NE(moved.memo(), memo); // NOLINT: moved-from
+}
+
+TEST(CooMemoTest, ConcurrentFirstCallsBuildOnce)
+{
+    const CooGraph g = paperGraph();
+    const int want_rounds = wcc(g).iterations;
+    const std::uint64_t symmetrizations =
+        counterValue("graph.symmetrizations");
+    const std::uint64_t misses = counterValue("golden_cache.misses");
+    const std::uint64_t hits = counterValue("golden_cache.hits");
+
+    constexpr std::size_t kThreads = 8;
+    std::vector<const CooGraph *> copies(kThreads, nullptr);
+    std::vector<int> rounds(kThreads, 0);
+    std::vector<std::thread> threads;
+    for (std::size_t t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+            copies[t] = symmetrized(g).get();
+            rounds[t] = goldenWccRounds(g);
+        });
+    }
+    for (std::thread &t : threads)
+        t.join();
+
+    EXPECT_EQ(counterValue("graph.symmetrizations") - symmetrizations,
+              1u);
+    EXPECT_EQ(counterValue("golden_cache.misses") - misses, 1u);
+    EXPECT_EQ(counterValue("golden_cache.hits") - hits, kThreads - 1);
+    for (std::size_t t = 0; t < kThreads; ++t) {
+        EXPECT_EQ(copies[t], copies[0]);
+        EXPECT_EQ(rounds[t], want_rounds);
+    }
+}
+
+TEST(CooMemoTest, GoldenCountsStayBoundedPerProduct)
+{
+    // A client sending a new BFS source with every request: the memo
+    // keeps the most recent sources only, and never drops the
+    // PageRank count for them.
+    const CooGraph g = makeChain(64);
+    const PageRankParams params;
+    const int iterations = goldenPageRankIterations(g, params);
+    constexpr VertexId kSources =
+        3 * GraphMemo::kGoldenCountsPerProduct;
+    const std::uint64_t misses = counterValue("golden_cache.misses");
+    for (VertexId s = 0; s < kSources; ++s)
+        EXPECT_EQ(goldenBfsRounds(g, s), bfs(g, s).iterations) << s;
+    EXPECT_EQ(counterValue("golden_cache.misses") - misses, kSources);
+
+    const std::uint64_t hits = counterValue("golden_cache.hits");
+    EXPECT_EQ(goldenBfsRounds(g, kSources - 1),
+              bfs(g, kSources - 1).iterations);
+    EXPECT_EQ(goldenPageRankIterations(g, params), iterations);
+    EXPECT_EQ(counterValue("golden_cache.hits") - hits, 2u);
+    EXPECT_EQ(counterValue("golden_cache.misses") - misses, kSources);
+
+    // The oldest source was evicted, so it is computed again.
+    EXPECT_EQ(goldenBfsRounds(g, 0), bfs(g, 0).iterations);
+    EXPECT_EQ(counterValue("golden_cache.misses") - misses,
+              kSources + 1);
 }
 
 } // namespace

@@ -13,6 +13,8 @@
 #include <fstream>
 #include <set>
 #include <sstream>
+#include <string>
+#include <utility>
 
 #include "driver/cli.hh"
 #include "driver/driver.hh"
@@ -258,6 +260,73 @@ TEST(DatasetResolverTest, UnknownSpecKeyThrows)
     EXPECT_THROW(resolveDataset("rmat:vertices=64,degree=4"),
                  DriverError);
     EXPECT_THROW(resolveDataset("rmat:vertices"), DriverError);
+}
+
+TEST(DatasetResolverTest, DegenerateGeneratorSpecsThrowNamingTheParameter)
+{
+    // Each of these aborted the process or never returned; now each
+    // is a DriverError that names what is wrong.
+    const std::pair<const char *, const char *> cases[] = {
+        {"chain:n=0", "n must be >= 1"},
+        {"rmat:vertices=1,edges=8", "vertices must be >= 2"},
+        {"er:vertices=1,edges=8", "vertices must be >= 2"},
+        {"star:n=1", "n must be >= 2"},
+        {"complete:n=0", "n must be >= 2"},
+        {"grid:width=0", "width must be >= 1"},
+        {"grid:height=0", "height must be >= 1"},
+        {"bipartite:users=0", "users must be >= 1"},
+        {"bipartite:items=0", "items must be >= 1"},
+        {"grid:width=70000,height=70000", "width*height"},
+        {"bipartite:users=4294967295,items=2", "users+items"},
+        {"rmat:vertices=64,edges=8,a=0.5,b=0.5,c=0.5,d=0.5",
+         "a+b+c+d must sum to 1"},
+        {"rmat:vertices=64,edges=8,a=-0.5,b=1.5,c=0,d=0",
+         "a must be >= 0"},
+        {"rmat:vertices=64,edges=8,maxweight=nan", "maxweight"},
+        {"er:vertices=64,edges=8,maxweight=inf", "maxweight"},
+        {"rmat:vertices=2147483649,edges=8",
+         "vertices must be <= 2147483648"},
+        // Every draw is the self loop (0,0), which R-MAT discards.
+        {"rmat:vertices=4,edges=8,a=1,b=0,c=0,d=0", "b or c to be picked"},
+        // b > 0, but a alone already covers every r in [0,1).
+        {"rmat:vertices=4,edges=8,a=1,b=0.0000001,c=0,d=0",
+         "b or c to be picked"},
+        // b > 0, but its share of [0,1) holds no 2^-53 step of r.
+        {"rmat:vertices=4,edges=8,a=0.1,b=1e-17,c=0,d=0.9",
+         "b or c to be picked"},
+        // Every draw sets the top column bit: (0,7) is out of range.
+        {"rmat:vertices=6,edges=8,a=0,b=1,c=0,d=0",
+         "unless vertices is a power of two"},
+        // c > 0, but a+b already covers every r in [0,1).
+        {"rmat:vertices=6,edges=8,a=0,b=1,c=0.0000001,d=0",
+         "unless vertices is a power of two"},
+    };
+    for (const auto &[spec, fragment] : cases) {
+        try {
+            resolveDataset(spec);
+            ADD_FAILURE() << spec << ": expected DriverError";
+        } catch (const DriverError &err) {
+            EXPECT_NE(std::string(err.what()).find(fragment),
+                      std::string::npos)
+                << spec << ": " << err.what();
+        }
+    }
+    // The smallest valid sizes, and R-MAT quadrants that reach an
+    // in-range off-diagonal cell without a > 0, still resolve.
+    EXPECT_EQ(resolveDataset("chain:n=1").graph.numVertices(), 1u);
+    EXPECT_EQ(resolveDataset("star:n=2").graph.numEdges(), 1u);
+    EXPECT_EQ(resolveDataset("rmat:vertices=8,edges=4,a=0,b=1,c=0,d=0")
+                  .graph.numEdges(),
+              4u);
+    EXPECT_EQ(resolveDataset(
+                  "rmat:vertices=6,edges=4,a=0,b=0.5,c=0.5,d=0")
+                  .graph.numEdges(),
+              4u);
+    // A sum past 1 within the tolerance only trims the last quadrant.
+    EXPECT_EQ(resolveDataset(
+                  "rmat:vertices=4,edges=4,a=0.5,b=0.5000001,c=0,d=0")
+                  .graph.numEdges(),
+              4u);
 }
 
 TEST(DatasetResolverTest, FileRoundTrip)

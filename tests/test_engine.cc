@@ -421,7 +421,7 @@ TEST(ResidentWeightTest, AddOpProgramsEachTileAtMostOnce)
     }
 }
 
-// ----------------------------------------------- driver golden cache
+// ---------------------------------------------- memoised golden counts
 
 TEST(GoldenCacheTest, BaselinesShareOneGoldenPageRank)
 {
@@ -429,17 +429,17 @@ TEST(GoldenCacheTest, BaselinesShareOneGoldenPageRank)
 
     driver::SweepSpec spec;
     spec.workloads = {"pagerank"};
-    spec.backends = {"cpu", "gpu", "pim"};
+    spec.backends = {"all"};
     spec.datasets = {"rmat:vertices=128,edges=512,seed=3"};
     const std::vector<driver::RunResult> results =
         driver::runSweep(spec);
-    ASSERT_EQ(results.size(), 3u);
-    // All three baselines report the same iteration count ...
-    EXPECT_EQ(results[0].iterations, results[1].iterations);
-    EXPECT_EQ(results[1].iterations, results[2].iterations);
-    // ... computed exactly once.
+    ASSERT_EQ(results.size(), 6u);
+    // All six backends report the same iteration count ...
+    for (const driver::RunResult &r : results)
+        EXPECT_EQ(r.iterations, results[0].iterations) << r.backend;
+    // ... computed exactly once, on the sweep's one graph.
     EXPECT_EQ(driver::goldenCacheStats().misses, 1u);
-    EXPECT_EQ(driver::goldenCacheStats().hits, 2u);
+    EXPECT_EQ(driver::goldenCacheStats().hits, 5u);
 }
 
 TEST(GoldenCacheTest, DistinctParamsMiss)
@@ -450,9 +450,10 @@ TEST(GoldenCacheTest, DistinctParamsMiss)
     PageRankParams a;
     PageRankParams b;
     b.maxIterations = a.maxIterations + 1;
-    driver::cachedGoldenPageRank(g, a);
-    driver::cachedGoldenPageRank(g, b);
-    driver::cachedGoldenPageRank(g, a);
+    b.tolerance = 0.0;
+    EXPECT_EQ(goldenPageRankIterations(g, a), pagerank(g, a).iterations);
+    EXPECT_EQ(goldenPageRankIterations(g, b), b.maxIterations);
+    EXPECT_EQ(goldenPageRankIterations(g, a), pagerank(g, a).iterations);
     EXPECT_EQ(driver::goldenCacheStats().misses, 2u);
     EXPECT_EQ(driver::goldenCacheStats().hits, 1u);
 }

@@ -73,6 +73,55 @@ TEST(RmatTest, WeightsWithinRange)
     }
 }
 
+TEST(RmatTest, CanDrawEdgeIsTheRuleTheDrawFollows)
+{
+    struct Case
+    {
+        VertexId vertices;
+        double a, b, c, d;
+        bool removeSelfLoops;
+        bool can;
+    };
+    const Case cases[] = {
+        {1024, 0.57, 0.19, 0.19, 0.05, true, true},
+        {4, 1, 0, 0, 0, true, false},  // only the self loop (0,0)
+        {4, 1, 0, 0, 0, false, true},  // ... which is then kept
+        {4, 1, 1e-7, 0, 0, true, false}, // a covers all of [0,1)
+        {4, 0.1, 1e-17, 0, 0.9, true, false}, // b holds no 2^-53 step
+        {8, 0, 1, 0, 0, true, true},   // (0,7) is in range
+        {6, 0, 1, 0, 0, true, false},  // (0,7) is not
+        {6, 0, 1, 1e-7, 0, true, false}, // a+b covers all of [0,1)
+        {6, 0, 0.5, 0.5, 0, true, true}, // complements like (3,4)
+        {6, 0, 0.5, 0, 0.5, true, false},
+        {6, 0.5, 0, 0.5, 0, true, true}, // (1,0)
+    };
+    for (const Case &k : cases) {
+        RmatParams p;
+        p.numVertices = k.vertices;
+        p.numEdges = 64;
+        p.a = k.a;
+        p.b = k.b;
+        p.c = k.c;
+        p.d = k.d;
+        p.removeSelfLoops = k.removeSelfLoops;
+        SCOPED_TRACE(::testing::Message()
+                     << k.vertices << " vertices, a=" << k.a
+                     << " b=" << k.b << " c=" << k.c << " d=" << k.d);
+        ASSERT_EQ(rmatCanDrawEdge(p), k.can);
+        if (!k.can)
+            continue;
+        const CooGraph g = makeRmat(p);
+        EXPECT_EQ(g.numEdges(), 64u);
+        for (const Edge &e : g.edges()) {
+            EXPECT_LT(e.src, k.vertices);
+            EXPECT_LT(e.dst, k.vertices);
+            if (k.removeSelfLoops) {
+                EXPECT_NE(e.src, e.dst);
+            }
+        }
+    }
+}
+
 TEST(ErdosRenyiTest, CountsAndNoSelfLoops)
 {
     const CooGraph g = makeErdosRenyi(500, 2000, 3);

@@ -151,16 +151,18 @@ TEST(IntegrationTest, AllFourAlgorithmsAgreeWithGoldenFunctionally)
     node.runSssp(g, 0, &dist);
     const TraversalResult golden_ss = sssp(g, 0);
     for (VertexId v = 0; v < g.numVertices(); ++v) {
-        if (!std::isinf(golden_ss.dist[v]))
+        if (!std::isinf(golden_ss.dist[v])) {
             EXPECT_DOUBLE_EQ(dist[v], golden_ss.dist[v]);
+        }
     }
 
     std::vector<Value> levels;
     node.runBfs(g, 0, &levels);
     const TraversalResult golden_bfs = bfs(g, 0);
     for (VertexId v = 0; v < g.numVertices(); ++v) {
-        if (!std::isinf(golden_bfs.dist[v]))
+        if (!std::isinf(golden_bfs.dist[v])) {
             EXPECT_DOUBLE_EQ(levels[v], golden_bfs.dist[v]);
+        }
     }
 
     PageRankParams params;

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include "algorithms/pagerank.hh"
+#include "algorithms/spmv.hh"
 #include "graph/datasets.hh"
 #include "graph/generator.hh"
 #include "graphr/node.hh"
@@ -129,6 +131,35 @@ TEST(NodeTimingTest, SpmvIsOneSweep)
     const SimReport rep = node.runSpmv(g, x);
     EXPECT_EQ(rep.iterations, 1u);
     EXPECT_EQ(rep.edgesProcessed, g.numEdges());
+}
+
+TEST(NodeTimingTest, RequestedGoldenVectorsAreStillReturned)
+{
+    // Timing mode charges the memoised iteration count and skips the
+    // golden vectors nobody asked for; a caller who asks gets them,
+    // and the report does not depend on the asking.
+    const CooGraph g = makeRmat(
+        {.numVertices = 500, .numEdges = 4000, .seed = 45});
+    GraphRNode node(paperConfig());
+
+    std::vector<Value> x(g.numVertices());
+    for (VertexId v = 0; v < g.numVertices(); ++v)
+        x[v] = 1.0 + static_cast<Value>(v % 7);
+    std::vector<Value> y;
+    const SimReport spmv_with = node.runSpmv(g, x, &y);
+    EXPECT_EQ(y, spmv(g, x));
+    EXPECT_DOUBLE_EQ(node.runSpmv(g, x).seconds, spmv_with.seconds);
+
+    const PageRankParams params;
+    std::vector<Value> ranks;
+    const SimReport pr_with = node.runPageRank(g, params, &ranks);
+    const PageRankResult golden = pagerank(g, params);
+    EXPECT_EQ(ranks, golden.ranks);
+    EXPECT_EQ(pr_with.iterations,
+              static_cast<std::uint64_t>(golden.iterations));
+    const SimReport pr_without = node.runPageRank(g, params);
+    EXPECT_EQ(pr_without.iterations, pr_with.iterations);
+    EXPECT_DOUBLE_EQ(pr_without.seconds, pr_with.seconds);
 }
 
 TEST(NodeTimingTest, BfsProcessesSubsetOfTiles)

@@ -76,9 +76,10 @@ TEST(PreprocessTest, TileDirectoryCoversAllEdges)
     bool first = true;
     for (const TileSpan &span : ordered.tiles()) {
         covered += span.numEdges;
-        if (!first)
+        if (!first) {
             EXPECT_GT(span.tileIndex, prev_tile)
                 << "tiles must be strictly increasing";
+        }
         prev_tile = span.tileIndex;
         first = false;
         // All edges in the span really belong to the tile.
@@ -224,8 +225,9 @@ TEST_P(PreprocessPropertyTest, BlockMajorThenTileMajorOrder)
         const std::uint64_t block = tile / part.tilesPerBlock();
         if (!first) {
             EXPECT_GE(block, prev_block);
-            if (block == prev_block)
+            if (block == prev_block) {
                 EXPECT_GE(tile, prev_tile);
+            }
         }
         prev_block = block;
         prev_tile = tile;

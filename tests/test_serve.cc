@@ -2,12 +2,14 @@
  * @file
  * Tests for the graphr_serve serving core, driven through the
  * daemon's stdin path: the request parser's error paths (malformed
- * JSON, unknown type/workload/backend/dataset, unreadable dataset
- * files, queue overflow — all structured responses, never a crash),
- * stdin framing at EOF and at stop, the warm-state guarantees (a
- * repeated request is plan-cache-hot and edge-sort-free, and finds
- * its dataset resident), response/one-shot-driver equivalence, and
- * serial-vs-concurrent byte-identical response streams.
+ * JSON, unknown type/workload/backend/dataset, degenerate generator
+ * specs, unreadable dataset files, queue overflow — all structured
+ * responses, never a crash), stdin framing at EOF and at stop, the
+ * warm-state guarantees (a repeated request is plan-cache-hot and
+ * edge-sort-free, and finds its dataset resident with its golden
+ * counts and symmetrised copy memoised), response/one-shot-driver
+ * equivalence, and serial-vs-concurrent byte-identical response
+ * streams.
  */
 
 #include <gtest/gtest.h>
@@ -354,6 +356,49 @@ TEST_F(ServeTest, RepeatedRequestsResolveTheirDatasetOnce)
     EXPECT_EQ(datasets->find("resident")->asU64(), 1u);
     EXPECT_EQ(datasets->find("misses")->asU64(), 1u);
     EXPECT_EQ(datasets->find("hits")->asU64(), 2u);
+
+    // The resident graph's memo answers the golden PageRank iteration
+    // count for the later requests.
+    const JsonValue *golden = v.find("golden_cache");
+    ASSERT_NE(golden, nullptr) << out[3];
+    EXPECT_EQ(golden->find("misses")->asU64(), 1u);
+    EXPECT_EQ(golden->find("hits")->asU64(), 2u);
+
+    // A repeated wcc request reuses the resident graph's symmetrised
+    // copy instead of building a second one.
+    const perf::Counter &symmetrizations =
+        perf::Registry::instance().counter("graph.symmetrizations");
+    service::Server server({});
+    const std::string wcc =
+        R"({"id":"w","type":"run","workload":"wcc",)"
+        R"("dataset":"rmat:vertices=128,edges=1024,seed=9"})" "\n";
+    for (int i = 0; i < 2; ++i) {
+        const auto response = lines(serveText(server, wcc));
+        ASSERT_EQ(response.size(), 1u);
+        EXPECT_TRUE(parsedResponse(response[0]).find("ok")->asBool())
+            << response[0];
+        EXPECT_EQ(symmetrizations.value(), 1u) << "request " << i;
+    }
+}
+
+TEST_F(ServeTest, DegenerateGeneratorSpecIsAnErrorBetweenGoodRequests)
+{
+    // Each spec used to abort or hang the daemon, losing the response
+    // to the request before it.
+    for (const char *spec :
+         {"chain:n=0", "star:n=1", "grid:width=70000,height=70000",
+          "rmat:vertices=4,edges=8,a=1,b=0,c=0,d=0"}) {
+        const std::string input =
+            R"({"id":"a","type":"run","dataset":"chain:n=8"})" "\n"
+            R"({"id":"bad","type":"run","dataset":")" +
+            std::string(spec) + "\"}\n" +
+            R"({"id":"b","type":"run","dataset":"star:n=8"})" "\n";
+        const auto out = lines(serveText(input));
+        ASSERT_EQ(out.size(), 3u) << spec;
+        EXPECT_TRUE(parsedResponse(out[0]).find("ok")->asBool()) << spec;
+        expectError(out[1], "bad", "dataset spec");
+        EXPECT_TRUE(parsedResponse(out[2]).find("ok")->asBool()) << spec;
+    }
 }
 
 TEST_F(ServeTest, StatusReportsCumulativeRequestLatencySummary)
@@ -483,6 +528,11 @@ TEST_F(ServeTest, PrepareWritesArtifactsTheNextRunLoadsSortFree)
     ASSERT_TRUE(p.find("ok")->asBool()) << prepared[0];
     EXPECT_EQ(p.find("prepared")->items().size(), 2u)
         << "plain + symmetrized variants";
+    // The symmetrised plan is stored, but the resident dataset keeps
+    // no symmetrised copy until a request runs WCC on it.
+    const perf::Counter &symmetrizations =
+        perf::Registry::instance().counter("graph.symmetrizations");
+    EXPECT_EQ(symmetrizations.value(), 0u);
 
     // Drop the in-memory cache: the run must warm-load from disk
     // without a single edge sort.
@@ -495,14 +545,25 @@ TEST_F(ServeTest, PrepareWritesArtifactsTheNextRunLoadsSortFree)
     EXPECT_TRUE(parsedResponse(run[0]).find("ok")->asBool()) << run[0];
     EXPECT_EQ(OrderedEdgeList::sortsPerformed(), sorts_before);
 
+    // The first WCC request builds the copy once and loads the
+    // symmetrised plan the prepare stored, again sort-free.
+    const auto wcc = lines(serveText(
+        server, std::regex_replace(kRunRequest, std::regex("pagerank"),
+                                   "wcc") +
+                    "\n"));
+    ASSERT_EQ(wcc.size(), 1u);
+    EXPECT_TRUE(parsedResponse(wcc[0]).find("ok")->asBool()) << wcc[0];
+    EXPECT_EQ(symmetrizations.value(), 1u);
+    EXPECT_EQ(OrderedEdgeList::sortsPerformed(), sorts_before);
+
     const auto status = lines(
         serveText(server, "{\"id\":\"q\",\"type\":\"status\"}\n"));
     const JsonValue v = parsedResponse(status[0]);
-    EXPECT_GE(v.find("store")->find("load_hits")->asU64(), 1u);
+    EXPECT_GE(v.find("store")->find("load_hits")->asU64(), 2u);
     EXPECT_GE(v.find("store")->find("saves")->asU64(), 2u);
-    // The prepare left its dataset resident; the run found it there.
+    // The prepare left its dataset resident; the runs found it there.
     EXPECT_EQ(v.find("datasets")->find("resident")->asU64(), 1u);
-    EXPECT_EQ(v.find("datasets")->find("hits")->asU64(), 1u);
+    EXPECT_EQ(v.find("datasets")->find("hits")->asU64(), 2u);
     EXPECT_EQ(v.find("datasets")->find("misses")->asU64(), 1u);
 
     fs::remove_all(dir);
