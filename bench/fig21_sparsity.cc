@@ -47,7 +47,7 @@ main()
         const SimReport graphr_ss = node.runSssp(g, 0);
 
         table.row({info.shortName, TextTable::sci(g.density()),
-                   TextTable::num(graphr_pr.occupancy, 4),
+                   TextTable::sci(graphr_pr.occupancy),
                    TextTable::num(cpu_pr.seconds / graphr_pr.seconds),
                    TextTable::num(cpu_pr.joules / graphr_pr.joules),
                    TextTable::num(cpu_ss.seconds / graphr_ss.seconds),

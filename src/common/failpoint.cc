@@ -29,10 +29,9 @@ constexpr std::string_view kKnownSites[] = {
     "pool.task.slow",    ///< worker stalls `=ms` (default 50) pre-task
     "store.decode.fail", ///< compressed edge stream decode faults
     "store.fsync.fail",  ///< artifact temp-file fsync fails
-    "store.mmap.fail",   ///< artifact mmap fails (buffered fallback)
     "store.open.fail",   ///< artifact file unreadable outright
-    "store.read.eintr",  ///< buffered artifact read gets EINTR
-    "store.read.short",  ///< buffered artifact read truncates early
+    "store.read.eintr",  ///< artifact read gets EINTR
+    "store.read.short",  ///< artifact read truncates early
     "store.rename.fail", ///< atomic publish rename fails
     "store.write.fail",  ///< artifact temp file cannot be opened
     "store.write.short", ///< artifact write transfers a single byte

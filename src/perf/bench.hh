@@ -4,9 +4,8 @@
  * monotonic clock, plus the order-statistics helpers BENCH reports
  * are built from.
  *
- * No google-benchmark dependency — the old micro_kernels target
- * silently disappeared when the package was missing; everything here
- * builds from the repo alone. measure() runs warmup repetitions
+ * No external benchmark library: everything here builds from the
+ * repo alone. measure() runs warmup repetitions
  * (uncounted: they fill the plan cache and graph memos so warm-path
  * metrics measure the steady state), then N timed repetitions on
  * std::chrono::steady_clock, and reports min/median/IQR over the

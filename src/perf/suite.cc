@@ -14,6 +14,7 @@
 #include "driver/dataset.hh"
 #include "driver/driver.hh"
 #include "graphr/engine/plan_cache.hh"
+#include "graphr/node.hh"
 #include "common/random.hh"
 #include "net/event_loop.hh"
 #include "net/listener.hh"
@@ -467,34 +468,36 @@ concurrentServeScenario(SuiteBuilder &b, const std::string &prefix,
 }
 
 /**
- * The crossbar MVM scenario: the SIMD-dispatched exact datapath on a
- * half-occupied crossbar. Wall-clock is the ungated trajectory (it
- * moves with the host's best kernel tier); the gate keys on the
- * machine-independent work metric — occupied wordlines processed per
- * repetition, identical across scalar/SSE/AVX2 because the occupancy
- * mask alone decides it. The active tier is recorded ungated so a
- * trajectory reader can attribute wall-clock moves.
+ * The crossbar MVM scenario: the exact datapath on a @p dim x @p dim
+ * crossbar with @p occupied wordlines spread across it, accumulating
+ * with @p kernels. Wall-clock is the ungated trajectory (it moves
+ * with the kernel tier); the gate keys on the machine-independent
+ * work metric — occupied wordlines processed per repetition,
+ * identical across scalar/SSE/AVX2 because the occupancy mask alone
+ * decides it. The tier is recorded ungated so a trajectory reader can
+ * attribute wall-clock moves.
  */
 void
-crossbarScenario(SuiteBuilder &b, const std::string &prefix)
+crossbarScenario(SuiteBuilder &b, const std::string &prefix,
+                 std::uint32_t dim, std::uint32_t occupied,
+                 const simd::Kernels &kernels)
 {
-    constexpr std::uint32_t kDim = 64;
-    constexpr std::uint32_t kOccupied = 32;
     constexpr std::uint64_t kIters = 512;
 
     DeviceParams params;
-    Crossbar cb(kDim, params);
+    Crossbar cb(dim, params);
+    cb.setSimdKernels(kernels);
     Rng rng(11);
-    for (std::uint32_t r = 0; r < kOccupied; ++r) {
-        const std::uint32_t row = r * kDim / kOccupied;
-        for (std::uint32_t c = 0; c < kDim; ++c)
+    for (std::uint32_t r = 0; r < occupied; ++r) {
+        const std::uint32_t row = r * dim / occupied;
+        for (std::uint32_t c = 0; c < dim; ++c)
             cb.programValue(
                 row, c,
                 FixedPoint::fromRaw(static_cast<FixedPoint::Raw>(
                                         1 + rng.below(65535)),
                                     0));
     }
-    std::vector<FixedPoint::Raw> x(kDim);
+    std::vector<FixedPoint::Raw> x(dim);
     for (auto &v : x)
         v = static_cast<FixedPoint::Raw>(rng.below(65536));
 
@@ -506,8 +509,43 @@ crossbarScenario(SuiteBuilder &b, const std::string &prefix)
              stats.perRep("crossbar.mvm_rows_processed"), "count",
              true);
     b.scalar(prefix + ".simd_level",
-             static_cast<double>(cb.simdKernels().level), "enum",
-             false, "higher");
+             static_cast<double>(kernels.level), "enum", false,
+             "higher");
+}
+
+/**
+ * The functional PageRank scenario: 10 sweeps of the analog datapath
+ * on one small graph, with the crossbar weights resident across
+ * sweeps (ProgramCharging::kOnce replays each tile's stored state) or
+ * reprogrammed every sweep. The gap between the two wall clocks is
+ * what resident weights save; the gate keys on the wordlines the
+ * MVMs process, which charging does not change.
+ */
+void
+functionalPageRankScenario(SuiteBuilder &b, const std::string &prefix,
+                           const std::string &dataset_spec,
+                           ProgramCharging charging)
+{
+    FingerprintCheck fp(dataset_spec);
+    const driver::ResolvedDataset dataset = fp.resolve();
+    GraphRConfig cfg;
+    cfg.tiling.crossbarDim = 8;
+    cfg.tiling.crossbarsPerGe = 4;
+    cfg.tiling.numGe = 4;
+    cfg.functional = true;
+    cfg.programCharging = charging;
+    GraphRNode node(cfg);
+    PageRankParams params;
+    params.maxIterations = 10;
+    params.tolerance = 0.0;
+
+    const RepStats stats = b.timed(prefix + ".wall_s", [&] {
+        doNotOptimize(node.runPageRank(dataset.graph, params).seconds);
+    });
+    b.scalar(prefix + ".mvm_rows_per_rep",
+             stats.perRep("crossbar.mvm_rows_processed"), "count",
+             true);
+    fp.resolve();
 }
 
 /** The pinned-seed invariant as an explicit gated trajectory point. */
@@ -541,7 +579,7 @@ suiteSmall(SuiteBuilder &b)
 {
     fingerprintScenario(b, "dataset.rmat_small",
                         "rmat:vertices=256,edges=2048,seed=3");
-    crossbarScenario(b, "crossbar.small");
+    crossbarScenario(b, "crossbar.small", 64, 32, simd::activeKernels());
     sweepScenario(b, "sweep.small", smallSweepSpec());
     storeScenario(b, "store.small",
                   "rmat:vertices=2048,edges=16384,seed=7");
@@ -593,6 +631,34 @@ suiteServe(SuiteBuilder &b)
                             /*connections=*/8, /*requests=*/8);
 }
 
+/**
+ * Kernel-level measurements no other suite takes: the crossbar MVM
+ * pinned to each SIMD tier the host supports (dense and 8 of 64 rows
+ * occupied), and functional PageRank with resident vs reprogrammed
+ * weights. Hosts without SSE4.1/AVX2 register fewer tier rows.
+ */
+void
+suiteMicro(SuiteBuilder &b)
+{
+    for (const simd::Level level :
+         {simd::Level::kScalar, simd::Level::kSse,
+          simd::Level::kAvx2}) {
+        if (!simd::levelSupported(level))
+            continue;
+        const std::string prefix =
+            std::string("micro.crossbar_mvm.") + simd::levelName(level);
+        const simd::Kernels &kernels = simd::kernelsFor(level);
+        crossbarScenario(b, prefix + ".dense", 64, 64, kernels);
+        crossbarScenario(b, prefix + ".sparse", 64, 8, kernels);
+    }
+    const std::string dataset = "rmat:vertices=512,edges=4096,seed=6";
+    functionalPageRankScenario(b, "micro.functional_pagerank.resident",
+                               dataset, ProgramCharging::kOnce);
+    functionalPageRankScenario(b,
+                               "micro.functional_pagerank.reprogram",
+                               dataset, ProgramCharging::kPerSweep);
+}
+
 struct SuiteEntry
 {
     const char *name;
@@ -604,6 +670,7 @@ constexpr SuiteEntry kSuites[] = {
     {"sweep", suiteSweep},
     {"store", suiteStore},
     {"serve", suiteServe},
+    {"micro", suiteMicro},
 };
 
 } // namespace

@@ -4,17 +4,18 @@
  *
  * A suite is a named set of measurements over the real subsystems:
  * driver sweeps across workloads x backends, PlanStore cold-vs-warm
- * prepare, and graphr_serve warm/cold request latency. runSuite()
- * executes one and returns the BenchReport that `graphr_run bench`
- * serialises to BENCH_*.json.
+ * prepare, graphr_serve warm/cold request latency, and the crossbar
+ * MVM kernels. runSuite() executes one and returns the BenchReport
+ * that `graphr_run bench` serialises to BENCH_*.json.
  *
  * The "small" suite is sized for CI (seconds, also under
- * sanitizers); the others are the developer-scale versions of the
- * same scenarios. Every dataset in every suite is a generator spec
- * with an explicitly pinned seed, and the harness asserts the graph
- * fingerprint is identical across repetitions — a suite that
- * silently measured a different graph per rep would produce an
- * untrustworthy trajectory.
+ * sanitizers); "sweep", "store" and "serve" are the developer-scale
+ * versions of the same scenarios, and "micro" pins the MVM to each
+ * SIMD tier and times the functional datapath. Every dataset in every
+ * suite is a generator spec with an explicitly pinned seed, and the
+ * harness asserts the graph fingerprint is identical across
+ * repetitions — a suite that silently measured a different graph per
+ * rep would produce an untrustworthy trajectory.
  */
 
 #ifndef GRAPHR_PERF_SUITE_HH

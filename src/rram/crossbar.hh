@@ -115,9 +115,9 @@ class Crossbar
     }
 
     /**
-     * Override the MVM kernel set for this instance (tests and
-     * micro-benches comparing tiers side by side; the level must be
-     * supported by the CPU). New instances use the process-wide
+     * Override the MVM kernel set for this instance (tests and the
+     * `micro` bench suite comparing tiers side by side; the level
+     * must be supported by the CPU). New instances use the process-wide
      * dispatch (simd::activeKernels(), GRAPHR_SIMD override).
      */
     void

@@ -4,29 +4,22 @@
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <limits>
-#include <random>
 #include <thread>
 #include <type_traits>
 #include <utility>
+
+#include <fcntl.h>
+#include <unistd.h>
 
 #include "common/checksum.hh"
 #include "common/failpoint.hh"
 #include "common/logging.hh"
 #include "perf/counters.hh"
 #include "store/edge_codec.hh"
-
-#if defined(__unix__) || defined(__APPLE__)
-#define GRAPHR_STORE_HAVE_MMAP 1
-#include <fcntl.h>
-#include <sys/mman.h>
-#include <sys/stat.h>
-#include <unistd.h>
-#endif
 
 namespace graphr
 {
@@ -98,7 +91,6 @@ class ByteReader
     std::size_t pos_ = 0;
 };
 
-#ifdef GRAPHR_STORE_HAVE_MMAP
 /**
  * Bounded retry policy for transient I/O errors (EINTR/EAGAIN and
  * short transfers): an operation is retried at most this many times,
@@ -154,7 +146,6 @@ writeFull(int fd, const unsigned char *data, std::size_t n,
     }
     return true;
 }
-#endif
 
 /** Decoded artifact header. */
 struct Header
@@ -171,165 +162,54 @@ struct Header
 };
 
 /**
- * Whole-file bytes, mmap'd where possible. The chunked-read fallback
- * covers platforms without mmap and the GRAPHR_STORE_NO_MMAP=1
- * escape hatch (used by tests to exercise both paths).
+ * Read a whole artifact into @p bytes with a chunked POSIX read; false
+ * if the file cannot be opened or a read fails for good. Transient
+ * errors (EINTR/EAGAIN, injectable via store.read.eintr) are retried
+ * with bounded backoff; a premature EOF (store.read.short) simply
+ * yields a truncated buffer, which header/payload validation then
+ * rejects — the degrade-to-fresh-prepare path, never a crash.
  */
-class FileBytes
+bool
+readFile(const std::string &path, std::vector<unsigned char> &bytes)
 {
-  public:
-    FileBytes() = default;
-    FileBytes(const FileBytes &) = delete;
-    FileBytes &operator=(const FileBytes &) = delete;
-
-    ~FileBytes()
-    {
-#ifdef GRAPHR_STORE_HAVE_MMAP
-        if (map_ != nullptr)
-            ::munmap(map_, mapSize_);
-#endif
-    }
-
-    /** Read (or map) a whole file; false on any I/O failure. */
-    bool
-    read(const std::string &path)
-    {
-        if (GRAPHR_FAILPOINT("store.open.fail"))
-            return false;
-#ifdef GRAPHR_STORE_HAVE_MMAP
-        const char *no_mmap = std::getenv("GRAPHR_STORE_NO_MMAP");
-        if (no_mmap == nullptr || no_mmap[0] == '\0' ||
-            no_mmap[0] == '0') {
-            if (readMapped(path))
-                return true;
-            // fall through to the buffered path on mmap failure
+    if (GRAPHR_FAILPOINT("store.open.fail"))
+        return false;
+    const int fd = ::open(path.c_str(), O_RDONLY);
+    if (fd < 0)
+        return false;
+    constexpr std::size_t kChunk = 1 << 20;
+    bytes.clear();
+    int transient = 0;
+    for (;;) {
+        const std::size_t at = bytes.size();
+        bytes.resize(at + kChunk);
+        ssize_t n;
+        if (GRAPHR_FAILPOINT("store.read.eintr")) {
+            n = -1;
+            errno = EINTR;
+        } else if (GRAPHR_FAILPOINT("store.read.short")) {
+            n = 0; // the file "ends" mid-read: truncated artifact
+        } else {
+            n = ::read(fd, bytes.data() + at, kChunk);
         }
-#endif
-        return readBuffered(path);
-    }
-
-    const unsigned char *data() const { return data_; }
-    std::size_t size() const { return size_; }
-
-  private:
-#ifdef GRAPHR_STORE_HAVE_MMAP
-    bool
-    readMapped(const std::string &path)
-    {
-        if (GRAPHR_FAILPOINT("store.mmap.fail"))
-            return false; // degrades to the buffered path below
-        const int fd = ::open(path.c_str(), O_RDONLY);
-        if (fd < 0)
-            return false;
-        struct ::stat st = {};
-        if (::fstat(fd, &st) != 0 || st.st_size < 0) {
+        if (n < 0) {
+            bytes.resize(at);
+            if ((errno == EINTR || errno == EAGAIN) &&
+                ++transient < kMaxIoAttempts) {
+                noteRetry();
+                backoff(transient);
+                continue;
+            }
             ::close(fd);
             return false;
         }
-        if (st.st_size == 0) {
-            // Nothing to map; an empty artifact is simply invalid.
-            ::close(fd);
-            data_ = nullptr;
-            size_ = 0;
-            return true;
-        }
-        mapSize_ = static_cast<std::size_t>(st.st_size);
-        void *map =
-            ::mmap(nullptr, mapSize_, PROT_READ, MAP_PRIVATE, fd, 0);
-        ::close(fd);
-        if (map == MAP_FAILED) {
-            mapSize_ = 0;
-            return false;
-        }
-        map_ = map;
-        data_ = static_cast<const unsigned char *>(map);
-        size_ = mapSize_;
-        return true;
+        bytes.resize(at + static_cast<std::size_t>(n));
+        if (n == 0)
+            break;
     }
-#endif
-
-#ifdef GRAPHR_STORE_HAVE_MMAP
-    /**
-     * Chunked POSIX read of the whole file. Transient errors
-     * (EINTR/EAGAIN — injectable via store.read.eintr) are retried
-     * with bounded backoff; a premature EOF (store.read.short) simply
-     * yields a truncated buffer, which header/payload validation then
-     * rejects — the degrade-to-fresh-prepare path, never a crash.
-     */
-    bool
-    readBuffered(const std::string &path)
-    {
-        const int fd = ::open(path.c_str(), O_RDONLY);
-        if (fd < 0)
-            return false;
-        constexpr std::size_t kChunk = 1 << 20;
-        buffer_.clear();
-        int transient = 0;
-        for (;;) {
-            const std::size_t at = buffer_.size();
-            buffer_.resize(at + kChunk);
-            ssize_t n;
-            if (GRAPHR_FAILPOINT("store.read.eintr")) {
-                n = -1;
-                errno = EINTR;
-            } else if (GRAPHR_FAILPOINT("store.read.short")) {
-                n = 0; // the file "ends" mid-read: truncated artifact
-            } else {
-                n = ::read(fd, buffer_.data() + at, kChunk);
-            }
-            if (n < 0) {
-                buffer_.resize(at);
-                if ((errno == EINTR || errno == EAGAIN) &&
-                    ++transient < kMaxIoAttempts) {
-                    noteRetry();
-                    backoff(transient);
-                    continue;
-                }
-                ::close(fd);
-                return false;
-            }
-            buffer_.resize(at + static_cast<std::size_t>(n));
-            if (n == 0)
-                break;
-        }
-        ::close(fd);
-        data_ = buffer_.data();
-        size_ = buffer_.size();
-        return true;
-    }
-#else
-    bool
-    readBuffered(const std::string &path)
-    {
-        std::ifstream is(path, std::ios::binary);
-        if (!is)
-            return false;
-        constexpr std::size_t kChunk = 1 << 20;
-        buffer_.clear();
-        while (is) {
-            const std::size_t at = buffer_.size();
-            buffer_.resize(at + kChunk);
-            is.read(reinterpret_cast<char *>(buffer_.data() + at),
-                    static_cast<std::streamsize>(kChunk));
-            buffer_.resize(at +
-                           static_cast<std::size_t>(is.gcount()));
-        }
-        if (!is.eof())
-            return false;
-        data_ = buffer_.data();
-        size_ = buffer_.size();
-        return true;
-    }
-#endif
-
-    std::vector<unsigned char> buffer_;
-#ifdef GRAPHR_STORE_HAVE_MMAP
-    void *map_ = nullptr;
-    std::size_t mapSize_ = 0;
-#endif
-    const unsigned char *data_ = nullptr;
-    std::size_t size_ = 0;
-};
+    ::close(fd);
+    return true;
+}
 
 void
 encodeHeader(ByteWriter &w, const Header &h)
@@ -461,16 +341,7 @@ openPayload(const Header &h, const GridPartition &part,
 std::string
 tempSuffix()
 {
-#ifdef GRAPHR_STORE_HAVE_MMAP
     const unsigned long uniq = static_cast<unsigned long>(::getpid());
-#else
-    // No pid available: a per-process random token keeps temp names
-    // from colliding across processes sharing one store directory.
-    static const unsigned long uniq = [] {
-        std::random_device rd;
-        return static_cast<unsigned long>(rd()) << 16 ^ rd();
-    }();
-#endif
     static std::atomic<std::uint64_t> counter{0};
     return ".tmp-" + std::to_string(uniq) + "-" +
            std::to_string(
@@ -575,8 +446,8 @@ PlanStore::load(std::uint64_t fingerprint,
         return nullptr;
     };
 
-    FileBytes bytes;
-    if (!bytes.read(file))
+    std::vector<unsigned char> bytes;
+    if (!readFile(file, bytes))
         return reject("unreadable");
 
     Header h;
@@ -639,7 +510,6 @@ PlanStore::save(const TilePlan &plan, const TilingParams &tiling) const
 
     const std::string final_path = path(plan.fingerprint, tiling);
     const std::string tmp_path = final_path + tempSuffix();
-#ifdef GRAPHR_STORE_HAVE_MMAP
     {
         const int fd =
             GRAPHR_FAILPOINT("store.write.fail")
@@ -676,28 +546,6 @@ PlanStore::save(const TilePlan &plan, const TilingParams &tiling) const
                              tmp_path + "': " + why);
         }
     }
-#else
-    {
-        std::ofstream os(tmp_path, std::ios::binary);
-        if (!os) {
-            throw StoreError("cannot write plan artifact '" +
-                             tmp_path + "'");
-        }
-        os.write(
-            reinterpret_cast<const char *>(header.bytes().data()),
-            static_cast<std::streamsize>(header.bytes().size()));
-        os.write(
-            reinterpret_cast<const char *>(payload.bytes().data()),
-            static_cast<std::streamsize>(payload.bytes().size()));
-        os.close();
-        if (!os) {
-            std::error_code ec;
-            fs::remove(tmp_path, ec);
-            throw StoreError("failed writing plan artifact '" +
-                             tmp_path + "'");
-        }
-    }
-#endif
     std::error_code ec;
     if (GRAPHR_FAILPOINT("store.rename.fail"))
         ec = std::make_error_code(std::errc::io_error);
@@ -709,7 +557,6 @@ PlanStore::save(const TilePlan &plan, const TilingParams &tiling) const
         throw StoreError("cannot move plan artifact into place at '" +
                          final_path + "': " + reason);
     }
-#ifdef GRAPHR_STORE_HAVE_MMAP
     // Make the publishing rename itself durable. A failure here only
     // weakens durability of an already-valid, already-visible
     // artifact, so it warns instead of throwing.
@@ -723,7 +570,6 @@ PlanStore::save(const TilePlan &plan, const TilingParams &tiling) const
     }
     if (dirfd >= 0)
         ::close(dirfd);
-#endif
     saves_.fetch_add(1, std::memory_order_relaxed);
     perf::Registry::instance().counter("store.saves").add();
     return final_path;
@@ -746,8 +592,8 @@ PlanStore::list() const
         info.file = p.filename().string();
         info.bytes = entry.file_size(ec);
 
-        FileBytes bytes;
-        if (!bytes.read(p.string())) {
+        std::vector<unsigned char> bytes;
+        if (!readFile(p.string(), bytes)) {
             info.issue = "unreadable";
             out.push_back(std::move(info));
             continue;

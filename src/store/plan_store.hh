@@ -50,13 +50,13 @@
  * atomically rename over the final name, then fsync the directory:
  * readers only ever see complete files, and a crash at any point
  * leaves either the old artifact or the new one, never torn bytes
- * under the final name. Reads go through mmap where available, with a
- * chunked-read fallback (also selectable via GRAPHR_STORE_NO_MMAP=1);
- * transient I/O errors (EINTR/EAGAIN, short transfers) are retried
- * with bounded backoff (`store.retries`). Both paths carry
- * fault-injection sites (common/failpoint.hh, the `store.*` names)
- * so the degradation and durability contracts are exercised by
- * tests/chaos.sh rather than merely asserted here.
+ * under the final name. Loads read the whole artifact with one
+ * chunked POSIX read loop; transient I/O errors (EINTR/EAGAIN, short
+ * transfers) are retried with bounded backoff (`store.retries`) on
+ * both the read and the write path. Both paths carry fault-injection
+ * sites (common/failpoint.hh, the `store.*` names) so the degradation
+ * and durability contracts are exercised by tests/chaos.sh rather
+ * than merely asserted here.
  */
 
 #ifndef GRAPHR_STORE_PLAN_STORE_HH

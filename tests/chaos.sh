@@ -89,18 +89,13 @@ for site in $sites; do
   # load a prepared artifact; write-path sites save into an empty
   # directory) and the assertion tier.
   plan_dir="$workdir/plans_$site"
-  env_extra=()
   case "$site" in
-    store.open.fail|store.mmap.fail)
+    store.open.fail|store.read.eintr|store.read.short)
       kind=transient; cp -r "$prepared" "$plan_dir" ;;
     store.decode.fail)
       # Compressed-stream decode faults mid-load: the store degrades
       # to a fresh prepare and the response stays byte-identical.
       kind=transient; cp -r "$prepared" "$plan_dir" ;;
-    store.read.eintr|store.read.short)
-      # Only the buffered (non-mmap) reader has a read loop to fault.
-      kind=transient; cp -r "$prepared" "$plan_dir"
-      env_extra=(GRAPHR_STORE_NO_MMAP=1) ;;
     store.write.fail|store.write.short|store.fsync.fail|store.rename.fail)
       kind=transient; mkdir -p "$plan_dir" ;;
     net.conn.write.short|pool.task.slow)
@@ -119,8 +114,7 @@ for site in $sites; do
   out="$workdir/out_$site"
   : > "$out"
   if ! { work_requests; wait_for_lines "$out" 2 || true; status_request; } \
-      | env "${env_extra[@]+"${env_extra[@]}"}" \
-        GRAPHR_FAILPOINTS="$site:1@1" \
+      | GRAPHR_FAILPOINTS="$site:1@1" \
         "$serve_bin" --stdin --plan-dir "$plan_dir" > "$out"; then
     fail "$site: daemon exited nonzero"
   fi

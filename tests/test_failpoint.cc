@@ -13,7 +13,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <filesystem>
 #include <string>
 #include <vector>
@@ -47,7 +46,6 @@ class FailpointTest : public ::testing::Test
     void
     TearDown() override
     {
-        ::unsetenv("GRAPHR_STORE_NO_MMAP");
         reset();
     }
 
@@ -136,11 +134,11 @@ TEST_F(FailpointTest, CountAndNthSelectAnExactHitWindow)
 
 TEST_F(FailpointTest, WildcardsFireOnEveryHit)
 {
-    failpoint::configure("store.open.fail:1@*,store.mmap.fail:*");
+    failpoint::configure("store.open.fail:1@*,store.decode.fail:*");
     for (int i = 0; i < 5; ++i)
         EXPECT_TRUE(GRAPHR_FAILPOINT("store.open.fail")) << i;
     for (int i = 0; i < 5; ++i)
-        EXPECT_TRUE(GRAPHR_FAILPOINT("store.mmap.fail")) << i;
+        EXPECT_TRUE(GRAPHR_FAILPOINT("store.decode.fail")) << i;
     EXPECT_EQ(counterValue("failpoint.fires"), 10u);
 }
 
@@ -266,8 +264,6 @@ TEST_F(FailpointTest, TransientReadFaultIsRetriedInvisibly)
     PlanStore store(dir);
     store.save(plan, tiling);
 
-    // Force the buffered (read-loop) path and interrupt it once.
-    ::setenv("GRAPHR_STORE_NO_MMAP", "1", 1);
     failpoint::configure("store.read.eintr:1@1");
     const TilePlanPtr loaded = store.load(plan.fingerprint, tiling);
     ASSERT_NE(loaded, nullptr) << "EINTR must be invisible";
@@ -286,7 +282,6 @@ TEST_F(FailpointTest, ShortReadDegradesToAMissAndTheNextLoadRecovers)
     PlanStore store(dir);
     store.save(plan, tiling);
 
-    ::setenv("GRAPHR_STORE_NO_MMAP", "1", 1);
     failpoint::configure("store.read.short:1@1");
     EXPECT_EQ(store.load(plan.fingerprint, tiling), nullptr)
         << "a truncated read must degrade to a miss, not crash";
@@ -296,23 +291,6 @@ TEST_F(FailpointTest, ShortReadDegradesToAMissAndTheNextLoadRecovers)
     // The file on disk was never damaged: the next load succeeds.
     failpoint::disarmAll();
     EXPECT_NE(store.load(plan.fingerprint, tiling), nullptr);
-    fs::remove_all(dir);
-}
-
-TEST_F(FailpointTest, MmapFailureFallsBackToTheBufferedReader)
-{
-    const std::string dir = freshDir("mmap");
-    const CooGraph g = testGraph();
-    const TilingParams tiling;
-    const TilePlan plan(g, tiling);
-    PlanStore store(dir);
-    store.save(plan, tiling);
-
-    failpoint::configure("store.mmap.fail:1@1");
-    const TilePlanPtr loaded = store.load(plan.fingerprint, tiling);
-    ASSERT_NE(loaded, nullptr) << "mmap failure has a fallback";
-    EXPECT_EQ(loaded->fingerprint, plan.fingerprint);
-    EXPECT_EQ(counterValue("store.degraded_loads"), 0u);
     fs::remove_all(dir);
 }
 

@@ -21,6 +21,7 @@
 #include "perf/counters.hh"
 #include "perf/report.hh"
 #include "perf/suite.hh"
+#include "rram/simd/simd.hh"
 
 namespace
 {
@@ -456,6 +457,7 @@ TEST(PerfSuite, RegistryListsSmallAndRejectsUnknown)
     const std::vector<std::string> names = suiteNames();
     ASSERT_FALSE(names.empty());
     EXPECT_TRUE(isSuiteName("small"));
+    EXPECT_TRUE(isSuiteName("micro"));
     EXPECT_FALSE(isSuiteName("no_such_suite"));
     EXPECT_THROW(runSuite("no_such_suite"), PerfError);
 }
@@ -485,6 +487,42 @@ TEST(PerfSuite, SmallSuiteGatedMetricsAreDeterministic)
     ASSERT_NE(stable, nullptr);
     EXPECT_DOUBLE_EQ(stable->value, 1.0);
     EXPECT_TRUE(stable->gated);
+}
+
+TEST(PerfSuite, MicroSuiteProcessesTheSameRowsAtEveryTier)
+{
+    // Each tier row pins its kernels on the crossbar instance; the
+    // occupancy mask alone decides the wordlines an MVM reads, so the
+    // gated work metric must not depend on the tier.
+    SuiteOptions options;
+    options.reps = 1;
+    options.warmups = 0;
+    const BenchReport report = runSuite("micro", options);
+    for (const std::string shape : {"dense", "sparse"}) {
+        std::vector<double> rows;
+        for (const simd::Level level :
+             {simd::Level::kScalar, simd::Level::kSse,
+              simd::Level::kAvx2}) {
+            if (!simd::levelSupported(level))
+                continue;
+            const std::string name = std::string("micro.crossbar_mvm.") +
+                                     simd::levelName(level) + "." +
+                                     shape + ".mvm_rows_per_rep";
+            const BenchMetric *metric = report.find(name);
+            ASSERT_NE(metric, nullptr) << name;
+            EXPECT_TRUE(metric->gated) << name;
+            rows.push_back(metric->value);
+        }
+        ASSERT_FALSE(rows.empty());
+        EXPECT_GT(rows.front(), 0.0) << shape;
+        for (const double value : rows)
+            EXPECT_DOUBLE_EQ(value, rows.front()) << shape;
+    }
+    for (const std::string charging : {"resident", "reprogram"})
+        EXPECT_NE(report.find("micro.functional_pagerank." + charging +
+                              ".wall_s"),
+                  nullptr)
+            << charging;
 }
 
 } // namespace

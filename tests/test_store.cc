@@ -10,7 +10,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -144,22 +143,6 @@ TEST_F(PlanStoreTest, DuplicateHeavyGraphIsStoredCompressed)
     EXPECT_LT(fs::file_size(store.save(direct, tiling)), g.numEdges())
         << "artifact takes a byte or more per edge";
     const TilePlanPtr loaded = store.load(direct.fingerprint, tiling);
-    ASSERT_NE(loaded, nullptr);
-    expectPlansEqual(direct, *loaded);
-}
-
-TEST_F(PlanStoreTest, ChunkedReadFallbackMatchesMmap)
-{
-    const std::string dir = freshDir("nommap");
-    const CooGraph g = testGraph();
-    const TilingParams tiling;
-    const TilePlan direct(g, tiling);
-    PlanStore store(dir);
-    store.save(direct, tiling);
-
-    ::setenv("GRAPHR_STORE_NO_MMAP", "1", 1);
-    const TilePlanPtr loaded = store.load(direct.fingerprint, tiling);
-    ::unsetenv("GRAPHR_STORE_NO_MMAP");
     ASSERT_NE(loaded, nullptr);
     expectPlansEqual(direct, *loaded);
 }
@@ -752,7 +735,7 @@ TEST_F(PlanStoreTest, DegradedLoadCounterTracksEveryReject)
 
 TEST_F(PlanStoreTest, ReadFailpointsMidDecodeDegradeOrRecover)
 {
-    // store.read.* fire inside the buffered reader while the
+    // store.read.* fire inside the store's read loop while the
     // compressed artifact streams in: EINTR is transient (absorbed by
     // the retry loop, load still succeeds), a short read truncates
     // (degrade to fresh prepare).
@@ -761,7 +744,6 @@ TEST_F(PlanStoreTest, ReadFailpointsMidDecodeDegradeOrRecover)
     const TilingParams tiling;
     const TilePlan direct(g, tiling);
     PlanStore(dir).save(direct, tiling);
-    ::setenv("GRAPHR_STORE_NO_MMAP", "1", 1);
 
     failpoint::configure("store.read.eintr:1@1");
     const TilePlanPtr recovered =
@@ -791,7 +773,6 @@ TEST_F(PlanStoreTest, ReadFailpointsMidDecodeDegradeOrRecover)
     expectPlansEqual(direct, *reprepared);
 
     failpoint::disarmAll();
-    ::unsetenv("GRAPHR_STORE_NO_MMAP");
     const TilePlanPtr healthy =
         PlanStore(dir).load(direct.fingerprint, tiling);
     ASSERT_NE(healthy, nullptr);
