@@ -249,7 +249,8 @@ usageText()
        << "                      0 = all hardware threads); output is\n"
        << "                      byte-identical at any job count\n"
        << "  --nodes n           multinode cluster size (default 4)\n"
-       << "  --functional        bit-exact analog datapath (slow)\n"
+       << "  --functional        compute results through the bit-exact\n"
+       << "                      analog datapath\n"
        << "  --plan-dir path     durable preprocessing store: runs load\n"
        << "                      prepared plans from here (skipping the\n"
        << "                      edge sort) and write new ones through\n"

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <limits>
@@ -39,6 +40,17 @@ void
 writeRaw(std::ostream &os, const T &value)
 {
     os.write(reinterpret_cast<const char *>(&value), sizeof(T));
+}
+
+/**
+ * Crossbar cells are unsigned and no workload defines a result for a
+ * negative or NaN weight (golden SSSP would relax a negative cycle
+ * forever), so the loaders refuse them.
+ */
+bool
+validWeight(double weight)
+{
+    return weight >= 0.0; // false for NaN
 }
 
 template <typename T>
@@ -107,7 +119,23 @@ loadEdgeListText(std::istream &is)
                                std::to_string(line_no) + ": '" + line +
                                "'");
         }
-        ls >> weight; // optional third column
+        // Optional third column: when present, all of it must be a
+        // number (strtod, so "nan" is read as NaN and refused below).
+        std::string weight_text;
+        if (ls >> weight_text) {
+            char *end = nullptr;
+            weight = std::strtod(weight_text.c_str(), &end);
+            if (end == weight_text.c_str() || *end != '\0') {
+                throw GraphIoError("malformed weight at line " +
+                                   std::to_string(line_no) + ": '" +
+                                   line + "'");
+            }
+        }
+        if (!validWeight(weight)) {
+            throw GraphIoError("negative or NaN weight at line " +
+                               std::to_string(line_no) + ": '" + line +
+                               "'");
+        }
         edges.push_back(Edge{static_cast<VertexId>(src),
                              static_cast<VertexId>(dst), weight});
         max_id = std::max(
@@ -175,6 +203,13 @@ loadBinary(std::istream &is)
                 std::to_string(e.src) + "," + std::to_string(e.dst) +
                 ") out of range for " + std::to_string(nv) +
                 " vertices");
+        }
+        if (!validWeight(e.weight)) {
+            throw GraphIoError("edge " + std::to_string(i) + " (" +
+                               std::to_string(e.src) + "," +
+                               std::to_string(e.dst) +
+                               ") has a negative or NaN weight " +
+                               std::to_string(e.weight));
         }
         edges.push_back(e);
     }

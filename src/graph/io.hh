@@ -41,8 +41,9 @@ void saveEdgeListText(const CooGraph &graph, const std::string &path);
  * Parse a text edge list. Accepts 2-column (unweighted, weight = 1)
  * and 3-column lines; skips blank lines and '#' comments. The vertex
  * count is max id + 1 unless a "# vertices: N" header is present.
- * Throws GraphIoError for an unopenable file, a malformed line or an
- * id that does not fit a VertexId.
+ * Throws GraphIoError for an unopenable file, a malformed line or
+ * weight, a negative or NaN weight, or an id that does not fit a
+ * VertexId.
  */
 CooGraph loadEdgeListText(std::istream &is);
 CooGraph loadEdgeListText(const std::string &path);
@@ -51,7 +52,8 @@ CooGraph loadEdgeListText(const std::string &path);
  * Binary format: magic "GRPH" + u32 version + u32 vertex count +
  * u64 edge count, then packed records of (u32 src, u32 dst,
  * f64 weight). Round-trips exactly. Loading throws GraphIoError for
- * a bad header, a truncated file or an endpoint >= the vertex count.
+ * a bad header, a truncated file, an endpoint >= the vertex count or
+ * a negative or NaN weight.
  */
 void saveBinary(const CooGraph &graph, std::ostream &os);
 void saveBinary(const CooGraph &graph, const std::string &path);

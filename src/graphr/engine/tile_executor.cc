@@ -29,6 +29,32 @@ activeMask(const std::vector<bool> &active, std::uint64_t row0,
     return mask;
 }
 
+/**
+ * sALU-reduce a compact GE result (C values per occupied crossbar of
+ * the tile at column @p col0) into @p reg, indexed by absolute vertex
+ * id. Entries equal to @p absent — the value an edge-free column
+ * reads, 0 for a MAC and +infinity for an add-op — are not reduced,
+ * and neither are the padding columns past the last vertex; so the
+ * op count is that of a full-width walk.
+ */
+void
+reduceCompact(GraphEngineArray &ge, std::uint64_t col0,
+              const std::vector<double> &compact, double absent,
+              std::vector<Value> &reg)
+{
+    const std::uint64_t dim = ge.crossbarDim();
+    const std::span<const std::uint32_t> occupied = ge.occupiedCrossbars();
+    for (std::size_t k = 0; k < occupied.size(); ++k) {
+        const std::uint64_t first = col0 + occupied[k] * dim;
+        for (std::uint64_t c = 0; c < dim; ++c) {
+            const std::uint64_t v = first + c;
+            const double value = compact[k * dim + c];
+            if (v < reg.size() && value != absent)
+                reg[v] = ge.salu().reduce(reg[v], value);
+        }
+    }
+}
+
 /** Price accumulated events and fill the shared report fields. */
 void
 finalizeReport(SimReport &report, const DeviceParams &device,
@@ -200,13 +226,9 @@ TileExecutor::functionalMacSweep(const MacSpec &spec,
             const std::uint64_t v = meta.row0 + r;
             in_rows[r] = v < nv ? input[v] : 0.0;
         }
-        ge.runMacInto(in_rows, config_.inputFracBits,
-                      config_.weightFracBits, partial);
-        for (std::uint64_t c = 0; c < partial.size(); ++c) {
-            const std::uint64_t v = meta.col0 + c;
-            if (v < nv && partial[c] != 0.0)
-                accum[v] = ge.salu().reduce(accum[v], partial[c]);
-        }
+        ge.runMac(in_rows, config_.inputFracBits, config_.weightFracBits,
+                  partial);
+        reduceCompact(ge, meta.col0, partial, 0.0, accum);
     }
 }
 
@@ -372,15 +394,11 @@ TileExecutor::functionalAddOpSolve(const CooGraph &graph,
             while (m != 0) {
                 const int r = std::countr_zero(m);
                 m &= m - 1;
-                ge.runAddOpInto(
+                ge.runAddOp(
                     static_cast<std::uint32_t>(r),
                     dist[meta.row0 + static_cast<std::uint64_t>(r)],
                     0, cand);
-                for (std::uint64_t c = 0; c < cand.size(); ++c) {
-                    const std::uint64_t v = meta.col0 + c;
-                    if (v < nv && cand[c] < kInfDistance)
-                        next[v] = ge.salu().reduce(next[v], cand[c]);
-                }
+                reduceCompact(ge, meta.col0, cand, kInfDistance, next);
             }
         }
 

@@ -11,7 +11,8 @@
  * Two execution modes (GraphRConfig::functional):
  *  - functional: edges are programmed into the modelled crossbars and
  *    results are computed through the analog datapath (bit-sliced
- *    fixed point). Exact but slow; used by tests and examples.
+ *    fixed point). Each tile costs its edges plus its occupied
+ *    crossbars, not the full array width (rram/graph_engine.hh).
  *  - timing-only: semantics come from the golden algorithms; the node
  *    walks the tile stream and charges the cost model. Used by the
  *    benches on large graphs. Iteration counts come from the graph's

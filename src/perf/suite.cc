@@ -515,11 +515,12 @@ crossbarScenario(SuiteBuilder &b, const std::string &prefix,
 
 /**
  * The functional PageRank scenario: 10 sweeps of the analog datapath
- * on one small graph, with the crossbar weights resident across
- * sweeps (ProgramCharging::kOnce replays each tile's stored state) or
- * reprogrammed every sweep. The gap between the two wall clocks is
- * what resident weights save; the gate keys on the wordlines the
- * MVMs process, which charging does not change.
+ * on one small graph at the paper's tiling (the default TilingParams,
+ * 2,048 crossbars per tile, as `--functional` runs), with the crossbar
+ * weights resident across sweeps (ProgramCharging::kOnce replays each
+ * tile's stored state) or reprogrammed every sweep. The gap between
+ * the two wall clocks is what resident weights save; the gate keys on
+ * the wordlines the MVMs process, which charging does not change.
  */
 void
 functionalPageRankScenario(SuiteBuilder &b, const std::string &prefix,
@@ -529,9 +530,6 @@ functionalPageRankScenario(SuiteBuilder &b, const std::string &prefix,
     FingerprintCheck fp(dataset_spec);
     const driver::ResolvedDataset dataset = fp.resolve();
     GraphRConfig cfg;
-    cfg.tiling.crossbarDim = 8;
-    cfg.tiling.crossbarsPerGe = 4;
-    cfg.tiling.numGe = 4;
     cfg.functional = true;
     cfg.programCharging = charging;
     GraphRNode node(cfg);
@@ -634,8 +632,9 @@ suiteServe(SuiteBuilder &b)
 /**
  * Kernel-level measurements no other suite takes: the crossbar MVM
  * pinned to each SIMD tier the host supports (dense and 8 of 64 rows
- * occupied), and functional PageRank with resident vs reprogrammed
- * weights. Hosts without SSE4.1/AVX2 register fewer tier rows.
+ * occupied), and functional PageRank at the paper's tiling with
+ * resident vs reprogrammed weights. Hosts without SSE4.1/AVX2
+ * register fewer tier rows.
  */
 void
 suiteMicro(SuiteBuilder &b)

@@ -81,9 +81,20 @@ Crossbar::programValue(std::uint32_t row, std::uint32_t col,
 std::vector<std::uint64_t>
 Crossbar::mvmRaw(const std::vector<FixedPoint::Raw> &input_raw) const
 {
+    std::vector<std::uint64_t> columns(dim_);
+    mvmRawInto(input_raw, columns);
+    return columns;
+}
+
+void
+Crossbar::mvmRawInto(std::span<const FixedPoint::Raw> input_raw,
+                     std::span<std::uint64_t> columns) const
+{
     GRAPHR_ASSERT(input_raw.size() == dim_, "input length ",
                   input_raw.size(), " != crossbar dim ", dim_);
-    std::vector<std::uint64_t> columns(dim_, 0);
+    GRAPHR_ASSERT(columns.size() == dim_, "output length ",
+                  columns.size(), " != crossbar dim ", dim_);
+    std::fill(columns.begin(), columns.end(), std::uint64_t{0});
 
     // Unoccupied wordlines hold only level-0 cells: they contribute
     // nothing to any bitline and never consume a variation RNG draw,
@@ -92,7 +103,7 @@ Crossbar::mvmRaw(const std::vector<FixedPoint::Raw> &input_raw) const
     // bit-exact and RNG-neutral. An empty crossbar skips the column
     // loops and S/A recombination entirely.
     if (!anyRowOccupied())
-        return columns;
+        return;
     mvmRowsCounter().add(maskedRowCount());
 
     if (variationSigma_ <= 0.0) {
@@ -114,7 +125,7 @@ Crossbar::mvmRaw(const std::vector<FixedPoint::Raw> &input_raw) const
                     static_cast<std::size_t>(row) * dim_,
                 dim_, in, columns.data());
         });
-        return columns;
+        return;
     }
 
     // Variation path: the hardware-shaped slice-serial walk, kept
@@ -141,7 +152,6 @@ Crossbar::mvmRaw(const std::vector<FixedPoint::Raw> &input_raw) const
             columns[col] += combined << (in_s * kCellBits);
         }
     }
-    return columns;
 }
 
 std::vector<FixedPoint::Raw>

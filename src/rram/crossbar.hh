@@ -33,6 +33,7 @@
 
 #include <bit>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/fixed_point.hh"
@@ -95,6 +96,14 @@ class Crossbar
      */
     std::vector<std::uint64_t>
     mvmRaw(const std::vector<FixedPoint::Raw> &input_raw) const;
+
+    /**
+     * mvmRaw() into a caller-owned buffer of dim() column sums,
+     * without allocating: the GE array runs one MVM per occupied
+     * crossbar per tile, so the hot path reuses one buffer.
+     */
+    void mvmRawInto(std::span<const FixedPoint::Raw> input_raw,
+                    std::span<std::uint64_t> columns) const;
 
     /**
      * Row-selected read for the parallel add-op pattern: returns the

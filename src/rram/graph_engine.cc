@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <unordered_map>
 
 #include "common/logging.hh"
 
@@ -16,30 +15,50 @@ GraphEngineArray::GraphEngineArray(std::uint32_t crossbar_dim,
     : crossbarDim_(crossbar_dim), params_(params), ledger_(ledger)
 {
     GRAPHR_ASSERT(num_crossbars > 0, "need >= 1 crossbar");
+    GRAPHR_ASSERT(crossbarDim_ <= 64,
+                  "presence words support crossbars up to 64x64");
     crossbars_.reserve(num_crossbars);
     for (std::uint32_t i = 0; i < num_crossbars; ++i)
         crossbars_.emplace_back(crossbar_dim, params);
-    present_.assign(static_cast<std::size_t>(crossbarDim_) * tileWidth(),
-                    false);
-    crossbarNnz_.assign(crossbars_.size(), 0);
+    present_.assign(static_cast<std::size_t>(num_crossbars) * crossbarDim_,
+                    0);
+    rawIn_.resize(crossbarDim_);
+    columns_.resize(crossbarDim_);
 }
 
 void
 GraphEngineArray::clearProgrammedState()
 {
-    for (std::size_t cb = 0; cb < crossbars_.size(); ++cb) {
-        if (crossbarNnz_[cb] == 0)
-            continue;
+    for (const std::uint32_t cb : occupied_) {
         crossbars_[cb].clear();
-        crossbarNnz_[cb] = 0;
+        std::fill_n(presenceOf(cb), crossbarDim_, std::uint64_t{0});
     }
-    std::fill(present_.begin(), present_.end(), false);
+    occupied_.clear();
+}
+
+void
+GraphEngineArray::placeCell(std::uint32_t row, std::uint64_t col,
+                            FixedPoint value)
+{
+    const auto cb = static_cast<std::uint32_t>(col / crossbarDim_);
+    const auto cb_col = static_cast<std::uint32_t>(col % crossbarDim_);
+    if (occupied_.empty() || occupied_.back() != cb) {
+        GRAPHR_ASSERT(occupied_.empty() || occupied_.back() < cb,
+                      "cells must arrive in crossbar order");
+        occupied_.push_back(cb);
+    }
+    crossbars_[cb].programValue(row, cb_col, value);
+    presenceOf(cb)[row] |= std::uint64_t{1} << cb_col;
 }
 
 bool
-GraphEngineArray::presentAt(std::uint32_t row, std::uint64_t col) const
+GraphEngineArray::present(std::uint32_t row, std::uint64_t col) const
 {
-    return present_[static_cast<std::size_t>(row) * tileWidth() + col];
+    GRAPHR_ASSERT(row < crossbarDim_ && col < tileWidth(), "cell (", row,
+                  ",", col, ") outside tile");
+    const std::uint64_t word =
+        present_[(col / crossbarDim_) * crossbarDim_ + row];
+    return (word >> (col % crossbarDim_)) & 1u;
 }
 
 TileActivity
@@ -49,53 +68,57 @@ GraphEngineArray::programTile(std::span<const Edge> edges,
 {
     clearProgrammedState();
 
-    GRAPHR_ASSERT(crossbarDim_ <= 64,
-                  "row bitmap supports crossbars up to 64x64");
-    TileActivity activity;
-    // Per-crossbar row bitmap to account serial row writes.
-    std::vector<std::uint64_t> rows_touched(crossbars_.size(), 0);
-
-    // A crossbar cell holds one value: merge parallel edges first
-    // (sum for additive reduces, min for relaxation).
-    std::unordered_map<std::uint64_t, double> cells;
-    cells.reserve(edges.size());
-    for (const Edge &e : edges) {
+    // (crossbar, column, row) order is tile-column-major order: the
+    // order a plan's tile stream already arrives in (Eq. 8).
+    const std::uint64_t dim = crossbarDim_;
+    const auto cell_key = [row0, col0, dim](const Edge &e) {
+        return (e.dst - col0) * dim + (e.src - row0);
+    };
+    bool sorted = true;
+    for (std::size_t i = 0; i < edges.size(); ++i) {
+        const Edge &e = edges[i];
         GRAPHR_ASSERT(e.src >= row0 && e.src - row0 < crossbarDim_,
                       "edge row ", e.src, " outside tile at ", row0);
         GRAPHR_ASSERT(e.dst >= col0 && e.dst - col0 < tileWidth(),
                       "edge col ", e.dst, " outside tile at ", col0);
-        const auto row = static_cast<std::uint32_t>(e.src - row0);
-        const std::uint64_t col = e.dst - col0;
-        const std::uint64_t key =
-            static_cast<std::uint64_t>(row) * tileWidth() + col;
-        auto [it, inserted] = cells.try_emplace(key, e.weight);
-        if (!inserted) {
-            it->second = combine == CombineMode::kSum
-                             ? it->second + e.weight
-                             : std::min(it->second, e.weight);
+        if (i > 0 && cell_key(edges[i - 1]) > cell_key(e))
+            sorted = false;
+    }
+    std::span<const Edge> cells = edges;
+    if (!sorted) {
+        sorted_.assign(edges.begin(), edges.end());
+        std::stable_sort(sorted_.begin(), sorted_.end(),
+                         [&cell_key](const Edge &a, const Edge &b) {
+                             return cell_key(a) < cell_key(b);
+                         });
+        cells = sorted_;
+    }
+
+    // A crossbar cell holds one value: parallel edges are adjacent
+    // now, and fold in input order (sum for additive reduces, min for
+    // relaxation).
+    for (std::size_t i = 0; i < cells.size();) {
+        const std::uint64_t key = cell_key(cells[i]);
+        double weight = cells[i].weight;
+        std::size_t j = i + 1;
+        for (; j < cells.size() && cell_key(cells[j]) == key; ++j) {
+            weight = combine == CombineMode::kSum
+                         ? weight + cells[j].weight
+                         : std::min(weight, cells[j].weight);
         }
-        ++activity.cellWrites;
+        placeCell(static_cast<std::uint32_t>(key % dim), key / dim,
+                  FixedPoint::quantize(weight, weight_frac_bits));
+        i = j;
     }
 
-    for (const auto &[key, weight] : cells) {
-        const auto row =
-            static_cast<std::uint32_t>(key / tileWidth());
-        const std::uint64_t col = key % tileWidth();
-        const auto cb_index = static_cast<std::size_t>(col / crossbarDim_);
-        const auto cb_col = static_cast<std::uint32_t>(col % crossbarDim_);
-        crossbars_[cb_index].programValue(
-            row, cb_col, FixedPoint::quantize(weight, weight_frac_bits));
-        present_[key] = true;
-        ++crossbarNnz_[cb_index];
-        rows_touched[cb_index] |= (std::uint64_t{1} << row);
-    }
-
-    for (std::size_t cb = 0; cb < crossbars_.size(); ++cb) {
-        if (rows_touched[cb] == 0)
-            continue;
-        ++activity.crossbarsUsed;
-        const auto rows = static_cast<std::uint32_t>(
-            std::popcount(rows_touched[cb]));
+    TileActivity activity;
+    activity.cellWrites = edges.size();
+    activity.crossbarsUsed = static_cast<std::uint32_t>(occupied_.size());
+    for (const std::uint32_t cb : occupied_) {
+        const std::uint64_t *words = presenceOf(cb);
+        const auto rows = static_cast<std::uint32_t>(std::count_if(
+            words, words + crossbarDim_,
+            [](std::uint64_t w) { return w != 0; }));
         activity.maxRowsProgrammed =
             std::max(activity.maxRowsProgrammed, rows);
         // One array write op programs a whole occupied wordline (all
@@ -107,104 +130,77 @@ GraphEngineArray::programTile(std::span<const Edge> edges,
     return activity;
 }
 
-std::vector<double>
-GraphEngineArray::runMac(const std::vector<double> &input,
-                         int input_frac_bits, int weight_frac_bits)
-{
-    std::vector<double> out;
-    runMacInto(input, input_frac_bits, weight_frac_bits, out);
-    return out;
-}
-
 void
-GraphEngineArray::runMacInto(const std::vector<double> &input,
-                             int input_frac_bits, int weight_frac_bits,
-                             std::vector<double> &out)
+GraphEngineArray::runMac(const std::vector<double> &input,
+                         int input_frac_bits, int weight_frac_bits,
+                         std::vector<double> &out)
 {
     GRAPHR_ASSERT(input.size() == crossbarDim_, "input length ",
                   input.size(), " != C ", crossbarDim_);
 
-    rawInScratch_.resize(crossbarDim_);
-    std::vector<FixedPoint::Raw> &raw_in = rawInScratch_;
     for (std::uint32_t r = 0; r < crossbarDim_; ++r)
-        raw_in[r] = FixedPoint::quantize(input[r], input_frac_bits).raw();
+        rawIn_[r] = FixedPoint::quantize(input[r], input_frac_bits).raw();
 
     const double scale =
         static_cast<double>(1u << input_frac_bits) *
         static_cast<double>(1u << weight_frac_bits);
 
-    out.assign(tileWidth(), 0.0);
-    std::uint64_t reads = 0;
-    std::uint64_t samples = 0;
-    for (std::size_t cb = 0; cb < crossbars_.size(); ++cb) {
-        // Empty crossbars contribute all-zero columns and leave the
-        // variation RNG untouched (level-0 cells read exactly), so
-        // only the event charge below applies.
-        if (crossbarNnz_[cb] != 0) {
-            const std::vector<std::uint64_t> cols =
-                crossbars_[cb].mvmRaw(raw_in);
-            for (std::uint32_t c = 0; c < crossbarDim_; ++c) {
-                out[cb * crossbarDim_ + c] =
-                    static_cast<double>(cols[c]) / scale;
-            }
-        }
-        // One array read per input slice; one ADC sample per physical
-        // bitline (C values x weight slices) per input slice.
-        reads += params_.inputSlices;
-        samples += static_cast<std::uint64_t>(params_.inputSlices) *
-                   crossbarDim_ * params_.slicesPerValue();
+    out.resize(occupied_.size() * crossbarDim_);
+    for (std::size_t k = 0; k < occupied_.size(); ++k) {
+        crossbars_[occupied_[k]].mvmRawInto(rawIn_, columns_);
+        double *dst = out.data() + k * crossbarDim_;
+        for (std::uint32_t c = 0; c < crossbarDim_; ++c)
+            dst[c] = static_cast<double>(columns_[c]) / scale;
     }
 
-    ledger_.events().arrayReads += reads;
+    // Every crossbar of the array is read, occupied or not: one
+    // array read per input slice, one ADC sample per physical bitline
+    // (C values x weight slices) per input slice.
+    const std::uint64_t n = numCrossbars();
+    const auto in_slices = static_cast<std::uint64_t>(params_.inputSlices);
+    const std::uint64_t samples =
+        in_slices * crossbarDim_ * params_.slicesPerValue() * n;
+    ledger_.events().arrayReads += in_slices * n;
     ledger_.events().adcSamples += samples;
     ledger_.events().sampleHolds += samples;
     ledger_.events().shiftAdds += tileWidth();
 }
 
-std::vector<double>
-GraphEngineArray::runAddOp(std::uint32_t row, double dist_u,
-                           int weight_frac_bits)
-{
-    std::vector<double> out;
-    runAddOpInto(row, dist_u, weight_frac_bits, out);
-    return out;
-}
-
 void
-GraphEngineArray::runAddOpInto(std::uint32_t row, double dist_u,
-                               int weight_frac_bits,
-                               std::vector<double> &out)
+GraphEngineArray::runAddOp(std::uint32_t row, double dist_u,
+                           int weight_frac_bits, std::vector<double> &out)
 {
     GRAPHR_ASSERT(row < crossbarDim_, "row ", row, " outside tile");
 
-    out.assign(tileWidth(), kInfDistance);
     const double w_scale = static_cast<double>(1u << weight_frac_bits);
-
-    std::uint64_t reads = 0;
-    std::uint64_t samples = 0;
-    for (std::size_t cb = 0; cb < crossbars_.size(); ++cb) {
-        // Empty crossbars hold no edges in any row: skip the compute,
-        // keep the event charge.
-        if (crossbarNnz_[cb] != 0) {
-            const std::vector<FixedPoint::Raw> row_vals =
-                crossbars_[cb].selectRow(row);
-            for (std::uint32_t c = 0; c < crossbarDim_; ++c) {
-                const std::uint64_t col = cb * crossbarDim_ + c;
-                if (!presentAt(row, col))
-                    continue;
-                // The fixed "1" row adds dist(u) to each weight in
-                // analog (paper Fig. 16(c)); functionally that is
-                // w + dist_u.
-                out[col] =
-                    static_cast<double>(row_vals[c]) / w_scale + dist_u;
-            }
+    out.resize(occupied_.size() * crossbarDim_);
+    for (std::size_t k = 0; k < occupied_.size(); ++k) {
+        const std::uint32_t cb = occupied_[k];
+        double *dst = out.data() + k * crossbarDim_;
+        const std::uint64_t bits = presenceOf(cb)[row];
+        // A row without edges in this crossbar holds only level-0
+        // cells, so reading it draws no variation noise: skip it.
+        if (bits == 0) {
+            std::fill_n(dst, crossbarDim_, kInfDistance);
+            continue;
         }
-        reads += 1;
-        samples += static_cast<std::uint64_t>(crossbarDim_) *
-                   params_.slicesPerValue();
+        const std::vector<FixedPoint::Raw> row_vals =
+            crossbars_[cb].selectRow(row);
+        for (std::uint32_t c = 0; c < crossbarDim_; ++c) {
+            // The fixed "1" row adds dist(u) to each weight in analog
+            // (paper Fig. 16(c)); functionally that is w + dist_u.
+            dst[c] = (bits >> c) & 1u
+                         ? static_cast<double>(row_vals[c]) / w_scale +
+                               dist_u
+                         : kInfDistance;
+        }
     }
 
-    ledger_.events().arrayReads += reads;
+    // Every crossbar of the array reads the selected wordline.
+    const std::uint64_t n = numCrossbars();
+    const std::uint64_t samples =
+        n * crossbarDim_ * params_.slicesPerValue();
+    ledger_.events().arrayReads += n;
     ledger_.events().adcSamples += samples;
     ledger_.events().sampleHolds += samples;
     ledger_.events().shiftAdds += tileWidth();
@@ -215,19 +211,18 @@ GraphEngineArray::saveTile(int weight_frac_bits) const
 {
     TileSnapshot snapshot;
     snapshot.fracBits = weight_frac_bits;
-    // Scan only occupied crossbars: O(used crossbars * C^2), not the
-    // dense C x tileWidth presence grid.
-    for (std::size_t cb = 0; cb < crossbars_.size(); ++cb) {
-        if (crossbarNnz_[cb] == 0)
-            continue;
-        const std::uint64_t col0 = cb * crossbarDim_;
+    for (const std::uint32_t cb : occupied_) {
+        const std::uint64_t col0 =
+            static_cast<std::uint64_t>(cb) * crossbarDim_;
         for (std::uint32_t row = 0; row < crossbarDim_; ++row) {
-            for (std::uint32_t c = 0; c < crossbarDim_; ++c) {
-                const std::uint64_t col = col0 + c;
-                if (!presentAt(row, col))
-                    continue;
+            std::uint64_t bits =
+                present_[static_cast<std::size_t>(cb) * crossbarDim_ + row];
+            while (bits != 0) {
+                const auto c =
+                    static_cast<std::uint32_t>(std::countr_zero(bits));
+                bits &= bits - 1;
                 snapshot.cells.push_back(TileSnapshot::CellValue{
-                    row, col, crossbars_[cb].storedRaw(row, c)});
+                    row, col0 + c, crossbars_[cb].storedRaw(row, c)});
             }
         }
     }
@@ -239,26 +234,9 @@ GraphEngineArray::loadTile(const TileSnapshot &snapshot)
 {
     clearProgrammedState();
     for (const TileSnapshot::CellValue &cell : snapshot.cells) {
-        const auto cb = static_cast<std::size_t>(cell.col / crossbarDim_);
-        const auto cb_col =
-            static_cast<std::uint32_t>(cell.col % crossbarDim_);
-        crossbars_[cb].programValue(
-            cell.row, cb_col,
-            FixedPoint::fromRaw(cell.raw, snapshot.fracBits));
-        present_[static_cast<std::size_t>(cell.row) * tileWidth() +
-                 cell.col] = true;
-        ++crossbarNnz_[cb];
+        placeCell(cell.row, cell.col,
+                  FixedPoint::fromRaw(cell.raw, snapshot.fracBits));
     }
-}
-
-std::vector<bool>
-GraphEngineArray::rowMask(std::uint32_t row) const
-{
-    GRAPHR_ASSERT(row < crossbarDim_, "row outside tile");
-    std::vector<bool> mask(tileWidth(), false);
-    for (std::uint64_t col = 0; col < tileWidth(); ++col)
-        mask[col] = presentAt(row, col);
-    return mask;
 }
 
 void

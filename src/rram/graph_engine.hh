@@ -65,8 +65,8 @@ struct TileActivity
  * The snapshot stores logical (row, col, raw) triples, independent of
  * the crossbar's internal layout: loadTile() re-packs them through
  * programValue(), which rebuilds the SoA slice planes, the packed raw
- * plane and the row-occupancy mask consistently. Snapshots taken
- * before the SoA refactor therefore replay identically.
+ * plane and the row-occupancy mask consistently. Cells are in
+ * crossbar order (ascending col / C), as saveTile() writes them.
  */
 struct TileSnapshot
 {
@@ -83,6 +83,15 @@ struct TileSnapshot
 /**
  * Functional model of the full GE array of a GraphR node operating on
  * one tile at a time.
+ *
+ * A tile at the paper's tiling spans 2,048 crossbars but holds a few
+ * dozen edges, so the array does host work only for its *occupied*
+ * crossbars (those holding at least one programmed cell): it keeps
+ * them as an ascending list, clears only them on reprogram, and
+ * returns MAC and add-op results in compact form — C columns per
+ * occupied crossbar, in occupiedCrossbars() order. The device events
+ * still cover every crossbar of the array: the ledger charges them in
+ * closed form.
  */
 class GraphEngineArray
 {
@@ -112,13 +121,28 @@ class GraphEngineArray
      * Program a tile's edges. Edge coordinates are absolute; the
      * tile origin (row0, col0) maps them into [0, C) x [0,
      * tileWidth). Weights are quantised with weight_frac_bits
-     * fractional bits; parallel edges are merged per @p combine.
-     * Returns the activity (also accumulated into the ledger).
+     * fractional bits; parallel edges are merged per @p combine, in
+     * input order. Edges already in (crossbar, column, row) order —
+     * a plan's tile stream — are walked as given; others go through
+     * a stable sort first. Returns the activity (also accumulated
+     * into the ledger).
      */
     TileActivity programTile(std::span<const Edge> edges,
                              std::uint64_t row0, std::uint64_t col0,
                              int weight_frac_bits,
                              CombineMode combine = CombineMode::kSum);
+
+    /**
+     * Ascending indices of the crossbars the current tile occupies.
+     * Compact results hold C values per entry: value k * C + c is
+     * tile column occupiedCrossbars()[k] * C + c. Every other column
+     * is 0 for a MAC and +infinity for an add-op.
+     */
+    std::span<const std::uint32_t>
+    occupiedCrossbars() const
+    {
+        return occupied_;
+    }
 
     /**
      * Parallel MAC over the programmed tile: y[col] += x[row] *
@@ -128,39 +152,27 @@ class GraphEngineArray
      *        input_frac_bits
      * @param input_frac_bits input quantisation
      * @param weight_frac_bits must match programTile's
-     * @return tileWidth() real-valued column sums
+     * @param out compact real-valued column sums (see
+     *        occupiedCrossbars()); resized, reuse it across tiles
      */
-    std::vector<double> runMac(const std::vector<double> &input,
-                               int input_frac_bits, int weight_frac_bits);
-
-    /**
-     * runMac() into a caller-owned buffer (resized to tileWidth()):
-     * the tile walks call this once per tile, so reusing one buffer
-     * avoids a tileWidth-sized allocation per tile. Identical
-     * results and event accounting to runMac().
-     */
-    void runMacInto(const std::vector<double> &input,
-                    int input_frac_bits, int weight_frac_bits,
-                    std::vector<double> &out);
+    void runMac(const std::vector<double> &input, int input_frac_bits,
+                int weight_frac_bits, std::vector<double> &out);
 
     /**
      * Parallel add-op for one active source row (paper section 4.2,
-     * Fig. 16(c)): returns dist_u + W[row][col] for every column that
-     * holds an edge, and +infinity for absent columns.
+     * Fig. 16(c)): dist_u + W[row][col] for every column that holds
+     * an edge, and +infinity for absent columns, in compact form.
      *
      * @param row tile-relative source row
      * @param dist_u current distance label of the source
      * @param weight_frac_bits quantisation used when programming
+     * @param out compact candidates (see occupiedCrossbars())
      */
-    std::vector<double> runAddOp(std::uint32_t row, double dist_u,
-                                 int weight_frac_bits);
+    void runAddOp(std::uint32_t row, double dist_u, int weight_frac_bits,
+                  std::vector<double> &out);
 
-    /** runAddOp() into a caller-owned buffer; see runMacInto(). */
-    void runAddOpInto(std::uint32_t row, double dist_u,
-                      int weight_frac_bits, std::vector<double> &out);
-
-    /** Mask of columns holding a nonzero in the given row. */
-    std::vector<bool> rowMask(std::uint32_t row) const;
+    /** Does tile-relative cell (row, col) hold an edge? */
+    bool present(std::uint32_t row, std::uint64_t col) const;
 
     /**
      * Capture the currently programmed tile (exact stored raw values;
@@ -186,23 +198,38 @@ class GraphEngineArray
     DeviceParams params_;
     EnergyLedger &ledger_;
     std::vector<Crossbar> crossbars_;
-    /** Presence mask: does (row, col) hold an edge? Tile-relative. */
-    std::vector<bool> present_;
     /**
-     * Nonzero cells per crossbar. Empty crossbars produce all-zero
-     * MVM columns and never touch the variation RNG (level-0 cells
-     * read exactly), so compute skips them — a large win on sparse
-     * tiles — while event accounting still covers the full array.
+     * Ascending indices of the crossbars holding programmed cells.
+     * Empty crossbars produce all-zero MVM columns and never touch
+     * the variation RNG (level-0 cells read exactly), so compute
+     * walks only these — and, each crossbar owning its RNG, walking
+     * them in ascending order leaves every variation draw in place.
      */
-    std::vector<std::uint32_t> crossbarNnz_;
-    /** Scratch input-quantisation buffer reused by runMacInto(). */
-    std::vector<FixedPoint::Raw> rawInScratch_;
+    std::vector<std::uint32_t> occupied_;
+    /**
+     * Presence, crossbar-major: word cb * C + row has bit c set when
+     * tile cell (row, cb * C + c) holds an edge (C <= 64). A cell may
+     * be present with a zero value (WCC programs zero weights).
+     */
+    std::vector<std::uint64_t> present_;
+    /** Scratch reused across calls: the MAC hot loop never allocates. */
+    std::vector<FixedPoint::Raw> rawIn_;
+    std::vector<std::uint64_t> columns_;
+    std::vector<Edge> sorted_;
     Salu salu_{SaluOp::kAdd};
 
-    bool presentAt(std::uint32_t row, std::uint64_t col) const;
+    /** First presence word of crossbar @p cb. */
+    std::uint64_t *
+    presenceOf(std::uint32_t cb)
+    {
+        return present_.data() + static_cast<std::size_t>(cb) * crossbarDim_;
+    }
 
-    /** Zero every occupied crossbar and the presence state. */
+    /** Zero every occupied crossbar and its presence words. */
     void clearProgrammedState();
+
+    /** Store one cell's value and presence bit. */
+    void placeCell(std::uint32_t row, std::uint64_t col, FixedPoint value);
 };
 
 } // namespace graphr

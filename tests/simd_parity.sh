@@ -3,7 +3,9 @@
 # byte-identical JSON reports whether the crossbar MVM accumulates
 # through the scalar kernel (GRAPHR_SIMD=scalar) or whatever tier the
 # cpuid dispatcher picks (unset), and — where the host supports it —
-# under an explicit GRAPHR_SIMD=avx2.
+# under an explicit GRAPHR_SIMD=avx2. The reports hold the modelled
+# schedule, not the functional outputs; SimdSweepParityTest in
+# tests/test_engine.cc compares those across tiers.
 #
 # Usage: simd_parity.sh <path-to-graphr_run>
 set -euo pipefail

@@ -6,7 +6,7 @@
  * vs reference equivalence for all six algorithms through the shared
  * TileExecutor, resident-weight (ProgramCharging::kOnce) program
  * counting, the driver's golden-PageRank cache, and SIMD-tier
- * independence of whole-sweep JSON reports.
+ * independence of whole-sweep JSON reports and functional outputs.
  */
 
 #include <gtest/gtest.h>
@@ -33,7 +33,7 @@ namespace graphr
 namespace
 {
 
-/** Small tiling so functional runs stay fast. */
+/** Small tiling so a small graph spans many tiles. */
 GraphRConfig
 functionalConfig()
 {
@@ -483,13 +483,46 @@ TEST(EngineReportTest, CacheHitReportIdenticalToCacheMiss)
 
 // ------------------------------------------------ SIMD tier parity
 
+/**
+ * Every output vector of one functional run of each GraphRNode
+ * workload, concatenated: ranks, SpMV result, BFS and SSSP distances,
+ * WCC labels.
+ */
+std::vector<double>
+functionalOutputs(const CooGraph &g, const GraphRConfig &cfg)
+{
+    GraphRNode node(cfg);
+    std::vector<double> all;
+    std::vector<Value> out;
+    const auto append = [&all](const auto &values) {
+        all.insert(all.end(), values.begin(), values.end());
+    };
+    PageRankParams params;
+    params.maxIterations = 3;
+    params.tolerance = 0.0;
+    node.runPageRank(g, params, &out);
+    append(out);
+    node.runSpmv(g, std::vector<Value>(g.numVertices(), 1.0), &out);
+    append(out);
+    node.runBfs(g, 0, &out);
+    append(out);
+    node.runSssp(g, 0, &out);
+    append(out);
+    std::vector<VertexId> labels;
+    node.runWcc(g, &labels);
+    append(labels);
+    return all;
+}
+
 TEST(SimdSweepParityTest, FunctionalSweepJsonIdenticalAcrossTiers)
 {
-    // The whole-system bit-exactness contract: a functional sweep of
-    // all six algorithms must serialise to byte-identical JSON no
-    // matter which kernel tier accumulates the crossbar MVMs. This is
-    // what lets CI run GRAPHR_SIMD=scalar and GRAPHR_SIMD=avx2 jobs
-    // against the same goldens.
+    // A functional run must not depend on which kernel tier
+    // accumulates the crossbar MVMs; this is what lets CI run
+    // GRAPHR_SIMD=scalar and GRAPHR_SIMD=avx2 jobs against the same
+    // goldens. The sweep JSON holds the modelled schedule (time,
+    // energy, counts) and no functional output, so a tier that
+    // computed wrong ranks would still match there: the node's output
+    // vectors are compared as well.
     const simd::Level original = simd::activeLevel();
 
     driver::SweepSpec spec;
@@ -510,18 +543,29 @@ TEST(SimdSweepParityTest, FunctionalSweepJsonIdenticalAcrossTiers)
         driver::writeResultsJson(os, driver::runSweep(spec));
         return os.str();
     };
+    const CooGraph g = makeRmat({.numVertices = 256,
+                                 .numEdges = 2048,
+                                 .maxWeight = 15.0,
+                                 .seed = 3});
 
     simd::setActiveLevelForTest(simd::Level::kScalar);
     const std::string scalar_json = sweep_json();
+    const std::vector<double> scalar_out =
+        functionalOutputs(g, spec.backendOptions.config);
 
     simd::setActiveLevelForTest(simd::bestSupportedLevel());
     const std::string best_json = sweep_json();
+    const std::vector<double> best_out =
+        functionalOutputs(g, spec.backendOptions.config);
 
     simd::setActiveLevelForTest(original);
 
     ASSERT_FALSE(scalar_json.empty());
     EXPECT_EQ(scalar_json, best_json)
-        << "functional sweep output depends on the SIMD tier";
+        << "functional sweep report depends on the SIMD tier";
+    ASSERT_EQ(scalar_out.size(), 5u * g.numVertices());
+    EXPECT_EQ(scalar_out, best_out)
+        << "functional outputs depend on the SIMD tier";
 }
 
 } // namespace

@@ -5,8 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
 #include <sstream>
+#include <string>
 
 #include "graph/generator.hh"
 #include "graph/io.hh"
@@ -76,6 +78,41 @@ TEST(TextIoTest, VertexIdBeyondTheVertexIdRangeThrows)
     EXPECT_THROW(loadEdgeListText(in), GraphIoError);
 }
 
+/** The GraphIoError message @p fn throws, or "" if it returns. */
+template <typename Fn>
+std::string
+ioError(Fn &&fn)
+{
+    try {
+        fn();
+    } catch (const GraphIoError &e) {
+        return e.what();
+    }
+    return "";
+}
+
+TEST(TextIoTest, NegativeOrNanWeightThrowsNamingTheLine)
+{
+    for (const char *text : {"0 1 1\n0 1 -2.5\n", "0 1 1\n1 2 nan\n"}) {
+        std::stringstream in(text);
+        const std::string msg =
+            ioError([&in] { loadEdgeListText(in); });
+        EXPECT_NE(msg.find("negative or NaN weight at line 2"),
+                  std::string::npos)
+            << msg;
+    }
+    // A negative cycle would keep SSSP relaxing forever.
+    std::stringstream cycle("0 1 -2.5\n1 2 1\n2 0 1\n");
+    EXPECT_THROW(loadEdgeListText(cycle), GraphIoError);
+    // Zero (either sign) is a weight; junk in the column is not.
+    std::stringstream zero("0 1 0\n1 0 -0\n");
+    EXPECT_EQ(loadEdgeListText(zero).numEdges(), 2u);
+    std::stringstream junk("0 1 3abc\n");
+    EXPECT_NE(ioError([&junk] { loadEdgeListText(junk); })
+                  .find("malformed weight at line 1"),
+              std::string::npos);
+}
+
 TEST(TextIoTest, MissingFileThrows)
 {
     EXPECT_THROW(loadEdgeListText("/nonexistent/graph.txt"),
@@ -125,6 +162,20 @@ TEST(BinaryIoTest, RejectsAnEndpointBeyondTheVertexCount)
     std::memcpy(bytes.data() + 8, &vertices, sizeof(vertices));
     std::stringstream bad(bytes);
     EXPECT_THROW(loadBinary(bad), GraphIoError);
+}
+
+TEST(BinaryIoTest, RejectsANegativeOrNanWeightNamingTheEdge)
+{
+    for (const double bad : {-2.5, std::nan("")}) {
+        const CooGraph g(3, {{0, 1, 1.0}, {1, 2, bad}});
+        std::stringstream buffer;
+        saveBinary(g, buffer);
+        const std::string msg =
+            ioError([&buffer] { loadBinary(buffer); });
+        EXPECT_NE(msg.find("edge 1 (1,2) has a negative or NaN weight"),
+                  std::string::npos)
+            << msg;
+    }
 }
 
 TEST(BinaryIoTest, EmptyGraphRoundTrips)

@@ -21,7 +21,7 @@ namespace graphr
 namespace
 {
 
-/** Small tiling so functional runs stay fast. */
+/** Small tiling so a small graph spans many tiles. */
 GraphRConfig
 functionalConfig()
 {

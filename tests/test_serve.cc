@@ -191,6 +191,29 @@ TEST_F(ServeTest, UnreadableDatasetFilesAreErrorsAndServingContinues)
     fs::remove_all(dir);
 }
 
+TEST_F(ServeTest, ANegativeWeightIsAnErrorAndServingContinues)
+{
+    // Crossbar cells are unsigned: a functional SpMV on this file
+    // used to abort the daemon in weight quantisation. The loader now
+    // refuses the weight, and the next request is served.
+    const fs::path dir = fs::path(::testing::TempDir()) / "serve_neg";
+    fs::remove_all(dir);
+    fs::create_directories(dir);
+    const fs::path negative = dir / "negative.txt";
+    std::ofstream(negative) << "0 1 -2.5\n1 2 1\n2 0 1\n";
+    const auto out = lines(serveText(
+        R"({"id":"neg","type":"run","workload":"spmv",)"
+        R"("backend":"graphr","functional":true,"dataset":"file:)" +
+        negative.string() + "\"}\n" +
+        R"({"id":"good","type":"run","workload":"spmv",)"
+        R"("backend":"graphr","functional":true,"dataset":"chain:n=16"})"
+        "\n"));
+    ASSERT_EQ(out.size(), 2u);
+    expectError(out[0], "neg", "negative or NaN weight at line 1");
+    EXPECT_TRUE(parsedResponse(out[1]).find("ok")->asBool()) << out[1];
+    fs::remove_all(dir);
+}
+
 TEST_F(ServeTest, ALastLineWithoutANewlineIsAnsweredAtEof)
 {
     const auto out = lines(serveText(R"({"id":"q","type":"status"})"));
