@@ -31,7 +31,6 @@ relax(const CooGraph &graph, VertexId source, bool unit_weights)
     std::uint64_t active_count = 1;
 
     while (active_count > 0) {
-        result.activePerRound.push_back(active_count);
         std::vector<bool> next_active(nv, false);
         std::uint64_t next_count = 0;
         for (VertexId u = 0; u < nv; ++u) {

@@ -24,8 +24,6 @@ struct TraversalResult
     std::vector<Value> dist;       ///< distance label per vertex
     std::vector<VertexId> parent;  ///< shortest-path tree parent
     int iterations = 0;            ///< synchronous rounds executed
-    /** Active-vertex count per round (drives the GraphR cost model). */
-    std::vector<std::uint64_t> activePerRound;
 };
 
 /**
@@ -89,6 +87,10 @@ class RelaxationSweep
 
     /** Count of active vertices. */
     std::uint64_t activeCount() const { return activeCount_; }
+
+    /** The graph's out-adjacency the rounds relax over (the baseline
+     *  cost models read per-vertex degrees and neighbours from it). */
+    const CsrGraph &outAdjacency() const { return outAdj_; }
 
     /** Execute one synchronous round; returns updated-vertex count. */
     std::uint64_t step();

@@ -131,7 +131,7 @@ relaxationTrace(const CooGraph &graph, RelaxationSweep &sweep,
     report.platform = "cpu";
     report.algorithm = name;
 
-    CsrGraph out(graph, CsrGraph::Direction::kOut);
+    const CsrGraph &out = sweep.outAdjacency();
     CacheHierarchy cache(params.cache);
 
     // GridGraph-style P x P grid: P chosen so a vertex chunk is

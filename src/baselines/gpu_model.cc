@@ -88,7 +88,7 @@ gpuRelaxation(const CooGraph &graph, RelaxationSweep &sweep,
 
     // Replay the synchronous rounds to obtain per-round frontier and
     // edge volumes (Gunrock advance+filter).
-    CsrGraph out(graph, CsrGraph::Direction::kOut);
+    const CsrGraph &out = sweep.outAdjacency();
     const double bw = params.memBandwidthGBs * 1e9 *
                       params.bandwidthEfficiency;
 

@@ -78,7 +78,7 @@ pimRelaxation(const CooGraph &graph, RelaxationSweep &sweep,
     report.platform = "pim";
     report.algorithm = name;
 
-    CsrGraph out(graph, CsrGraph::Direction::kOut);
+    const CsrGraph &out = sweep.outAdjacency();
     double seconds = 0.0;
     while (!sweep.done()) {
         const std::vector<bool> &active = sweep.active();

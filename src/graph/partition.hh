@@ -84,6 +84,20 @@ class GridPartition
     std::uint64_t tileWidth() const { return tileWidth_; }
     /** Tile capacity in cells: C * tileWidth. */
     std::uint64_t tileCapacity() const { return tileCapacity_; }
+
+    /**
+     * Occupancy of @p tiles non-empty tiles holding @p nnz edges:
+     * nnz / (tiles * tileCapacity), 0 without tiles.
+     */
+    double
+    occupancy(std::uint64_t nnz, std::uint64_t tiles) const
+    {
+        if (tiles == 0)
+            return 0.0;
+        return static_cast<double>(nnz) /
+               (static_cast<double>(tiles) *
+                static_cast<double>(tileCapacity_));
+    }
     /** Effective block size B after padding. */
     std::uint64_t blockSize() const { return blockSize_; }
     /** Vertex count padded up so B | V and tiles divide B exactly. */

@@ -133,12 +133,7 @@ OrderedEdgeList::OrderedEdgeList(const GridPartition &partition,
 double
 OrderedEdgeList::occupancy() const
 {
-    if (tiles_.empty())
-        return 0.0;
-    const double nnz = static_cast<double>(edges_.size());
-    const double cells = static_cast<double>(tiles_.size()) *
-                         static_cast<double>(partition_.tileCapacity());
-    return nnz / cells;
+    return partition_.occupancy(edges_.size(), tiles_.size());
 }
 
 std::vector<TileSpan>

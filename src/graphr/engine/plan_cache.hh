@@ -124,9 +124,12 @@ class PlanCache
     Stats stats() const { return cache_.stats(); }
 
     /**
-     * Default entry count: enough for a full `--backend all` sweep on
-     * one dataset (graph + symmetrised graph + the multinode stripes
-     * and their symmetrised variants) without thrashing.
+     * Default entry count. Every backend of a dataset needs at most
+     * two plans per tiling, the graph's and its symmetrised copy's
+     * (multinode stripes are ranges of the graph's plan, not plans
+     * of their own). So 32 entries hold the plans of sixteen
+     * datasets: a multi-dataset `--backend all` sweep, or twice the
+     * eight datasets `graphr_serve` keeps resident.
      */
     static constexpr std::size_t kDefaultCapacity = 32;
 

@@ -105,35 +105,45 @@ TileExecutor::~TileExecutor() = default;
 TileExecutor::TileExecutor(TileExecutor &&) noexcept = default;
 TileExecutor &TileExecutor::operator=(TileExecutor &&) noexcept = default;
 
+/** Cost sums of one MAC pass over a set of tiles. */
+struct TileExecutor::MacSums
+{
+    EnergyEvents events;
+    double loadNs = 0.0;     // program+stream phase, one sweep
+    double computeNs = 0.0;  // evaluation phase, one sweep
+    double combinedNs = 0.0; // all phases fused (kPerSweep)
+    double programNs = 0.0;
+    double streamNs = 0.0;
+    std::uint64_t tiles = 0;
+    std::uint64_t nnz = 0;
+};
+
+void
+TileExecutor::addMacTile(MacSums &sums, const TileMeta &meta,
+                         std::uint32_t passes) const
+{
+    // One tile yields both its per-sweep compute phase and its
+    // programming/streaming (load) phase; the charging policy decides
+    // whether the latter repeats per sweep.
+    const TileCost cost = costModel_.macTile(meta, sums.events, passes);
+    sums.programNs += cost.programNs;
+    sums.streamNs += cost.streamNs;
+    sums.computeNs += cost.computeNs;
+    sums.combinedNs += cost.totalNs(config_.pipelineTiles);
+    sums.loadNs += config_.pipelineTiles
+                       ? std::max(cost.overlappedProgramNs, cost.streamNs)
+                       : cost.programNs + cost.streamNs;
+    ++sums.tiles;
+    sums.nnz += meta.nnz;
+}
+
 SimReport
-TileExecutor::macReport(const MacSpec &spec) const
+TileExecutor::finishMac(const MacSpec &spec, const MacSums &sums) const
 {
     SimReport report;
     report.algorithm = spec.name;
     report.iterations = spec.sweeps;
-    report.occupancy = plan_->ordered.occupancy();
-
-    // One pass over the tile table yields both the per-sweep compute
-    // phase and the programming/streaming (load) phase; the charging
-    // policy decides whether the latter repeats per sweep.
-    EnergyEvents tile_events;
-    double load_ns = 0.0;    // program+stream phase, one sweep
-    double compute_ns = 0.0; // evaluation phase, one sweep
-    double combined_ns = 0.0; // all phases fused (kPerSweep)
-    double prog_ns = 0.0;
-    double stream_ns = 0.0;
-    for (const TileMeta &meta : plan_->meta.tiles()) {
-        const TileCost cost =
-            costModel_.macTile(meta, tile_events, spec.passesPerTile);
-        prog_ns += cost.programNs;
-        stream_ns += cost.streamNs;
-        compute_ns += cost.computeNs;
-        combined_ns += cost.totalNs(config_.pipelineTiles);
-        load_ns += config_.pipelineTiles
-                       ? std::max(cost.overlappedProgramNs,
-                                  cost.streamNs)
-                       : cost.programNs + cost.streamNs;
-    }
+    report.occupancy = plan_->partition.occupancy(sums.nnz, sums.tiles);
 
     const double sweeps_d = static_cast<double>(spec.sweeps);
     const double overhead_ns =
@@ -142,29 +152,27 @@ TileExecutor::macReport(const MacSpec &spec) const
 
     double total_ns = 0.0;
     if (once) {
-        total_ns = load_ns + compute_ns * sweeps_d + overhead_ns;
-        report.programSeconds = prog_ns * 1e-9;
-        report.streamSeconds = stream_ns * 1e-9;
+        total_ns = sums.loadNs + sums.computeNs * sweeps_d + overhead_ns;
+        report.programSeconds = sums.programNs * 1e-9;
+        report.streamSeconds = sums.streamNs * 1e-9;
     } else {
-        total_ns = combined_ns * sweeps_d + overhead_ns;
-        report.programSeconds = prog_ns * 1e-9 * sweeps_d;
-        report.streamSeconds = stream_ns * 1e-9 * sweeps_d;
+        total_ns = sums.combinedNs * sweeps_d + overhead_ns;
+        report.programSeconds = sums.programNs * 1e-9 * sweeps_d;
+        report.streamSeconds = sums.streamNs * 1e-9 * sweeps_d;
     }
-    report.computeSeconds = compute_ns * 1e-9 * sweeps_d;
+    report.computeSeconds = sums.computeNs * 1e-9 * sweeps_d;
     report.seconds = total_ns * 1e-9;
 
-    const auto tiles = static_cast<std::uint64_t>(
-        plan_->meta.tiles().size());
-    report.tilesProcessed = tiles * spec.sweeps;
+    report.tilesProcessed = sums.tiles * spec.sweeps;
     report.tilesSkipped =
-        (plan_->partition.numTiles() - tiles) * spec.sweeps;
-    report.edgesProcessed = plan_->meta.totalNnz() * spec.sweeps;
+        (plan_->partition.numTiles() - sums.tiles) * spec.sweeps;
+    report.edgesProcessed = sums.nnz * spec.sweeps;
 
     // Split events: programming/streaming vs evaluation.
     EnergyEvents load_events;
-    load_events.arrayWrites = tile_events.arrayWrites;
-    load_events.memBytes = tile_events.memBytes;
-    EnergyEvents compute_events = tile_events;
+    load_events.arrayWrites = sums.events.arrayWrites;
+    load_events.memBytes = sums.events.memBytes;
+    EnergyEvents compute_events = sums.events;
     compute_events.arrayWrites = 0;
     compute_events.memBytes = 0;
 
@@ -179,6 +187,58 @@ TileExecutor::macReport(const MacSpec &spec) const
     }
     finalizeReport(report, config_.device, total);
     return report;
+}
+
+SimReport
+TileExecutor::macReport(const MacSpec &spec) const
+{
+    MacSums sums;
+    for (const TileMeta &meta : plan_->meta.tiles())
+        addMacTile(sums, meta, spec.passesPerTile);
+    return finishMac(spec, sums);
+}
+
+std::vector<SimReport>
+TileExecutor::macStripeReports(const MacSpec &spec,
+                               std::uint32_t num_stripes) const
+{
+    GRAPHR_ASSERT(num_stripes > 0, "need at least one stripe");
+    const GridPartition &part = plan_->partition;
+    const std::uint64_t width =
+        (part.numVertices() + num_stripes - 1) / num_stripes;
+    std::vector<MacSums> sums(num_stripes);
+
+    const std::vector<TileMeta> &tiles = plan_->meta.tiles();
+    for (std::size_t t = 0; t < tiles.size(); ++t) {
+        // Tile edges ascend by destination, so the stripes split a
+        // tile into one contiguous run of edges each.
+        std::span<const Edge> edges =
+            plan_->ordered.tileEdges(plan_->ordered.tiles()[t]);
+        const std::uint64_t first = edges.front().dst / width;
+        if (edges.back().dst / width == first) {
+            addMacTile(sums[first], tiles[t], spec.passesPerTile);
+            continue;
+        }
+        while (!edges.empty()) {
+            const std::uint64_t stripe = edges.front().dst / width;
+            const std::uint64_t end = (stripe + 1) * width;
+            const auto run_end = std::partition_point(
+                edges.begin(), edges.end(),
+                [end](const Edge &e) { return e.dst < end; });
+            const std::span<const Edge> run(edges.begin(), run_end);
+            addMacTile(sums[stripe],
+                       describeTile(part, tiles[t].tileIndex, run),
+                       spec.passesPerTile);
+            edges = edges.subspan(run.size());
+        }
+    }
+
+    std::vector<SimReport> reports(num_stripes);
+    for (std::uint32_t k = 0; k < num_stripes; ++k) {
+        if (sums[k].tiles > 0)
+            reports[k] = finishMac(spec, sums[k]);
+    }
+    return reports;
 }
 
 void
@@ -272,6 +332,8 @@ TileExecutor::addOpRun(const CooGraph &graph, const AddOpSpec &spec,
                           spec.mode);
     while (!sweep.done()) {
         const std::vector<bool> &active = sweep.active();
+        if (spec.onRound)
+            spec.onRound(active);
         for (const TileMeta &meta : plan_->meta.tiles()) {
             const std::uint64_t mask =
                 meta.rowMask & activeMask(active, meta.row0, dim);

@@ -60,12 +60,21 @@ struct MacSpec
     bool applyVariation = true;
 };
 
+/** Receives the active set of each add-op round (see AddOpSpec). */
+using RoundObserver = std::function<void(const std::vector<bool> &active)>;
+
 /** Initial state of an add-op (min-relaxation) execution. */
 struct AddOpSpec
 {
     std::vector<Value> initLabels;
     std::vector<bool> initActive;
     WeightMode mode = WeightMode::kOriginal;
+    /**
+     * Optional: called with every timing round's active set, in round
+     * order, before the round's tiles are priced. The out-of-core
+     * runner derives its selective disk schedule from it.
+     */
+    RoundObserver onRound;
 };
 
 /** Counters one executor keeps about its run (tests and benches). */
@@ -114,6 +123,21 @@ class TileExecutor
     SimReport macReport(const MacSpec &spec) const;
 
     /**
+     * macReport() per destination stripe, in one pass over the plan:
+     * stripe k holds the edges whose destination lies in
+     * [k*w, (k+1)*w), w = ceil(V / @p num_stripes). Report k equals
+     * macReport() on the plan of stripe k's edges alone (the
+     * multi-node cluster's per-node sweep); a stripe without edges
+     * gets an all-zero report. A tile inside one stripe is priced
+     * from its stored TileMeta; a tile the stripes split is priced
+     * per run of its edges (describeTile), with no copy. Each
+     * stripe's costs are summed in plan tile order — the order its
+     * own plan would have — so the doubles match exactly.
+     */
+    std::vector<SimReport> macStripeReports(const MacSpec &spec,
+                                            std::uint32_t num_stripes) const;
+
+    /**
      * One functional MAC sweep over every tile of the plan:
      * program (or, resident, reload) each tile, apply the matching
      * rows of @p input, and sALU-reduce the partial column sums into
@@ -125,9 +149,9 @@ class TileExecutor
 
     /**
      * Complete add-op run: the timing walk over the relaxation rounds
-     * (active-masked tiles priced by the cost model) and — in
-     * functional mode, when @p labels_out is non-null — the GE
-     * datapath execution. (The former GraphRNode::runAddOpRounds.)
+     * (active-masked tiles priced by the cost model, each round shown
+     * to spec.onRound first) and — in functional mode, when
+     * @p labels_out is non-null — the GE datapath execution.
      */
     SimReport addOpRun(const CooGraph &graph, const AddOpSpec &spec,
                        const char *name,
@@ -138,6 +162,14 @@ class TileExecutor
 
   private:
     struct MacDatapath; ///< functional GE state (lazily built)
+    struct MacSums;     ///< one MAC pass's cost sums over some tiles
+
+    /** Price one tile of a MAC pass into @p sums. */
+    void addMacTile(MacSums &sums, const TileMeta &meta,
+                    std::uint32_t passes) const;
+
+    /** The report of @p spec's sweeps over the tiles in @p sums. */
+    SimReport finishMac(const MacSpec &spec, const MacSums &sums) const;
 
     bool
     residentWeights() const

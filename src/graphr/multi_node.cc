@@ -5,6 +5,7 @@
 #include "algorithms/traversal.hh"
 #include "algorithms/wcc.hh"
 #include "common/logging.hh"
+#include "graphr/engine/plan_cache.hh"
 
 namespace graphr
 {
@@ -18,48 +19,27 @@ MultiNodeGraphR::MultiNodeGraphR(const GraphRConfig &config,
     GRAPHR_ASSERT(numNodes_ > 0, "need at least one node");
 }
 
-std::vector<Edge>
-MultiNodeGraphR::stripeEdges(const CooGraph &graph,
-                             std::uint32_t node) const
-{
-    const std::uint64_t stripe =
-        (graph.numVertices() + numNodes_ - 1) / numNodes_;
-    const std::uint64_t lo = static_cast<std::uint64_t>(node) * stripe;
-    const std::uint64_t hi = lo + stripe;
-    std::vector<Edge> edges;
-    for (const Edge &e : graph.edges()) {
-        if (e.dst >= lo && e.dst < hi)
-            edges.push_back(e);
-    }
-    return edges;
-}
-
 MultiNodeReport
 MultiNodeGraphR::runSweeps(const CooGraph &graph,
                            std::uint64_t iterations,
-                           const SweepFn &sweep_fn,
-                           double props_per_vertex)
+                           const MacSpec &sweep,
+                           double props_per_vertex) const
 {
     MultiNodeReport report;
     report.numNodes = numNodes_;
     report.iterations = iterations;
 
     // Per-node sweep cost: one sweep over the node's destination
-    // stripe, costed by the workload's own node-level schedule.
+    // stripe, all stripes priced in one pass over the graph's plan.
+    // An empty stripe reads 0 s and 0 J.
+    const TileExecutor exec(
+        config_, PlanCache::instance().get(graph, config_.tiling));
     double max_sweep_s = 0.0;
     double sweep_joules = 0.0;
-    for (std::uint32_t k = 0; k < numNodes_; ++k) {
-        std::vector<Edge> edges = stripeEdges(graph, k);
-        if (edges.empty()) {
-            report.nodeSweepSeconds.push_back(0.0);
-            continue;
-        }
-        const CooGraph sub(graph.numVertices(), std::move(edges));
-        GraphRNode node(config_);
-        const SimReport sweep = sweep_fn(node, sub);
-        report.nodeSweepSeconds.push_back(sweep.seconds);
-        max_sweep_s = std::max(max_sweep_s, sweep.seconds);
-        sweep_joules += sweep.joules;
+    for (const SimReport &node : exec.macStripeReports(sweep, numNodes_)) {
+        report.nodeSweepSeconds.push_back(node.seconds);
+        max_sweep_s = std::max(max_sweep_s, node.seconds);
+        sweep_joules += node.joules;
     }
 
     // All-gather: each node broadcasts its stripe's updated
@@ -90,12 +70,14 @@ namespace
 {
 
 /** One SpMV-shaped sweep: the per-iteration tile schedule shared by
- *  PageRank and the add-op rounds' conservative bound. */
-SimReport
-spmvSweep(GraphRNode &node, const CooGraph &sub)
+ *  PageRank and the add-op rounds' conservative bound (the schedule
+ *  GraphRNode::runSpmv prices). */
+MacSpec
+spmvSweep()
 {
-    const std::vector<Value> x(sub.numVertices(), 1.0);
-    return node.runSpmv(sub, x);
+    MacSpec spec;
+    spec.name = "spmv";
+    return spec;
 }
 
 } // namespace
@@ -109,13 +91,13 @@ MultiNodeGraphR::runPageRank(const CooGraph &graph,
     return runSweeps(graph,
                      static_cast<std::uint64_t>(
                          goldenPageRankIterations(graph, params)),
-                     spmvSweep, /*props_per_vertex=*/1.0);
+                     spmvSweep(), /*props_per_vertex=*/1.0);
 }
 
 MultiNodeReport
 MultiNodeGraphR::runSpmv(const CooGraph &graph)
 {
-    return runSweeps(graph, /*iterations=*/1, spmvSweep,
+    return runSweeps(graph, /*iterations=*/1, spmvSweep(),
                      /*props_per_vertex=*/1.0);
 }
 
@@ -125,7 +107,7 @@ MultiNodeGraphR::runBfs(const CooGraph &graph, VertexId source)
     return runSweeps(graph,
                      static_cast<std::uint64_t>(
                          goldenBfsRounds(graph, source)),
-                     spmvSweep, /*props_per_vertex=*/1.0);
+                     spmvSweep(), /*props_per_vertex=*/1.0);
 }
 
 MultiNodeReport
@@ -134,7 +116,7 @@ MultiNodeGraphR::runSssp(const CooGraph &graph, VertexId source)
     return runSweeps(graph,
                      static_cast<std::uint64_t>(
                          goldenSsspRounds(graph, source)),
-                     spmvSweep, /*props_per_vertex=*/1.0);
+                     spmvSweep(), /*props_per_vertex=*/1.0);
 }
 
 MultiNodeReport
@@ -144,23 +126,22 @@ MultiNodeGraphR::runWcc(const CooGraph &graph)
     // the symmetrised edges of its destination stripe.
     return runSweeps(*symmetrized(graph),
                      static_cast<std::uint64_t>(goldenWccRounds(graph)),
-                     spmvSweep, /*props_per_vertex=*/1.0);
+                     spmvSweep(), /*props_per_vertex=*/1.0);
 }
 
 MultiNodeReport
 MultiNodeGraphR::runCf(const CooGraph &ratings, const CfParams &params)
 {
+    GRAPHR_ASSERT(params.featureLength > 0, "feature length must be > 0");
     // Per epoch each stripe runs the node's own CF tile schedule
-    // (one MVM pass per feature, compute-phase scaling only); the
-    // all-gather moves whole factor rows.
-    CfParams epoch = params;
-    epoch.epochs = 1;
-    return runSweeps(
-        ratings, static_cast<std::uint64_t>(params.epochs),
-        [&epoch](GraphRNode &node, const CooGraph &sub) {
-            return node.runCf(sub, epoch);
-        },
-        static_cast<double>(params.featureLength));
+    // (GraphRNode::runCf for one epoch: one MVM pass per feature,
+    // compute-phase scaling only); the all-gather moves whole factor
+    // rows.
+    MacSpec epoch;
+    epoch.name = "cf";
+    epoch.passesPerTile = static_cast<std::uint32_t>(params.featureLength);
+    return runSweeps(ratings, static_cast<std::uint64_t>(params.epochs),
+                     epoch, static_cast<double>(params.featureLength));
 }
 
 } // namespace graphr

@@ -11,16 +11,25 @@
  * nodes sweep their stripes in parallel, then all-gather the updated
  * vertex properties over the interconnect so every node has the full
  * source vector for the next iteration.
+ *
+ * A stripe is a destination range of the graph's one plan, not a
+ * subgraph: TileExecutor::macStripeReports prices every stripe in one
+ * pass over that plan, exactly as a node holding only the stripe's
+ * edges would. A run therefore costs one pass plus one report per
+ * node, whatever the node count, and adds no plan beyond the graph's
+ * (and, for WCC, its symmetrised copy's). The cluster is timing-only:
+ * functional mode changes nothing here.
  */
 
 #ifndef GRAPHR_GRAPHR_MULTI_NODE_HH
 #define GRAPHR_GRAPHR_MULTI_NODE_HH
 
-#include <functional>
 #include <vector>
 
+#include "algorithms/collaborative_filtering.hh"
 #include "algorithms/pagerank.hh"
-#include "graphr/node.hh"
+#include "graphr/config.hh"
+#include "graphr/engine/tile_executor.hh"
 
 namespace graphr
 {
@@ -96,23 +105,15 @@ class MultiNodeGraphR
     MultiNodeReport runCf(const CooGraph &ratings, const CfParams &params);
 
   private:
-    /** Cost of one sweep over one node's stripe subgraph. */
-    using SweepFn =
-        std::function<SimReport(GraphRNode &, const CooGraph &)>;
-
     /**
      * Shared cost core: `iterations` rounds, each charging one
-     * parallel stripe sweep (costed by `sweep_fn`) and one all-gather
-     * of `props_per_vertex` properties per vertex.
+     * parallel sweep of `sweep` over every node's stripe and one
+     * all-gather of `props_per_vertex` properties per vertex.
      */
     MultiNodeReport runSweeps(const CooGraph &graph,
                               std::uint64_t iterations,
-                              const SweepFn &sweep_fn,
-                              double props_per_vertex);
-
-    /** Edges of node k (destinations within its stripe). */
-    std::vector<Edge> stripeEdges(const CooGraph &graph,
-                                  std::uint32_t node) const;
+                              const MacSpec &sweep,
+                              double props_per_vertex) const;
 
     GraphRConfig config_;
     std::uint32_t numNodes_;

@@ -140,7 +140,8 @@ GraphRNode::runSpmv(const CooGraph &graph, const std::vector<Value> &x,
 
 SimReport
 GraphRNode::runBfs(const CooGraph &graph, VertexId source,
-                   std::vector<Value> *dist_out)
+                   std::vector<Value> *dist_out,
+                   const RoundObserver &on_round)
 {
     GRAPHR_ASSERT(source < graph.numVertices(), "source out of range");
     TileExecutor exec = makeExecutor(graph);
@@ -150,6 +151,7 @@ GraphRNode::runBfs(const CooGraph &graph, VertexId source,
     spec.initLabels[source] = 0.0;
     spec.initActive[source] = true;
     spec.mode = WeightMode::kUnit;
+    spec.onRound = on_round;
     SimReport report = exec.addOpRun(graph, spec, "bfs", dist_out);
     lastStats_ = exec.stats();
     return report;
@@ -157,7 +159,8 @@ GraphRNode::runBfs(const CooGraph &graph, VertexId source,
 
 SimReport
 GraphRNode::runSssp(const CooGraph &graph, VertexId source,
-                    std::vector<Value> *dist_out)
+                    std::vector<Value> *dist_out,
+                    const RoundObserver &on_round)
 {
     GRAPHR_ASSERT(source < graph.numVertices(), "source out of range");
     TileExecutor exec = makeExecutor(graph);
@@ -167,6 +170,7 @@ GraphRNode::runSssp(const CooGraph &graph, VertexId source,
     spec.initLabels[source] = 0.0;
     spec.initActive[source] = true;
     spec.mode = WeightMode::kOriginal;
+    spec.onRound = on_round;
     SimReport report = exec.addOpRun(graph, spec, "sssp", dist_out);
     lastStats_ = exec.stats();
     return report;
@@ -174,7 +178,8 @@ GraphRNode::runSssp(const CooGraph &graph, VertexId source,
 
 SimReport
 GraphRNode::runWcc(const CooGraph &graph,
-                   std::vector<VertexId> *labels_out)
+                   std::vector<VertexId> *labels_out,
+                   const RoundObserver &on_round)
 {
     // Min-label propagation needs both edge directions.
     const std::shared_ptr<const CooGraph> sym = symmetrized(graph);
@@ -186,6 +191,7 @@ GraphRNode::runWcc(const CooGraph &graph,
         spec.initLabels[v] = static_cast<Value>(v);
     spec.initActive.assign(sym->numVertices(), true);
     spec.mode = WeightMode::kZero;
+    spec.onRound = on_round;
 
     std::vector<Value> labels;
     SimReport report =

@@ -67,21 +67,29 @@ class GraphRNode
     SimReport runSpmv(const CooGraph &graph, const std::vector<Value> &x,
                       std::vector<Value> *y_out = nullptr);
 
-    /** BFS levels from a source (parallel add-op; Table 2 row 3). */
+    /**
+     * BFS levels from a source (parallel add-op; Table 2 row 3).
+     * @param on_round optional: sees each relaxation round's active
+     *                 set (AddOpSpec::onRound); likewise below
+     */
     SimReport runBfs(const CooGraph &graph, VertexId source,
-                     std::vector<Value> *dist_out = nullptr);
+                     std::vector<Value> *dist_out = nullptr,
+                     const RoundObserver &on_round = {});
 
     /** SSSP from a source (parallel add-op; paper Fig. 14/16c). */
     SimReport runSssp(const CooGraph &graph, VertexId source,
-                      std::vector<Value> *dist_out = nullptr);
+                      std::vector<Value> *dist_out = nullptr,
+                      const RoundObserver &on_round = {});
 
     /**
      * Weakly connected components by min-label propagation over the
      * symmetrised graph (parallel add-op with zero edge weight; the
-     * natural third add-op vertex program alongside BFS/SSSP).
+     * natural third add-op vertex program alongside BFS/SSSP). The
+     * rounds @p on_round sees are those over symmetrized(graph).
      */
     SimReport runWcc(const CooGraph &graph,
-                     std::vector<VertexId> *labels_out = nullptr);
+                     std::vector<VertexId> *labels_out = nullptr,
+                     const RoundObserver &on_round = {});
 
     /**
      * Collaborative filtering training (parallel MAC over the rating

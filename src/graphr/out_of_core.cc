@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "algorithms/traversal.hh"
 #include "algorithms/wcc.hh"
 #include "common/logging.hh"
 #include "graphr/engine/plan_cache.hh"
@@ -90,12 +89,11 @@ OutOfCoreRunner::runCf(const CooGraph &ratings, const CfParams &params)
 }
 
 OutOfCoreReport
-OutOfCoreRunner::selectiveRounds(const CooGraph &graph,
-                                 SimReport node_report,
-                                 RelaxationSweep &sweep) const
+OutOfCoreRunner::selectiveRounds(
+    const CooGraph &graph,
+    const std::function<SimReport(const RoundObserver &)> &run_node) const
 {
     OutOfCoreReport report;
-    report.node = std::move(node_report);
 
     const TilePlanPtr plan =
         PlanCache::instance().get(graph, config_.tiling);
@@ -110,10 +108,9 @@ OutOfCoreRunner::selectiveRounds(const CooGraph &graph,
     for (const TileMeta &meta : plan->meta.tiles())
         row_bytes[meta.row0 / block] += meta.nnz * config_.bytesPerEdge;
 
-    // Replay the rounds; a block-row is streamed when any of its
+    // The node's rounds: a block-row is streamed when any of its
     // sources is active.
-    while (!sweep.done()) {
-        const std::vector<bool> &active = sweep.active();
+    report.node = run_node([&](const std::vector<bool> &active) {
         for (std::uint64_t row = 0; row < part.blocksPerDim(); ++row) {
             const std::uint64_t lo = row * block;
             const std::uint64_t hi = std::min<std::uint64_t>(
@@ -127,8 +124,7 @@ OutOfCoreRunner::selectiveRounds(const CooGraph &graph,
             report.diskSeconds += streamSeconds(
                 row_bytes[row], part.blocksPerDim());
         }
-        sweep.step();
-    }
+    });
 
     report.totalSeconds = std::max(report.node.seconds,
                                    report.diskSeconds);
@@ -141,30 +137,30 @@ OutOfCoreRunner::selectiveRounds(const CooGraph &graph,
 OutOfCoreReport
 OutOfCoreRunner::runBfs(const CooGraph &graph, VertexId source)
 {
-    GraphRNode node(config_);
-    SimReport sim = node.runBfs(graph, source);
-    RelaxationSweep sweep(graph, source, /*unit_weights=*/true);
-    return selectiveRounds(graph, std::move(sim), sweep);
+    return selectiveRounds(graph, [&](const RoundObserver &on_round) {
+        return GraphRNode(config_).runBfs(graph, source, nullptr,
+                                          on_round);
+    });
 }
 
 OutOfCoreReport
 OutOfCoreRunner::runSssp(const CooGraph &graph, VertexId source)
 {
-    GraphRNode node(config_);
-    SimReport sim = node.runSssp(graph, source);
-    RelaxationSweep sweep(graph, source, /*unit_weights=*/false);
-    return selectiveRounds(graph, std::move(sim), sweep);
+    return selectiveRounds(graph, [&](const RoundObserver &on_round) {
+        return GraphRNode(config_).runSssp(graph, source, nullptr,
+                                           on_round);
+    });
 }
 
 OutOfCoreReport
 OutOfCoreRunner::runWcc(const CooGraph &graph)
 {
-    GraphRNode node(config_);
-    SimReport sim = node.runWcc(graph);
-
-    const std::shared_ptr<const CooGraph> sym = symmetrized(graph);
-    RelaxationSweep sweep = makeWccSweep(*sym);
-    return selectiveRounds(*sym, std::move(sim), sweep);
+    // The node relaxes over the symmetrised copy, so the disk
+    // schedule streams that copy's block-rows.
+    return selectiveRounds(
+        *symmetrized(graph), [&](const RoundObserver &on_round) {
+            return GraphRNode(config_).runWcc(graph, nullptr, on_round);
+        });
 }
 
 } // namespace graphr

@@ -19,6 +19,8 @@
 #ifndef GRAPHR_GRAPHR_OUT_OF_CORE_HH
 #define GRAPHR_GRAPHR_OUT_OF_CORE_HH
 
+#include <functional>
+
 #include "algorithms/pagerank.hh"
 #include "graphr/node.hh"
 
@@ -98,12 +100,17 @@ class OutOfCoreRunner
                                      SimReport node_report) const;
 
     /**
-     * Selective schedule: replay the relaxation rounds and stream a
-     * block-row only when one of its sources is active (BFS/SSSP/WCC).
+     * Selective schedule (BFS/SSSP/WCC): @p run_node runs the node's
+     * add-op walk over @p graph and hands each round's active set to
+     * the observer it is given; a block-row is streamed in a round
+     * when one of its sources is active. Disk bytes and seconds
+     * accumulate round by round, block-rows ascending. There is no
+     * second relaxation: the rounds are the node's own.
      */
-    OutOfCoreReport selectiveRounds(const CooGraph &graph,
-                                    SimReport node_report,
-                                    RelaxationSweep &sweep) const;
+    OutOfCoreReport selectiveRounds(
+        const CooGraph &graph,
+        const std::function<SimReport(const RoundObserver &)> &run_node)
+        const;
 
     /** Disk time for one load of the given byte volume. */
     double streamSeconds(std::uint64_t bytes,

@@ -13,6 +13,7 @@
 #define GRAPHR_GRAPHR_TILE_META_HH
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "graph/preprocess.hh"
@@ -34,6 +35,16 @@ struct TileMeta
     /** Per-row nonzero count (indexed by tile-relative row). */
     std::vector<std::uint32_t> rowNnz;
 };
+
+/**
+ * Metadata of tile @p tile_index holding @p edges, which must be in
+ * the plan's column-major tile order. Any contiguous run of a plan
+ * tile's edges is itself in that order, so this also describes the
+ * part of a tile that falls in a destination range (multi-node
+ * stripes).
+ */
+TileMeta describeTile(const GridPartition &part, std::uint64_t tile_index,
+                      std::span<const Edge> edges);
 
 /** Table of metadata for every non-empty tile, in streaming order. */
 class TileMetaTable

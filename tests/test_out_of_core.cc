@@ -5,8 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "algorithms/wcc.hh"
 #include "graph/generator.hh"
 #include "graphr/out_of_core.hh"
+#include "sim_report_eq.hh"
 
 namespace graphr
 {
@@ -117,6 +121,102 @@ TEST(OutOfCoreTest, EnergyIncludesDisk)
     EXPECT_GT(rep.diskJoules, 0.0);
     EXPECT_NEAR(rep.totalJoules, rep.node.joules + rep.diskJoules,
                 1e-15);
+}
+
+// -------------------------------- the selective schedule's definition
+
+/**
+ * The reference disk schedule: replay the relaxation in a
+ * RelaxationSweep of its own and stream each block-row whose sources
+ * hold an active vertex, round by round, block-rows ascending. Edge
+ * bytes per block-row are counted off the edge list, not the plan.
+ */
+OutOfCoreReport
+referenceDisk(const GraphRConfig &config, const StorageParams &storage,
+              const CooGraph &graph, RelaxationSweep sweep)
+{
+    const GridPartition part(graph.numVertices(), config.tiling);
+    const std::uint64_t block = part.blockSize();
+    std::vector<std::uint64_t> row_bytes(part.blocksPerDim(), 0);
+    for (const Edge &e : graph.edges())
+        row_bytes[e.src / block] += config.bytesPerEdge;
+
+    OutOfCoreReport report;
+    report.numBlocks = part.numBlocks();
+    while (!sweep.done()) {
+        for (std::uint64_t row = 0; row < part.blocksPerDim(); ++row) {
+            bool any = false;
+            for (std::uint64_t v = row * block;
+                 v < std::min<std::uint64_t>((row + 1) * block,
+                                             graph.numVertices());
+                 ++v) {
+                any = any || sweep.active()[v];
+            }
+            if (!any)
+                continue;
+            report.bytesStreamed += row_bytes[row];
+            report.diskSeconds +=
+                static_cast<double>(row_bytes[row]) /
+                    (storage.seqBandwidthGBs * 1e9) +
+                static_cast<double>(part.blocksPerDim()) *
+                    storage.accessLatencyUs * 1e-6;
+        }
+        sweep.step();
+    }
+    report.diskJoules = static_cast<double>(report.bytesStreamed) *
+                        storage.energyPjPerByte * 1e-12;
+    return report;
+}
+
+/** The runner's node report is GraphRNode's; its disk terms are the
+ *  reference replay's. */
+void
+expectSelectiveRun(const OutOfCoreReport &got, const SimReport &node,
+                   const OutOfCoreReport &disk)
+{
+    expectSameSimReport(got.node, node);
+    EXPECT_EQ(got.numBlocks, disk.numBlocks);
+    EXPECT_EQ(got.bytesStreamed, disk.bytesStreamed);
+    EXPECT_EQ(got.diskSeconds, disk.diskSeconds);
+    EXPECT_EQ(got.diskJoules, disk.diskJoules);
+    EXPECT_EQ(got.totalSeconds, std::max(node.seconds, disk.diskSeconds));
+    EXPECT_EQ(got.totalJoules, node.joules + disk.diskJoules);
+}
+
+TEST(OutOfCoreTest, SelectiveRoundsAreTheNodesOwnRounds)
+{
+    const CooGraph g = makeRmat({.numVertices = 3000,
+                                 .numEdges = 16000,
+                                 .maxWeight = 9.0,
+                                 .seed = 86});
+    const CooGraph sym = symmetrize(g);
+    const StorageParams storage;
+    for (const std::uint32_t block : {0u, 256u, 1000u, 2048u}) {
+        for (const bool functional : {false, true}) {
+            SCOPED_TRACE("blockSize " + std::to_string(block) +
+                         (functional ? " functional" : ""));
+            GraphRConfig cfg = blockedConfig(block);
+            cfg.tiling.crossbarDim = 4;
+            cfg.tiling.crossbarsPerGe = 4;
+            cfg.tiling.numGe = 4;
+            cfg.functional = functional;
+            OutOfCoreRunner runner(cfg, storage);
+            GraphRNode node(cfg);
+            for (const VertexId source : {0u, 1234u}) {
+                expectSelectiveRun(
+                    runner.runBfs(g, source), node.runBfs(g, source),
+                    referenceDisk(cfg, storage, g,
+                                  RelaxationSweep(g, source, true)));
+                expectSelectiveRun(
+                    runner.runSssp(g, source), node.runSssp(g, source),
+                    referenceDisk(cfg, storage, g,
+                                  RelaxationSweep(g, source, false)));
+            }
+            expectSelectiveRun(
+                runner.runWcc(g), node.runWcc(g),
+                referenceDisk(cfg, storage, sym, makeWccSweep(sym)));
+        }
+    }
 }
 
 } // namespace
