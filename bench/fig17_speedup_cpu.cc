@@ -57,7 +57,7 @@ main()
         cells.push_back({"BFS", info.shortName, bfs_s});
         cells.push_back({"SSSP", info.shortName, sssp_s});
         cells.push_back({"SpMV", info.shortName, spmv_s});
-        std::cout << "done " << info.shortName << "\n";
+        std::cerr << "done " << info.shortName << "\n";
     }
 
     {
@@ -66,7 +66,7 @@ main()
         cells.push_back({"CF", "NF",
                          cpu.runCf(ratings, cf).seconds /
                              GraphRNode().runCf(ratings, cf).seconds});
-        std::cout << "done NF\n\n";
+        std::cerr << "done NF\n";
     }
 
     TextTable table;

@@ -20,7 +20,6 @@
 #include "net/listener.hh"
 #include "perf/bench.hh"
 #include "rram/crossbar.hh"
-#include "rram/simd/simd.hh"
 #include "service/server.hh"
 #include "store/plan_store.hh"
 
@@ -469,24 +468,19 @@ concurrentServeScenario(SuiteBuilder &b, const std::string &prefix,
 
 /**
  * The crossbar MVM scenario: the exact datapath on a @p dim x @p dim
- * crossbar with @p occupied wordlines spread across it, accumulating
- * with @p kernels. Wall-clock is the ungated trajectory (it moves
- * with the kernel tier); the gate keys on the machine-independent
- * work metric — occupied wordlines processed per repetition,
- * identical across scalar/SSE/AVX2 because the occupancy mask alone
- * decides it. The tier is recorded ungated so a trajectory reader can
- * attribute wall-clock moves.
+ * crossbar with @p occupied wordlines spread across it. Wall-clock is
+ * the ungated trajectory; the gate keys on the machine-independent
+ * work metric — occupied wordlines processed per repetition, which
+ * the occupancy mask alone decides.
  */
 void
 crossbarScenario(SuiteBuilder &b, const std::string &prefix,
-                 std::uint32_t dim, std::uint32_t occupied,
-                 const simd::Kernels &kernels)
+                 std::uint32_t dim, std::uint32_t occupied)
 {
     constexpr std::uint64_t kIters = 512;
 
     DeviceParams params;
     Crossbar cb(dim, params);
-    cb.setSimdKernels(kernels);
     Rng rng(11);
     for (std::uint32_t r = 0; r < occupied; ++r) {
         const std::uint32_t row = r * dim / occupied;
@@ -508,9 +502,6 @@ crossbarScenario(SuiteBuilder &b, const std::string &prefix,
     b.scalar(prefix + ".mvm_rows_per_rep",
              stats.perRep("crossbar.mvm_rows_processed"), "count",
              true);
-    b.scalar(prefix + ".simd_level",
-             static_cast<double>(kernels.level), "enum", false,
-             "higher");
 }
 
 /**
@@ -577,7 +568,7 @@ suiteSmall(SuiteBuilder &b)
 {
     fingerprintScenario(b, "dataset.rmat_small",
                         "rmat:vertices=256,edges=2048,seed=3");
-    crossbarScenario(b, "crossbar.small", 64, 32, simd::activeKernels());
+    crossbarScenario(b, "crossbar.small", 64, 32);
     sweepScenario(b, "sweep.small", smallSweepSpec());
     storeScenario(b, "store.small",
                   "rmat:vertices=2048,edges=16384,seed=7");
@@ -630,26 +621,16 @@ suiteServe(SuiteBuilder &b)
 }
 
 /**
- * Kernel-level measurements no other suite takes: the crossbar MVM
- * pinned to each SIMD tier the host supports (dense and 8 of 64 rows
- * occupied), and functional PageRank at the paper's tiling with
- * resident vs reprogrammed weights. Hosts without SSE4.1/AVX2
- * register fewer tier rows.
+ * Kernel-level measurements no other suite takes: the crossbar MVM on
+ * a dense and a sparse (8 of 64 rows occupied) crossbar, and
+ * functional PageRank at the paper's tiling with resident vs
+ * reprogrammed weights.
  */
 void
 suiteMicro(SuiteBuilder &b)
 {
-    for (const simd::Level level :
-         {simd::Level::kScalar, simd::Level::kSse,
-          simd::Level::kAvx2}) {
-        if (!simd::levelSupported(level))
-            continue;
-        const std::string prefix =
-            std::string("micro.crossbar_mvm.") + simd::levelName(level);
-        const simd::Kernels &kernels = simd::kernelsFor(level);
-        crossbarScenario(b, prefix + ".dense", 64, 64, kernels);
-        crossbarScenario(b, prefix + ".sparse", 64, 8, kernels);
-    }
+    crossbarScenario(b, "micro.crossbar_mvm.dense", 64, 64);
+    crossbarScenario(b, "micro.crossbar_mvm.sparse", 64, 8);
     const std::string dataset = "rmat:vertices=512,edges=4096,seed=6";
     functionalPageRankScenario(b, "micro.functional_pagerank.resident",
                                dataset, ProgramCharging::kOnce);

@@ -10,12 +10,12 @@
  *
  * The "small" suite is sized for CI (seconds, also under
  * sanitizers); "sweep", "store" and "serve" are the developer-scale
- * versions of the same scenarios, and "micro" pins the MVM to each
- * SIMD tier and times the functional datapath. Every dataset in every
- * suite is a generator spec with an explicitly pinned seed, and the
- * harness asserts the graph fingerprint is identical across
- * repetitions — a suite that silently measured a different graph per
- * rep would produce an untrustworthy trajectory.
+ * versions of the same scenarios, and "micro" times the MVM on a
+ * dense and a sparse crossbar and the functional datapath. Every
+ * dataset in every suite is a generator spec with an explicitly
+ * pinned seed, and the harness asserts the graph fingerprint is
+ * identical across repetitions — a suite that silently measured a
+ * different graph per rep would produce an untrustworthy trajectory.
  */
 
 #ifndef GRAPHR_PERF_SUITE_HH

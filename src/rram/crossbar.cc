@@ -14,7 +14,7 @@ namespace
 {
 
 /** Work metric for the bench gate: occupied wordlines an MVM reads.
- *  Machine- and SIMD-tier-independent (the occupancy mask decides). */
+ *  Machine-independent (the occupancy mask decides). */
 perf::Counter &
 mvmRowsCounter()
 {
@@ -27,8 +27,7 @@ mvmRowsCounter()
 
 Crossbar::Crossbar(std::uint32_t dim, const DeviceParams &params)
     : dim_(dim), slices_(params.slicesPerValue()),
-      cellLevels_(params.cellLevels()),
-      kernels_(&simd::activeKernels())
+      cellLevels_(params.cellLevels())
 {
     GRAPHR_ASSERT(dim_ > 0, "crossbar dimension must be > 0");
     levelPlanes_.resize(static_cast<std::size_t>(dim_) * dim_ *
@@ -110,20 +109,19 @@ Crossbar::mvmRawInto(std::span<const FixedPoint::Raw> input_raw,
         // Exact fast path: slice recombination distributes over the
         // row sum, so the full slice-serial walk collapses to
         // columns[c] += input[row] * raw[row][c] per occupied row —
-        // a unit-stride AXPY over the packed plane, dispatched to
-        // the active SIMD tier. Pure mod-2^64 integer arithmetic in
-        // every tier and in the slice-serial walk, hence
-        // byte-identical results; zero inputs contribute nothing and
-        // may be skipped outright.
-        const simd::Kernels &kernels = *kernels_;
+        // a unit-stride AXPY over the packed plane. Both are pure
+        // mod-2^64 integer arithmetic, hence byte-identical results;
+        // zero inputs contribute nothing and may be skipped outright.
+        // One plain loop suffices: GraphR's crossbars are C = 8 wide
+        // (paper section 3.1), so a row is eight multiply-adds.
         forEachOccupiedRow([&](std::uint32_t row) {
             const std::uint64_t in = input_raw[row];
             if (in == 0)
                 return;
-            kernels.mvmRowAxpy(
-                rawPlane_.data() +
-                    static_cast<std::size_t>(row) * dim_,
-                dim_, in, columns.data());
+            const FixedPoint::Raw *weights =
+                rawPlane_.data() + static_cast<std::size_t>(row) * dim_;
+            for (std::uint32_t col = 0; col < dim_; ++col)
+                columns[col] += in * weights[col];
         });
         return;
     }

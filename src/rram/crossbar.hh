@@ -15,17 +15,17 @@
  * the recombined 16-bit raw values (rawAt) kept consistent by
  * programValue()/clear(). A wordline's contribution to the MVM is
  * therefore a unit-stride uint16 span, which the exact fast path
- * feeds to the runtime-dispatched SIMD kernels (rram/simd/simd.hh).
+ * accumulates into the column sums one occupied row at a time.
  *
  * The arithmetic is integer-exact: summing slice partial products
  * with the correct shifts reproduces the full 16x16-bit multiply, so
  * the functional result equals a digital fixed-point SpMV — and,
  * because that recombination distributes over rows, the exact MVM
  * equals a plain uint16 dot product per column, which is what the
- * SIMD kernels compute (bit-identical at every tier). Optional
- * programming variation injects the analog error the paper argues
- * graph algorithms tolerate; with variation enabled the slice-serial
- * scalar walk runs instead, preserving the RNG draw order exactly.
+ * fast path computes. Optional programming variation injects the
+ * analog error the paper argues graph algorithms tolerate; with
+ * variation enabled the slice-serial walk runs instead, preserving
+ * the RNG draw order exactly.
  */
 
 #ifndef GRAPHR_RRAM_CROSSBAR_HH
@@ -40,7 +40,6 @@
 #include "common/logging.hh"
 #include "rram/cell.hh"
 #include "rram/device_params.hh"
-#include "rram/simd/simd.hh"
 
 namespace graphr
 {
@@ -88,8 +87,8 @@ class Crossbar
      * stream and the modelled event counts (charged by the caller)
      * are identical to a dense scan. A fully empty crossbar skips
      * the S/A recombination entirely. With variation off the
-     * accumulation runs through the dispatched SIMD kernels over the
-     * packed raw plane — bit-identical to the slice-serial walk.
+     * accumulation is one AXPY per occupied row over the packed raw
+     * plane — bit-identical to the slice-serial walk.
      *
      * @param input_raw one raw 16-bit input per wordline
      * @return 64-bit integer column sums (full precision)
@@ -122,21 +121,6 @@ class Crossbar
         variationSigma_ = sigma_levels;
         rng_ = Rng(seed);
     }
-
-    /**
-     * Override the MVM kernel set for this instance (tests and the
-     * `micro` bench suite comparing tiers side by side; the level
-     * must be supported by the CPU). New instances use the process-wide
-     * dispatch (simd::activeKernels(), GRAPHR_SIMD override).
-     */
-    void
-    setSimdKernels(const simd::Kernels &kernels)
-    {
-        kernels_ = &kernels;
-    }
-
-    /** Kernel set this instance accumulates with. */
-    const simd::Kernels &simdKernels() const { return *kernels_; }
 
     /** Number of wordlines that currently hold at least one nonzero. */
     std::uint32_t occupiedRows() const;
@@ -250,8 +234,6 @@ class Crossbar
      * nonzeros" while a clear bit guarantees an all-zero row.
      */
     std::vector<std::uint64_t> rowMask_;
-    /** Active MVM kernel tier (process dispatch unless overridden). */
-    const simd::Kernels *kernels_;
     double variationSigma_ = 0.0;
     mutable Rng rng_{0};
 };

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/random.hh"
@@ -76,32 +77,46 @@ TEST(CrossbarTest, ClearZeroesEverything)
 
 TEST(CrossbarTest, MvmMatchesDigitalDotProduct)
 {
+    // Widths from one column to the 64-column limit (odd,
+    // power-of-two and off-by-one sizes), with every row occupied and
+    // with a quarter of them; zeros sit inside occupied rows and among
+    // the inputs too.
     DeviceParams params;
-    const std::uint32_t dim = 8;
-    Crossbar cb(dim, params);
     Rng rng(42);
+    for (const std::uint32_t dim :
+         {1u, 2u, 3u, 5u, 8u, 13u, 16u, 31u, 32u, 33u, 48u, 63u,
+          64u}) {
+        for (const bool sparse : {false, true}) {
+            const std::uint32_t occupied =
+                sparse ? std::max(1u, dim / 4) : dim;
+            Crossbar cb(dim, params);
+            std::vector<std::vector<std::uint64_t>> w(
+                dim, std::vector<std::uint64_t>(dim, 0));
+            for (std::uint32_t i = 0; i < occupied; ++i) {
+                const std::uint32_t r = i * dim / occupied;
+                for (std::uint32_t c = 0; c < dim; ++c) {
+                    w[r][c] = rng.below(4) == 0 ? 0 : rng.below(65536);
+                    cb.programValue(
+                        r, c,
+                        FixedPoint::fromRaw(
+                            static_cast<FixedPoint::Raw>(w[r][c]), 0));
+                }
+            }
+            std::vector<FixedPoint::Raw> x(dim);
+            for (auto &v : x)
+                v = static_cast<FixedPoint::Raw>(
+                    rng.below(4) == 0 ? 0 : rng.below(65536));
 
-    std::vector<std::vector<std::uint64_t>> w(
-        dim, std::vector<std::uint64_t>(dim, 0));
-    for (std::uint32_t r = 0; r < dim; ++r) {
-        for (std::uint32_t c = 0; c < dim; ++c) {
-            w[r][c] = rng.below(65536);
-            cb.programValue(r, c,
-                            FixedPoint::fromRaw(
-                                static_cast<FixedPoint::Raw>(w[r][c]),
-                                0));
+            const std::vector<std::uint64_t> y = cb.mvmRaw(x);
+            for (std::uint32_t c = 0; c < dim; ++c) {
+                std::uint64_t expect = 0;
+                for (std::uint32_t r = 0; r < dim; ++r)
+                    expect += static_cast<std::uint64_t>(x[r]) * w[r][c];
+                EXPECT_EQ(y[c], expect)
+                    << "dim " << dim << (sparse ? " sparse" : " dense")
+                    << " column " << c;
+            }
         }
-    }
-    std::vector<FixedPoint::Raw> x(dim);
-    for (auto &v : x)
-        v = static_cast<FixedPoint::Raw>(rng.below(65536));
-
-    const std::vector<std::uint64_t> y = cb.mvmRaw(x);
-    for (std::uint32_t c = 0; c < dim; ++c) {
-        std::uint64_t expect = 0;
-        for (std::uint32_t r = 0; r < dim; ++r)
-            expect += static_cast<std::uint64_t>(x[r]) * w[r][c];
-        EXPECT_EQ(y[c], expect) << "column " << c;
     }
 }
 

@@ -5,14 +5,12 @@
  * validation (the crossbarDim <= 64 row-mask invariant), functional
  * vs reference equivalence for all six algorithms through the shared
  * TileExecutor, resident-weight (ProgramCharging::kOnce) program
- * counting, the driver's golden-PageRank cache, and SIMD-tier
- * independence of whole-sweep JSON reports and functional outputs.
+ * counting, and the driver's golden-PageRank cache.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <sstream>
 
 #include "algorithms/pagerank.hh"
 #include "algorithms/spmv.hh"
@@ -26,7 +24,6 @@
 #include "graphr/engine/tile_executor.hh"
 #include "graphr/node.hh"
 #include "graphr/out_of_core.hh"
-#include "rram/simd/simd.hh"
 
 namespace graphr
 {
@@ -479,93 +476,6 @@ TEST(EngineReportTest, CacheHitReportIdenticalToCacheMiss)
     EXPECT_EQ(warm.tilesSkipped, cold.tilesSkipped);
     EXPECT_EQ(warm.edgesProcessed, cold.edgesProcessed);
     EXPECT_TRUE(node.lastEngineStats().planCacheHit);
-}
-
-// ------------------------------------------------ SIMD tier parity
-
-/**
- * Every output vector of one functional run of each GraphRNode
- * workload, concatenated: ranks, SpMV result, BFS and SSSP distances,
- * WCC labels.
- */
-std::vector<double>
-functionalOutputs(const CooGraph &g, const GraphRConfig &cfg)
-{
-    GraphRNode node(cfg);
-    std::vector<double> all;
-    std::vector<Value> out;
-    const auto append = [&all](const auto &values) {
-        all.insert(all.end(), values.begin(), values.end());
-    };
-    PageRankParams params;
-    params.maxIterations = 3;
-    params.tolerance = 0.0;
-    node.runPageRank(g, params, &out);
-    append(out);
-    node.runSpmv(g, std::vector<Value>(g.numVertices(), 1.0), &out);
-    append(out);
-    node.runBfs(g, 0, &out);
-    append(out);
-    node.runSssp(g, 0, &out);
-    append(out);
-    std::vector<VertexId> labels;
-    node.runWcc(g, &labels);
-    append(labels);
-    return all;
-}
-
-TEST(SimdSweepParityTest, FunctionalSweepJsonIdenticalAcrossTiers)
-{
-    // A functional run must not depend on which kernel tier
-    // accumulates the crossbar MVMs; this is what lets CI run
-    // GRAPHR_SIMD=scalar and GRAPHR_SIMD=avx2 jobs against the same
-    // goldens. The sweep JSON holds the modelled schedule (time,
-    // energy, counts) and no functional output, so a tier that
-    // computed wrong ranks would still match there: the node's output
-    // vectors are compared as well.
-    const simd::Level original = simd::activeLevel();
-
-    driver::SweepSpec spec;
-    spec.workloads = {"all"};
-    spec.backends = {"graphr"};
-    spec.datasets = {"rmat:vertices=64,edges=256,seed=3"};
-    spec.params =
-        driver::ParamMap::parse("epochs=1,features=4,iterations=3");
-    spec.backendOptions.config.functional = true;
-    spec.backendOptions.config.tiling.crossbarDim = 8;
-    spec.backendOptions.config.tiling.crossbarsPerGe = 2;
-    spec.backendOptions.config.tiling.numGe = 2;
-
-    const auto sweep_json = [&spec] {
-        PlanCache::instance().clear();
-        driver::clearGoldenCache();
-        std::ostringstream os;
-        driver::writeResultsJson(os, driver::runSweep(spec));
-        return os.str();
-    };
-    const CooGraph g = makeRmat({.numVertices = 256,
-                                 .numEdges = 2048,
-                                 .maxWeight = 15.0,
-                                 .seed = 3});
-
-    simd::setActiveLevelForTest(simd::Level::kScalar);
-    const std::string scalar_json = sweep_json();
-    const std::vector<double> scalar_out =
-        functionalOutputs(g, spec.backendOptions.config);
-
-    simd::setActiveLevelForTest(simd::bestSupportedLevel());
-    const std::string best_json = sweep_json();
-    const std::vector<double> best_out =
-        functionalOutputs(g, spec.backendOptions.config);
-
-    simd::setActiveLevelForTest(original);
-
-    ASSERT_FALSE(scalar_json.empty());
-    EXPECT_EQ(scalar_json, best_json)
-        << "functional sweep report depends on the SIMD tier";
-    ASSERT_EQ(scalar_out.size(), 5u * g.numVertices());
-    EXPECT_EQ(scalar_out, best_out)
-        << "functional outputs depend on the SIMD tier";
 }
 
 } // namespace

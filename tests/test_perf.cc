@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/json_reader.hh"
@@ -21,7 +22,6 @@
 #include "perf/counters.hh"
 #include "perf/report.hh"
 #include "perf/suite.hh"
-#include "rram/simd/simd.hh"
 
 namespace
 {
@@ -489,34 +489,24 @@ TEST(PerfSuite, SmallSuiteGatedMetricsAreDeterministic)
     EXPECT_TRUE(stable->gated);
 }
 
-TEST(PerfSuite, MicroSuiteProcessesTheSameRowsAtEveryTier)
+TEST(PerfSuite, MicroSuiteProcessesEachShapesOccupiedRows)
 {
-    // Each tier row pins its kernels on the crossbar instance; the
-    // occupancy mask alone decides the wordlines an MVM reads, so the
-    // gated work metric must not depend on the tier.
+    // 512 MVMs per rep read exactly the occupied wordlines: all 64 of
+    // the dense crossbar's rows, 8 of the sparse one's. The occupancy
+    // mask alone decides the gated work metric.
     SuiteOptions options;
     options.reps = 1;
     options.warmups = 0;
     const BenchReport report = runSuite("micro", options);
-    for (const std::string shape : {"dense", "sparse"}) {
-        std::vector<double> rows;
-        for (const simd::Level level :
-             {simd::Level::kScalar, simd::Level::kSse,
-              simd::Level::kAvx2}) {
-            if (!simd::levelSupported(level))
-                continue;
-            const std::string name = std::string("micro.crossbar_mvm.") +
-                                     simd::levelName(level) + "." +
-                                     shape + ".mvm_rows_per_rep";
-            const BenchMetric *metric = report.find(name);
-            ASSERT_NE(metric, nullptr) << name;
-            EXPECT_TRUE(metric->gated) << name;
-            rows.push_back(metric->value);
-        }
-        ASSERT_FALSE(rows.empty());
-        EXPECT_GT(rows.front(), 0.0) << shape;
-        for (const double value : rows)
-            EXPECT_DOUBLE_EQ(value, rows.front()) << shape;
+    for (const auto &[shape, rows] :
+         {std::pair<std::string, double>{"dense", 512.0 * 64},
+          std::pair<std::string, double>{"sparse", 512.0 * 8}}) {
+        const std::string name =
+            "micro.crossbar_mvm." + shape + ".mvm_rows_per_rep";
+        const BenchMetric *metric = report.find(name);
+        ASSERT_NE(metric, nullptr) << name;
+        EXPECT_TRUE(metric->gated) << name;
+        EXPECT_DOUBLE_EQ(metric->value, rows) << name;
     }
     for (const std::string charging : {"resident", "reprogram"})
         EXPECT_NE(report.find("micro.functional_pagerank." + charging +

@@ -88,20 +88,21 @@ TEST(SlicingTest, CrossbarAgreesWithSlicewiseReference)
 
 TEST(SlicingTest, MaxOperandsDoNotOverflow)
 {
-    // Worst case: 64 rows of 0xFFFF * 0xFFFF must fit the 64-bit
-    // accumulator with room to spare.
+    // Worst case: 64 rows of 0xFFFF * 0xFFFF — the largest sum one
+    // column of the widest allowed crossbar holds — must fit the
+    // 64-bit accumulator with room to spare, in every column.
     const std::uint64_t worst =
         64ull * 0xFFFFull * 0xFFFFull;
     EXPECT_LT(worst, std::uint64_t{1} << 45);
     DeviceParams params;
-    Crossbar cb(8, params);
-    for (std::uint32_t r = 0; r < 8; ++r)
-        for (std::uint32_t c = 0; c < 8; ++c)
+    Crossbar cb(64, params);
+    for (std::uint32_t r = 0; r < 64; ++r)
+        for (std::uint32_t c = 0; c < 64; ++c)
             cb.programValue(r, c, FixedPoint::fromRaw(0xFFFF, 0));
     const auto y =
-        cb.mvmRaw(std::vector<FixedPoint::Raw>(8, 0xFFFF));
-    for (std::uint32_t c = 0; c < 8; ++c)
-        EXPECT_EQ(y[c], 8ull * 0xFFFF * 0xFFFF);
+        cb.mvmRaw(std::vector<FixedPoint::Raw>(64, 0xFFFF));
+    for (std::uint32_t c = 0; c < 64; ++c)
+        EXPECT_EQ(y[c], worst) << "column " << c;
 }
 
 TEST(SlicingTest, QuantizedProductErrorBounded)
