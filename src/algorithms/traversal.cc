@@ -1,7 +1,10 @@
 #include "traversal.hh"
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+
 #include "common/logging.hh"
-#include "graph/graph_memo.hh"
 
 namespace graphr
 {
@@ -72,77 +75,130 @@ bfs(const CooGraph &graph, VertexId source)
     return relax(graph, source, /*unit_weights=*/true);
 }
 
-int
-goldenBfsRounds(const CooGraph &graph, VertexId source)
-{
-    return graph.memo()->goldenCount(
-        {GraphMemo::GoldenKey::Product::kBfsRounds, {source}},
-        [&graph, source] { return bfs(graph, source).iterations; });
-}
-
-int
-goldenSsspRounds(const CooGraph &graph, VertexId source)
-{
-    return graph.memo()->goldenCount(
-        {GraphMemo::GoldenKey::Product::kSsspRounds, {source}},
-        [&graph, source] { return sssp(graph, source).iterations; });
-}
-
 RelaxationSweep::RelaxationSweep(const CooGraph &graph, VertexId source,
                                  bool unit_weights)
-    : graph_(graph), outAdj_(graph, CsrGraph::Direction::kOut),
+    : outAdj_(graph, CsrGraph::Direction::kOut),
       mode_(unit_weights ? WeightMode::kUnit : WeightMode::kOriginal)
 {
     GRAPHR_ASSERT(source < graph.numVertices(), "source out of range");
     dist_.assign(graph.numVertices(), kInfDistance);
     active_.assign(graph.numVertices(), false);
+    improved_.assign((graph.numVertices() + 63) / 64, 0);
     dist_[source] = 0.0;
     active_[source] = true;
-    activeCount_ = 1;
+    ids_.push_back(source);
 }
 
 RelaxationSweep::RelaxationSweep(const CooGraph &graph,
                                  std::vector<Value> init_labels,
                                  std::vector<bool> init_active,
                                  WeightMode mode)
-    : graph_(graph), outAdj_(graph, CsrGraph::Direction::kOut),
-      mode_(mode), dist_(std::move(init_labels)),
-      active_(std::move(init_active))
+    : outAdj_(graph, CsrGraph::Direction::kOut), mode_(mode),
+      dist_(std::move(init_labels)), active_(std::move(init_active))
 {
     GRAPHR_ASSERT(dist_.size() == graph.numVertices() &&
                       active_.size() == graph.numVertices(),
                   "initial label/active length mismatch");
-    activeCount_ = 0;
-    for (const bool a : active_)
-        activeCount_ += a ? 1 : 0;
+    improved_.assign((graph.numVertices() + 63) / 64, 0);
+    for (VertexId v = 0; v < graph.numVertices(); ++v) {
+        if (active_[v])
+            ids_.push_back(v);
+    }
 }
 
 std::uint64_t
 RelaxationSweep::step()
 {
-    const VertexId nv = graph_.numVertices();
-    std::vector<bool> next_active(nv, false);
-    std::uint64_t updated = 0;
-    for (VertexId u = 0; u < nv; ++u) {
-        if (!active_[u])
-            continue;
+    const Value unit = mode_ == WeightMode::kUnit ? 1.0 : 0.0;
+    nextIds_.clear();
+    for (const VertexId u : ids_) {
         for (const Adjacency &adj : outAdj_.neighbors(u)) {
-            const Value w = mode_ == WeightMode::kOriginal ? adj.weight
-                            : mode_ == WeightMode::kUnit   ? 1.0
-                                                           : 0.0;
+            const Value w =
+                mode_ == WeightMode::kOriginal ? adj.weight : unit;
             const Value cand = dist_[u] + w;
             if (cand < dist_[adj.neighbor]) {
                 dist_[adj.neighbor] = cand;
-                if (!next_active[adj.neighbor]) {
-                    next_active[adj.neighbor] = true;
-                    ++updated;
+                std::uint64_t &word = improved_[adj.neighbor / 64];
+                const std::uint64_t bit = std::uint64_t{1}
+                                          << (adj.neighbor % 64);
+                if ((word & bit) == 0) {
+                    word |= bit;
+                    nextIds_.push_back(adj.neighbor);
                 }
             }
         }
     }
-    active_ = std::move(next_active);
-    activeCount_ = updated;
-    return updated;
+    for (const VertexId u : ids_)
+        active_[u] = false;
+
+    // The next round's ids, ascending. A round that improved at least
+    // one vertex per 64 reads them off the improved bits in one pass
+    // over the words, which costs less than sorting them; a sparser
+    // round sorts. Either way the bits end clear.
+    if (nextIds_.size() >= improved_.size()) {
+        nextIds_.clear();
+        for (std::size_t w = 0; w < improved_.size(); ++w) {
+            for (std::uint64_t bits = improved_[w]; bits != 0;
+                 bits &= bits - 1) {
+                const auto bit =
+                    static_cast<std::size_t>(std::countr_zero(bits));
+                nextIds_.push_back(static_cast<VertexId>(w * 64 + bit));
+            }
+            improved_[w] = 0;
+        }
+    } else {
+        std::sort(nextIds_.begin(), nextIds_.end());
+        for (const VertexId v : nextIds_)
+            improved_[v / 64] = 0;
+    }
+    for (const VertexId v : nextIds_)
+        active_[v] = true;
+    ids_.swap(nextIds_);
+    return ids_.size();
+}
+
+FrontierSchedule
+recordSchedule(RelaxationSweep sweep, std::size_t cap_bytes)
+{
+    FrontierSchedule schedule(cap_bytes);
+    while (!sweep.done()) {
+        schedule.addRound(sweep.activeIds());
+        sweep.step();
+    }
+    schedule.finish();
+    return schedule;
+}
+
+namespace
+{
+
+std::shared_ptr<const FrontierSchedule>
+singleSourceSchedule(const CooGraph &graph, VertexId source,
+                     GraphMemo::ScheduleKey::Relaxation relaxation)
+{
+    return graph.memo()->frontierSchedule(
+        {relaxation, source}, [&graph, source, relaxation] {
+            const bool unit =
+                relaxation == GraphMemo::ScheduleKey::Relaxation::kBfs;
+            return recordSchedule(RelaxationSweep(graph, source, unit),
+                                  FrontierSchedule::capFor(graph));
+        });
+}
+
+} // namespace
+
+std::shared_ptr<const FrontierSchedule>
+bfsSchedule(const CooGraph &graph, VertexId source)
+{
+    return singleSourceSchedule(graph, source,
+                                GraphMemo::ScheduleKey::Relaxation::kBfs);
+}
+
+std::shared_ptr<const FrontierSchedule>
+ssspSchedule(const CooGraph &graph, VertexId source)
+{
+    return singleSourceSchedule(
+        graph, source, GraphMemo::ScheduleKey::Relaxation::kSssp);
 }
 
 } // namespace graphr

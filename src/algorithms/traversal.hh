@@ -10,10 +10,13 @@
 #ifndef GRAPHR_ALGORITHMS_TRAVERSAL_HH
 #define GRAPHR_ALGORITHMS_TRAVERSAL_HH
 
+#include <memory>
+#include <span>
 #include <vector>
 
 #include "graph/coo.hh"
 #include "graph/csr.hh"
+#include "graph/graph_memo.hh"
 
 namespace graphr
 {
@@ -36,14 +39,6 @@ TraversalResult sssp(const CooGraph &graph, VertexId source);
 TraversalResult bfs(const CooGraph &graph, VertexId source);
 
 /**
- * bfs(graph, source).iterations and sssp(graph, source).iterations,
- * each computed once per graph and source and memoised on the graph
- * (CooGraph::memo()).
- */
-int goldenBfsRounds(const CooGraph &graph, VertexId source);
-int goldenSsspRounds(const CooGraph &graph, VertexId source);
-
-/**
  * How edge weights enter the relaxation candidate label:
  * kOriginal -> label(u) + w (SSSP), kUnit -> label(u) + 1 (BFS),
  * kZero -> label(u) (WCC min-label propagation).
@@ -60,6 +55,12 @@ enum class WeightMode
  * active set: used by the GraphR simulator to know which tiles a
  * round touches. Covers SSSP, BFS and WCC-style label propagation
  * (all the paper's parallel-add-op workloads).
+ *
+ * A round costs its frontier: step() relaxes the round's active ids
+ * in ascending order, updating labels in place (a vertex relaxed
+ * later in the round sees the labels earlier ones lowered, as in
+ * sssp()), and takes the next round's ids, ascending, from the
+ * vertices it improved, not from a test of every vertex.
  */
 class RelaxationSweep
 {
@@ -76,17 +77,21 @@ class RelaxationSweep
                     std::vector<Value> init_labels,
                     std::vector<bool> init_active, WeightMode mode);
 
-    /** Vertices active at the start of the current round. */
+    /** Vertices active at the start of the current round, as one
+     *  flag per vertex (the baseline cost models index it). */
     const std::vector<bool> &active() const { return active_; }
+
+    /** The same vertices as ascending ids. */
+    std::span<const VertexId> activeIds() const { return ids_; }
 
     /** Current distance labels. */
     const std::vector<Value> &dist() const { return dist_; }
 
     /** Whether any vertex is still active. */
-    bool done() const { return activeCount_ == 0; }
+    bool done() const { return ids_.empty(); }
 
     /** Count of active vertices. */
-    std::uint64_t activeCount() const { return activeCount_; }
+    std::uint64_t activeCount() const { return ids_.size(); }
 
     /** The graph's out-adjacency the rounds relax over (the baseline
      *  cost models read per-vertex degrees and neighbours from it). */
@@ -96,13 +101,36 @@ class RelaxationSweep
     std::uint64_t step();
 
   private:
-    const CooGraph &graph_;
     CsrGraph outAdj_;
     WeightMode mode_;
     std::vector<Value> dist_;
     std::vector<bool> active_;
-    std::uint64_t activeCount_ = 0;
+    /** Bit v set once v improved in the running round; all clear
+     *  between rounds. */
+    std::vector<std::uint64_t> improved_;
+    std::vector<VertexId> ids_;
+    std::vector<VertexId> nextIds_;
 };
+
+/**
+ * Run @p sweep to convergence, recording each round's active ids into
+ * a schedule that keeps them while they fit @p cap_bytes (the memo's
+ * schedules use FrontierSchedule::capFor(graph)).
+ */
+FrontierSchedule recordSchedule(RelaxationSweep sweep,
+                                std::size_t cap_bytes);
+
+/**
+ * The frontier schedules of bfs(graph, source) and
+ * sssp(graph, source), each recorded once per graph and source from
+ * a RelaxationSweep and memoised on the graph (CooGraph::memo()).
+ * rounds() equals the golden iterations: relax() and RelaxationSweep
+ * are the same algorithm.
+ */
+std::shared_ptr<const FrontierSchedule> bfsSchedule(const CooGraph &graph,
+                                                    VertexId source);
+std::shared_ptr<const FrontierSchedule>
+ssspSchedule(const CooGraph &graph, VertexId source);
 
 } // namespace graphr
 

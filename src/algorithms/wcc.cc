@@ -39,29 +39,38 @@ countDistinct(const std::vector<VertexId> &labels)
     return distinct.size();
 }
 
+/**
+ * In-place min-label passes over @p sym's edges, in edge order, from
+ * label = id until a pass changes nothing; returns the pass count.
+ */
+int
+propagateLabels(const CooGraph &sym, std::vector<VertexId> &labels)
+{
+    labels.resize(sym.numVertices());
+    std::iota(labels.begin(), labels.end(), 0);
+    int passes = 0;
+    bool changed = true;
+    while (changed) {
+        changed = false;
+        for (const Edge &e : sym.edges()) {
+            if (labels[e.src] < labels[e.dst]) {
+                labels[e.dst] = labels[e.src];
+                changed = true;
+            }
+        }
+        ++passes;
+    }
+    return passes;
+}
+
 } // namespace
 
 WccResult
 wcc(const CooGraph &graph)
 {
     GRAPHR_ASSERT(graph.numVertices() > 0, "empty graph");
-    const CooGraph sym = symmetrize(graph);
-
     WccResult result;
-    result.labels.resize(graph.numVertices());
-    std::iota(result.labels.begin(), result.labels.end(), 0);
-
-    bool changed = true;
-    while (changed) {
-        changed = false;
-        for (const Edge &e : sym.edges()) {
-            if (result.labels[e.src] < result.labels[e.dst]) {
-                result.labels[e.dst] = result.labels[e.src];
-                changed = true;
-            }
-        }
-        ++result.iterations;
-    }
+    result.iterations = propagateLabels(symmetrize(graph), result.labels);
     result.numComponents = countDistinct(result.labels);
     return result;
 }
@@ -70,8 +79,11 @@ int
 goldenWccRounds(const CooGraph &graph)
 {
     return graph.memo()->goldenCount(
-        {GraphMemo::GoldenKey::Product::kWccRounds, {}},
-        [&graph] { return wcc(graph).iterations; });
+        {GraphMemo::GoldenKey::Product::kWccRounds, {}}, [&graph] {
+            GRAPHR_ASSERT(graph.numVertices() > 0, "empty graph");
+            std::vector<VertexId> labels;
+            return propagateLabels(*symmetrized(graph), labels);
+        });
 }
 
 WccResult
@@ -117,6 +129,18 @@ makeWccSweep(const CooGraph &sym_graph)
     std::vector<bool> active(sym_graph.numVertices(), true);
     return RelaxationSweep(sym_graph, std::move(labels),
                            std::move(active), WeightMode::kZero);
+}
+
+std::shared_ptr<const FrontierSchedule>
+wccSchedule(const CooGraph &graph)
+{
+    const std::shared_ptr<const CooGraph> sym = symmetrized(graph);
+    return sym->memo()->frontierSchedule(
+        {GraphMemo::ScheduleKey::Relaxation::kWcc, 0},
+        [&sym] {
+            return recordSchedule(makeWccSweep(*sym),
+                                  FrontierSchedule::capFor(*sym));
+        });
 }
 
 } // namespace graphr

@@ -41,8 +41,12 @@ WccResult wcc(const CooGraph &graph);
  */
 WccResult wccUnionFind(const CooGraph &graph);
 
-/** wcc(graph).iterations, computed once per graph and memoised on
- *  it (CooGraph::memo()). */
+/**
+ * wcc(graph).iterations, computed once per graph and memoised on it
+ * (CooGraph::memo()). The passes run over the memoised
+ * symmetrized(graph), which has symmetrize()'s edge order, so the
+ * count is wcc()'s without a second copy.
+ */
 int goldenWccRounds(const CooGraph &graph);
 
 /** Edges plus their reverses (weights preserved). */
@@ -59,10 +63,16 @@ std::shared_ptr<const CooGraph> symmetrized(const CooGraph &graph);
 /**
  * The WCC relaxation over an already-symmetrised graph: every vertex
  * starts active with its own id as label, weights enter as zero.
- * Shared by every cost model that replays WCC rounds. The sweep
- * references `sym_graph`, which must outlive it.
+ * Shared by every cost model that replays WCC rounds.
  */
 RelaxationSweep makeWccSweep(const CooGraph &sym_graph);
+
+/**
+ * The frontier schedule of makeWccSweep(*symmetrized(graph)),
+ * recorded once and memoised on the symmetrised copy's memo, so
+ * every WCC runner of the graph shares it.
+ */
+std::shared_ptr<const FrontierSchedule> wccSchedule(const CooGraph &graph);
 
 } // namespace graphr
 

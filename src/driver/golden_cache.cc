@@ -1,24 +1,45 @@
 #include "golden_cache.hh"
 
+#include <string>
+
 #include "perf/counters.hh"
 
 namespace graphr::driver
 {
 
+namespace
+{
+
+GoldenCacheStats
+lookupStats(const std::string &prefix)
+{
+    perf::Registry &registry = perf::Registry::instance();
+    return GoldenCacheStats{registry.counter(prefix + ".hits").value(),
+                            registry.counter(prefix + ".misses").value()};
+}
+
+} // namespace
+
 GoldenCacheStats
 goldenCacheStats()
 {
-    perf::Registry &registry = perf::Registry::instance();
-    return GoldenCacheStats{registry.counter("golden_cache.hits").value(),
-                            registry.counter("golden_cache.misses").value()};
+    return lookupStats("golden_cache");
+}
+
+GoldenCacheStats
+frontierCacheStats()
+{
+    return lookupStats("frontier_cache");
 }
 
 void
 clearGoldenCache()
 {
     perf::Registry &registry = perf::Registry::instance();
-    registry.counter("golden_cache.hits").reset();
-    registry.counter("golden_cache.misses").reset();
+    for (const char *name :
+         {"golden_cache.hits", "golden_cache.misses",
+          "frontier_cache.hits", "frontier_cache.misses"})
+        registry.counter(name).reset();
 }
 
 } // namespace graphr::driver

@@ -14,20 +14,84 @@ namespace graphr
 namespace
 {
 
-/** Bitmask of active rows [row0, row0 + dim) from an active vector. */
-std::uint64_t
-activeMask(const std::vector<bool> &active, std::uint64_t row0,
-           std::uint32_t dim)
+/** One tile an add-op round touches: its plan position and the
+ *  rows of it whose sources are active and carry edges. */
+struct RoundTile
 {
+    std::uint32_t position = 0;
     std::uint64_t mask = 0;
-    const std::uint64_t nv = active.size();
-    for (std::uint32_t r = 0; r < dim; ++r) {
-        const std::uint64_t v = row0 + r;
-        if (v < nv && active[v])
-            mask |= std::uint64_t{1} << r;
+};
+
+/**
+ * Finds the tiles each add-op round touches, in plan order: plan order
+ * keeps every cost sum in the order a walk over the whole table adds
+ * it. A round's ids (ascending) group into tile rows, vertex v in row
+ * v / C, and each row's tiles come from the table's tile-row index. A
+ * round that touches few tiles sorts them into plan order; one that
+ * touches at least a sixteenth of the table scatters them by position
+ * and reads the positions back in order, which costs less than the
+ * sort and at most sixteen steps per tile touched.
+ */
+class RoundTiles
+{
+  public:
+    RoundTiles(const TileMetaTable &table, std::uint32_t dim)
+        : table_(table), dim_(dim)
+    {
     }
-    return mask;
-}
+
+    /** The tiles whose rowMask meets the active sources @p ids, each
+     *  with the rows it meets. */
+    const std::vector<RoundTile> &
+    collect(std::span<const VertexId> ids)
+    {
+        out_.clear();
+        const std::vector<TileMeta> &tiles = table_.tiles();
+        std::uint64_t prev_row = 0;
+        for (std::size_t i = 0; i < ids.size();) {
+            const std::uint64_t row = ids[i] / dim_;
+            GRAPHR_ASSERT(i == 0 || row > prev_row,
+                          "round ids not ascending at vertex ", ids[i]);
+            prev_row = row;
+            const std::uint64_t row0 = row * dim_;
+            std::uint64_t active = 0;
+            for (; i < ids.size() && ids[i] - row0 < dim_; ++i)
+                active |= std::uint64_t{1} << (ids[i] - row0);
+            for (const std::uint32_t t : table_.rowTiles(row)) {
+                const std::uint64_t mask = tiles[t].rowMask & active;
+                if (mask != 0)
+                    out_.push_back(RoundTile{t, mask});
+            }
+        }
+
+        if (out_.size() * 16 < tiles.size()) {
+            std::sort(out_.begin(), out_.end(),
+                      [](const RoundTile &a, const RoundTile &b) {
+                          return a.position < b.position;
+                      });
+            return out_;
+        }
+        masks_.resize(tiles.size());
+        for (const RoundTile &touched : out_)
+            masks_[touched.position] = touched.mask;
+        out_.clear();
+        for (std::size_t t = 0; t < masks_.size(); ++t) {
+            if (masks_[t] != 0) {
+                out_.push_back(
+                    RoundTile{static_cast<std::uint32_t>(t), masks_[t]});
+                masks_[t] = 0;
+            }
+        }
+        return out_;
+    }
+
+  private:
+    const TileMetaTable &table_;
+    std::uint32_t dim_;
+    std::vector<RoundTile> out_;
+    /** Row masks by plan position in a wide round; zero between. */
+    std::vector<std::uint64_t> masks_;
+};
 
 /**
  * sALU-reduce a compact GE result (C values per occupied crossbar of
@@ -296,8 +360,6 @@ SimReport
 TileExecutor::addOpRun(const CooGraph &graph, const AddOpSpec &spec,
                        const char *name, std::vector<Value> *labels_out)
 {
-    const std::uint32_t dim = config_.tiling.crossbarDim;
-
     SimReport report;
     report.algorithm = name;
     report.occupancy = plan_->ordered.occupancy();
@@ -326,23 +388,19 @@ TileExecutor::addOpRun(const CooGraph &graph, const AddOpSpec &spec,
         events += load_events;
     }
 
-    // Timing walk: synchronous relaxation rounds; each round visits
-    // every tile whose source range intersects the active set.
-    RelaxationSweep sweep(graph, spec.initLabels, spec.initActive,
-                          spec.mode);
-    while (!sweep.done()) {
-        const std::vector<bool> &active = sweep.active();
+    // Timing walk: synchronous relaxation rounds; each round prices
+    // the tiles whose source rows meet its active ids.
+    const std::vector<TileMeta> &tiles = plan_->meta.tiles();
+    RoundTiles finder(plan_->meta, config_.tiling.crossbarDim);
+    const auto price_round = [&](std::span<const VertexId> ids) {
         if (spec.onRound)
-            spec.onRound(active);
-        for (const TileMeta &meta : plan_->meta.tiles()) {
-            const std::uint64_t mask =
-                meta.rowMask & activeMask(active, meta.row0, dim);
-            if (mask == 0) {
-                ++report.tilesSkipped;
-                continue;
-            }
+            spec.onRound(ids);
+        const std::vector<RoundTile> &round_tiles = finder.collect(ids);
+        report.tilesSkipped += tiles.size() - round_tiles.size();
+        for (const RoundTile &touched : round_tiles) {
+            const TileMeta &meta = tiles[touched.position];
             const auto rows =
-                static_cast<std::uint32_t>(std::popcount(mask));
+                static_cast<std::uint32_t>(std::popcount(touched.mask));
             EnergyEvents tile_events;
             const TileCost cost =
                 costModel_.addOpTile(meta, rows, tile_events);
@@ -360,7 +418,7 @@ TileExecutor::addOpRun(const CooGraph &graph, const AddOpSpec &spec,
             comp_ns += cost.computeNs;
             ++report.tilesProcessed;
             report.activeRowOps += rows;
-            std::uint64_t m = mask;
+            std::uint64_t m = touched.mask;
             while (m != 0) {
                 const int r = std::countr_zero(m);
                 report.edgesProcessed += meta.rowNnz[r];
@@ -369,7 +427,18 @@ TileExecutor::addOpRun(const CooGraph &graph, const AddOpSpec &spec,
         }
         total_ns += costModel_.iterationOverheadNs();
         ++report.iterations;
-        sweep.step();
+    };
+
+    // The rounds come from the recorded schedule when there is one;
+    // otherwise a live sweep relaxes them here.
+    std::optional<RelaxationSweep> sweep;
+    if (spec.schedule != nullptr && spec.schedule->recorded()) {
+        for (int r = 0; r < spec.schedule->rounds(); ++r)
+            price_round(spec.schedule->round(r));
+    } else {
+        sweep.emplace(graph, spec.initLabels, spec.initActive, spec.mode);
+        for (; !sweep->done(); sweep->step())
+            price_round(sweep->activeIds());
     }
 
     report.seconds = total_ns * 1e-9;
@@ -381,11 +450,18 @@ TileExecutor::addOpRun(const CooGraph &graph, const AddOpSpec &spec,
     if (labels_out == nullptr)
         return report;
 
-    if (!config_.functional) {
-        *labels_out = sweep.dist();
+    if (config_.functional) {
+        *labels_out = functionalAddOpSolve(graph, spec);
         return report;
     }
-    *labels_out = functionalAddOpSolve(graph, spec);
+    if (!sweep.has_value()) {
+        // Timing-mode labels are computed for the call, by the
+        // relaxation the schedule recorded.
+        sweep.emplace(graph, spec.initLabels, spec.initActive, spec.mode);
+        while (!sweep->done())
+            sweep->step();
+    }
+    *labels_out = sweep->dist();
     return report;
 }
 
@@ -412,21 +488,20 @@ TileExecutor::functionalAddOpSolve(const CooGraph &graph,
         residentWeights() ? tiles.size() : 0);
 
     std::vector<Value> dist = spec.initLabels;
-    std::vector<bool> active = spec.initActive;
-    std::uint64_t active_count = 0;
-    for (const bool a : active)
-        active_count += a ? 1 : 0;
+    std::vector<VertexId> ids; // the round's active sources, ascending
+    for (VertexId v = 0; v < nv; ++v) {
+        if (spec.initActive[v])
+            ids.push_back(v);
+    }
+    RoundTiles finder(plan_->meta, dim);
     std::vector<Edge> rewritten_edges;
     std::vector<double> cand; // reused across rows (hot loop)
 
-    while (active_count > 0) {
+    while (!ids.empty()) {
         std::vector<Value> next = dist;
-        for (std::size_t t = 0; t < tiles.size(); ++t) {
+        for (const RoundTile &touched : finder.collect(ids)) {
+            const std::size_t t = touched.position;
             const TileMeta &meta = tiles[t];
-            const std::uint64_t mask =
-                meta.rowMask & activeMask(active, meta.row0, dim);
-            if (mask == 0)
-                continue;
             if (residentWeights() && snapshots[t].has_value()) {
                 ge.loadTile(*snapshots[t]);
                 ++stats_.functionalTileLoads;
@@ -452,7 +527,7 @@ TileExecutor::functionalAddOpSolve(const CooGraph &graph,
                 if (residentWeights())
                     snapshots[t] = ge.saveTile(0);
             }
-            std::uint64_t m = mask;
+            std::uint64_t m = touched.mask;
             while (m != 0) {
                 const int r = std::countr_zero(m);
                 m &= m - 1;
@@ -464,11 +539,10 @@ TileExecutor::functionalAddOpSolve(const CooGraph &graph,
             }
         }
 
-        active_count = 0;
+        ids.clear();
         for (VertexId v = 0; v < nv; ++v) {
-            active[v] = next[v] < dist[v];
-            if (active[v])
-                ++active_count;
+            if (next[v] < dist[v])
+                ids.push_back(v);
         }
         dist = std::move(next);
     }

@@ -27,6 +27,7 @@
 
 #include <functional>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "algorithms/traversal.hh"
@@ -60,8 +61,9 @@ struct MacSpec
     bool applyVariation = true;
 };
 
-/** Receives the active set of each add-op round (see AddOpSpec). */
-using RoundObserver = std::function<void(const std::vector<bool> &active)>;
+/** Receives each add-op round's active vertex ids, ascending (see
+ *  AddOpSpec). */
+using RoundObserver = std::function<void(std::span<const VertexId> ids)>;
 
 /** Initial state of an add-op (min-relaxation) execution. */
 struct AddOpSpec
@@ -70,7 +72,15 @@ struct AddOpSpec
     std::vector<bool> initActive;
     WeightMode mode = WeightMode::kOriginal;
     /**
-     * Optional: called with every timing round's active set, in round
+     * Optional: the recorded frontier of the relaxation the three
+     * fields above start (bfsSchedule() and its siblings). The timing
+     * walk prices its rounds instead of relaxing again. Null, or a
+     * schedule past its cap (FrontierSchedule::recorded() false),
+     * makes the walk run a RelaxationSweep of its own.
+     */
+    std::shared_ptr<const FrontierSchedule> schedule;
+    /**
+     * Optional: called with every timing round's active ids, in round
      * order, before the round's tiles are priced. The out-of-core
      * runner derives its selective disk schedule from it.
      */
@@ -150,8 +160,11 @@ class TileExecutor
     /**
      * Complete add-op run: the timing walk over the relaxation rounds
      * (active-masked tiles priced by the cost model, each round shown
-     * to spec.onRound first) and — in functional mode, when
-     * @p labels_out is non-null — the GE datapath execution.
+     * to spec.onRound first) and, when @p labels_out is non-null, the
+     * final labels: from the GE datapath in functional mode, else
+     * from a relaxation run for the call. A round costs its frontier:
+     * its tiles come from the plan's tile-row index
+     * (TileMetaTable::rowTiles), not a walk over every tile.
      */
     SimReport addOpRun(const CooGraph &graph, const AddOpSpec &spec,
                        const char *name,

@@ -106,7 +106,7 @@ MultiNodeGraphR::runBfs(const CooGraph &graph, VertexId source)
 {
     return runSweeps(graph,
                      static_cast<std::uint64_t>(
-                         goldenBfsRounds(graph, source)),
+                         bfsSchedule(graph, source)->rounds()),
                      spmvSweep(), /*props_per_vertex=*/1.0);
 }
 
@@ -115,7 +115,7 @@ MultiNodeGraphR::runSssp(const CooGraph &graph, VertexId source)
 {
     return runSweeps(graph,
                      static_cast<std::uint64_t>(
-                         goldenSsspRounds(graph, source)),
+                         ssspSchedule(graph, source)->rounds()),
                      spmvSweep(), /*props_per_vertex=*/1.0);
 }
 

@@ -84,10 +84,11 @@ class MultiNodeGraphR
     MultiNodeReport runSpmv(const CooGraph &graph);
 
     /**
-     * Add-op workloads (BFS/SSSP/WCC): round count from the golden
-     * run, memoised on the graph (goldenBfsRounds and its siblings;
-     * WCC counts wcc()'s in-place propagation rounds); each round
-     * every node sweeps its stripe of the graph (for WCC, of its
+     * Add-op workloads (BFS/SSSP/WCC): BFS and SSSP charge the rounds
+     * of the graph's memoised frontier schedule (bfsSchedule,
+     * ssspSchedule), the node's own rounds; WCC charges wcc()'s
+     * in-place propagation passes (goldenWccRounds). Each round every
+     * node sweeps its stripe of the graph (for WCC, of its
      * symmetrised copy) and the updated labels are all-gathered.
      * Charging a full stripe sweep per round is a conservative bound
      * — sparse-frontier rounds touch fewer tiles.

@@ -138,20 +138,40 @@ GraphRNode::runSpmv(const CooGraph &graph, const std::vector<Value> &x,
     return report;
 }
 
-SimReport
-GraphRNode::runBfs(const CooGraph &graph, VertexId source,
-                   std::vector<Value> *dist_out,
-                   const RoundObserver &on_round)
+namespace
+{
+
+/** The add-op start of a BFS or SSSP from @p source. */
+AddOpSpec
+singleSourceSpec(const CooGraph &graph, VertexId source, WeightMode mode,
+                 const RoundObserver &on_round)
 {
     GRAPHR_ASSERT(source < graph.numVertices(), "source out of range");
-    TileExecutor exec = makeExecutor(graph);
     AddOpSpec spec;
     spec.initLabels.assign(graph.numVertices(), kInfDistance);
     spec.initActive.assign(graph.numVertices(), false);
     spec.initLabels[source] = 0.0;
     spec.initActive[source] = true;
-    spec.mode = WeightMode::kUnit;
+    spec.mode = mode;
     spec.onRound = on_round;
+    return spec;
+}
+
+} // namespace
+
+// The add-op runs take their schedule before their plan: a first run
+// then builds the relaxation's adjacency and the plan one after the
+// other, so its peak memory holds only one of them.
+
+SimReport
+GraphRNode::runBfs(const CooGraph &graph, VertexId source,
+                   std::vector<Value> *dist_out,
+                   const RoundObserver &on_round)
+{
+    AddOpSpec spec =
+        singleSourceSpec(graph, source, WeightMode::kUnit, on_round);
+    spec.schedule = bfsSchedule(graph, source);
+    TileExecutor exec = makeExecutor(graph);
     SimReport report = exec.addOpRun(graph, spec, "bfs", dist_out);
     lastStats_ = exec.stats();
     return report;
@@ -162,15 +182,10 @@ GraphRNode::runSssp(const CooGraph &graph, VertexId source,
                     std::vector<Value> *dist_out,
                     const RoundObserver &on_round)
 {
-    GRAPHR_ASSERT(source < graph.numVertices(), "source out of range");
+    AddOpSpec spec =
+        singleSourceSpec(graph, source, WeightMode::kOriginal, on_round);
+    spec.schedule = ssspSchedule(graph, source);
     TileExecutor exec = makeExecutor(graph);
-    AddOpSpec spec;
-    spec.initLabels.assign(graph.numVertices(), kInfDistance);
-    spec.initActive.assign(graph.numVertices(), false);
-    spec.initLabels[source] = 0.0;
-    spec.initActive[source] = true;
-    spec.mode = WeightMode::kOriginal;
-    spec.onRound = on_round;
     SimReport report = exec.addOpRun(graph, spec, "sssp", dist_out);
     lastStats_ = exec.stats();
     return report;
@@ -183,15 +198,15 @@ GraphRNode::runWcc(const CooGraph &graph,
 {
     // Min-label propagation needs both edge directions.
     const std::shared_ptr<const CooGraph> sym = symmetrized(graph);
-    TileExecutor exec = makeExecutor(*sym);
-
     AddOpSpec spec;
     spec.initLabels.resize(sym->numVertices());
     for (VertexId v = 0; v < sym->numVertices(); ++v)
         spec.initLabels[v] = static_cast<Value>(v);
     spec.initActive.assign(sym->numVertices(), true);
     spec.mode = WeightMode::kZero;
+    spec.schedule = wccSchedule(graph);
     spec.onRound = on_round;
+    TileExecutor exec = makeExecutor(*sym);
 
     std::vector<Value> labels;
     SimReport report =

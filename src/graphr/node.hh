@@ -15,9 +15,10 @@
  *    crossbars, not the full array width (rram/graph_engine.hh).
  *  - timing-only: semantics come from the golden algorithms; the node
  *    walks the tile stream and charges the cost model. Used by the
- *    benches on large graphs. Iteration counts come from the graph's
- *    memo (graph/graph_memo.hh), and golden vectors are computed only
- *    when the caller asks for them.
+ *    benches on large graphs. Iteration counts and the add-op
+ *    workloads' frontier schedules come from the graph's memo
+ *    (graph/graph_memo.hh), and golden vectors are computed only when
+ *    the caller asks for them.
  *
  * Both modes charge identical event counts per processed tile (a
  * property test asserts this).
@@ -68,9 +69,12 @@ class GraphRNode
                       std::vector<Value> *y_out = nullptr);
 
     /**
-     * BFS levels from a source (parallel add-op; Table 2 row 3).
+     * BFS levels from a source (parallel add-op; Table 2 row 3). The
+     * rounds are the memoised bfsSchedule(graph, source).
+     * @param dist_out optional: final labels (in timing mode, from a
+     *                 relaxation run for this call); likewise below
      * @param on_round optional: sees each relaxation round's active
-     *                 set (AddOpSpec::onRound); likewise below
+     *                 ids (AddOpSpec::onRound); likewise below
      */
     SimReport runBfs(const CooGraph &graph, VertexId source,
                      std::vector<Value> *dist_out = nullptr,

@@ -95,31 +95,36 @@ OutOfCoreRunner::selectiveRounds(
 {
     OutOfCoreReport report;
 
-    const TilePlanPtr plan =
-        PlanCache::instance().get(graph, config_.tiling);
-    const GridPartition &part = plan->partition;
+    const GridPartition part(graph.numVertices(), config_.tiling);
     report.numBlocks = part.numBlocks();
     const std::uint64_t block = part.blockSize();
 
     // Edge bytes per source block-row (selective scheduling unit),
     // off the plan's tile table: a tile's rows never straddle a
-    // block boundary, so its whole nnz belongs to one block-row.
-    std::vector<std::uint64_t> row_bytes(part.blocksPerDim(), 0);
-    for (const TileMeta &meta : plan->meta.tiles())
-        row_bytes[meta.row0 / block] += meta.nnz * config_.bytesPerEdge;
+    // block boundary, so its whole nnz belongs to one block-row. They
+    // are read on the first round, when the node holds its plan: the
+    // node records a new schedule before it fetches the plan, and
+    // fetching it here first would hold both at once.
+    std::vector<std::uint64_t> row_bytes;
 
     // The node's rounds: a block-row is streamed when any of its
-    // sources is active.
-    report.node = run_node([&](const std::vector<bool> &active) {
-        for (std::uint64_t row = 0; row < part.blocksPerDim(); ++row) {
-            const std::uint64_t lo = row * block;
-            const std::uint64_t hi = std::min<std::uint64_t>(
-                lo + block, graph.numVertices());
-            bool any = false;
-            for (std::uint64_t v = lo; v < hi && !any; ++v)
-                any = active[v];
-            if (!any)
+    // sources is active. The ids ascend, so the block-rows they fall
+    // in come out ascending, each once.
+    report.node = run_node([&](std::span<const VertexId> ids) {
+        if (row_bytes.empty()) {
+            row_bytes.assign(part.blocksPerDim(), 0);
+            const TilePlanPtr plan =
+                PlanCache::instance().get(graph, config_.tiling);
+            for (const TileMeta &meta : plan->meta.tiles())
+                row_bytes[meta.row0 / block] +=
+                    meta.nnz * config_.bytesPerEdge;
+        }
+        std::uint64_t streamed = part.blocksPerDim(); // none yet
+        for (const VertexId v : ids) {
+            const std::uint64_t row = v / block;
+            if (row == streamed)
                 continue;
+            streamed = row;
             report.bytesStreamed += row_bytes[row];
             report.diskSeconds += streamSeconds(
                 row_bytes[row], part.blocksPerDim());

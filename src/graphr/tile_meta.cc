@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstdint>
+#include <numeric>
 
 #include "common/logging.hh"
 
@@ -59,12 +61,31 @@ describeTile(const GridPartition &part, std::uint64_t tile_index,
 
 TileMetaTable::TileMetaTable(const OrderedEdgeList &ordered)
 {
+    const GridPartition &part = ordered.partition();
+    const std::uint32_t dim = part.crossbarDim();
+    GRAPHR_ASSERT(ordered.tiles().size() <= UINT32_MAX, "tile count ",
+                  ordered.tiles().size(), " overflows the tile-row index");
+    // rowOffsets_[r + 1] counts tile row r's tiles first; the prefix
+    // sum below turns the counts into offsets.
+    rowOffsets_.assign((part.numVertices() + dim - 1) / dim + 1, 0);
     tiles_.reserve(ordered.tiles().size());
     for (const TileSpan &span : ordered.tiles()) {
-        tiles_.push_back(describeTile(ordered.partition(), span.tileIndex,
+        tiles_.push_back(describeTile(part, span.tileIndex,
                                       ordered.tileEdges(span)));
         totalNnz_ += span.numEdges;
+        ++rowOffsets_[tiles_.back().row0 / dim + 1];
     }
+
+    // Counting sort of the positions by tile row; a stable fill keeps
+    // each row's positions ascending.
+    std::partial_sum(rowOffsets_.begin(), rowOffsets_.end(),
+                     rowOffsets_.begin());
+    rowPositions_.resize(tiles_.size());
+    std::vector<std::uint32_t> next(rowOffsets_.begin(),
+                                    rowOffsets_.end() - 1);
+    for (std::size_t t = 0; t < tiles_.size(); ++t)
+        rowPositions_[next[tiles_[t].row0 / dim]++] =
+            static_cast<std::uint32_t>(t);
 }
 
 } // namespace graphr

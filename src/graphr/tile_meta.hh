@@ -6,7 +6,9 @@
  * non-zeros, the serial row-write depth, and which source rows carry
  * edges (to intersect with active sets for BFS/SSSP). Computing this
  * once after preprocessing keeps the per-iteration simulation loop a
- * cheap table walk, which matters when iterating large graphs.
+ * cheap table walk, which matters when iterating large graphs. The
+ * table also indexes its tiles by tile row, so an add-op round
+ * reaches the tiles of its active sources without walking the rest.
  */
 
 #ifndef GRAPHR_GRAPHR_TILE_META_HH
@@ -60,9 +62,27 @@ class TileMetaTable
         return totalNnz_;
     }
 
+    /**
+     * Positions in tiles() of the tiles of tile row @p row — those
+     * whose sources are [row * C, row * C + C) — ascending. Every
+     * tile row starts at a multiple of C (blocks hold whole tile
+     * rows), so vertex v lies in tile row v / C.
+     */
+    std::span<const std::uint32_t>
+    rowTiles(std::uint64_t row) const
+    {
+        return std::span<const std::uint32_t>(rowPositions_)
+            .subspan(rowOffsets_[row],
+                     rowOffsets_[row + 1] - rowOffsets_[row]);
+    }
+
   private:
     std::vector<TileMeta> tiles_;
     std::uint64_t totalNnz_ = 0;
+    /** Tile row r's positions: rowPositions_[rowOffsets_[r],
+     *  rowOffsets_[r + 1]); one 4-byte entry per tile. */
+    std::vector<std::uint32_t> rowOffsets_;
+    std::vector<std::uint32_t> rowPositions_;
 };
 
 } // namespace graphr

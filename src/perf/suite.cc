@@ -185,7 +185,8 @@ dropCaches()
  * simulated seconds (the model's deterministic output), run count,
  * the warm-path invariant that no edge sort happens, and the graph
  * memo's work: each sweep resolves a fresh graph, so it computes
- * each golden count and the symmetrised copy exactly once.
+ * each golden count, each frontier schedule and the symmetrised copy
+ * exactly once.
  */
 void
 sweepScenario(SuiteBuilder &b, const std::string &prefix,
@@ -213,6 +214,8 @@ sweepScenario(SuiteBuilder &b, const std::string &prefix,
              stats.perRep("plan_cache.misses"), "count", true);
     b.scalar(prefix + ".golden_computes_per_rep",
              stats.perRep("golden_cache.misses"), "count", true);
+    b.scalar(prefix + ".frontier_builds_per_rep",
+             stats.perRep("frontier_cache.misses"), "count", true);
     b.scalar(prefix + ".symmetrizations_per_rep",
              stats.perRep("graph.symmetrizations"), "count", true);
 }

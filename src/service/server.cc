@@ -552,6 +552,14 @@ Server::statusTextLocked(const std::string &id) const
         w.field("misses", golden.misses);
         w.endObject();
 
+        const driver::GoldenCacheStats frontier =
+            driver::frontierCacheStats();
+        w.key("frontier_cache");
+        w.beginObject();
+        w.field("hits", frontier.hits);
+        w.field("misses", frontier.misses);
+        w.endObject();
+
         w.key("store");
         if (const std::shared_ptr<PlanStore> store =
                 PlanCache::instance().store()) {

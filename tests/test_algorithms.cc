@@ -1,17 +1,26 @@
 /**
  * @file
- * Tests for the golden reference algorithms (Table 2 workloads).
+ * Tests for the golden reference algorithms (Table 2 workloads) and
+ * the relaxation rounds the simulator replays (RelaxationSweep,
+ * FrontierSchedule).
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "algorithms/collaborative_filtering.hh"
 #include "algorithms/pagerank.hh"
 #include "algorithms/spmv.hh"
 #include "algorithms/traversal.hh"
+#include "algorithms/wcc.hh"
+#include "graph/csr.hh"
 #include "graph/generator.hh"
+#include "graph/graph_memo.hh"
 
 namespace graphr
 {
@@ -200,6 +209,158 @@ TEST(RelaxationSweepTest, MatchesBatchSssp)
             EXPECT_DOUBLE_EQ(sweep.dist()[v], batch.dist[v]);
         }
     }
+}
+
+// ------------------------------------------------ frontier schedules
+
+/**
+ * The relaxation rounds by definition: each round scans every vertex,
+ * relaxes the active ones in ascending order with labels updated in
+ * place, and activates the vertices it improved. Returns each round's
+ * active ids; @p dist ends at the final labels.
+ */
+std::vector<std::vector<VertexId>>
+referenceRounds(const CooGraph &g, std::vector<Value> &dist,
+                std::vector<bool> active, WeightMode mode)
+{
+    const CsrGraph out(g, CsrGraph::Direction::kOut);
+    std::vector<std::vector<VertexId>> rounds;
+    for (;;) {
+        std::vector<VertexId> ids;
+        for (VertexId v = 0; v < g.numVertices(); ++v) {
+            if (active[v])
+                ids.push_back(v);
+        }
+        if (ids.empty())
+            return rounds;
+        rounds.push_back(ids);
+        std::vector<bool> next(g.numVertices(), false);
+        for (const VertexId u : ids) {
+            for (const Adjacency &adj : out.neighbors(u)) {
+                const Value w = mode == WeightMode::kOriginal ? adj.weight
+                                : mode == WeightMode::kUnit   ? 1.0
+                                                              : 0.0;
+                if (dist[u] + w < dist[adj.neighbor]) {
+                    dist[adj.neighbor] = dist[u] + w;
+                    next[adj.neighbor] = true;
+                }
+            }
+        }
+        active = std::move(next);
+    }
+}
+
+/** @p sweep's rounds and final labels are the reference's, and an
+ *  uncapped recording of the same sweep keeps every round. */
+void
+expectSweepIsReference(RelaxationSweep sweep, const CooGraph &g,
+                       std::vector<Value> dist, std::vector<bool> active,
+                       WeightMode mode)
+{
+    const std::vector<std::vector<VertexId>> want =
+        referenceRounds(g, dist, std::move(active), mode);
+
+    const FrontierSchedule recorded = recordSchedule(sweep, SIZE_MAX);
+    ASSERT_TRUE(recorded.recorded());
+    ASSERT_EQ(recorded.rounds(), static_cast<int>(want.size()));
+
+    std::size_t r = 0;
+    for (; !sweep.done(); sweep.step(), ++r) {
+        ASSERT_LT(r, want.size());
+        const std::span<const VertexId> ids = sweep.activeIds();
+        EXPECT_EQ(std::vector<VertexId>(ids.begin(), ids.end()), want[r])
+            << "round " << r;
+        const std::span<const VertexId> kept =
+            recorded.round(static_cast<int>(r));
+        EXPECT_EQ(std::vector<VertexId>(kept.begin(), kept.end()), want[r])
+            << "round " << r;
+        std::vector<VertexId> flagged;
+        for (VertexId v = 0; v < g.numVertices(); ++v) {
+            if (sweep.active()[v])
+                flagged.push_back(v);
+        }
+        EXPECT_EQ(flagged, want[r]) << "round " << r;
+    }
+    EXPECT_EQ(r, want.size());
+    EXPECT_EQ(sweep.dist(), dist);
+}
+
+TEST(FrontierScheduleTest, SweepRoundsAreTheDefinitionOnEveryFamily)
+{
+    const std::pair<std::string, CooGraph> families[] = {
+        {"rmat", makeRmat({.numVertices = 600,
+                           .numEdges = 4800,
+                           .maxWeight = 9.0,
+                           .seed = 21})},
+        {"er", makeErdosRenyi(500, 3000, 22, 5.0)},
+        {"grid", makeGrid2d(24, 17, 23)},
+        {"chain", makeChain(90)},
+        {"star", makeStar(70)},
+        {"complete", makeComplete(25)},
+        {"bipartite", makeBipartiteRatings(60, 40, 700, 24)},
+    };
+    for (const auto &[family, g] : families) {
+        SCOPED_TRACE(family);
+        const VertexId nv = g.numVertices();
+        for (const VertexId source : {VertexId{0}, nv / 3, nv - 1}) {
+            SCOPED_TRACE("source " + std::to_string(source));
+            // The memo's schedules run the golden rounds, and keep
+            // their ids only within the cap.
+            for (const auto &schedule :
+                 {bfsSchedule(g, source), ssspSchedule(g, source)}) {
+                EXPECT_LE(schedule->bytes(), schedule->cap());
+                EXPECT_EQ(schedule->cap(), FrontierSchedule::capFor(g));
+            }
+            EXPECT_EQ(bfsSchedule(g, source)->rounds(),
+                      bfs(g, source).iterations);
+            EXPECT_EQ(ssspSchedule(g, source)->rounds(),
+                      sssp(g, source).iterations);
+
+            std::vector<Value> dist(nv, kInfDistance);
+            std::vector<bool> active(nv, false);
+            dist[source] = 0.0;
+            active[source] = true;
+            for (const WeightMode mode :
+                 {WeightMode::kUnit, WeightMode::kOriginal}) {
+                expectSweepIsReference(
+                    RelaxationSweep(g, source, mode == WeightMode::kUnit),
+                    g, dist, active, mode);
+            }
+        }
+
+        const CooGraph sym = symmetrize(g);
+        std::vector<Value> labels(nv);
+        for (VertexId v = 0; v < nv; ++v)
+            labels[v] = static_cast<Value>(v);
+        expectSweepIsReference(makeWccSweep(sym), sym, labels,
+                               std::vector<bool>(nv, true),
+                               WeightMode::kZero);
+        EXPECT_EQ(wccSchedule(g)->rounds(),
+                  recordSchedule(makeWccSweep(sym), 0).rounds());
+    }
+}
+
+TEST(FrontierScheduleTest, PastTheCapOnlyRoundsAreKept)
+{
+    // 40 bytes: the first round (two ids, two offsets) fits, the
+    // second does not.
+    FrontierSchedule schedule(40);
+    const VertexId first[] = {1, 2};
+    schedule.addRound(first);
+    EXPECT_TRUE(schedule.recorded());
+    EXPECT_EQ(schedule.bytes(), 2 * sizeof(VertexId) +
+                                    2 * sizeof(std::size_t));
+    EXPECT_EQ(std::vector<VertexId>(schedule.round(0).begin(),
+                                    schedule.round(0).end()),
+              std::vector<VertexId>({1, 2}));
+
+    const VertexId second[] = {3, 4, 5};
+    schedule.addRound(second);
+    schedule.addRound({});
+    schedule.finish();
+    EXPECT_FALSE(schedule.recorded());
+    EXPECT_EQ(schedule.rounds(), 3);
+    EXPECT_EQ(schedule.bytes(), 0u);
 }
 
 TEST(SpmvTest, MatchesDenseComputation)

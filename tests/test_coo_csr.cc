@@ -1,8 +1,8 @@
 /**
  * @file
  * Unit tests for the COO container (including its memo: the
- * fingerprint, golden counts and symmetrised copy) and the CSR/CSC
- * adjacency builder.
+ * fingerprint, golden counts, frontier schedules and symmetrised
+ * copy) and the CSR/CSC adjacency builder.
  */
 
 #include <gtest/gtest.h>
@@ -317,19 +317,25 @@ TEST(CooMemoTest, ConcurrentFirstCallsBuildOnce)
 {
     const CooGraph g = paperGraph();
     const int want_rounds = wcc(g).iterations;
+    const int want_bfs_rounds = bfs(g, 4).iterations;
     const std::uint64_t symmetrizations =
         counterValue("graph.symmetrizations");
     const std::uint64_t misses = counterValue("golden_cache.misses");
     const std::uint64_t hits = counterValue("golden_cache.hits");
+    const std::uint64_t frontier_misses =
+        counterValue("frontier_cache.misses");
+    const std::uint64_t frontier_hits = counterValue("frontier_cache.hits");
 
     constexpr std::size_t kThreads = 8;
     std::vector<const CooGraph *> copies(kThreads, nullptr);
     std::vector<int> rounds(kThreads, 0);
+    std::vector<const FrontierSchedule *> schedules(kThreads, nullptr);
     std::vector<std::thread> threads;
     for (std::size_t t = 0; t < kThreads; ++t) {
         threads.emplace_back([&, t] {
             copies[t] = symmetrized(g).get();
             rounds[t] = goldenWccRounds(g);
+            schedules[t] = bfsSchedule(g, 4).get();
         });
     }
     for (std::thread &t : threads)
@@ -339,38 +345,70 @@ TEST(CooMemoTest, ConcurrentFirstCallsBuildOnce)
               1u);
     EXPECT_EQ(counterValue("golden_cache.misses") - misses, 1u);
     EXPECT_EQ(counterValue("golden_cache.hits") - hits, kThreads - 1);
+    EXPECT_EQ(counterValue("frontier_cache.misses") - frontier_misses,
+              1u);
+    EXPECT_EQ(counterValue("frontier_cache.hits") - frontier_hits,
+              kThreads - 1);
     for (std::size_t t = 0; t < kThreads; ++t) {
         EXPECT_EQ(copies[t], copies[0]);
         EXPECT_EQ(rounds[t], want_rounds);
+        EXPECT_EQ(schedules[t], schedules[0]);
     }
+    EXPECT_EQ(schedules[0]->rounds(), want_bfs_rounds);
 }
 
-TEST(CooMemoTest, GoldenCountsStayBoundedPerProduct)
+TEST(CooMemoTest, SchedulesStayBoundedPerProduct)
 {
     // A client sending a new BFS source with every request: the memo
-    // keeps the most recent sources only, and never drops the
-    // PageRank count for them.
+    // keeps the schedules of the most recent sources only, and never
+    // drops the PageRank count for them.
     const CooGraph g = makeChain(64);
     const PageRankParams params;
     const int iterations = goldenPageRankIterations(g, params);
-    constexpr VertexId kSources =
-        3 * GraphMemo::kGoldenCountsPerProduct;
-    const std::uint64_t misses = counterValue("golden_cache.misses");
+    constexpr VertexId kSources = GraphMemo::kGoldenCountsPerProduct + 1;
+    const std::uint64_t misses = counterValue("frontier_cache.misses");
+    const std::uint64_t golden_misses = counterValue("golden_cache.misses");
     for (VertexId s = 0; s < kSources; ++s)
-        EXPECT_EQ(goldenBfsRounds(g, s), bfs(g, s).iterations) << s;
-    EXPECT_EQ(counterValue("golden_cache.misses") - misses, kSources);
+        EXPECT_EQ(bfsSchedule(g, s)->rounds(), bfs(g, s).iterations) << s;
+    EXPECT_EQ(counterValue("frontier_cache.misses") - misses, kSources);
 
-    const std::uint64_t hits = counterValue("golden_cache.hits");
-    EXPECT_EQ(goldenBfsRounds(g, kSources - 1),
+    // Sources 1 .. 16 are kept, and the PageRank count with them.
+    const std::uint64_t hits = counterValue("frontier_cache.hits");
+    const std::uint64_t golden_hits = counterValue("golden_cache.hits");
+    EXPECT_EQ(bfsSchedule(g, kSources - 1)->rounds(),
               bfs(g, kSources - 1).iterations);
+    EXPECT_EQ(bfsSchedule(g, 1)->rounds(), bfs(g, 1).iterations);
     EXPECT_EQ(goldenPageRankIterations(g, params), iterations);
-    EXPECT_EQ(counterValue("golden_cache.hits") - hits, 2u);
-    EXPECT_EQ(counterValue("golden_cache.misses") - misses, kSources);
+    EXPECT_EQ(counterValue("frontier_cache.hits") - hits, 2u);
+    EXPECT_EQ(counterValue("frontier_cache.misses") - misses, kSources);
+    EXPECT_EQ(counterValue("golden_cache.hits") - golden_hits, 1u);
+    EXPECT_EQ(counterValue("golden_cache.misses"), golden_misses);
 
-    // The oldest source was evicted, so it is computed again.
-    EXPECT_EQ(goldenBfsRounds(g, 0), bfs(g, 0).iterations);
-    EXPECT_EQ(counterValue("golden_cache.misses") - misses,
+    // The 17th source evicted the oldest, so it is recorded again.
+    EXPECT_EQ(bfsSchedule(g, 0)->rounds(), bfs(g, 0).iterations);
+    EXPECT_EQ(counterValue("frontier_cache.misses") - misses,
               kSources + 1);
+    // SSSP schedules are a product of their own: BFS sources never
+    // evicted them.
+    const std::uint64_t before = counterValue("frontier_cache.misses");
+    EXPECT_EQ(ssspSchedule(g, 0)->rounds(), sssp(g, 0).iterations);
+    EXPECT_EQ(ssspSchedule(g, 0)->rounds(), sssp(g, 0).iterations);
+    EXPECT_EQ(counterValue("frontier_cache.misses") - before, 1u);
+}
+
+TEST(CooMemoTest, GoldenWccRoundsAreWccPassesOverTheMemoisedCopy)
+{
+    // The count runs over the memo's one symmetrised copy, which has
+    // symmetrize()'s edge order, so it is wcc()'s pass count.
+    for (const CooGraph &g :
+         {paperGraph(), makeChain(50), makeGrid2d(9, 7),
+          makeRmat({.numVertices = 300, .numEdges = 1500, .seed = 4})}) {
+        const std::uint64_t symmetrizations =
+            counterValue("graph.symmetrizations");
+        EXPECT_EQ(goldenWccRounds(g), wcc(g).iterations);
+        EXPECT_EQ(counterValue("graph.symmetrizations") - symmetrizations,
+                  1u);
+    }
 }
 
 } // namespace

@@ -5,12 +5,19 @@
  * validation (the crossbarDim <= 64 row-mask invariant), functional
  * vs reference equivalence for all six algorithms through the shared
  * TileExecutor, resident-weight (ProgramCharging::kOnce) program
- * counting, and the driver's golden-PageRank cache.
+ * counting, the add-op walk over recorded frontier schedules, and the
+ * driver's golden-PageRank cache.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <memory>
+#include <span>
+#include <string>
 
 #include "algorithms/pagerank.hh"
 #include "algorithms/spmv.hh"
@@ -20,10 +27,13 @@
 #include "driver/driver.hh"
 #include "driver/golden_cache.hh"
 #include "graph/generator.hh"
+#include "graphr/cost_model.hh"
 #include "graphr/engine/plan_cache.hh"
 #include "graphr/engine/tile_executor.hh"
+#include "graphr/multi_node.hh"
 #include "graphr/node.hh"
 #include "graphr/out_of_core.hh"
+#include "sim_report_eq.hh"
 
 namespace graphr
 {
@@ -415,6 +425,262 @@ TEST(ResidentWeightTest, AddOpProgramsEachTileAtMostOnce)
             EXPECT_TRUE(std::isinf(dist[v]));
         else
             EXPECT_DOUBLE_EQ(dist[v], golden.dist[v]);
+    }
+}
+
+// ------------------------------------- add-op walk over a schedule
+
+/** The add-op start GraphRNode builds for a BFS/SSSP from @p source. */
+AddOpSpec
+sourceSpec(const CooGraph &g, VertexId source, WeightMode mode)
+{
+    AddOpSpec spec;
+    spec.initLabels.assign(g.numVertices(), kInfDistance);
+    spec.initActive.assign(g.numVertices(), false);
+    spec.initLabels[source] = 0.0;
+    spec.initActive[source] = true;
+    spec.mode = mode;
+    return spec;
+}
+
+/** The add-op start of WCC over the symmetrised @p sym. */
+AddOpSpec
+wccSpec(const CooGraph &sym)
+{
+    AddOpSpec spec;
+    for (VertexId v = 0; v < sym.numVertices(); ++v)
+        spec.initLabels.push_back(static_cast<Value>(v));
+    spec.initActive.assign(sym.numVertices(), true);
+    spec.mode = WeightMode::kZero;
+    return spec;
+}
+
+/**
+ * The timing report of @p spec's rounds by definition: every round
+ * tests every tile of the plan, in plan order, against the round's
+ * active flags and prices each tile it touches.
+ */
+SimReport
+referenceAddOpReport(const GraphRConfig &cfg, const TilePlan &plan,
+                     const CooGraph &g, const AddOpSpec &spec,
+                     const char *name)
+{
+    const CostModel cost_model(cfg);
+    const bool once = cfg.programCharging == ProgramCharging::kOnce;
+    const std::uint32_t dim = plan.partition.crossbarDim();
+    SimReport report;
+    report.algorithm = name;
+    report.occupancy = plan.ordered.occupancy();
+    EnergyEvents events;
+    double total_ns = 0.0;
+    double prog_ns = 0.0;
+    double comp_ns = 0.0;
+    double stream_ns = 0.0;
+    if (once) {
+        for (const TileMeta &meta : plan.meta.tiles()) {
+            const TileCost cost = cost_model.addOpTile(meta, 0, events);
+            prog_ns += cost.programNs;
+            stream_ns += cost.streamNs;
+            total_ns += cfg.pipelineTiles
+                            ? std::max(cost.overlappedProgramNs,
+                                       cost.streamNs)
+                            : cost.programNs + cost.streamNs;
+        }
+    }
+
+    RelaxationSweep sweep(g, spec.initLabels, spec.initActive, spec.mode);
+    for (; !sweep.done(); sweep.step()) {
+        for (const TileMeta &meta : plan.meta.tiles()) {
+            std::uint64_t mask = 0;
+            for (std::uint32_t r = 0; r < dim; ++r) {
+                const std::uint64_t v = meta.row0 + r;
+                if (v < g.numVertices() && sweep.active()[v])
+                    mask |= std::uint64_t{1} << r;
+            }
+            mask &= meta.rowMask;
+            if (mask == 0) {
+                ++report.tilesSkipped;
+                continue;
+            }
+            const auto rows =
+                static_cast<std::uint32_t>(std::popcount(mask));
+            EnergyEvents tile_events;
+            const TileCost cost =
+                cost_model.addOpTile(meta, rows, tile_events);
+            if (once) {
+                tile_events.arrayWrites = 0;
+                tile_events.memBytes = 0;
+                total_ns += cost.computeNs;
+            } else {
+                prog_ns += cost.programNs;
+                stream_ns += cost.streamNs;
+                total_ns += cost.totalNs(cfg.pipelineTiles);
+            }
+            events += tile_events;
+            comp_ns += cost.computeNs;
+            ++report.tilesProcessed;
+            report.activeRowOps += rows;
+            for (; mask != 0; mask &= mask - 1)
+                report.edgesProcessed += meta.rowNnz[std::countr_zero(mask)];
+        }
+        total_ns += cost_model.iterationOverheadNs();
+        ++report.iterations;
+    }
+
+    report.seconds = total_ns * 1e-9;
+    report.programSeconds = prog_ns * 1e-9;
+    report.computeSeconds = comp_ns * 1e-9;
+    report.streamSeconds = stream_ns * 1e-9;
+    EnergyLedger ledger(cfg.device);
+    ledger.events() = events;
+    report.events = events;
+    report.energy = ledger.breakdown();
+    report.energy.peripheral =
+        cfg.device.peripheralActiveWatts * report.seconds;
+    report.joules = report.energy.total();
+    return report;
+}
+
+/**
+ * addOpRun prices a recorded schedule exactly as a live sweep: the
+ * same report field by field, the same labels, the same ids shown to
+ * the observer round by round. Both reports equal, to the last bit,
+ * the walk that tests every tile every round.
+ */
+void
+expectRecordedWalkIsLiveWalk(const GraphRConfig &cfg, const CooGraph &g,
+                             AddOpSpec spec, const char *name)
+{
+    SCOPED_TRACE(name);
+    const TilePlanPtr plan = PlanCache::instance().get(g, cfg.tiling);
+    std::vector<std::vector<VertexId>> live_rounds;
+    std::vector<std::vector<VertexId>> recorded_rounds;
+
+    AddOpSpec live = spec;
+    live.onRound = [&live_rounds](std::span<const VertexId> ids) {
+        live_rounds.emplace_back(ids.begin(), ids.end());
+    };
+    TileExecutor live_exec(cfg, plan);
+    std::vector<Value> live_labels;
+    const SimReport want = live_exec.addOpRun(g, live, name, &live_labels);
+
+    AddOpSpec recorded = spec;
+    recorded.schedule = std::make_shared<const FrontierSchedule>(
+        recordSchedule(RelaxationSweep(g, spec.initLabels,
+                                       spec.initActive, spec.mode),
+                       SIZE_MAX));
+    recorded.onRound = [&recorded_rounds](std::span<const VertexId> ids) {
+        recorded_rounds.emplace_back(ids.begin(), ids.end());
+    };
+    TileExecutor exec(cfg, plan);
+    std::vector<Value> labels;
+    const SimReport got = exec.addOpRun(g, recorded, name, &labels);
+
+    expectSameSimReport(got, want);
+    EXPECT_EQ(recorded_rounds, live_rounds);
+    EXPECT_EQ(labels, live_labels);
+    EXPECT_EQ(exec.stats().functionalTilePrograms,
+              live_exec.stats().functionalTilePrograms);
+    EXPECT_EQ(exec.stats().functionalTileLoads,
+              live_exec.stats().functionalTileLoads);
+
+    expectSameSimReport(got, referenceAddOpReport(cfg, *plan, g, spec,
+                                                  name));
+}
+
+TEST(ScheduleWalkTest, RecordedScheduleReportsEqualLiveSweep)
+{
+    // Big enough that rounds touching few tiles span several tile
+    // rows and columns, so their tiles must be sorted into plan order.
+    const CooGraph g = makeRmat({.numVertices = 2000,
+                                 .numEdges = 16000,
+                                 .maxWeight = 7.0,
+                                 .seed = 71});
+    const CooGraph sym = symmetrize(g);
+
+    std::vector<std::pair<std::string, GraphRConfig>> tilings;
+    for (const std::uint32_t block : {48u, 50u, 256u}) {
+        GraphRConfig cfg;
+        cfg.tiling.crossbarDim = 4;
+        cfg.tiling.crossbarsPerGe = 2;
+        cfg.tiling.numGe = 3;
+        cfg.tiling.blockSize = block;
+        tilings.emplace_back("C4 N2 G3 B" + std::to_string(block), cfg);
+    }
+    tilings.emplace_back("default", GraphRConfig{});
+
+    for (const auto &[tiling, base] : tilings) {
+        for (const ProgramCharging charging :
+             {ProgramCharging::kOnce, ProgramCharging::kPerSweep}) {
+            for (const bool pipeline : {true, false}) {
+                for (const bool functional : {false, true}) {
+                    GraphRConfig cfg = base;
+                    cfg.programCharging = charging;
+                    cfg.pipelineTiles = pipeline;
+                    cfg.functional = functional;
+                    SCOPED_TRACE(
+                        tiling +
+                        (charging == ProgramCharging::kOnce ? " once"
+                                                            : " per-sweep") +
+                        (pipeline ? " pipelined" : "") +
+                        (functional ? " functional" : " timing"));
+                    for (const VertexId source : {0u, 177u, 1999u}) {
+                        expectRecordedWalkIsLiveWalk(
+                            cfg, g,
+                            sourceSpec(g, source, WeightMode::kUnit), "bfs");
+                        expectRecordedWalkIsLiveWalk(
+                            cfg, g,
+                            sourceSpec(g, source, WeightMode::kOriginal),
+                            "sssp");
+                    }
+                    expectRecordedWalkIsLiveWalk(cfg, sym, wccSpec(sym),
+                                                 "wcc");
+                }
+            }
+        }
+    }
+}
+
+TEST(ScheduleWalkTest, OverCapScheduleKeepsItsRoundsAndRunsMatch)
+{
+    // A weighted grid re-relaxes its vertices over many rounds: its
+    // SSSP frontier outgrows 1/16 of the graph's edge bytes.
+    const CooGraph g = makeGrid2d(40, 40, 7, 10.0);
+    const TraversalResult golden = sssp(g, 0);
+    const std::shared_ptr<const FrontierSchedule> schedule =
+        ssspSchedule(g, 0);
+    EXPECT_FALSE(schedule->recorded());
+    EXPECT_EQ(schedule->bytes(), 0u);
+    EXPECT_EQ(schedule->rounds(), golden.iterations);
+    const FrontierSchedule full =
+        recordSchedule(RelaxationSweep(g, 0, false), SIZE_MAX);
+    EXPECT_GT(full.bytes(), FrontierSchedule::capFor(g));
+
+    for (const bool functional : {false, true}) {
+        SCOPED_TRACE(functional ? "functional" : "timing");
+        GraphRConfig cfg = functionalConfig();
+        cfg.functional = functional;
+
+        // The node replays the relaxation live; its report is the
+        // walk of the full recording.
+        GraphRNode node(cfg);
+        std::vector<Value> dist;
+        const SimReport got = node.runSssp(g, 0, &dist);
+        AddOpSpec spec = sourceSpec(g, 0, WeightMode::kOriginal);
+        spec.schedule = std::make_shared<const FrontierSchedule>(full);
+        TileExecutor exec(cfg, PlanCache::instance().get(g, cfg.tiling));
+        expectSameSimReport(got, exec.addOpRun(g, spec, "sssp", nullptr));
+        EXPECT_EQ(got.iterations,
+                  static_cast<std::uint64_t>(golden.iterations));
+        EXPECT_EQ(dist, golden.dist);
+
+        // The out-of-core node report is the same run's, and the
+        // cluster charges the schedule's rounds.
+        const OutOfCoreReport ooc =
+            OutOfCoreRunner(cfg, StorageParams{}).runSssp(g, 0);
+        expectSameSimReport(ooc.node, got);
+        EXPECT_EQ(MultiNodeGraphR(cfg, 3).runSssp(g, 0).iterations,
+                  static_cast<std::uint64_t>(golden.iterations));
     }
 }
 

@@ -404,6 +404,34 @@ TEST_F(ServeTest, RepeatedRequestsResolveTheirDatasetOnce)
     }
 }
 
+TEST_F(ServeTest, RepeatedBfsRequestsReplayOneFrontierSchedule)
+{
+    const std::string bfs =
+        std::regex_replace(kRunRequest, std::regex("pagerank"), "bfs");
+    const std::string text =
+        bfs + "\n" +
+        std::regex_replace(bfs, std::regex("\"r1\""), "\"r2\"") + "\n" +
+        std::regex_replace(bfs, std::regex("\"r1\""), "\"r3\"") + "\n" +
+        R"({"id":"q","type":"status"})" + "\n";
+    const auto out = lines(serveText(text));
+    ASSERT_EQ(out.size(), 4u);
+    const auto strip_id = [](const std::string &line) {
+        return std::regex_replace(line, std::regex("\"id\":\"[^\"]*\""),
+                                  "\"id\":\"X\"");
+    };
+    EXPECT_TRUE(parsedResponse(out[0]).find("ok")->asBool()) << out[0];
+    EXPECT_EQ(strip_id(out[1]), strip_id(out[0]));
+    EXPECT_EQ(strip_id(out[2]), strip_id(out[0]));
+
+    // The resident graph's memo records the BFS frontier on the first
+    // request and replays it for the other two.
+    const JsonValue v = parsedResponse(out[3]);
+    const JsonValue *frontier = v.find("frontier_cache");
+    ASSERT_NE(frontier, nullptr) << out[3];
+    EXPECT_EQ(frontier->find("misses")->asU64(), 1u);
+    EXPECT_EQ(frontier->find("hits")->asU64(), 2u);
+}
+
 TEST_F(ServeTest, DegenerateGeneratorSpecIsAnErrorBetweenGoodRequests)
 {
     // Each spec used to abort or hang the daemon, losing the response

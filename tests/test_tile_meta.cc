@@ -5,8 +5,9 @@
  * edge list, must equal a set-based reference built straight from the
  * unordered input, field by field, for every generator family and for
  * tilings with a non-power-of-two crossbar, the 64-row limit and
- * multiple blocks. A plan decoded from a compressed artifact must
- * carry the same table as its fresh prepare.
+ * multiple blocks. The table's tile-row index must list exactly each
+ * tile row's tiles, in plan order. A plan decoded from a compressed
+ * artifact must carry the same table as its fresh prepare.
  */
 
 #include <gtest/gtest.h>
@@ -16,6 +17,7 @@
 #include <functional>
 #include <map>
 #include <set>
+#include <span>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -140,6 +142,28 @@ families()
     return all;
 }
 
+/** rowTiles(r) lists, ascending, exactly the positions of the tiles
+ *  whose first source row is r * C, for every tile row of the graph. */
+void
+expectRowIndex(const TileMetaTable &table, const GridPartition &part)
+{
+    const std::uint32_t dim = part.crossbarDim();
+    const std::uint64_t rows = (part.numVertices() + dim - 1) / dim;
+    std::vector<std::vector<std::uint32_t>> want(rows);
+    for (std::size_t t = 0; t < table.tiles().size(); ++t) {
+        const TileMeta &meta = table.tiles()[t];
+        ASSERT_EQ(meta.row0 % dim, 0u) << "tile " << meta.tileIndex;
+        ASSERT_LT(meta.row0 / dim, rows) << "tile " << meta.tileIndex;
+        want[meta.row0 / dim].push_back(static_cast<std::uint32_t>(t));
+    }
+    for (std::uint64_t r = 0; r < rows; ++r) {
+        const std::span<const std::uint32_t> got = table.rowTiles(r);
+        EXPECT_EQ(std::vector<std::uint32_t>(got.begin(), got.end()),
+                  want[r])
+            << "tile row " << r;
+    }
+}
+
 /** (crossbarDim, crossbarsPerGe, numGe, blockSize). */
 using Tiling = std::tuple<std::uint32_t, std::uint32_t, std::uint32_t,
                           std::uint32_t>;
@@ -164,7 +188,9 @@ TEST_P(TileMetaPropertyTest, RunCountedTableEqualsSetReference)
         const CooGraph g = make();
         const GridPartition part(g.numVertices(), tiling);
         const OrderedEdgeList ordered(g, part);
-        expectMetaEqual(referenceMeta(g, part), TileMetaTable(ordered));
+        const TileMetaTable table(ordered);
+        expectMetaEqual(referenceMeta(g, part), table);
+        expectRowIndex(table, part);
     }
 }
 
@@ -199,6 +225,7 @@ TEST(TileMetaTest, DecodedPlanCarriesTheFreshTable)
             expectMetaEqual(referenceMeta(g, fresh.partition),
                             loaded->meta);
             expectMetaEqual(fresh.meta.tiles(), loaded->meta);
+            expectRowIndex(loaded->meta, loaded->partition);
         }
     }
     fs::remove_all(dir);
