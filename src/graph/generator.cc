@@ -20,30 +20,34 @@ ceilPow2(VertexId n)
     return std::bit_ceil(n);
 }
 
-/** The cumulative thresholds an R-MAT level compares its uniform
- *  draw r against: r < a picks quadrant a, else r < ab picks b, else
- *  r < abc picks c, else d. */
+/** The integer threshold T(p) = ceil(clamp(p, 0, 1) * 2^53) of
+ *  probability @p p. Rng::uniform() returns k * 2^-53 for the raw
+ *  53-bit draw k = Rng::next() >> 11, and r < p holds exactly when
+ *  k < T(p): scaling by 2^53 is exact, k is an integer, p <= 0 is
+ *  never above r and p >= 1 always is. */
+std::uint64_t
+drawThreshold(double p)
+{
+    return static_cast<std::uint64_t>(
+        std::ceil(std::clamp(p, 0.0, 1.0) * 0x1.0p53));
+}
+
+/** The thresholds an R-MAT level compares its raw draw k against:
+ *  k < a picks quadrant a, else k < ab picks b, else k < abc picks c,
+ *  else d. They come from the double sums a, a+b and a+b+c, so each
+ *  pick is the one r = k * 2^-53 makes against those sums. */
 struct RmatThresholds
 {
     explicit RmatThresholds(const RmatParams &p)
-        : a(p.a), ab(p.a + p.b), abc(p.a + p.b + p.c)
+        : a(drawThreshold(p.a)), ab(drawThreshold(p.a + p.b)),
+          abc(drawThreshold(p.a + p.b + p.c))
     {
     }
 
-    double a;
-    double ab;
-    double abc;
+    std::uint64_t a;
+    std::uint64_t ab;
+    std::uint64_t abc;
 };
-
-/** Whether Rng::uniform(), which returns k * 2^-53 for k in
- *  [0, 2^53), can return a value in [lo, hi). */
-bool
-drawable(double lo, double hi)
-{
-    constexpr double kSteps = 0x1.0p53;
-    return std::ceil(std::max(lo, 0.0) * kSteps) <
-           std::ceil(std::min(hi, 1.0) * kSteps);
-}
 
 } // namespace
 
@@ -51,11 +55,11 @@ bool
 rmatCanDrawEdge(const RmatParams &params)
 {
     const RmatThresholds t(params);
-    // Each quadrant is picked for r at or above every earlier
+    // Each quadrant is picked for k at or above every earlier
     // threshold and below its own.
-    const bool a = drawable(0.0, t.a);
-    const bool b = drawable(t.a, t.ab);
-    const bool c = drawable(std::max(t.a, t.ab), t.abc);
+    const bool a = t.a > 0;
+    const bool b = t.a < t.ab;
+    const bool c = std::max(t.a, t.ab) < t.abc;
     const bool off_diagonal = !params.removeSelfLoops || b || c;
     const bool in_range =
         a || std::has_single_bit(params.numVertices) || (b && c);
@@ -82,23 +86,19 @@ makeRmat(const RmatParams &params)
     std::vector<Edge> edges;
     edges.reserve(params.numEdges);
     while (edges.size() < params.numEdges) {
+        // Each level appends one bit to both ids, level 0 the top
+        // one: a adds neither, b the column bit, c the row bit and d
+        // both. The bits come from three compares, not an if chain,
+        // whose first test goes either way about half the time.
         VertexId row = 0;
         VertexId col = 0;
         for (int level = 0; level < levels; ++level) {
-            // Per-level probability noise keeps the generated graph from
-            // collapsing onto exact quadrant boundaries.
-            const double r = rng.uniform();
-            const VertexId bit = VertexId{1} << (levels - 1 - level);
-            if (r < t.a) {
-                // top-left: nothing to add
-            } else if (r < t.ab) {
-                col |= bit;
-            } else if (r < t.abc) {
-                row |= bit;
-            } else {
-                row |= bit;
-                col |= bit;
-            }
+            const std::uint64_t k = rng.next() >> 11;
+            const VertexId ge_a = k >= t.a;
+            const VertexId ge_ab = k >= t.ab;
+            const VertexId ge_abc = k >= t.abc;
+            row = (row << 1) | (ge_a & ge_ab);
+            col = (col << 1) | (ge_a & ((ge_ab ^ 1) | ge_abc));
         }
         if (row >= params.numVertices || col >= params.numVertices)
             continue;

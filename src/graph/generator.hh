@@ -40,7 +40,10 @@ struct RmatParams
 /**
  * Generate a scale-free directed graph with R-MAT. The vertex count
  * is rounded up to a power of two internally and truncated back, as
- * in the reference implementation.
+ * in the reference implementation. The graph's fingerprint names
+ * every plan prepared from it, so the draw sequence is part of the
+ * interface: see "A generated graph is a compatibility contract" in
+ * docs/ARCHITECTURE.md.
  */
 CooGraph makeRmat(const RmatParams &params);
 

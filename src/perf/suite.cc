@@ -625,9 +625,10 @@ suiteServe(SuiteBuilder &b)
 
 /**
  * Kernel-level measurements no other suite takes: the crossbar MVM on
- * a dense and a sparse (8 of 64 rows occupied) crossbar, and
- * functional PageRank at the paper's tiling with resident vs
- * reprogrammed weights.
+ * a dense and a sparse (8 of 64 rows occupied) crossbar, functional
+ * PageRank at the paper's tiling with resident vs reprogrammed
+ * weights, and the resolve (R-MAT draw and fingerprint) of the
+ * 131k-edge graph a daemon request first touches.
  */
 void
 suiteMicro(SuiteBuilder &b)
@@ -640,6 +641,8 @@ suiteMicro(SuiteBuilder &b)
     functionalPageRankScenario(b,
                                "micro.functional_pagerank.reprogram",
                                dataset, ProgramCharging::kPerSweep);
+    fingerprintScenario(b, "micro.resolve.rmat_131k",
+                        "rmat:vertices=16384,edges=131072,seed=1");
 }
 
 struct SuiteEntry

@@ -5,8 +5,15 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <vector>
 
+#include "algorithms/wcc.hh"
+#include "common/random.hh"
+#include "driver/dataset.hh"
 #include "graph/datasets.hh"
 #include "graph/generator.hh"
 
@@ -14,6 +21,89 @@ namespace graphr
 {
 namespace
 {
+
+/**
+ * makeRmat as it was written before its draw became integer compares:
+ * an if chain on the uniform double, kept verbatim as the oracle the
+ * draw must match edge for edge.
+ */
+CooGraph
+referenceRmat(const RmatParams &params)
+{
+    struct RmatThresholds
+    {
+        explicit RmatThresholds(const RmatParams &p)
+            : a(p.a), ab(p.a + p.b), abc(p.a + p.b + p.c)
+        {
+        }
+
+        double a;
+        double ab;
+        double abc;
+    };
+
+    const RmatThresholds t(params);
+    const VertexId padded = std::bit_ceil(params.numVertices);
+    const int levels = std::countr_zero(padded);
+    Rng rng(params.seed);
+
+    std::vector<Edge> edges;
+    edges.reserve(params.numEdges);
+    while (edges.size() < params.numEdges) {
+        VertexId row = 0;
+        VertexId col = 0;
+        for (int level = 0; level < levels; ++level) {
+            // Per-level probability noise keeps the generated graph from
+            // collapsing onto exact quadrant boundaries.
+            const double r = rng.uniform();
+            const VertexId bit = VertexId{1} << (levels - 1 - level);
+            if (r < t.a) {
+                // top-left: nothing to add
+            } else if (r < t.ab) {
+                col |= bit;
+            } else if (r < t.abc) {
+                row |= bit;
+            } else {
+                row |= bit;
+                col |= bit;
+            }
+        }
+        if (row >= params.numVertices || col >= params.numVertices)
+            continue;
+        if (params.removeSelfLoops && row == col)
+            continue;
+        const double w = params.maxWeight <= 1.0
+                             ? 1.0
+                             : 1.0 + std::floor(rng.uniform() *
+                                                (params.maxWeight - 1.0));
+        edges.push_back(Edge{row, col, w});
+    }
+
+    CooGraph graph(params.numVertices, std::move(edges));
+    if (params.dedupe)
+        graph.dedupe();
+    return graph;
+}
+
+/** makeRmat(@p p) equals referenceRmat(@p p) field by field, weights
+ *  by bit pattern. */
+void
+expectReferenceDraw(const RmatParams &p)
+{
+    const CooGraph want = referenceRmat(p);
+    const CooGraph got = makeRmat(p);
+    ASSERT_EQ(got.numVertices(), want.numVertices());
+    ASSERT_EQ(got.numEdges(), want.numEdges());
+    for (std::size_t i = 0; i < got.numEdges(); ++i) {
+        const Edge &g = got.edges()[i];
+        const Edge &w = want.edges()[i];
+        ASSERT_EQ(g.src, w.src) << "edge " << i;
+        ASSERT_EQ(g.dst, w.dst) << "edge " << i;
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(g.weight),
+                  std::bit_cast<std::uint64_t>(w.weight))
+            << "edge " << i;
+    }
+}
 
 TEST(RmatTest, ProducesRequestedCounts)
 {
@@ -118,6 +208,150 @@ TEST(RmatTest, CanDrawEdgeIsTheRuleTheDrawFollows)
             if (k.removeSelfLoops) {
                 EXPECT_NE(e.src, e.dst);
             }
+        }
+    }
+}
+
+TEST(RmatTest, DrawMatchesTheReferenceLoop)
+{
+    struct Probabilities
+    {
+        double a, b, c, d;
+    };
+    const Probabilities probabilities[] = {
+        {0.57, 0.19, 0.19, 0.05}, // Graph500
+        // The rows of CanDrawEdgeIsTheRuleTheDrawFollows.
+        {1, 0, 0, 0},
+        {1, 1e-7, 0, 0},
+        {0.1, 1e-17, 0, 0.9},
+        {0, 1, 0, 0},
+        {0, 1, 1e-7, 0},
+        {0, 0.5, 0.5, 0},
+        {0, 0.5, 0, 0.5},
+        {0.5, 0, 0.5, 0},
+        {0, 0.6, 0.3, 0.1},          // a = 0
+        {0.6, 0.2, 0.2, 0},          // d = 0
+        {0.6, 1e-17, 0.3, 0.1},      // b narrower than a step
+        {0.5, 0.25, 0.25 - 5e-7, 0}, // d holds the last 5e-7
+        {0.5, 0.25, 0.25 + 5e-7, 0}, // a+b+c is past 1
+        {0.5, 0.25, 0.125, 0.125},   // every threshold on a step
+        {0.6, -0.1, 0.4, 0.1},       // a+b below a: b is never picked
+        {-0.1, 0.7, 0.3, 0.1},       // a below 0: a is never picked
+    };
+    const VertexId vertex_counts[] = {2, 3, 6, 8, 1000, 1024, 4097};
+    const std::uint64_t seeds[] = {
+        0, 1, std::numeric_limits<std::uint64_t>::max()};
+    int compared = 0;
+    for (const Probabilities &q : probabilities) {
+        for (const VertexId vertices : vertex_counts) {
+            for (const double max_weight : {1.0, 15.0}) {
+                for (const bool remove_self_loops : {true, false}) {
+                    for (const bool dedupe : {false, true}) {
+                        for (const std::uint64_t seed : seeds) {
+                            RmatParams p;
+                            p.numVertices = vertices;
+                            p.numEdges = 32;
+                            p.a = q.a;
+                            p.b = q.b;
+                            p.c = q.c;
+                            p.d = q.d;
+                            p.maxWeight = max_weight;
+                            p.seed = seed;
+                            p.removeSelfLoops = remove_self_loops;
+                            p.dedupe = dedupe;
+                            if (!rmatCanDrawEdge(p))
+                                continue;
+                            SCOPED_TRACE(
+                                ::testing::Message()
+                                << vertices << " vertices, a=" << q.a
+                                << " b=" << q.b << " c=" << q.c
+                                << " d=" << q.d << ", maxWeight "
+                                << max_weight << ", removeSelfLoops "
+                                << remove_self_loops << ", dedupe "
+                                << dedupe << ", seed " << seed);
+                            expectReferenceDraw(p);
+                            if (HasFatalFailure())
+                                return;
+                            ++compared;
+                        }
+                    }
+                }
+            }
+        }
+    }
+    // 2,316 of the 2,856 combinations can draw an edge; a
+    // reachability rule that skipped most of them would test nothing.
+    EXPECT_EQ(compared, 2316);
+}
+
+TEST(RmatTest, DrawOnAThresholdMatchesTheReferenceLoop)
+{
+    // Where r < p and the integer compare could part ways: each of
+    // a, a+b and a+b+c placed exactly on the first level's draw r and
+    // one double to either side of it. Seed 2 draws r = 0.102, below
+    // 0.5, where a double's step is finer than the draw's 2^-53.
+    for (const std::uint64_t seed :
+         {std::uint64_t{0}, std::uint64_t{1}, std::uint64_t{2},
+          std::numeric_limits<std::uint64_t>::max()}) {
+        const double drawn = Rng(seed).uniform();
+        for (const double r : {std::nextafter(drawn, 0.0), drawn,
+                               std::nextafter(drawn, 1.0)}) {
+            // Halving is exact, so the threshold each set aims at (a,
+            // a+b or a+b+c) is r exactly; the rest only sums to 1.
+            const RmatParams on_a{.a = r,
+                                  .b = (1.0 - r) / 2,
+                                  .c = (1.0 - r) / 2,
+                                  .d = 0.0};
+            const RmatParams on_ab{.a = r / 2,
+                                   .b = r / 2,
+                                   .c = (1.0 - r) / 2,
+                                   .d = (1.0 - r) / 2};
+            const RmatParams on_abc{
+                .a = r / 4, .b = r / 4, .c = r / 2, .d = 1.0 - r};
+            for (RmatParams p : {on_a, on_ab, on_abc}) {
+                p.numVertices = 1024;
+                p.numEdges = 32;
+                p.seed = seed;
+                SCOPED_TRACE(::testing::Message()
+                             << "seed " << seed << ", a=" << p.a
+                             << " b=" << p.b << " c=" << p.c);
+                expectReferenceDraw(p);
+            }
+        }
+    }
+}
+
+TEST(RmatTest, ResolvedFingerprintsArePinned)
+{
+    // A fingerprint names every artifact prepared from a graph
+    // (plan-<fingerprint>-...gplan), so a generator that drifts from
+    // these turns every stored plan cold and orphans tests/golden/.
+    struct Pin
+    {
+        const char *spec;
+        std::uint64_t fingerprint;
+        std::uint64_t symmetrized; ///< 0: not pinned
+    };
+    const Pin pins[] = {
+        {"rmat:vertices=131072,edges=1048576,seed=1",
+         0xd664b280d1f4138cull, 0x159a32128b91d397ull},
+        {"rmat:vertices=32768,edges=262144,seed=1", 0x3f15594e72d5f707ull,
+         0},
+        {"rmat:vertices=16384,edges=131072,seed=1", 0xeba6b15371547af5ull,
+         0},
+        {"rmat:vertices=1000,edges=5000,maxweight=15,seed=7",
+         0x43ec9fbb146b67f4ull, 0},
+        {"wiki-vote", 0x99fe98605d2c9e68ull, 0},
+    };
+    for (const Pin &pin : pins) {
+        const driver::ResolvedDataset dataset =
+            driver::resolveDataset(pin.spec);
+        EXPECT_EQ(dataset.graph.fingerprint(), pin.fingerprint)
+            << pin.spec;
+        if (pin.symmetrized != 0) {
+            EXPECT_EQ(symmetrize(dataset.graph).fingerprint(),
+                      pin.symmetrized)
+                << pin.spec << ", symmetrised";
         }
     }
 }

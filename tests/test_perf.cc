@@ -513,6 +513,14 @@ TEST(PerfSuite, MicroSuiteProcessesEachShapesOccupiedRows)
                               ".wall_s"),
                   nullptr)
             << charging;
+    // The first-touch resolve is timed, and every repetition draws
+    // the same graph.
+    EXPECT_NE(report.find("micro.resolve.rmat_131k.resolve_wall_s"),
+              nullptr);
+    const BenchMetric *stable =
+        report.find("micro.resolve.rmat_131k.fingerprint_stable");
+    ASSERT_NE(stable, nullptr);
+    EXPECT_DOUBLE_EQ(stable->value, 1.0);
 }
 
 } // namespace
