@@ -9,6 +9,10 @@
 namespace graphr
 {
 
+namespace
+{
+
+/** One synchronous PageRank iteration. */
 std::vector<Value>
 pagerankIteration(const CooGraph &graph, const std::vector<Value> &ranks,
                   const std::vector<EdgeId> &out_degrees, double damping)
@@ -36,6 +40,8 @@ pagerankIteration(const CooGraph &graph, const std::vector<Value> &ranks,
     }
     return next;
 }
+
+} // namespace
 
 PageRankResult
 pagerank(const CooGraph &graph, const PageRankParams &params)

@@ -44,12 +44,6 @@ PageRankResult pagerank(const CooGraph &graph, const PageRankParams &params);
 int goldenPageRankIterations(const CooGraph &graph,
                              const PageRankParams &params);
 
-/** One synchronous PageRank iteration (exposed for the mappings). */
-std::vector<Value> pagerankIteration(const CooGraph &graph,
-                                     const std::vector<Value> &ranks,
-                                     const std::vector<EdgeId> &out_degrees,
-                                     double damping);
-
 } // namespace graphr
 
 #endif // GRAPHR_ALGORITHMS_PAGERANK_HH

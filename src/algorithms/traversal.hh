@@ -90,9 +90,6 @@ class RelaxationSweep
     /** Whether any vertex is still active. */
     bool done() const { return ids_.empty(); }
 
-    /** Count of active vertices. */
-    std::uint64_t activeCount() const { return ids_.size(); }
-
     /** The graph's out-adjacency the rounds relax over (the baseline
      *  cost models read per-vertex degrees and neighbours from it). */
     const CsrGraph &outAdjacency() const { return outAdj_; }

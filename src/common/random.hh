@@ -76,13 +76,6 @@ class Rng
         return next() % bound;
     }
 
-    /** Bernoulli draw with probability p of returning true. */
-    bool
-    bernoulli(double p)
-    {
-        return uniform() < p;
-    }
-
     /** Approximate standard normal via sum of 12 uniforms (Irwin-Hall). */
     double
     normal(double mean = 0.0, double stddev = 1.0)

@@ -1,6 +1,8 @@
 #include "thread_pool.hh"
 
+#include <algorithm>
 #include <chrono>
+#include <exception>
 #include <utility>
 
 #include "common/failpoint.hh"
@@ -86,6 +88,38 @@ ThreadPool::effectiveJobs(unsigned requested)
         return requested;
     const unsigned hw = std::thread::hardware_concurrency();
     return hw > 0 ? hw : 1;
+}
+
+void
+forEachIndex(std::size_t count, unsigned jobs,
+             const std::function<void(std::size_t)> &body)
+{
+    jobs = ThreadPool::effectiveJobs(jobs);
+    if (jobs == 1) {
+        for (std::size_t i = 0; i < count; ++i)
+            body(i);
+        return;
+    }
+    // Each task writes only its own error slot, so which failure is
+    // rethrown does not depend on which worker finishes first.
+    std::vector<std::exception_ptr> errors(count);
+    {
+        ThreadPool pool(
+            static_cast<unsigned>(std::min<std::size_t>(jobs, count)));
+        for (std::size_t i = 0; i < count; ++i) {
+            pool.submit([&body, &errors, i] {
+                try {
+                    body(i);
+                } catch (...) {
+                    errors[i] = std::current_exception();
+                }
+            });
+        }
+    }
+    for (const std::exception_ptr &error : errors) {
+        if (error)
+            std::rethrow_exception(error);
+    }
 }
 
 } // namespace graphr

@@ -6,8 +6,8 @@
  * condition variables. Sweep tasks are coarse (whole simulation
  * runs), so queue contention is negligible and the simple design is
  * easy to reason about under ThreadSanitizer. Tasks must not throw —
- * callers capture their own errors (the driver stores an
- * exception_ptr per run and rethrows in deterministic order).
+ * callers capture their own errors; forEachIndex() does it for the
+ * driver's fan-outs and rethrows in deterministic order.
  */
 
 #ifndef GRAPHR_COMMON_THREAD_POOL_HH
@@ -65,6 +65,18 @@ class ThreadPool
     bool stopping_ = false;
     std::vector<std::thread> workers_;
 };
+
+/**
+ * Run @p body(0), ..., @p body(count - 1), the driver's one fan-out
+ * (sweep combinations, prepared datasets). At one job (@p jobs as
+ * --jobs: 0 = hardware threads) the calls run inline, in index order,
+ * and the first exception ends the loop: no later index runs and no
+ * thread starts. With more jobs they run on a pool of
+ * min(jobs, count) threads, every index runs, and the exception of
+ * the lowest failing index is rethrown once all have finished.
+ */
+void forEachIndex(std::size_t count, unsigned jobs,
+                  const std::function<void(std::size_t)> &body);
 
 } // namespace graphr
 

@@ -9,20 +9,6 @@ namespace graphr::driver
 namespace
 {
 
-/** Common result header every backend fills the same way. */
-RunResult
-makeResult(const std::string &backend, const Workload &workload,
-           const ResolvedDataset &dataset)
-{
-    RunResult r;
-    r.workload = workload.name;
-    r.backend = backend;
-    r.dataset = dataset.name;
-    r.vertices = dataset.graph.numVertices();
-    r.edges = dataset.graph.numEdges();
-    return r;
-}
-
 /** Validate a BFS/SSSP source against the graph. */
 VertexId
 checkedSource(const Workload &workload, const ResolvedDataset &dataset)
@@ -60,266 +46,92 @@ effectiveCf(const Workload &workload, const ResolvedDataset &dataset)
 }
 
 /**
- * Shared dispatch for any runner exposing the GraphR-family method
- * surface (GraphRNode, OutOfCoreRunner): one run* entry per workload,
- * SpMV taking an explicit input vector.
+ * Every backend: one runner and the workload switch all six share.
+ * The runners differ in two arguments, both settled at compile time:
+ *  - the CPU, GPU and PIM models run PageRank for the golden
+ *    iteration count, so baselines and GraphR converge identically;
+ *  - GraphRNode and OutOfCoreRunner take SpMV's input vector, all
+ *    ones.
  */
 template <typename Runner>
-RunResult
-runGraphRFamily(Runner &runner, const std::string &backend_name,
-                const Workload &workload,
-                const ResolvedDataset &dataset)
-{
-    RunResult result = makeResult(backend_name, workload, dataset);
-    const CooGraph &graph = dataset.graph;
-    switch (workload.kind) {
-      case WorkloadKind::kPageRank:
-        result.absorb(
-            runner.runPageRank(graph, workload.params.pagerank));
-        break;
-      case WorkloadKind::kSpmv: {
-        const std::vector<Value> x(graph.numVertices(), 1.0);
-        result.absorb(runner.runSpmv(graph, x));
-        break;
-      }
-      case WorkloadKind::kBfs:
-        result.absorb(
-            runner.runBfs(graph, checkedSource(workload, dataset)));
-        break;
-      case WorkloadKind::kSssp:
-        result.absorb(
-            runner.runSssp(graph, checkedSource(workload, dataset)));
-        break;
-      case WorkloadKind::kWcc:
-        result.absorb(runner.runWcc(graph));
-        break;
-      case WorkloadKind::kCf:
-        result.absorb(
-            runner.runCf(graph, effectiveCf(workload, dataset)));
-        break;
-    }
-    return result;
-}
-
-/** The paper's evaluated GraphR node. */
-class GraphRBackend : public Backend
+class RunnerBackend final : public Backend
 {
   public:
-    explicit GraphRBackend(const BackendOptions &options)
-        : config_(options.config)
+    RunnerBackend(std::string name, Runner runner)
+        : name_(std::move(name)), runner_(std::move(runner))
     {
     }
 
-    const std::string &
-    name() const override
-    {
-        static const std::string n = "graphr";
-        return n;
-    }
+    const std::string &name() const override { return name_; }
 
     RunResult
     run(const Workload &workload, const ResolvedDataset &dataset) override
     {
-        GraphRNode node(config_);
-        return runGraphRFamily(node, name(), workload, dataset);
-    }
-
-  private:
-    GraphRConfig config_;
-};
-
-/** GraphR cluster with destination-stripe partitioning. */
-class MultiNodeBackend : public Backend
-{
-  public:
-    explicit MultiNodeBackend(const BackendOptions &options)
-        : cluster_(options.config, options.numNodes, options.link)
-    {
-    }
-
-    const std::string &
-    name() const override
-    {
-        static const std::string n = "multinode";
-        return n;
-    }
-
-    RunResult
-    run(const Workload &workload, const ResolvedDataset &dataset) override
-    {
-        RunResult result = makeResult(name(), workload, dataset);
+        // A runner holds its configuration (GraphRNode also its last
+        // run's engine counters), so a copy per run keeps concurrent
+        // runs of one backend apart.
+        Runner runner = runner_;
         const CooGraph &graph = dataset.graph;
+        RunResult result;
+        result.workload = workload.name;
+        result.backend = name_;
+        result.dataset = dataset.name;
+        result.vertices = graph.numVertices();
+        result.edges = graph.numEdges();
         switch (workload.kind) {
           case WorkloadKind::kPageRank:
-            result.absorb(
-                cluster_.runPageRank(graph, workload.params.pagerank));
+            if constexpr (requires {
+                              runner.runPageRank(graph, std::uint64_t{});
+                          }) {
+                result.absorb(runner.runPageRank(
+                    graph, static_cast<std::uint64_t>(
+                               goldenPageRankIterations(
+                                   graph, workload.params.pagerank))));
+            } else {
+                result.absorb(
+                    runner.runPageRank(graph, workload.params.pagerank));
+            }
             break;
           case WorkloadKind::kSpmv:
-            result.absorb(cluster_.runSpmv(graph));
+            if constexpr (requires(const std::vector<Value> &x) {
+                              runner.runSpmv(graph, x);
+                          }) {
+                const std::vector<Value> x(graph.numVertices(), 1.0);
+                result.absorb(runner.runSpmv(graph, x));
+            } else {
+                result.absorb(runner.runSpmv(graph));
+            }
             break;
           case WorkloadKind::kBfs:
-            result.absorb(cluster_.runBfs(
-                graph, checkedSource(workload, dataset)));
+            result.absorb(
+                runner.runBfs(graph, checkedSource(workload, dataset)));
             break;
           case WorkloadKind::kSssp:
-            result.absorb(cluster_.runSssp(
-                graph, checkedSource(workload, dataset)));
+            result.absorb(
+                runner.runSssp(graph, checkedSource(workload, dataset)));
             break;
           case WorkloadKind::kWcc:
-            result.absorb(cluster_.runWcc(graph));
+            result.absorb(runner.runWcc(graph));
             break;
           case WorkloadKind::kCf:
             result.absorb(
-                cluster_.runCf(graph, effectiveCf(workload, dataset)));
+                runner.runCf(graph, effectiveCf(workload, dataset)));
             break;
         }
         return result;
     }
 
   private:
-    MultiNodeGraphR cluster_;
+    std::string name_;
+    Runner runner_;
 };
 
-/** GraphR node fed block-by-block from modelled disk. */
-class OutOfCoreBackend : public Backend
+template <typename Runner>
+std::unique_ptr<Backend>
+backendOf(const std::string &name, Runner runner)
 {
-  public:
-    explicit OutOfCoreBackend(const BackendOptions &options)
-        : runner_(options.config, options.storage)
-    {
-    }
-
-    const std::string &
-    name() const override
-    {
-        static const std::string n = "outofcore";
-        return n;
-    }
-
-    RunResult
-    run(const Workload &workload, const ResolvedDataset &dataset) override
-    {
-        return runGraphRFamily(runner_, name(), workload, dataset);
-    }
-
-  private:
-    OutOfCoreRunner runner_;
-};
-
-/**
- * Shared dispatch for the three baseline models (identical method
- * surface; PageRank takes the golden iteration count so baselines
- * and GraphR converge identically).
- */
-template <typename Model>
-RunResult
-runBaseline(Model &model, const std::string &backend_name,
-            const Workload &workload, const ResolvedDataset &dataset)
-{
-    RunResult result = makeResult(backend_name, workload, dataset);
-    const CooGraph &graph = dataset.graph;
-    switch (workload.kind) {
-      case WorkloadKind::kPageRank:
-        result.absorb(model.runPageRank(
-            graph, static_cast<std::uint64_t>(goldenPageRankIterations(
-                       graph, workload.params.pagerank))));
-        break;
-      case WorkloadKind::kSpmv:
-        result.absorb(model.runSpmv(graph));
-        break;
-      case WorkloadKind::kBfs:
-        result.absorb(
-            model.runBfs(graph, checkedSource(workload, dataset)));
-        break;
-      case WorkloadKind::kSssp:
-        result.absorb(
-            model.runSssp(graph, checkedSource(workload, dataset)));
-        break;
-      case WorkloadKind::kWcc:
-        result.absorb(model.runWcc(graph));
-        break;
-      case WorkloadKind::kCf:
-        result.absorb(
-            model.runCf(graph, effectiveCf(workload, dataset)));
-        break;
-    }
-    return result;
+    return std::make_unique<RunnerBackend<Runner>>(name, std::move(runner));
 }
-
-class CpuBackend : public Backend
-{
-  public:
-    explicit CpuBackend(const BackendOptions &options)
-        : model_(options.cpu)
-    {
-    }
-
-    const std::string &
-    name() const override
-    {
-        static const std::string n = "cpu";
-        return n;
-    }
-
-    RunResult
-    run(const Workload &workload, const ResolvedDataset &dataset) override
-    {
-        return runBaseline(model_, name(), workload, dataset);
-    }
-
-  private:
-    CpuModel model_;
-};
-
-class GpuBackend : public Backend
-{
-  public:
-    explicit GpuBackend(const BackendOptions &options)
-        : model_(options.gpu)
-    {
-    }
-
-    const std::string &
-    name() const override
-    {
-        static const std::string n = "gpu";
-        return n;
-    }
-
-    RunResult
-    run(const Workload &workload, const ResolvedDataset &dataset) override
-    {
-        return runBaseline(model_, name(), workload, dataset);
-    }
-
-  private:
-    GpuModel model_;
-};
-
-class PimBackend : public Backend
-{
-  public:
-    explicit PimBackend(const BackendOptions &options)
-        : model_(options.pim)
-    {
-    }
-
-    const std::string &
-    name() const override
-    {
-        static const std::string n = "pim";
-        return n;
-    }
-
-    RunResult
-    run(const Workload &workload, const ResolvedDataset &dataset) override
-    {
-        return runBaseline(model_, name(), workload, dataset);
-    }
-
-  private:
-    PimModel model_;
-};
 
 } // namespace
 
@@ -336,17 +148,21 @@ std::unique_ptr<Backend>
 makeBackend(const std::string &name, const BackendOptions &options)
 {
     if (name == "graphr")
-        return std::make_unique<GraphRBackend>(options);
-    if (name == "multinode")
-        return std::make_unique<MultiNodeBackend>(options);
+        return backendOf(name, GraphRNode(options.config));
+    if (name == "multinode") {
+        return backendOf(name, MultiNodeGraphR(options.config,
+                                               options.numNodes,
+                                               options.link));
+    }
     if (name == "outofcore")
-        return std::make_unique<OutOfCoreBackend>(options);
+        return backendOf(name, OutOfCoreRunner(options.config,
+                                               options.storage));
     if (name == "cpu")
-        return std::make_unique<CpuBackend>(options);
+        return backendOf(name, CpuModel(options.cpu));
     if (name == "gpu")
-        return std::make_unique<GpuBackend>(options);
+        return backendOf(name, GpuModel(options.gpu));
     if (name == "pim")
-        return std::make_unique<PimBackend>(options);
+        return backendOf(name, PimModel(options.pim));
     std::string msg = "unknown backend '" + name + "' (known:";
     for (const std::string &n : allBackendNames())
         msg += " " + n;

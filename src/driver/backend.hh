@@ -63,7 +63,8 @@ class Backend
      * Execute the workload on the dataset and return the unified
      * result (workload/backend/dataset/vertices/edges prefilled).
      * Throws DriverError on invalid requests (e.g. out-of-range
-     * source vertex).
+     * source vertex). Safe to call from several threads at once: a
+     * parallel sweep shares one backend per name across its workers.
      */
     virtual RunResult run(const Workload &workload,
                           const ResolvedDataset &dataset) = 0;

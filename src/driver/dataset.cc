@@ -4,8 +4,10 @@
 #include <bit>
 #include <cctype>
 #include <cmath>
+#include <iomanip>
 #include <limits>
 #include <optional>
+#include <sstream>
 #include <utility>
 
 #include <sys/stat.h>
@@ -111,8 +113,16 @@ requireFiniteMaxWeight(const std::string &kind, double max_weight)
     }
 }
 
-/** Reject R-MAT parameters makeRmat() would abort on or loop on
- *  forever (the reachability rule is rmatCanDrawEdge()'s). */
+/** The most draws per kept edge an R-MAT spec may need on average.
+ *  The Graph500 probabilities need at most 2.63 (1 / 0.38, at two
+ *  vertices) and uniform quadrants at most 4 at any vertex count; far
+ *  past this bound a graph of a few thousand edges holds a worker for
+ *  seconds, and 100,000 edges for minutes. */
+constexpr double kMaxRmatDrawsPerEdge = 64.0;
+
+/** Reject R-MAT parameters makeRmat() would abort on, loop on forever
+ *  (the reachability rule is rmatCanDrawEdge()'s) or draw for too
+ *  long (rmatKeepProbability()). */
 void
 checkRmat(const RmatParams &p)
 {
@@ -145,6 +155,20 @@ checkRmat(const RmatParams &p)
             "a for r < a, b for r < a+b, c for r < a+b+c, else d; an "
             "edge needs b or c to be picked, and unless vertices is a "
             "power of two, also a, or both b and c");
+    }
+    // A draw outside the range or on the diagonal is drawn again, so
+    // the graph costs edges / keep probability draws.
+    const double draws = 1.0 / rmatKeepProbability(p);
+    if (draws > kMaxRmatDrawsPerEdge) {
+        std::ostringstream msg;
+        msg << "dataset spec 'rmat': quadrant probabilities a,b,c,d need "
+               "about "
+            << std::setprecision(3) << draws
+            << " draws per kept edge at vertices=" << p.numVertices
+            << ", more than the " << kMaxRmatDrawsPerEdge
+            << " allowed; a draw is kept only when both of its vertices "
+               "are below vertices and distinct";
+        throw DriverError(msg.str());
     }
 }
 

@@ -1,7 +1,6 @@
 #include "driver.hh"
 
 #include <algorithm>
-#include <exception>
 #include <memory>
 #include <mutex>
 #include <sstream>
@@ -63,88 +62,6 @@ announceRun(std::ostream *progress, std::mutex &progress_mutex,
          << dataset << " ...\n";
     const std::lock_guard<std::mutex> lock(progress_mutex);
     *progress << line.str() << std::flush;
-}
-
-/** The sweep cross product, dataset-major (the serial loop order). */
-struct Combo
-{
-    std::size_t dataset = 0;
-    std::size_t workload = 0;
-    std::size_t backend = 0;
-};
-
-std::vector<RunResult>
-runSweepParallel(const SweepSpec &spec,
-                 const std::vector<std::string> &workload_names,
-                 const std::vector<Workload> &workloads,
-                 const std::vector<std::string> &backend_names,
-                 unsigned jobs, std::ostream *progress,
-                 DatasetCache *datasets)
-{
-    std::vector<Combo> combos;
-    combos.reserve(spec.datasets.size() * workloads.size() *
-                   backend_names.size());
-    for (std::size_t d = 0; d < spec.datasets.size(); ++d)
-        for (std::size_t w = 0; w < workloads.size(); ++w)
-            for (std::size_t b = 0; b < backend_names.size(); ++b)
-                combos.push_back(Combo{d, w, b});
-
-    // Each distinct dataset is looked up once per sweep, by exactly one
-    // worker; the others wait for it (LruCache's build-once contract),
-    // and a resolution error reaches every run that names the dataset.
-    LruCache<std::string, ResolvedDataset, std::hash<std::string>>
-        sweep_datasets(spec.datasets.size());
-    const auto dataset_of = [&](std::size_t d) {
-        const std::string &name = spec.datasets[d];
-        return sweep_datasets.getOrBuild(name, [&] {
-            return resolveShared(name, spec.scale, spec.seed, datasets);
-        });
-    };
-
-    // Each worker writes only its own pre-assigned result slot, so
-    // the merged vector comes out in spec order regardless of which
-    // worker finishes first — the JSON/table output is byte-identical
-    // to the serial path.
-    std::vector<RunResult> results(combos.size());
-    std::vector<std::exception_ptr> errors(combos.size());
-    std::mutex progress_mutex;
-    {
-        ThreadPool pool(static_cast<unsigned>(
-            std::min<std::size_t>(jobs, combos.size())));
-        for (std::size_t i = 0; i < combos.size(); ++i) {
-            pool.submit([&, i] {
-                const Combo &combo = combos[i];
-                try {
-                    const DatasetPtr dataset =
-                        dataset_of(combo.dataset);
-                    announceRun(progress, progress_mutex,
-                                workload_names[combo.workload],
-                                backend_names[combo.backend],
-                                dataset->name);
-                    // A fresh backend per run: instances are cheap
-                    // (configuration only) and private state keeps
-                    // runs schedule-independent.
-                    const std::unique_ptr<Backend> backend =
-                        makeBackend(backend_names[combo.backend],
-                                    spec.backendOptions);
-                    results[i] =
-                        backend->run(workloads[combo.workload],
-                                     *dataset);
-                } catch (...) {
-                    errors[i] = std::current_exception();
-                }
-            });
-        }
-        pool.wait();
-    }
-
-    // Deterministic error surface: the first failure in spec order
-    // wins, matching what a serial sweep would have thrown.
-    for (const std::exception_ptr &error : errors) {
-        if (error)
-            std::rethrow_exception(error);
-    }
-    return results;
 }
 
 } // namespace
@@ -225,25 +142,35 @@ runSweep(const SweepSpec &spec, std::ostream *progress,
     for (const std::string &name : backend_names)
         backends.push_back(makeBackend(name, spec.backendOptions));
 
+    // Each distinct dataset is looked up by the first run that names
+    // it; the others wait for it (LruCache's build-once contract), and
+    // a resolution error reaches every run that names the dataset. At
+    // one job a dataset is dropped when the next one is looked up, so
+    // the sweep holds one graph at a time.
     const unsigned jobs = ThreadPool::effectiveJobs(spec.jobs);
-    if (jobs > 1) {
-        return runSweepParallel(spec, workload_names, workloads,
-                                backend_names, jobs, progress, datasets);
-    }
+    LruCache<std::string, ResolvedDataset, std::hash<std::string>>
+        sweep_datasets(jobs == 1 ? 1 : spec.datasets.size());
 
-    std::vector<RunResult> results;
+    // The cross product, dataset-major: run i writes only result slot
+    // i, so the results come back in spec order at any job count.
+    const std::size_t runs_per_dataset = workloads.size() * backends.size();
+    std::vector<RunResult> results(spec.datasets.size() * runs_per_dataset);
     std::mutex progress_mutex;
-    for (const std::string &dataset_spec : spec.datasets) {
-        const DatasetPtr dataset = resolveShared(
-            dataset_spec, spec.scale, spec.seed, datasets);
-        for (const Workload &workload : workloads) {
-            for (const std::unique_ptr<Backend> &backend : backends) {
-                announceRun(progress, progress_mutex, workload.name,
-                            backend->name(), dataset->name);
-                results.push_back(backend->run(workload, *dataset));
-            }
-        }
-    }
+    forEachIndex(results.size(), jobs, [&](std::size_t i) {
+        const std::string &dataset_spec =
+            spec.datasets[i / runs_per_dataset];
+        const Workload &workload =
+            workloads[i % runs_per_dataset / backends.size()];
+        Backend &backend = *backends[i % backends.size()];
+        const DatasetPtr dataset =
+            sweep_datasets.getOrBuild(dataset_spec, [&] {
+                return resolveShared(dataset_spec, spec.scale, spec.seed,
+                                     datasets);
+            });
+        announceRun(progress, progress_mutex, workload.name,
+                    backend.name(), dataset->name);
+        results[i] = backend.run(workload, *dataset);
+    });
     return results;
 }
 

@@ -75,11 +75,14 @@ struct SweepSpec
 };
 
 /**
- * Run the full cross product, dataset-major. When `progress` is
- * non-null a one-line status is streamed per run (written atomically,
- * so parallel runs never interleave mid-line). Datasets resolve
- * through @p datasets when given (graphr_serve's resident datasets),
- * otherwise once each for this sweep.
+ * Run the full cross product, dataset-major, through forEachIndex():
+ * at one job on the calling thread, where the first failure ends the
+ * sweep, and otherwise on a pool that rethrows the first failure in
+ * spec order. When `progress` is non-null a one-line status is
+ * streamed per run (written atomically, so parallel runs never
+ * interleave mid-line). Datasets resolve through @p datasets when
+ * given (graphr_serve's resident datasets), otherwise for this sweep
+ * alone.
  */
 std::vector<RunResult> runSweep(const SweepSpec &spec,
                                 std::ostream *progress = nullptr,

@@ -1,7 +1,5 @@
 #include "prepare.hh"
 
-#include <algorithm>
-#include <exception>
 #include <memory>
 #include <mutex>
 #include <sstream>
@@ -86,39 +84,19 @@ runPrepare(const PrepareSpec &spec, std::ostream *progress,
 
     const std::size_t variants = spec.symmetrized ? 2 : 1;
     std::vector<PrepareResult> results(spec.datasets.size() * variants);
-    std::vector<std::exception_ptr> errors(spec.datasets.size());
     std::mutex progress_mutex;
-    {
-        const unsigned jobs = ThreadPool::effectiveJobs(spec.jobs);
-        ThreadPool pool(static_cast<unsigned>(std::min<std::size_t>(
-            jobs, spec.datasets.size())));
-        for (std::size_t d = 0; d < spec.datasets.size(); ++d) {
-            pool.submit([&, d] {
-                try {
-                    const DatasetPtr dataset = resolveShared(
-                        spec.datasets[d], spec.scale, spec.seed, datasets);
-                    announcePrepare(progress, progress_mutex,
-                                    dataset->name);
-                    results[d * variants] = prepareVariant(
-                        *store, dataset->name, "plain", dataset->graph,
-                        spec.tiling);
-                    if (spec.symmetrized) {
-                        results[d * variants + 1] = prepareVariant(
-                            *store, dataset->name, "symmetrized",
-                            symmetrize(dataset->graph), spec.tiling);
-                    }
-                } catch (...) {
-                    errors[d] = std::current_exception();
-                }
-            });
+    forEachIndex(spec.datasets.size(), spec.jobs, [&](std::size_t d) {
+        const DatasetPtr dataset =
+            resolveShared(spec.datasets[d], spec.scale, spec.seed, datasets);
+        announcePrepare(progress, progress_mutex, dataset->name);
+        results[d * variants] = prepareVariant(
+            *store, dataset->name, "plain", dataset->graph, spec.tiling);
+        if (spec.symmetrized) {
+            results[d * variants + 1] =
+                prepareVariant(*store, dataset->name, "symmetrized",
+                               symmetrize(dataset->graph), spec.tiling);
         }
-        pool.wait();
-    }
-    // First failure in spec order wins (matches runSweep's contract).
-    for (const std::exception_ptr &error : errors) {
-        if (error)
-            std::rethrow_exception(error);
-    }
+    });
     return results;
 }
 

@@ -5,8 +5,8 @@
  *
  * `prepare` performs the paper's offline step ahead of time: resolve
  * each dataset, run the streaming-apply preprocessing, and persist
- * the TilePlan artifacts into a plan store — in parallel across
- * datasets over the shared ThreadPool. A later online run (any
+ * the TilePlan artifacts into a plan store — with more than one job,
+ * in parallel across datasets. A later online run (any
  * backend) with the same --plan-dir then starts sort-free. Both the
  * plain and the symmetrised edge set are prepared, because WCC (and
  * the out-of-core selective scheduler) execute on the symmetrised
@@ -60,7 +60,8 @@ struct PrepareResult
 /**
  * Run the offline preprocessing for every dataset in @p spec,
  * writing artifacts through the plan store. Results come back in
- * spec order regardless of job count. Datasets resolve through
+ * spec order regardless of job count; a failure is reported as
+ * runSweep() reports one (forEachIndex()). Datasets resolve through
  * @p datasets when given (graphr_serve's resident datasets, so the
  * runs that follow a prepare start resolved). Throws DriverError on
  * bad dataset specs or an unusable store directory.

@@ -1,6 +1,7 @@
 #include "generator.hh"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
 
@@ -64,6 +65,62 @@ rmatCanDrawEdge(const RmatParams &params)
     const bool in_range =
         a || std::has_single_bit(params.numVertices) || (b && c);
     return off_diagonal && in_range;
+}
+
+double
+rmatKeepProbability(const RmatParams &params)
+{
+    // Each quadrant's share of the 2^53 raw draws k, as in makeRmat:
+    // a below t.a, b in [t.a, t.ab), c in [max(t.a, t.ab), t.abc), d
+    // at or above all three. The counts are exact, and so is each
+    // share, a count times 2^-53.
+    const RmatThresholds t(params);
+    const std::uint64_t ab_floor = std::max(t.a, t.ab);
+    const std::uint64_t abc_floor = std::max(ab_floor, t.abc);
+    const double quadrant[2][2] = {
+        {static_cast<double>(t.a) * 0x1.0p-53,
+         static_cast<double>(t.ab - std::min(t.a, t.ab)) * 0x1.0p-53},
+        {static_cast<double>(t.abc - std::min(ab_floor, t.abc)) *
+             0x1.0p-53,
+         static_cast<double>((std::uint64_t{1} << 53) - abc_floor) *
+             0x1.0p-53}};
+
+    // The probability mass of the draws so far in each state, one bit
+    // per fact: 4 = the row prefix still equals the bound's
+    // (numVertices - 1), 2 = likewise the column, 1 = row equals column
+    // so far. A draw that passes the bound leaves the mass.
+    const VertexId bound = params.numVertices - 1;
+    const int levels = std::countr_zero(ceilPow2(params.numVertices));
+    std::array<double, 8> mass{};
+    mass[7] = 1.0;
+    for (int bit = levels - 1; bit >= 0; --bit) {
+        const VertexId bound_bit = (bound >> bit) & 1;
+        std::array<double, 8> next{};
+        for (unsigned state = 0; state < 8; ++state) {
+            const bool row_tight = state & 4;
+            const bool col_tight = state & 2;
+            const bool equal = state & 1;
+            for (VertexId row = 0; row < 2; ++row) {
+                for (VertexId col = 0; col < 2; ++col) {
+                    if ((row_tight && row > bound_bit) ||
+                        (col_tight && col > bound_bit))
+                        continue;
+                    const unsigned to =
+                        (row_tight && row == bound_bit) << 2 |
+                        (col_tight && col == bound_bit) << 1 |
+                        (equal && row == col);
+                    next[to] += mass[state] * quadrant[row][col];
+                }
+            }
+        }
+        mass = next;
+    }
+    double kept = 0.0;
+    for (unsigned state = 0; state < 8; ++state) {
+        if (!(params.removeSelfLoops && (state & 1)))
+            kept += mass[state];
+    }
+    return kept;
 }
 
 CooGraph

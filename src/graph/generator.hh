@@ -68,6 +68,17 @@ CooGraph makeRmat(const RmatParams &params);
  */
 bool rmatCanDrawEdge(const RmatParams &params);
 
+/**
+ * The exact probability that one makeRmat(@p params) draw is kept:
+ * both ids below numVertices and, with removeSelfLoops, off the
+ * diagonal. Its inverse is the expected number of draws per kept edge,
+ * which is what a graph costs to generate. Computed level by level
+ * from the quadrant probabilities the draw's thresholds give, so it is
+ * 0 whenever rmatCanDrawEdge() is false. Same requirements as
+ * rmatCanDrawEdge().
+ */
+double rmatKeepProbability(const RmatParams &params);
+
 /** Uniform (Erdős–Rényi style) random directed multigraph. */
 CooGraph makeErdosRenyi(VertexId num_vertices, EdgeId num_edges,
                         std::uint64_t seed, double max_weight = 1.0);

@@ -123,7 +123,6 @@ class TileExecutor
     TileExecutor &operator=(TileExecutor &&) noexcept;
 
     const TilePlan &plan() const { return *plan_; }
-    TilePlanPtr planPtr() const { return plan_; }
 
     /**
      * Timing/energy report of a parallel-MAC schedule: one pass over

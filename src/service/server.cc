@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <exception>
+#include <functional>
 #include <optional>
 #include <sstream>
 
@@ -148,108 +149,76 @@ Server::handleLine(const SessionPtr &session, const std::string &line)
         return;
     }
 
-    // Tenant namespace resolution. A failure (daemon has no store, or
-    // the tenant subdirectory is unusable) is an answered request —
-    // admitted then failed — not an admission rejection: the caller
-    // asked something well-formed that this daemon cannot honour.
+    // A request this daemon cannot honour — a tenant namespace without
+    // a usable store, or a prepare without a plan store — is answered
+    // at once: admitted then failed, not an admission rejection, since
+    // the caller asked something well-formed.
     std::shared_ptr<PlanStore> tenantStore;
+    std::optional<std::string> refusal;
     if (!request.tenant.empty()) {
         try {
             tenantStore = tenantStoreLocked(request.tenant);
         } catch (const std::exception &err) {
-            ++counters_.admitted;
-            ++counters_.failed;
-            ++sess.counters_.admitted;
-            ++sess.counters_.failed;
-            bump("serve.admitted");
-            bump("serve.failed");
-            respondImmediate(
-                sess, seq, errorResponse(request.id, err.what()));
-            return;
+            refusal = err.what();
         }
     }
+    if (!refusal && request.type == RequestType::kPrepare &&
+        options_.store.planDir.empty()) {
+        refusal = "prepare needs a plan store: start graphr_serve with "
+                  "--plan-dir";
+    }
+    ++counters_.admitted;
+    ++sess.counters_.admitted;
+    bump("serve.admitted");
+    if (refusal) {
+        ++counters_.failed;
+        ++sess.counters_.failed;
+        bump("serve.failed");
+        respondImmediate(sess, seq, errorResponse(request.id, *refusal));
+        return;
+    }
+    ++outstanding_;
+    ++sess.outstanding_;
+    perf::Registry::instance()
+        .counter("serve.queue_depth_peak")
+        .recordMax(outstanding_);
 
+    // The request's work: its response text, or an exception that
+    // becomes its error response. Every request is one task on the
+    // pool (a run is the single-combination sweep, which
+    // parseRequestLine already enforced), with jobs = 1 inside it:
+    // request-level concurrency comes from the pool. Responses still
+    // come back in admission order via the seq-ordered flush, and a
+    // failing request answers alone without touching its neighbours.
+    std::function<std::string()> work;
     if (request.type == RequestType::kPrepare) {
-        if (options_.store.planDir.empty()) {
-            ++counters_.admitted;
-            ++counters_.failed;
-            ++sess.counters_.admitted;
-            ++sess.counters_.failed;
-            bump("serve.admitted");
-            bump("serve.failed");
-            respondImmediate(
-                sess, seq,
-                errorResponse(request.id,
-                              "prepare needs a plan store: start "
-                              "graphr_serve with --plan-dir"));
-            return;
-        }
-        ++counters_.admitted;
-        ++sess.counters_.admitted;
-        ++outstanding_;
-        ++sess.outstanding_;
-        bump("serve.admitted");
-        perf::Registry::instance()
-            .counter("serve.queue_depth_peak")
-            .recordMax(outstanding_);
         driver::PrepareSpec spec = request.prepare;
         spec.store = options_.store;
         if (tenantStore)
             spec.store.planDir = tenantStore->directory();
-        spec.jobs = 1; // request-level concurrency comes from the pool
-        pool_.submit([this, session, seq, id = request.id, spec,
-                      admitted_at, tenant = request.tenant,
-                      tenantStore] {
-            // Bind this worker thread to the tenant's store for the
-            // whole request: PlanCache::get and installPlanStore both
-            // honour the override, so nothing the request does can
-            // touch another tenant's artifacts.
-            std::optional<PlanCache::ScopedStoreOverride> scope;
-            if (tenantStore)
-                scope.emplace(tenantStore);
-            if (deadlineExpired(admitted_at)) {
-                // Expired while queued: skip the work entirely (the
-                // finishJob override writes the timeout response).
-                finishJob(session, seq, id, std::string(), false,
-                          admitted_at, tenant);
-                return;
-            }
-            try {
-                finishJob(session, seq, id,
-                          prepareResponse(id,
-                                          driver::runPrepare(
-                                              spec, nullptr, &datasets_)),
-                          true, admitted_at, tenant);
-            } catch (const std::exception &err) {
-                finishJob(session, seq, id,
-                          errorResponse(id, err.what()), false,
-                          admitted_at, tenant);
-            }
-        });
-        return;
+        spec.jobs = 1;
+        work = [this, spec, id = request.id] {
+            return prepareResponse(
+                id, driver::runPrepare(spec, nullptr, &datasets_));
+        };
+    } else {
+        driver::SweepSpec spec = request.sweep;
+        spec.store = options_.store;
+        spec.jobs = 1;
+        const char *type =
+            request.type == RequestType::kRun ? "run" : "sweep";
+        work = [this, spec, type, id = request.id] {
+            return resultsResponse(
+                id, type, driver::runSweep(spec, nullptr, &datasets_));
+        };
     }
-
-    // Run and sweep requests execute identically — one SweepSpec
-    // task on the pool (a run is the single-combination case, which
-    // parseRequestLine already enforced). One task per request keeps
-    // every worker busy under bursts; responses still come back in
-    // admission order via the seq-ordered flush, and a failing
-    // request answers alone without touching its neighbours.
-    ++counters_.admitted;
-    ++sess.counters_.admitted;
-    ++outstanding_;
-    ++sess.outstanding_;
-    bump("serve.admitted");
-    perf::Registry::instance()
-        .counter("serve.queue_depth_peak")
-        .recordMax(outstanding_);
-    driver::SweepSpec spec = request.sweep;
-    spec.store = options_.store;
-    spec.jobs = 1; // request-level concurrency comes from the pool
-    const char *type =
-        request.type == RequestType::kRun ? "run" : "sweep";
-    pool_.submit([this, session, seq, id = request.id, spec, type,
-                  admitted_at, tenant = request.tenant, tenantStore] {
+    pool_.submit([this, session, seq, id = request.id,
+                  work = std::move(work), admitted_at,
+                  tenant = request.tenant, tenantStore] {
+        // Bind this worker thread to the tenant's store for the whole
+        // request: PlanCache::get and installPlanStore both honour the
+        // override, so nothing the request does can touch another
+        // tenant's artifacts.
         std::optional<PlanCache::ScopedStoreOverride> scope;
         if (tenantStore)
             scope.emplace(tenantStore);
@@ -261,11 +230,8 @@ Server::handleLine(const SessionPtr &session, const std::string &line)
             return;
         }
         try {
-            finishJob(session, seq, id,
-                      resultsResponse(id, type,
-                                      driver::runSweep(spec, nullptr,
-                                                       &datasets_)),
-                      true, admitted_at, tenant);
+            finishJob(session, seq, id, work(), true, admitted_at,
+                      tenant);
         } catch (const std::exception &err) {
             finishJob(session, seq, id, errorResponse(id, err.what()),
                       false, admitted_at, tenant);

@@ -1,6 +1,6 @@
 /**
  * @file
- * Unit tests for src/common: RNG, fixed point, stats, tables.
+ * Unit tests for src/common: RNG, fixed point, tables.
  */
 
 #include <gtest/gtest.h>
@@ -11,7 +11,6 @@
 
 #include "common/fixed_point.hh"
 #include "common/random.hh"
-#include "common/stats.hh"
 #include "common/table.hh"
 #include "common/types.hh"
 
@@ -147,35 +146,6 @@ TEST(FixedPointTest, ShiftAddMatchesDirectProduct)
             partials[static_cast<std::size_t>(s)] = fp.slice(s);
         EXPECT_EQ(FixedPoint::shiftAdd(partials), raw);
     }
-}
-
-TEST(StatGroupTest, AddSetGetMerge)
-{
-    StatGroup a;
-    a.add("x", 3);
-    a.add("x", 4);
-    a.set("y", 10);
-    EXPECT_EQ(a.get("x"), 7u);
-    EXPECT_EQ(a.get("y"), 10u);
-    EXPECT_EQ(a.get("missing"), 0u);
-    EXPECT_FALSE(a.has("missing"));
-
-    StatGroup b;
-    b.add("x", 1);
-    b.add("z", 2);
-    a.merge(b);
-    EXPECT_EQ(a.get("x"), 8u);
-    EXPECT_EQ(a.get("z"), 2u);
-}
-
-TEST(StatGroupTest, DumpFormat)
-{
-    StatGroup g;
-    g.set("alpha", 1);
-    g.set("beta", 2);
-    std::ostringstream oss;
-    g.dump(oss, "pre.");
-    EXPECT_EQ(oss.str(), "pre.alpha 1\npre.beta 2\n");
 }
 
 TEST(TableTest, GeomeanBasics)

@@ -2,8 +2,9 @@
  * @file
  * Unit tests for the workload driver: param parsing, registries
  * (including unknown-name errors), dataset resolution, CLI argument
- * parsing, end-to-end runs, and a golden-file check of the JSON
- * report for a fixed-seed R-MAT PageRank run.
+ * parsing, end-to-end runs, and golden-file checks of the JSON
+ * reports for a fixed-seed R-MAT PageRank run and the full
+ * workload x backend matrix.
  */
 
 #include <gtest/gtest.h>
@@ -300,6 +301,11 @@ TEST(DatasetResolverTest, DegenerateGeneratorSpecsThrowNamingTheParameter)
         // c > 0, but a+b already covers every r in [0,1).
         {"rmat:vertices=6,edges=8,a=0,b=1,c=0.0000001,d=0",
          "unless vertices is a power of two"},
+        // Each kept edge needs about 74,500 draws: an edge leaves the
+        // range unless 12 of its 13 levels pick b or c alike.
+        {"rmat:vertices=4097,edges=100000,a=0,b=0.4,c=0.4,d=0.2",
+         "7.45e+04 draws per kept edge at vertices=4097, more than the "
+         "64 allowed"},
     };
     for (const auto &[spec, fragment] : cases) {
         try {
@@ -544,16 +550,11 @@ TEST(DriverRunTest, SweepRejectsUnknownNamesUpfront)
     EXPECT_THROW(runSweep(spec), DriverError);
 }
 
-// ----------------------------------------------------------- golden file
+// ---------------------------------------------------------- golden files
 
+/** The fixed-seed PageRank report (pagerank_rmat.json). */
 std::string
-goldenPath()
-{
-    return std::string(GRAPHR_GOLDEN_DIR) + "/pagerank_rmat.json";
-}
-
-std::string
-runGoldenReport()
+pagerankReport()
 {
     RunSpec spec;
     spec.workload = "pagerank";
@@ -566,27 +567,60 @@ runGoldenReport()
     return oss.str();
 }
 
-TEST(GoldenReportTest, MatchesCheckedInJson)
+/**
+ * The whole workload x backend matrix (sweep_all.json): what
+ * `graphr_run --algo all --backend all --dataset <both> --out` writes.
+ * The bipartite graph drives CF's user split.
+ */
+std::string
+sweepAllReport()
 {
-    std::ifstream in(goldenPath());
-    ASSERT_TRUE(in) << "missing golden file " << goldenPath()
-                    << " — regenerate with "
-                       "GRAPHR_UPDATE_GOLDEN=1 ./test_driver";
-    std::stringstream want;
-    want << in.rdbuf();
-    EXPECT_EQ(runGoldenReport(), want.str())
-        << "JSON report drifted; if the cost model changed "
-           "intentionally, regenerate with GRAPHR_UPDATE_GOLDEN=1";
+    SweepSpec spec;
+    spec.datasets = {"rmat:vertices=128,edges=512,seed=3",
+                     "bipartite:users=64,items=32,ratings=512"};
+    std::ostringstream oss;
+    writeResultsJson(oss, runSweep(spec));
+    return oss.str();
 }
 
-/** Regeneration helper: GRAPHR_UPDATE_GOLDEN=1 rewrites the file. */
+/** Each checked-in golden report and the run that writes it. */
+const std::pair<const char *, std::string (*)()> kGoldens[] = {
+    {"pagerank_rmat.json", pagerankReport},
+    {"sweep_all.json", sweepAllReport},
+};
+
+std::string
+goldenPath(const char *file)
+{
+    return std::string(GRAPHR_GOLDEN_DIR) + "/" + file;
+}
+
+TEST(GoldenReportTest, MatchesCheckedInJson)
+{
+    for (const auto &[file, report] : kGoldens) {
+        std::ifstream in(goldenPath(file));
+        ASSERT_TRUE(in) << "missing golden file " << goldenPath(file)
+                        << " — regenerate with "
+                           "GRAPHR_UPDATE_GOLDEN=1 ./test_driver";
+        std::stringstream want;
+        want << in.rdbuf();
+        EXPECT_EQ(report(), want.str())
+            << file << ": JSON report drifted; if the cost model "
+            << "changed intentionally, regenerate with "
+               "GRAPHR_UPDATE_GOLDEN=1";
+    }
+}
+
+/** Regeneration helper: GRAPHR_UPDATE_GOLDEN=1 rewrites the files. */
 TEST(GoldenReportTest, UpdateGoldenWhenRequested)
 {
     if (!std::getenv("GRAPHR_UPDATE_GOLDEN"))
         GTEST_SKIP() << "set GRAPHR_UPDATE_GOLDEN=1 to rewrite";
-    std::ofstream out(goldenPath());
-    ASSERT_TRUE(out);
-    out << runGoldenReport();
+    for (const auto &[file, report] : kGoldens) {
+        std::ofstream out(goldenPath(file));
+        ASSERT_TRUE(out) << goldenPath(file);
+        out << report();
+    }
 }
 
 } // namespace

@@ -198,6 +198,7 @@ TEST(RmatTest, CanDrawEdgeIsTheRuleTheDrawFollows)
                      << k.vertices << " vertices, a=" << k.a
                      << " b=" << k.b << " c=" << k.c << " d=" << k.d);
         ASSERT_EQ(rmatCanDrawEdge(p), k.can);
+        EXPECT_EQ(rmatKeepProbability(p) > 0.0, k.can);
         if (!k.can)
             continue;
         const CooGraph g = makeRmat(p);
@@ -208,6 +209,83 @@ TEST(RmatTest, CanDrawEdgeIsTheRuleTheDrawFollows)
             if (k.removeSelfLoops) {
                 EXPECT_NE(e.src, e.dst);
             }
+        }
+    }
+}
+
+TEST(RmatTest, KeepProbabilityMatchesAnExactEnumeration)
+{
+    // Every cell's probability is the product of its levels' quadrant
+    // probabilities; the kept mass is the sum over the cells below
+    // vertices (off the diagonal, when self loops are removed). The
+    // draw's 2^-53 steps move a quadrant's share by less than 2^-53.
+    struct Probabilities
+    {
+        double a, b, c, d;
+    };
+    const Probabilities probabilities[] = {
+        {0.57, 0.19, 0.19, 0.05}, // Graph500
+        {0.25, 0.25, 0.25, 0.25},
+        {0, 0.4, 0.4, 0.2},
+        {0.6, 0.2, 0.2, 0},
+        {0, 0.5, 0.5, 0},
+        {0.45, 0.15, 0.3, 0.1},
+        {1, 0, 0, 0},
+    };
+    for (const Probabilities &q : probabilities) {
+        for (VertexId vertices = 2; vertices <= 65; ++vertices) {
+            const VertexId padded = std::bit_ceil(vertices);
+            const int levels = std::countr_zero(padded);
+            for (const bool remove_self_loops : {true, false}) {
+                double want = 0.0;
+                for (VertexId row = 0; row < vertices; ++row) {
+                    for (VertexId col = 0; col < vertices; ++col) {
+                        if (remove_self_loops && row == col)
+                            continue;
+                        double cell = 1.0;
+                        for (int bit = 0; bit < levels; ++bit) {
+                            const bool r = (row >> bit) & 1;
+                            const bool c = (col >> bit) & 1;
+                            cell *= r ? (c ? q.d : q.c) : (c ? q.b : q.a);
+                        }
+                        want += cell;
+                    }
+                }
+                RmatParams p;
+                p.numVertices = vertices;
+                p.a = q.a;
+                p.b = q.b;
+                p.c = q.c;
+                p.d = q.d;
+                p.removeSelfLoops = remove_self_loops;
+                EXPECT_NEAR(rmatKeepProbability(p), want, 1e-12)
+                    << vertices << " vertices, a=" << q.a << " b=" << q.b
+                    << " c=" << q.c << " d=" << q.d
+                    << ", removeSelfLoops " << remove_self_loops;
+            }
+        }
+    }
+}
+
+TEST(RmatTest, DrawsPerKeptEdgeStayLowForTheUsualProbabilities)
+{
+    // The bound checkRmat applies (64 draws per kept edge) leaves the
+    // Graph500 and the uniform probabilities far inside it at every
+    // vertex count. Graph500 is worst at two vertices, where only b
+    // and c are kept: 1 / 0.38 = 2.632 draws.
+    for (int log = 1; log <= 31; ++log) {
+        for (const std::int64_t offset : {-1, 0, 1}) {
+            const std::int64_t vertices = (std::int64_t{1} << log) + offset;
+            if (vertices < 2 || vertices > (std::int64_t{1} << 31))
+                continue;
+            RmatParams graph500;
+            graph500.numVertices = static_cast<VertexId>(vertices);
+            RmatParams uniform = graph500;
+            uniform.a = uniform.b = uniform.c = uniform.d = 0.25;
+            EXPECT_LE(1.0 / rmatKeepProbability(graph500), 2.632)
+                << vertices;
+            EXPECT_LE(1.0 / rmatKeepProbability(uniform), 4.0)
+                << vertices;
         }
     }
 }

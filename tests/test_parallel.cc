@@ -2,12 +2,14 @@
  * @file
  * Tests of the parallel sweep machinery: the ThreadPool, shared-cache
  * concurrency (PlanCache per-key once-construction, golden-PageRank
- * cache hammering), and — the headline property — that a parallel
- * `all x all` sweep produces byte-identical JSON to the serial path.
+ * cache hammering), the headline property — that a parallel
+ * `all x all` sweep produces byte-identical JSON to a one-job sweep —
+ * and how each reports its first failure.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <set>
 #include <sstream>
@@ -245,6 +247,40 @@ TEST(ParallelSweepTest, ErrorsSurfaceDeterministically)
     spec.params = driver::ParamMap::parse("source=99");
     spec.jobs = 4;
     EXPECT_THROW(runSweep(spec), DriverError);
+}
+
+TEST(ParallelSweepTest, TheFirstFailureInSpecOrderEndsTheSweep)
+{
+    // BFS and SSSP both reject source 99 on an 8-vertex chain.
+    SweepSpec spec;
+    spec.workloads = {"pagerank", "bfs", "sssp"};
+    spec.backends = {"graphr"};
+    spec.datasets = {"chain:n=8"};
+    spec.params = driver::ParamMap::parse("source=99");
+    const auto failure = [&spec](std::ostringstream &progress) {
+        try {
+            runSweep(spec, &progress);
+        } catch (const DriverError &err) {
+            return std::string(err.what());
+        }
+        return std::string("no error");
+    };
+
+    // One job: PageRank runs, BFS fails, and SSSP never starts.
+    spec.jobs = 1;
+    std::ostringstream serial;
+    EXPECT_NE(failure(serial).find("source vertex 99"), std::string::npos);
+    EXPECT_EQ(serial.str(), "running pagerank x graphr x chain ...\n"
+                            "running bfs x graphr x chain ...\n");
+
+    // More jobs: every combination runs and BFS's error, the first in
+    // spec order, is the one rethrown.
+    spec.jobs = 4;
+    std::ostringstream parallel;
+    EXPECT_NE(failure(parallel).find("source vertex 99"),
+              std::string::npos);
+    const std::string lines = parallel.str();
+    EXPECT_EQ(std::count(lines.begin(), lines.end(), '\n'), 3);
 }
 
 TEST(ParallelSweepTest, DatasetResolvedOncePerSpec)

@@ -550,15 +550,6 @@ TEST_F(ServeTest, AFailingRequestCannotPoisonConcurrentRequests)
     EXPECT_EQ(out[2], solo_g2.at(0));
 }
 
-TEST_F(ServeTest, PrepareNeedsADaemonPlanStore)
-{
-    const auto out = lines(serveText(
-        R"({"id":"p","type":"prepare","datasets":["chain:n=16"]})"
-        "\n"));
-    ASSERT_EQ(out.size(), 1u);
-    expectError(out[0], "p", "--plan-dir");
-}
-
 TEST_F(ServeTest, PrepareWritesArtifactsTheNextRunLoadsSortFree)
 {
     const fs::path dir =
@@ -639,13 +630,58 @@ TEST_F(ServeTest, TenantNameIsValidated)
     expectError(out[3], "d", "not tenant-scoped");
 }
 
-TEST_F(ServeTest, TenantNeedsADaemonPlanStore)
+TEST_F(ServeTest, RequestsTheDaemonCannotHonourAreAdmittedThenFailed)
 {
-    const auto out = lines(serveText(
-        R"({"id":"a","type":"run","dataset":"chain:n=8","tenant":"acme"})"
-        "\n"));
-    ASSERT_EQ(out.size(), 1u);
-    expectError(out[0], "a", "--plan-dir");
+    // A tenant namespace needs a usable plan store, and so does a
+    // prepare. The daemon answers such a request at once without
+    // running it: admitted then failed, never rejected, in its served
+    // counters and in the connection's.
+    const fs::path dir = fs::path(::testing::TempDir()) / "file_tenant";
+    fs::remove_all(dir);
+    fs::create_directories(dir);
+    std::ofstream(dir / "acme") << "not a directory\n";
+    service::ServeOptions file_tenant;
+    file_tenant.store.planDir = dir.string();
+
+    struct Case
+    {
+        const char *request;
+        service::ServeOptions options;
+        const char *error;
+    };
+    const Case cases[] = {
+        {R"({"id":"x","type":"run","dataset":"chain:n=8","tenant":"acme"})",
+         {}, "tenant namespaces need a plan store: start graphr_serve "
+             "with --plan-dir"},
+        {R"({"id":"x","type":"prepare","datasets":["chain:n=16"]})", {},
+         "prepare needs a plan store: start graphr_serve with "
+         "--plan-dir"},
+        {R"({"id":"x","type":"run","dataset":"chain:n=8","tenant":"acme"})",
+         file_tenant, "cannot use tenant namespace 'acme'"},
+    };
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.request);
+        const auto out = lines(serveText(
+            std::string(c.request) + "\n" +
+                R"({"id":"q","type":"status"})" "\n",
+            c.options));
+        ASSERT_EQ(out.size(), 2u);
+        expectError(out[0], "x", c.error);
+        const JsonValue status = parsedResponse(out[1]);
+        const JsonValue *served = status.find("served");
+        EXPECT_EQ(served->find("admitted")->asU64(), 1u) << out[1];
+        EXPECT_EQ(served->find("failed")->asU64(), 1u) << out[1];
+        EXPECT_EQ(served->find("rejected")->asU64(), 0u) << out[1];
+        EXPECT_EQ(served->find("completed")->asU64(), 0u) << out[1];
+        const JsonValue &conn =
+            status.find("connections")->find("per_connection")->items().at(0);
+        EXPECT_EQ(conn.find("admitted")->asU64(), 1u) << out[1];
+        EXPECT_EQ(conn.find("failed")->asU64(), 1u) << out[1];
+        EXPECT_EQ(conn.find("rejected")->asU64(), 0u) << out[1];
+        // Only work that ran counts as served for a tenant.
+        EXPECT_TRUE(status.find("tenants")->members().empty()) << out[1];
+    }
+    fs::remove_all(dir);
 }
 
 TEST_F(ServeTest, TenantNamespacesIsolatePlansOnDiskAndInMemory)

@@ -806,7 +806,7 @@ TEST_F(PlanStoreTest, DecodeFailpointFallsBackToFreshPrepare)
 
 // --------------------------------------------- golden artifact
 
-/** The golden run: must mirror test_driver's runGoldenReport(). */
+/** The golden run: must mirror test_driver's pagerankReport(). */
 std::string
 goldenRunJson(const std::string &plan_dir)
 {
