@@ -94,28 +94,22 @@ class RoundTiles
 };
 
 /**
- * sALU-reduce a compact GE result (C values per occupied crossbar of
- * the tile at column @p col0) into @p reg, indexed by absolute vertex
+ * sALU-reduce a GE result ((column, value) pairs of the tile at
+ * column @p col0, ascending) into @p reg, indexed by absolute vertex
  * id. Entries equal to @p absent — the value an edge-free column
  * reads, 0 for a MAC and +infinity for an add-op — are not reduced,
  * and neither are the padding columns past the last vertex; so the
  * op count is that of a full-width walk.
  */
 void
-reduceCompact(GraphEngineArray &ge, std::uint64_t col0,
-              const std::vector<double> &compact, double absent,
+reduceResults(Salu &salu, std::uint64_t col0,
+              const std::vector<ColumnValue> &results, double absent,
               std::vector<Value> &reg)
 {
-    const std::uint64_t dim = ge.crossbarDim();
-    const std::span<const std::uint32_t> occupied = ge.occupiedCrossbars();
-    for (std::size_t k = 0; k < occupied.size(); ++k) {
-        const std::uint64_t first = col0 + occupied[k] * dim;
-        for (std::uint64_t c = 0; c < dim; ++c) {
-            const std::uint64_t v = first + c;
-            const double value = compact[k * dim + c];
-            if (v < reg.size() && value != absent)
-                reg[v] = ge.salu().reduce(reg[v], value);
-        }
+    for (const ColumnValue &result : results) {
+        const std::uint64_t v = col0 + result.col;
+        if (v < reg.size() && result.value != absent)
+            reg[v] = salu.reduce(reg[v], result.value);
     }
 }
 
@@ -136,26 +130,27 @@ finalizeReport(SimReport &report, const DeviceParams &device,
 
 } // namespace
 
-/** Functional MAC state: scratch ledger, GE array, resident tiles. */
+/**
+ * Functional MAC state: scratch ledger, GE array, and every tile's
+ * cells once its first visit has programmed it.
+ */
 struct TileExecutor::MacDatapath
 {
     EnergyLedger scratch;
     GraphEngineArray ge;
-    /** Per-tile resident snapshot (ProgramCharging::kOnce only). */
-    std::vector<std::optional<TileSnapshot>> resident;
+    std::vector<std::optional<TileSnapshot>> kept;
 
     MacDatapath(const GraphRConfig &config, std::size_t num_tiles,
-                bool resident_mode, bool apply_variation)
+                bool apply_variation)
         : scratch(config.device),
           ge(config.tiling.crossbarDim,
              config.tiling.crossbarsPerGe * config.tiling.numGe,
-             config.device, scratch)
+             config.device, scratch),
+          kept(num_tiles)
     {
         if (apply_variation && config.variationSigma > 0.0)
             ge.setVariation(config.variationSigma, config.variationSeed);
         ge.salu().configure(SaluOp::kAdd);
-        if (resident_mode)
-            resident.resize(num_tiles);
     }
 };
 
@@ -315,20 +310,20 @@ TileExecutor::functionalMacSweep(const MacSpec &spec,
                   accum.size(), " != input length ", nv);
     if (!mac_) {
         mac_ = std::make_unique<MacDatapath>(
-            config_, plan_->meta.tiles().size(), residentWeights(),
-            spec.applyVariation);
+            config_, plan_->meta.tiles().size(), spec.applyVariation);
     }
     GraphEngineArray &ge = mac_->ge;
 
     std::vector<Edge> scaled;
     std::vector<double> in_rows(config_.tiling.crossbarDim, 0.0);
-    std::vector<double> partial; // reused across tiles (hot loop)
+    std::vector<ColumnValue> partial; // reused across tiles (hot loop)
     const std::vector<TileMeta> &tiles = plan_->meta.tiles();
     for (std::size_t t = 0; t < tiles.size(); ++t) {
         const TileMeta &meta = tiles[t];
-        if (residentWeights() && mac_->resident[t].has_value()) {
-            ge.loadTile(*mac_->resident[t]);
-            ++stats_.functionalTileLoads;
+        std::optional<TileSnapshot> &kept = mac_->kept[t];
+        if (kept.has_value()) {
+            ge.loadTile(*kept);
+            countReplay();
         } else {
             const TileSpan &span = plan_->ordered.tiles()[t];
             std::span<const Edge> tile_edges =
@@ -343,8 +338,7 @@ TileExecutor::functionalMacSweep(const MacSpec &spec,
             ge.programTile(tile_edges, meta.row0, meta.col0,
                            config_.weightFracBits);
             ++stats_.functionalTilePrograms;
-            if (residentWeights())
-                mac_->resident[t] = ge.saveTile(config_.weightFracBits);
+            kept = ge.saveTile();
         }
         for (std::uint32_t r = 0; r < config_.tiling.crossbarDim; ++r) {
             const std::uint64_t v = meta.row0 + r;
@@ -352,7 +346,7 @@ TileExecutor::functionalMacSweep(const MacSpec &spec,
         }
         ge.runMac(in_rows, config_.inputFracBits, config_.weightFracBits,
                   partial);
-        reduceCompact(ge, meta.col0, partial, 0.0, accum);
+        reduceResults(ge.salu(), meta.col0, partial, 0.0, accum);
     }
 }
 
@@ -482,10 +476,9 @@ TileExecutor::functionalAddOpSolve(const CooGraph &graph,
     ge.salu().configure(SaluOp::kMin);
 
     const std::vector<TileMeta> &tiles = plan_->meta.tiles();
-    // Resident mode: a tile is programmed on its first activation and
-    // replayed on every later one.
-    std::vector<std::optional<TileSnapshot>> snapshots(
-        residentWeights() ? tiles.size() : 0);
+    // A tile is programmed on its first activation; every later one
+    // writes its kept cells back.
+    std::vector<std::optional<TileSnapshot>> kept(tiles.size());
 
     std::vector<Value> dist = spec.initLabels;
     std::vector<VertexId> ids; // the round's active sources, ascending
@@ -495,16 +488,16 @@ TileExecutor::functionalAddOpSolve(const CooGraph &graph,
     }
     RoundTiles finder(plan_->meta, dim);
     std::vector<Edge> rewritten_edges;
-    std::vector<double> cand; // reused across rows (hot loop)
+    std::vector<ColumnValue> cand; // reused across rows (hot loop)
 
     while (!ids.empty()) {
         std::vector<Value> next = dist;
         for (const RoundTile &touched : finder.collect(ids)) {
             const std::size_t t = touched.position;
             const TileMeta &meta = tiles[t];
-            if (residentWeights() && snapshots[t].has_value()) {
-                ge.loadTile(*snapshots[t]);
-                ++stats_.functionalTileLoads;
+            if (kept[t].has_value()) {
+                ge.loadTile(*kept[t]);
+                countReplay();
             } else {
                 const TileSpan &span = plan_->ordered.tiles()[t];
                 std::span<const Edge> tile_edges =
@@ -524,8 +517,7 @@ TileExecutor::functionalAddOpSolve(const CooGraph &graph,
                 ge.programTile(tile_edges, meta.row0, meta.col0, 0,
                                CombineMode::kMin);
                 ++stats_.functionalTilePrograms;
-                if (residentWeights())
-                    snapshots[t] = ge.saveTile(0);
+                kept[t] = ge.saveTile();
             }
             std::uint64_t m = touched.mask;
             while (m != 0) {
@@ -535,7 +527,8 @@ TileExecutor::functionalAddOpSolve(const CooGraph &graph,
                     static_cast<std::uint32_t>(r),
                     dist[meta.row0 + static_cast<std::uint64_t>(r)],
                     0, cand);
-                reduceCompact(ge, meta.col0, cand, kInfDistance, next);
+                reduceResults(ge.salu(), meta.col0, cand, kInfDistance,
+                              next);
             }
         }
 

@@ -15,11 +15,14 @@
  *  - AddOpSpec describes a parallel-add-op relaxation (BFS, SSSP,
  *    WCC): initial labels, initial active set, weight mode.
  *
- * Under ProgramCharging::kOnce the functional path programs each tile
- * exactly once per run and replays the resident crossbar state on
- * later visits (TileSnapshot), matching the modelled program-once
- * semantics instead of re-paying the programming work every
- * iteration.
+ * The functional path derives each tile's cells (weights scaled,
+ * merged and quantised) once per run, on the tile's first visit, and
+ * keeps them (TileSnapshot, 8 bytes a cell) until the run ends. A
+ * later visit writes the kept cells back: under
+ * ProgramCharging::kPerSweep that is the sweep's reprogram of the
+ * tile, under kOnce a switch to its resident bank. Either way the
+ * cells are those the edges would program again, so the charging
+ * policy picks the counter, not the outputs.
  */
 
 #ifndef GRAPHR_GRAPHR_ENGINE_TILE_EXECUTOR_HH
@@ -92,9 +95,11 @@ struct EngineStats
 {
     /** Whether the plan came out of the PlanCache (set by callers). */
     bool planCacheHit = false;
-    /** Functional programTile() calls (crossbar write phases). */
+    /** Functional tile programs: first visits, and under
+     *  ProgramCharging::kPerSweep every later visit too. */
     std::uint64_t functionalTilePrograms = 0;
-    /** Resident-snapshot replays that replaced a reprogram. */
+    /** Later visits under kOnce: a switch to the tile's resident
+     *  bank, not a reprogram. */
     std::uint64_t functionalTileLoads = 0;
 };
 
@@ -148,9 +153,11 @@ class TileExecutor
 
     /**
      * One functional MAC sweep over every tile of the plan:
-     * program (or, resident, reload) each tile, apply the matching
-     * rows of @p input, and sALU-reduce the partial column sums into
-     * @p accum. Both vectors are indexed by absolute vertex id.
+     * program (or, on a later sweep, write back the kept cells of)
+     * each tile, apply the matching rows of @p input, and sALU-reduce
+     * the partial column sums into @p accum. Both vectors are indexed
+     * by absolute vertex id. Every sweep of one executor programs the
+     * same weights: @p spec's edgeScale must not change between them.
      */
     void functionalMacSweep(const MacSpec &spec,
                             const std::vector<Value> &input,
@@ -183,10 +190,17 @@ class TileExecutor
     /** The report of @p spec's sweeps over the tiles in @p sums. */
     SimReport finishMac(const MacSpec &spec, const MacSums &sums) const;
 
-    bool
-    residentWeights() const
+    /**
+     * Count a visit that writes a tile's kept cells back: a load of
+     * its resident bank under ProgramCharging::kOnce, the sweep's
+     * rewrite of the tile (a program) under kPerSweep.
+     */
+    void
+    countReplay()
     {
-        return config_.programCharging == ProgramCharging::kOnce;
+        ++(config_.programCharging == ProgramCharging::kOnce
+               ? stats_.functionalTileLoads
+               : stats_.functionalTilePrograms);
     }
 
     /** Functional GE execution of the relaxation to convergence. */

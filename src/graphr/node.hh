@@ -11,8 +11,9 @@
  * Two execution modes (GraphRConfig::functional):
  *  - functional: edges are programmed into the modelled crossbars and
  *    results are computed through the analog datapath (bit-sliced
- *    fixed point). Each tile costs its edges plus its occupied
- *    crossbars, not the full array width (rram/graph_engine.hh).
+ *    fixed point). A tile costs the cells it holds, not the full
+ *    array width, and its cells are derived once per run
+ *    (rram/graph_engine.hh, graphr/engine/tile_executor.hh).
  *  - timing-only: semantics come from the golden algorithms; the node
  *    walks the tile stream and charges the cost model. Used by the
  *    benches on large graphs. Iteration counts and the add-op

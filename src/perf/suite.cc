@@ -511,10 +511,12 @@ crossbarScenario(SuiteBuilder &b, const std::string &prefix,
  * The functional PageRank scenario: 10 sweeps of the analog datapath
  * on one small graph at the paper's tiling (the default TilingParams,
  * 2,048 crossbars per tile, as `--functional` runs), with the crossbar
- * weights resident across sweeps (ProgramCharging::kOnce replays each
- * tile's stored state) or reprogrammed every sweep. The gap between
- * the two wall clocks is what resident weights save; the gate keys on
- * the wordlines the MVMs process, which charging does not change.
+ * weights resident across sweeps (ProgramCharging::kOnce) or
+ * reprogrammed every sweep. Both do the same host work — each tile's
+ * cells are derived on the first sweep and written back on the later
+ * ones — and differ only in what they count as a program, so the two
+ * wall clocks should agree. The gate keys on the wordlines the MVMs
+ * process, which charging does not change.
  */
 void
 functionalPageRankScenario(SuiteBuilder &b, const std::string &prefix,

@@ -67,8 +67,8 @@ class Cell
 
     /**
      * The variation model on a bare level, for storage that keeps
-     * cell levels in structure-of-arrays planes rather than Cell
-     * objects (rram/crossbar.hh). Level 0 never consumes an RNG draw
+     * cell levels packed in raw values rather than Cell objects
+     * (rram/crossbar.hh). Level 0 never consumes an RNG draw
      * — the guarantee the crossbar's occupancy fast path relies on.
      */
     static std::uint8_t

@@ -30,8 +30,6 @@ Crossbar::Crossbar(std::uint32_t dim, const DeviceParams &params)
       cellLevels_(params.cellLevels())
 {
     GRAPHR_ASSERT(dim_ > 0, "crossbar dimension must be > 0");
-    levelPlanes_.resize(static_cast<std::size_t>(dim_) * dim_ *
-                        slices_);
     rawPlane_.resize(static_cast<std::size_t>(dim_) * dim_);
     rowMask_.assign((dim_ + 63) / 64, 0);
 }
@@ -40,17 +38,11 @@ void
 Crossbar::clear()
 {
     // Only occupied wordlines can hold nonzero cells, so zero those
-    // row spans (in every slice plane and the packed raw plane)
-    // instead of reprogramming every cell: O(occupied rows), not
-    // O(dim^2 * slices).
+    // row spans instead of reprogramming every cell: O(occupied
+    // rows), not O(dim^2).
     forEachOccupiedRow([this](std::uint32_t row) {
         const std::size_t row_off =
             static_cast<std::size_t>(row) * dim_;
-        for (int s = 0; s < slices_; ++s) {
-            std::uint8_t *first =
-                levelPlanes_.data() + planeOffset(s) + row_off;
-            std::fill(first, first + dim_, std::uint8_t{0});
-        }
         std::fill(rawPlane_.begin() +
                       static_cast<std::ptrdiff_t>(row_off),
                   rawPlane_.begin() +
@@ -66,15 +58,17 @@ Crossbar::programValue(std::uint32_t row, std::uint32_t col,
 {
     GRAPHR_ASSERT(row < dim_ && col < dim_, "program (", row, ",", col,
                   ") outside ", dim_, "x", dim_, " crossbar");
-    const std::size_t cell_off =
-        static_cast<std::size_t>(row) * dim_ + col;
-    for (int s = 0; s < slices_; ++s)
-        levelPlanes_[planeOffset(s) + cell_off] = value.slice(s);
-    rawPlane_[cell_off] = value.raw();
+    rawPlane_[static_cast<std::size_t>(row) * dim_ + col] = value.raw();
     // Programming zero leaves the cells at level 0; the mask only
     // needs to cover rows that may hold nonzeros.
     if (value.raw() != 0)
         rowMask_[row >> 6] |= std::uint64_t{1} << (row & 63);
+}
+
+void
+Crossbar::countMvmRows(std::uint64_t rows)
+{
+    mvmRowsCounter().add(rows);
 }
 
 std::vector<std::uint64_t>
@@ -103,7 +97,7 @@ Crossbar::mvmRawInto(std::span<const FixedPoint::Raw> input_raw,
     // loops and S/A recombination entirely.
     if (!anyRowOccupied())
         return;
-    mvmRowsCounter().add(maskedRowCount());
+    countMvmRows(maskedRowCount());
 
     if (variationSigma_ <= 0.0) {
         // Exact fast path: slice recombination distributes over the
@@ -190,9 +184,8 @@ Crossbar::occupiedRows() const
 {
     // The mask is conservative (a nonzero cell may have been
     // reprogrammed to zero), so verify the cells of masked rows —
-    // unmasked rows are guaranteed empty and need no scan. The packed
-    // raw plane is consistent with the slice planes, so one uint16
-    // span check per row suffices.
+    // unmasked rows are guaranteed empty and need no scan: one uint16
+    // span check per masked row.
     std::uint32_t count = 0;
     forEachOccupiedRow([this, &count](std::uint32_t row) {
         const FixedPoint::Raw *first =

@@ -10,12 +10,12 @@
  * unit recombines per-slice bitline sums into full-precision column
  * results. Inputs are likewise applied slice-serially by the driver.
  *
- * Cell state is stored structure-of-arrays: one contiguous C x C
- * plane of cell levels per slice (levelAt), plus a packed plane of
- * the recombined 16-bit raw values (rawAt) kept consistent by
- * programValue()/clear(). A wordline's contribution to the MVM is
- * therefore a unit-stride uint16 span, which the exact fast path
- * accumulates into the column sums one occupied row at a time.
+ * Cell state is one packed row-major C x C plane of the 16-bit raw
+ * values, written only by programValue()/clear(). The level of slice
+ * s of a value is its bits [4s, 4s + 4) (levelAt), so the plane is
+ * also the slice planes. A wordline's contribution to the MVM is a
+ * unit-stride uint16 span, which the exact fast path accumulates
+ * into the column sums one occupied row at a time.
  *
  * The arithmetic is integer-exact: summing slice partial products
  * with the correct shifts reproduces the full 16x16-bit multiply, so
@@ -105,6 +105,13 @@ class Crossbar
                     std::span<std::uint64_t> columns) const;
 
     /**
+     * Add @p rows to the crossbar.mvm_rows_processed work counter,
+     * the wordlines MVMs read. A model that computes a crossbar's MVM
+     * without running it counts the rows it would read.
+     */
+    static void countMvmRows(std::uint64_t rows);
+
+    /**
      * Row-selected read for the parallel add-op pattern: returns the
      * raw stored values of one wordline (an SpMV with a one-hot input
      * vector, as in paper Fig. 16(c)).
@@ -147,21 +154,14 @@ class Crossbar
     std::vector<std::uint32_t> occupiedRowIndices() const;
 
   private:
-    /** Level of the cell holding slice s of value (row, col), from
-     *  the per-slice SoA plane. */
+    /** Level of the cell holding slice s of value (row, col). */
     std::uint8_t
     levelAt(std::uint32_t row, std::uint32_t col, int slice) const
     {
-        return levelPlanes_[planeOffset(slice) +
-                            static_cast<std::size_t>(row) * dim_ +
-                            col];
-    }
-
-    /** First cell of slice @p slice's C x C plane. */
-    std::size_t
-    planeOffset(int slice) const
-    {
-        return static_cast<std::size_t>(slice) * dim_ * dim_;
+        return static_cast<std::uint8_t>(
+            (rawPlane_[static_cast<std::size_t>(row) * dim_ + col] >>
+             (slice * kCellBits)) &
+            0xF);
     }
 
     std::uint8_t
@@ -214,18 +214,7 @@ class Crossbar
     std::uint32_t dim_;
     int slices_;
     int cellLevels_;
-    /**
-     * SoA cell state: kSlicesPerValue contiguous C x C planes of
-     * 4-bit levels (slice-major, then row-major — a wordline's slice
-     * levels are a unit-stride span).
-     */
-    std::vector<std::uint8_t> levelPlanes_;
-    /**
-     * Packed plane of the recombined 16-bit values, row-major. Always
-     * consistent with levelPlanes_ (both are written only by
-     * programValue()/clear()); the exact MVM/selectRow fast paths and
-     * storedRaw() read it directly.
-     */
+    /** Packed plane of the 16-bit values, row-major. */
     std::vector<FixedPoint::Raw> rawPlane_;
     /**
      * One bit per wordline, set when a nonzero value is programmed

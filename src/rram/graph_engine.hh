@@ -53,31 +53,34 @@ struct TileActivity
 };
 
 /**
- * Saved programmed state of one tile: the quantised nonzero cells.
- * Under ProgramCharging::kOnce every tile's weights stay resident in
- * its own crossbar bank after the initial programming; the functional
- * model serialises tiles through one GraphEngineArray, so "resident"
- * is modelled by snapshotting a tile after its first (and only)
- * programTile() and replaying the snapshot on later visits.
- * loadTile() charges no write events — switching the evaluation
- * target between already-programmed banks is not a reprogram.
- *
- * The snapshot stores logical (row, col, raw) triples, independent of
- * the crossbar's internal layout: loadTile() re-packs them through
- * programValue(), which rebuilds the SoA slice planes, the packed raw
- * plane and the row-occupancy mask consistently. Cells are in
- * crossbar order (ascending col / C), as saveTile() writes them.
+ * A programmed tile: its merged, quantised cells in (crossbar,
+ * column, row) order — ascending tile column, then row — at 8 bytes
+ * a cell. It is the GE array's whole state, so saveTile() and
+ * loadTile() copy it and derive nothing: a functional run keeps every
+ * tile's snapshot after its first programTile() and replays it on
+ * later visits. loadTile() charges no write events; whether a replay
+ * counts as a reprogram or as switching between resident banks is the
+ * caller's charging policy.
  */
 struct TileSnapshot
 {
     struct CellValue
     {
-        std::uint32_t row = 0;
-        std::uint64_t col = 0; ///< tile-relative column
+        std::uint32_t col = 0; ///< tile-relative column
         FixedPoint::Raw raw = 0;
+        std::uint16_t row = 0; ///< tile-relative row
     };
     std::vector<CellValue> cells;
-    int fracBits = 0;
+    /** Wordlines an MVM of the tile reads: the distinct rows holding
+     *  a nonzero cell, summed over the occupied crossbars. */
+    std::uint64_t mvmRows = 0;
+};
+
+/** One entry of a MAC or add-op result: a tile column and its value. */
+struct ColumnValue
+{
+    std::uint32_t col = 0;
+    double value = 0.0;
 };
 
 /**
@@ -85,13 +88,16 @@ struct TileSnapshot
  * one tile at a time.
  *
  * A tile at the paper's tiling spans 2,048 crossbars but holds a few
- * dozen edges, so the array does host work only for its *occupied*
- * crossbars (those holding at least one programmed cell): it keeps
- * them as an ascending list, clears only them on reprogram, and
- * returns MAC and add-op results in compact form — C columns per
- * occupied crossbar, in occupiedCrossbars() order. The device events
- * still cover every crossbar of the array: the ledger charges them in
- * closed form.
+ * dozen edges, so the array's host work is sized by the cells it
+ * holds: it keeps the tile as its cell list (TileSnapshot) and
+ * returns MAC and add-op results for programmed columns only, as
+ * ascending (column, value) pairs. Without variation the MVM is one
+ * integer multiply-add per cell, bit-identical to the crossbar's
+ * slice-serial arithmetic. Programming variation is the device
+ * model's: setVariation() builds the N*G Crossbars, and the array
+ * then mirrors each tile into them and reads its occupied crossbars
+ * in ascending order. The device events cover every crossbar of the
+ * array: the ledger charges them in closed form.
  */
 class GraphEngineArray
 {
@@ -107,14 +113,11 @@ class GraphEngineArray
                      const DeviceParams &params, EnergyLedger &ledger);
 
     std::uint32_t crossbarDim() const { return crossbarDim_; }
-    std::uint32_t numCrossbars() const
-    {
-        return static_cast<std::uint32_t>(crossbars_.size());
-    }
+    std::uint32_t numCrossbars() const { return numCrossbars_; }
     /** Tile width in values = C * numCrossbars. */
     std::uint64_t tileWidth() const
     {
-        return static_cast<std::uint64_t>(crossbarDim_) * numCrossbars();
+        return static_cast<std::uint64_t>(crossbarDim_) * numCrossbars_;
     }
 
     /**
@@ -132,17 +135,8 @@ class GraphEngineArray
                              int weight_frac_bits,
                              CombineMode combine = CombineMode::kSum);
 
-    /**
-     * Ascending indices of the crossbars the current tile occupies.
-     * Compact results hold C values per entry: value k * C + c is
-     * tile column occupiedCrossbars()[k] * C + c. Every other column
-     * is 0 for a MAC and +infinity for an add-op.
-     */
-    std::span<const std::uint32_t>
-    occupiedCrossbars() const
-    {
-        return occupied_;
-    }
+    /** Ascending indices of the crossbars the current tile occupies. */
+    std::vector<std::uint32_t> occupiedCrossbars() const;
 
     /**
      * Parallel MAC over the programmed tile: y[col] += x[row] *
@@ -152,84 +146,72 @@ class GraphEngineArray
      *        input_frac_bits
      * @param input_frac_bits input quantisation
      * @param weight_frac_bits must match programTile's
-     * @param out compact real-valued column sums (see
-     *        occupiedCrossbars()); resized, reuse it across tiles
+     * @param out one real-valued column sum per programmed column,
+     *        ascending; every other column sums to 0. Reuse it across
+     *        tiles.
      */
     void runMac(const std::vector<double> &input, int input_frac_bits,
-                int weight_frac_bits, std::vector<double> &out);
+                int weight_frac_bits, std::vector<ColumnValue> &out);
 
     /**
      * Parallel add-op for one active source row (paper section 4.2,
-     * Fig. 16(c)): dist_u + W[row][col] for every column that holds
-     * an edge, and +infinity for absent columns, in compact form.
+     * Fig. 16(c)): dist_u + W[row][col] for every column where the
+     * row holds an edge, ascending; every other column is +infinity.
      *
      * @param row tile-relative source row
      * @param dist_u current distance label of the source
      * @param weight_frac_bits quantisation used when programming
-     * @param out compact candidates (see occupiedCrossbars())
+     * @param out the candidates; reuse it across rows
      */
     void runAddOp(std::uint32_t row, double dist_u, int weight_frac_bits,
-                  std::vector<double> &out);
+                  std::vector<ColumnValue> &out);
 
     /** Does tile-relative cell (row, col) hold an edge? */
     bool present(std::uint32_t row, std::uint64_t col) const;
 
-    /**
-     * Capture the currently programmed tile (exact stored raw values;
-     * @p weight_frac_bits must match the programTile() call).
-     */
-    TileSnapshot saveTile(int weight_frac_bits) const;
+    /** Capture the currently programmed tile. */
+    TileSnapshot saveTile() const { return tile_; }
 
     /**
      * Make a previously saved tile the evaluation target again.
-     * Restores cells and presence exactly; charges no write events
-     * (see TileSnapshot).
+     * Restores its cells exactly; charges no write events (see
+     * TileSnapshot).
      */
     void loadTile(const TileSnapshot &snapshot);
 
     /** sALU shared by the node (configured per algorithm). */
     Salu &salu() { return salu_; }
 
-    /** Enable cell programming variation on all crossbars. */
+    /**
+     * Enable cell programming variation: a sigma above zero builds
+     * the crossbars, seeded seed, seed + 1, ... Call it before the
+     * first programTile().
+     */
     void setVariation(double sigma_levels, std::uint64_t seed);
 
   private:
     std::uint32_t crossbarDim_;
+    std::uint32_t numCrossbars_;
     DeviceParams params_;
     EnergyLedger &ledger_;
+    TileSnapshot tile_;
+    /**
+     * Under variation only: the device model, one Crossbar per
+     * column block, holding the current tile's cells. Each crossbar
+     * owns its RNG and empty rows draw nothing, so reading the
+     * occupied crossbars in ascending order leaves every variation
+     * draw where a full-width walk would make it.
+     */
     std::vector<Crossbar> crossbars_;
-    /**
-     * Ascending indices of the crossbars holding programmed cells.
-     * Empty crossbars produce all-zero MVM columns and never touch
-     * the variation RNG (level-0 cells read exactly), so compute
-     * walks only these — and, each crossbar owning its RNG, walking
-     * them in ascending order leaves every variation draw in place.
-     */
-    std::vector<std::uint32_t> occupied_;
-    /**
-     * Presence, crossbar-major: word cb * C + row has bit c set when
-     * tile cell (row, cb * C + c) holds an edge (C <= 64). A cell may
-     * be present with a zero value (WCC programs zero weights).
-     */
-    std::vector<std::uint64_t> present_;
     /** Scratch reused across calls: the MAC hot loop never allocates. */
     std::vector<FixedPoint::Raw> rawIn_;
     std::vector<std::uint64_t> columns_;
     std::vector<Edge> sorted_;
     Salu salu_{SaluOp::kAdd};
 
-    /** First presence word of crossbar @p cb. */
-    std::uint64_t *
-    presenceOf(std::uint32_t cb)
-    {
-        return present_.data() + static_cast<std::size_t>(cb) * crossbarDim_;
-    }
-
-    /** Zero every occupied crossbar and its presence words. */
-    void clearProgrammedState();
-
-    /** Store one cell's value and presence bit. */
-    void placeCell(std::uint32_t row, std::uint64_t col, FixedPoint value);
+    /** Under variation, program the tile's cells into their
+     *  crossbars, or (@p program false) clear those crossbars. */
+    void mirrorTile(bool program);
 };
 
 } // namespace graphr

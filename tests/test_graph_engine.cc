@@ -5,16 +5,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <map>
-#include <span>
+#include <string>
 #include <utility>
 
 #include "algorithms/spmv.hh"
+#include "common/random.hh"
 #include "graph/generator.hh"
 #include "graph/partition.hh"
 #include "graph/preprocess.hh"
 #include "graphr/tile_meta.hh"
+#include "perf/counters.hh"
 #include "rram/graph_engine.hh"
 
 namespace graphr
@@ -22,18 +25,18 @@ namespace graphr
 namespace
 {
 
-/** Expand a compact GE result to one value per tile column. */
+/** Expand a GE result to one value per tile column; its columns must
+ *  ascend with no repeats. */
 std::vector<double>
-dense(const GraphEngineArray &ge, const std::vector<double> &compact,
+dense(const GraphEngineArray &ge, const std::vector<ColumnValue> &results,
       double absent)
 {
-    const std::uint32_t dim = ge.crossbarDim();
-    const std::span<const std::uint32_t> occupied = ge.occupiedCrossbars();
-    EXPECT_EQ(compact.size(), occupied.size() * dim);
     std::vector<double> out(ge.tileWidth(), absent);
-    for (std::size_t k = 0; k < occupied.size(); ++k) {
-        for (std::uint32_t c = 0; c < dim; ++c)
-            out[occupied[k] * dim + c] = compact[k * dim + c];
+    for (std::size_t k = 0; k < results.size(); ++k) {
+        if (k > 0) {
+            EXPECT_LT(results[k - 1].col, results[k].col);
+        }
+        out[results[k].col] = results[k].value;
     }
     return out;
 }
@@ -43,7 +46,7 @@ std::vector<double>
 mac(GraphEngineArray &ge, const std::vector<double> &input, int xf,
     int wf)
 {
-    std::vector<double> out;
+    std::vector<ColumnValue> out;
     ge.runMac(input, xf, wf, out);
     return dense(ge, out, 0.0);
 }
@@ -52,20 +55,28 @@ mac(GraphEngineArray &ge, const std::vector<double> &input, int xf,
 std::vector<double>
 addOp(GraphEngineArray &ge, std::uint32_t row, double dist_u, int wf)
 {
-    std::vector<double> out;
+    std::vector<ColumnValue> out;
     ge.runAddOp(row, dist_u, wf, out);
     return dense(ge, out, kInfDistance);
 }
 
 /** Stored raw value of every programmed cell, keyed (row, col). */
 std::map<std::pair<std::uint32_t, std::uint64_t>, FixedPoint::Raw>
-cellsOf(const GraphEngineArray &ge, int wf)
+cellsOf(const GraphEngineArray &ge)
 {
     std::map<std::pair<std::uint32_t, std::uint64_t>, FixedPoint::Raw>
         cells;
-    for (const TileSnapshot::CellValue &cell : ge.saveTile(wf).cells)
+    for (const TileSnapshot::CellValue &cell : ge.saveTile().cells)
         cells[{cell.row, cell.col}] = cell.raw;
     return cells;
+}
+
+std::uint64_t
+mvmRowsProcessed()
+{
+    return perf::Registry::instance()
+        .counter("crossbar.mvm_rows_processed")
+        .value();
 }
 
 TEST(GraphEngineTest, GeometryMatchesParameters)
@@ -268,7 +279,7 @@ TEST(GraphEngineTest, ParallelEdgesFoldInInputOrder)
         }
     }
     ge.programTile(unsorted, 0, 0, 0);
-    const auto cells = cellsOf(ge, 0);
+    const auto cells = cellsOf(ge);
     EXPECT_EQ(cells.size(), 63u);
     EXPECT_EQ((cells.at({0, 1})), 10u);
     EXPECT_EQ((cells.at({3, 63})), 5u);
@@ -276,15 +287,15 @@ TEST(GraphEngineTest, ParallelEdgesFoldInInputOrder)
     const std::vector<Edge> sorted = {
         {1, 0, 5.0}, {0, 1, 8.7}, {0, 1, 1.2}, {0, 1, 0.6}};
     ge.programTile(sorted, 0, 0, 0);
-    EXPECT_EQ((cellsOf(ge, 0)[{0, 1}]), 10u);
+    EXPECT_EQ((cellsOf(ge)[{0, 1}]), 10u);
 
     const std::vector<Edge> reversed = {
         {0, 1, 0.6}, {0, 1, 1.2}, {0, 1, 8.7}};
     ge.programTile(reversed, 0, 0, 0);
-    EXPECT_EQ((cellsOf(ge, 0)[{0, 1}]), 11u);
+    EXPECT_EQ((cellsOf(ge)[{0, 1}]), 11u);
 
     ge.programTile(unsorted, 0, 0, 0, CombineMode::kMin);
-    EXPECT_EQ((cellsOf(ge, 0)[{0, 1}]), 1u); // llround(0.6)
+    EXPECT_EQ((cellsOf(ge)[{0, 1}]), 1u); // llround(0.6)
     // Every input edge is a cell write, merged or not.
     EXPECT_EQ(ge.programTile(unsorted, 0, 0, 0).cellWrites, 65u);
 }
@@ -297,20 +308,21 @@ TEST(GraphEngineTest, CompactResultsCoverOccupiedCrossbarsInOrder)
     // Crossbars 6 and 1 (out of order in the input), 0 and 2 empty.
     const std::vector<Edge> edges = {{0, 25, 2.0}, {3, 5, 3.0}};
     ge.programTile(edges, 0, 0, 0);
-    ASSERT_EQ(std::vector<std::uint32_t>(ge.occupiedCrossbars().begin(),
-                                         ge.occupiedCrossbars().end()),
-              (std::vector<std::uint32_t>{1, 6}));
+    ASSERT_EQ(ge.occupiedCrossbars(), (std::vector<std::uint32_t>{1, 6}));
 
-    std::vector<double> out;
+    // One entry per programmed column, ascending.
+    std::vector<ColumnValue> out;
     ge.runMac({1.0, 0.0, 0.0, 2.0}, 0, 0, out);
-    ASSERT_EQ(out.size(), 8u);
-    EXPECT_DOUBLE_EQ(out[1], 6.0); // column 5 = crossbar 1, column 1
-    EXPECT_DOUBLE_EQ(out[4 + 1], 2.0); // column 25 = crossbar 6, col 1
+    ASSERT_EQ(out.size(), 2u);
+    EXPECT_EQ(out[0].col, 5u); // crossbar 1, column 1
+    EXPECT_DOUBLE_EQ(out[0].value, 6.0);
+    EXPECT_EQ(out[1].col, 25u); // crossbar 6, column 1
+    EXPECT_DOUBLE_EQ(out[1].value, 2.0);
+    // One entry per cell of the row: row 3 has no edge in column 25.
     ge.runAddOp(3, 1.0, 0, out);
-    ASSERT_EQ(out.size(), 8u);
-    EXPECT_DOUBLE_EQ(out[1], 4.0);
-    EXPECT_TRUE(std::isinf(out[0]));
-    EXPECT_TRUE(std::isinf(out[4 + 1])); // row 3 has no edge there
+    ASSERT_EQ(out.size(), 1u);
+    EXPECT_EQ(out[0].col, 5u);
+    EXPECT_DOUBLE_EQ(out[0].value, 4.0);
 }
 
 TEST(GraphEngineTest, EventsChargeEveryCrossbar)
@@ -325,7 +337,7 @@ TEST(GraphEngineTest, EventsChargeEveryCrossbar)
     const auto in_slices =
         static_cast<std::uint64_t>(params.inputSlices);
 
-    std::vector<double> out;
+    std::vector<ColumnValue> out;
     ge.runMac({1.0, 0.0, 0.0, 0.0}, 0, 0, out);
     EXPECT_EQ(ledger.events().arrayReads, in_slices * 8);
     EXPECT_EQ(ledger.events().adcSamples, in_slices * 4 * slices * 8);
@@ -366,11 +378,172 @@ TEST(GraphEngineTest, ReprogramAfterAWideTileLeavesNothingStale)
         EXPECT_DOUBLE_EQ(y[col], col == 33 ? 4.0 : 0.0) << col;
 
     // A snapshot replay clears the same way.
-    const TileSnapshot narrow_tile = ge.saveTile(0);
+    const TileSnapshot narrow_tile = ge.saveTile();
     ge.programTile(wide, 0, 0, 0);
     ge.loadTile(narrow_tile);
-    EXPECT_EQ(cellsOf(ge, 0).size(), 1u);
+    EXPECT_EQ(cellsOf(ge).size(), 1u);
     EXPECT_EQ(mac(ge, {1.0, 1.0, 1.0, 1.0}, 0, 0), y);
+}
+
+/**
+ * One seeded random tile (unsorted input, parallel edges, zero
+ * weights) against the device model: its MAC sums and row reads must
+ * equal, bit for bit, those of Crossbars programmed with the same
+ * merged cells, ascend by column, and count the same MVM rows. Under
+ * variation the reference crossbars are seeded as the array seeds its
+ * own and read in the order the array reads them: ascending, each
+ * occupied crossbar once per MAC and each crossbar holding the row
+ * once per add-op.
+ */
+void
+expectCellPathMatchesCrossbars(std::uint32_t dim, CombineMode combine,
+                               double sigma, std::uint64_t seed)
+{
+    const DeviceParams params;
+    constexpr std::uint32_t kCrossbars = 5;
+    constexpr int kInFrac = 8;
+    constexpr int kWeightFrac = 10;
+    Rng rng(seed * 101 + dim);
+    const std::uint64_t width = dim * kCrossbars;
+    const VertexId row0 = 3 * dim;
+    const VertexId col0 = 2 * width;
+
+    // Random cells, a quarter of them repeated as parallel edges and
+    // a fifth zero-weight, shuffled.
+    std::vector<Edge> edges;
+    const std::uint64_t draws = 1 + rng.below(3 * width);
+    for (std::uint64_t i = 0; i < draws; ++i) {
+        const VertexId src = row0 + rng.below(dim);
+        const VertexId dst = col0 + rng.below(width);
+        edges.push_back(Edge{src, dst,
+                             rng.below(5) == 0 ? 0.0
+                                               : rng.uniform(0.0, 4.0)});
+        if (rng.below(4) == 0)
+            edges.push_back(Edge{src, dst, rng.uniform(0.0, 4.0)});
+    }
+    for (std::size_t i = edges.size(); i > 1; --i)
+        std::swap(edges[i - 1], edges[rng.below(i)]);
+
+    // The reference: cells folded in input order, keyed (col, row),
+    // programmed into one Crossbar per column block.
+    std::map<std::pair<std::uint64_t, std::uint32_t>, double> folded;
+    for (const Edge &e : edges) {
+        const auto [it, fresh] = folded.emplace(
+            std::pair{e.dst - col0, static_cast<std::uint32_t>(e.src - row0)},
+            e.weight);
+        if (!fresh) {
+            it->second = combine == CombineMode::kSum
+                             ? it->second + e.weight
+                             : std::min(it->second, e.weight);
+        }
+    }
+    std::vector<Crossbar> ref(kCrossbars, Crossbar(dim, params));
+    // Per crossbar: its programmed columns ascending, and per row the
+    // columns holding a cell.
+    std::vector<std::vector<std::uint32_t>> cols(kCrossbars);
+    std::vector<std::vector<std::uint64_t>> row_bits(
+        kCrossbars, std::vector<std::uint64_t>(dim, 0));
+    for (const auto &[key, weight] : folded) {
+        const auto cb = static_cast<std::uint32_t>(key.first / dim);
+        const auto c = static_cast<std::uint32_t>(key.first % dim);
+        ref[cb].programValue(key.second, c,
+                             FixedPoint::quantize(weight, kWeightFrac));
+        if (cols[cb].empty() || cols[cb].back() != c)
+            cols[cb].push_back(c);
+        row_bits[cb][key.second] |= std::uint64_t{1} << c;
+    }
+
+    EnergyLedger ledger(params);
+    GraphEngineArray ge(dim, kCrossbars, params, ledger);
+    if (sigma > 0.0) {
+        ge.setVariation(sigma, seed);
+        for (std::uint32_t cb = 0; cb < kCrossbars; ++cb)
+            ref[cb].setVariation(sigma, seed + cb);
+    }
+    ge.programTile(edges, row0, col0, kWeightFrac, combine);
+    EXPECT_EQ(cellsOf(ge).size(), folded.size());
+
+    const auto expect_same = [](const std::vector<ColumnValue> &got,
+                                const std::vector<ColumnValue> &want) {
+        ASSERT_EQ(got.size(), want.size());
+        for (std::size_t k = 0; k < got.size(); ++k) {
+            EXPECT_EQ(got[k].col, want[k].col);
+            EXPECT_EQ(got[k].value, want[k].value)
+                << "column " << want[k].col;
+        }
+    };
+
+    const double scale = static_cast<double>(1u << kInFrac) *
+                         static_cast<double>(1u << kWeightFrac);
+    for (int pass = 0; pass < 3; ++pass) {
+        std::vector<double> x(dim);
+        std::vector<FixedPoint::Raw> raw_in(dim);
+        for (std::uint32_t r = 0; r < dim; ++r) {
+            x[r] = rng.below(4) == 0 ? 0.0 : rng.uniform(0.0, 2.0);
+            raw_in[r] = FixedPoint::quantize(x[r], kInFrac).raw();
+        }
+        std::uint64_t before = mvmRowsProcessed();
+        std::vector<ColumnValue> got;
+        ge.runMac(x, kInFrac, kWeightFrac, got);
+        const std::uint64_t ge_rows = mvmRowsProcessed() - before;
+
+        before = mvmRowsProcessed();
+        std::vector<ColumnValue> want;
+        for (std::uint32_t cb = 0; cb < kCrossbars; ++cb) {
+            if (cols[cb].empty())
+                continue;
+            const std::vector<std::uint64_t> sums = ref[cb].mvmRaw(raw_in);
+            for (const std::uint32_t c : cols[cb]) {
+                want.push_back(ColumnValue{
+                    cb * dim + c, static_cast<double>(sums[c]) / scale});
+            }
+        }
+        EXPECT_EQ(ge_rows, mvmRowsProcessed() - before);
+        expect_same(got, want);
+    }
+
+    const double w_scale = static_cast<double>(1u << kWeightFrac);
+    for (std::uint32_t row = 0; row < dim; ++row) {
+        SCOPED_TRACE("add-op row " + std::to_string(row));
+        const double dist_u = static_cast<double>(rng.below(50));
+        std::vector<ColumnValue> got;
+        ge.runAddOp(row, dist_u, kWeightFrac, got);
+        std::vector<ColumnValue> want;
+        for (std::uint32_t cb = 0; cb < kCrossbars; ++cb) {
+            const std::uint64_t bits = row_bits[cb][row];
+            if (bits == 0)
+                continue;
+            const std::vector<FixedPoint::Raw> read = ref[cb].selectRow(row);
+            for (std::uint32_t c = 0; c < dim; ++c) {
+                if ((bits >> c) & 1u) {
+                    want.push_back(ColumnValue{
+                        cb * dim + c,
+                        static_cast<double>(read[c]) / w_scale + dist_u});
+                }
+            }
+        }
+        expect_same(got, want);
+    }
+}
+
+TEST(GraphEngineTest, CellPathMatchesTheCrossbarModel)
+{
+    for (const std::uint32_t dim : {3u, 4u, 8u}) {
+        for (const CombineMode combine :
+             {CombineMode::kSum, CombineMode::kMin}) {
+            for (const double sigma : {0.0, 0.4}) {
+                for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+                    SCOPED_TRACE(
+                        "C=" + std::to_string(dim) + " min=" +
+                        std::to_string(combine == CombineMode::kMin) +
+                        " sigma=" + std::to_string(sigma) +
+                        " seed=" + std::to_string(seed));
+                    expectCellPathMatchesCrossbars(dim, combine, sigma,
+                                                   seed);
+                }
+            }
+        }
+    }
 }
 
 } // namespace

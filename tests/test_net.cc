@@ -378,14 +378,17 @@ TEST_F(NetServeTest, StopTearsDownAClientThatStoppedReading)
                         sizeof(addr)),
               0);
 
-    // Pipeline far more status answers (650 bytes each, 26 MB in
-    // all) than the socket buffers hold, and never read one. The
-    // sender blocks once the daemon stops reading; the teardown
-    // releases it.
+    // Pipeline far more answers than the socket buffers hold (20,000
+    // refused requests whose 550-byte ids make 650-byte answers, 13 MB
+    // in all), and never read one. The sender blocks once the daemon
+    // stops reading; the teardown releases it.
+    constexpr int kLines = 20000;
     std::thread sender([fd] {
+        const std::string line = R"({"id":")" + std::string(550, 'q') +
+                                 R"(","type":"nope"})" "\n";
         std::string burst;
-        for (int i = 0; i < 40000; ++i)
-            burst += R"({"id":"q","type":"status"})" "\n";
+        for (int i = 0; i < kLines; ++i)
+            burst += line;
         std::size_t off = 0;
         while (off < burst.size()) {
             const ssize_t n = ::send(fd, burst.data() + off,
@@ -395,7 +398,30 @@ TEST_F(NetServeTest, StopTearsDownAClientThatStoppedReading)
             off += static_cast<std::size_t>(n);
         }
     });
-    std::this_thread::sleep_for(std::chrono::milliseconds(500));
+
+    // The daemon answers each line it reads and stops reading once its
+    // answers back up, so it has backed up when its answer count stops
+    // growing short of kLines. Wait for that, not for a fixed time: a
+    // sanitiser build answers several times slower. (The requests fit
+    // in the loopback buffers, so the sender's progress shows nothing.)
+    using Clock = std::chrono::steady_clock;
+    const Clock::time_point deadline = Clock::now() + std::chrono::seconds(60);
+    std::uint64_t answered = 0;
+    Clock::time_point last_growth = Clock::now();
+    bool stalled = false;
+    while (!stalled && Clock::now() < deadline) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        const std::uint64_t now_answered = harness.server.counters().invalid;
+        if (now_answered != answered) {
+            answered = now_answered;
+            last_growth = Clock::now();
+        }
+        stalled = answered > 0 && Clock::now() - last_growth >=
+                                      std::chrono::milliseconds(200);
+    }
+    EXPECT_TRUE(stalled) << answered << " answers and still growing";
+    EXPECT_LT(answered, static_cast<std::uint64_t>(kLines))
+        << "the daemon answered every line without backing up";
 
     const auto start = std::chrono::steady_clock::now();
     harness.stop();

@@ -9,8 +9,8 @@
  * through the GE datapath and compares an FNV-1a digest of every
  * output vector with a recorded value, so any change to what the
  * datapath computes at full width — the fold order of parallel
- * edges, the variation RNG stream, resident-tile replay — fails
- * here. Where the datapath is exact, BFS, SSSP and WCC must also
+ * edges, the variation RNG stream, resident-tile replay, with and
+ * without variation — fails here. Where the datapath is exact, BFS, SSSP and WCC must also
  * equal the golden algorithms. After an intended change to the
  * outputs, each failure prints its replacement kPins row.
  */
@@ -72,6 +72,17 @@ constexpr Pin kPins[] = {
      0xe37a6f0051354c18, 0xe37a6f0051354c18, 0x9c1bda7f8c872325},
     {"star", "resident", 0xa7113838c27407ee, 0x113d686b60cfe7d8,
      0x11af88b7228eefb8, 0x11af88b7228eefb8, 0x9c1bda7f8c872325},
+    // Variation draws on reads only, so tiles replayed from their
+    // resident banks read what reprogrammed ones do: the variation
+    // rows' digests.
+    {"rmat", "resident-variation", 0x3db35a7a85dbe4de, 0x1c4a723ec7e03e58,
+     0xe788686dc9e4b105, 0xc1beef416291f579, 0xea76e72d78c3f8d8},
+    {"er", "resident-variation", 0x5da35a4459731ee6, 0x2b8aecc21ebbe429,
+     0x0061bb24c3b3ce4d, 0x34496691c8a7c062, 0xb9d103fd6854a325},
+    {"grid", "resident-variation", 0xe7ed165b713bee52, 0x1b2e2f71403274b6,
+     0xa19c3fa2688e78b0, 0x83b073635ec697fd, 0x6e431751526de325},
+    {"star", "resident-variation", 0x2d90ffc066fe6dd2, 0x113d686b60cfe7d8,
+     0xe37a6f0051354c18, 0xe37a6f0051354c18, 0x9c1bda7f8c872325},
 };
 
 CooGraph
@@ -96,9 +107,9 @@ makeConfig(const std::string &name)
 {
     GraphRConfig cfg;
     cfg.functional = true;
-    if (name == "variation")
+    if (name == "variation" || name == "resident-variation")
         cfg.variationSigma = 0.4;
-    if (name == "resident")
+    if (name == "resident" || name == "resident-variation")
         cfg.programCharging = ProgramCharging::kOnce;
     return cfg;
 }

@@ -508,11 +508,17 @@ TEST(PerfSuite, MicroSuiteProcessesEachShapesOccupiedRows)
         EXPECT_TRUE(metric->gated) << name;
         EXPECT_DOUBLE_EQ(metric->value, rows) << name;
     }
-    for (const std::string charging : {"resident", "reprogram"})
-        EXPECT_NE(report.find("micro.functional_pagerank." + charging +
-                              ".wall_s"),
-                  nullptr)
-            << charging;
+    // Functional PageRank reads the same wordlines under either
+    // charging policy: the GE array counts, per MVM, the rows a
+    // crossbar walk would read.
+    for (const std::string charging : {"resident", "reprogram"}) {
+        const std::string prefix = "micro.functional_pagerank." + charging;
+        EXPECT_NE(report.find(prefix + ".wall_s"), nullptr) << charging;
+        const BenchMetric *rows = report.find(prefix + ".mvm_rows_per_rep");
+        ASSERT_NE(rows, nullptr) << charging;
+        EXPECT_TRUE(rows->gated) << charging;
+        EXPECT_DOUBLE_EQ(rows->value, 22720.0) << charging;
+    }
     // The first-touch resolve is timed, and every repetition draws
     // the same graph.
     EXPECT_NE(report.find("micro.resolve.rmat_131k.resolve_wall_s"),
