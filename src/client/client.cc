@@ -133,10 +133,4 @@ Client::request(const std::string &line)
     return recvLine();
 }
 
-void
-Client::shutdownWrite()
-{
-    ::shutdown(fd_, SHUT_WR);
-}
-
 } // namespace graphr::client

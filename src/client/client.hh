@@ -7,9 +7,9 @@
  * is buffered (a recv can return several responses, or half of one),
  * and an optional receive timeout turns a wedged daemon into a
  * ClientError instead of a hang. Deliberately dependency-light — it
- * links only libc — so anything in the tree (tests, the load
- * generator, the perf suite) can drive a daemon without pulling the
- * service layer in.
+ * links only libc — so anything in the tree (tests, the perf suite,
+ * the benchmark) can drive a daemon without pulling the service
+ * layer in.
  *
  * Pipelining is the caller's choice: sendLine() N times then
  * recvLine() N times works, because the daemon answers each
@@ -65,10 +65,6 @@ class Client
 
     /** sendLine + recvLine — the one-shot convenience. */
     std::string request(const std::string &line);
-
-    /** Half-close the write side: the daemon sees EOF, finishes the
-     *  in-flight requests, answers them, then closes. */
-    void shutdownWrite();
 
   private:
     int fd_ = -1;

@@ -99,9 +99,9 @@ class GraphRNode
     /**
      * Collaborative filtering training (parallel MAC over the rating
      * matrix; section 5.1). Semantics always come from the golden
-     * SGD; the node models the per-epoch tile schedule with
-     * 2 * featureLength MAC passes per tile (one per feature per
-     * direction).
+     * SGD, so a functional config returns the timing report; the
+     * node models the per-epoch tile schedule with featureLength MAC
+     * passes per tile (one per feature).
      */
     SimReport runCf(const CooGraph &ratings, const CfParams &params);
 

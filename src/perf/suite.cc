@@ -470,11 +470,12 @@ concurrentServeScenario(SuiteBuilder &b, const std::string &prefix,
 }
 
 /**
- * The crossbar MVM scenario: the exact datapath on a @p dim x @p dim
- * crossbar with @p occupied wordlines spread across it. Wall-clock is
- * the ungated trajectory; the gate keys on the machine-independent
- * work metric — occupied wordlines processed per repetition, which
- * the occupancy mask alone decides.
+ * The crossbar MVM scenario: the device model's slice-serial walk,
+ * without variation, on a @p dim x @p dim crossbar with @p occupied
+ * wordlines spread across it. Wall-clock is the ungated trajectory;
+ * the gate keys on the machine-independent work metric — occupied
+ * wordlines processed per repetition, which the occupancy mask alone
+ * decides.
  */
 void
 crossbarScenario(SuiteBuilder &b, const std::string &prefix,
@@ -567,7 +568,7 @@ smallSweepSpec()
     return spec;
 }
 
-/** CI-sized: every scenario, tiny graphs, seconds even under TSan. */
+/** CI-sized: tiny graphs, seconds even under TSan. */
 void
 suiteSmall(SuiteBuilder &b)
 {
@@ -584,45 +585,6 @@ suiteSmall(SuiteBuilder &b)
     concurrentServeScenario(b, "serve.concurrent",
                             "rmat:vertices=1024,edges=8192,seed=5",
                             /*connections=*/4, /*requests=*/4);
-}
-
-/** Developer-scale driver sweep: the full 6x6 matrix. */
-void
-suiteSweep(SuiteBuilder &b)
-{
-    driver::SweepSpec spec;
-    spec.workloads = {"all"};
-    spec.backends = {"all"};
-    spec.datasets = {"rmat:vertices=4096,edges=32768,seed=3"};
-    spec.params =
-        driver::ParamMap::parse("epochs=1,features=8,iterations=10");
-    spec.jobs = 1;
-    sweepScenario(b, "sweep.matrix", spec);
-
-    driver::SweepSpec parallel = spec;
-    parallel.jobs = 4;
-    sweepScenario(b, "sweep.matrix_jobs4", parallel);
-}
-
-/** Developer-scale store cold-vs-warm. */
-void
-suiteStore(SuiteBuilder &b)
-{
-    storeScenario(b, "store.medium",
-                  "rmat:vertices=32768,edges=262144,seed=7");
-    compressScenario(b, "store.compress_medium",
-                     "rmat:vertices=32768,edges=262144,seed=7");
-}
-
-/** Developer-scale serve warm/cold request latency. */
-void
-suiteServe(SuiteBuilder &b)
-{
-    serveScenario(b, "serve.medium",
-                  "rmat:vertices=16384,edges=131072,seed=5");
-    concurrentServeScenario(b, "serve.concurrent_medium",
-                            "rmat:vertices=16384,edges=131072,seed=5",
-                            /*connections=*/8, /*requests=*/8);
 }
 
 /**
@@ -655,9 +617,6 @@ struct SuiteEntry
 
 constexpr SuiteEntry kSuites[] = {
     {"small", suiteSmall},
-    {"sweep", suiteSweep},
-    {"store", suiteStore},
-    {"serve", suiteServe},
     {"micro", suiteMicro},
 };
 

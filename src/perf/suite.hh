@@ -5,17 +5,19 @@
  * A suite is a named set of measurements over the real subsystems:
  * driver sweeps across workloads x backends, PlanStore cold-vs-warm
  * prepare, graphr_serve warm/cold request latency, and the crossbar
- * MVM kernels. runSuite() executes one and returns the BenchReport
- * that `graphr_run bench` serialises to BENCH_*.json.
+ * MVM. runSuite() executes one and returns the BenchReport that
+ * `graphr_run bench` serialises to BENCH_*.json.
  *
- * The "small" suite is sized for CI (seconds, also under
- * sanitizers); "sweep", "store" and "serve" are the developer-scale
- * versions of the same scenarios, and "micro" times the MVM on a
- * dense and a sparse crossbar and the functional datapath. Every
- * dataset in every suite is a generator spec with an explicitly
- * pinned seed, and the harness asserts the graph fingerprint is
- * identical across repetitions — a suite that silently measured a
- * different graph per rep would produce an untrustworthy trajectory.
+ * Two suites are registered. "small" runs the sweep, store, serve
+ * and crossbar scenarios on tiny graphs, sized for CI (seconds, also
+ * under sanitizers); it is the suite behind the checked-in
+ * BENCH_<n>.json points. "micro" times the MVM on a dense and a
+ * sparse crossbar, the functional datapath and the resolve of a
+ * first-touch graph. Every dataset in every suite is a generator
+ * spec with an explicitly pinned seed, and the harness asserts the
+ * graph fingerprint is identical across repetitions — a suite that
+ * silently measured a different graph per rep would produce an
+ * untrustworthy trajectory.
  */
 
 #ifndef GRAPHR_PERF_SUITE_HH

@@ -69,7 +69,7 @@ class Cell
      * The variation model on a bare level, for storage that keeps
      * cell levels packed in raw values rather than Cell objects
      * (rram/crossbar.hh). Level 0 never consumes an RNG draw
-     * — the guarantee the crossbar's occupancy fast path relies on.
+     * — the guarantee the crossbar's row-occupancy skip relies on.
      */
     static std::uint8_t
     perturbLevel(std::uint8_t level, double sigma_levels, Rng &rng,

@@ -99,30 +99,11 @@ Crossbar::mvmRawInto(std::span<const FixedPoint::Raw> input_raw,
         return;
     countMvmRows(maskedRowCount());
 
-    if (variationSigma_ <= 0.0) {
-        // Exact fast path: slice recombination distributes over the
-        // row sum, so the full slice-serial walk collapses to
-        // columns[c] += input[row] * raw[row][c] per occupied row —
-        // a unit-stride AXPY over the packed plane. Both are pure
-        // mod-2^64 integer arithmetic, hence byte-identical results;
-        // zero inputs contribute nothing and may be skipped outright.
-        // One plain loop suffices: GraphR's crossbars are C = 8 wide
-        // (paper section 3.1), so a row is eight multiply-adds.
-        forEachOccupiedRow([&](std::uint32_t row) {
-            const std::uint64_t in = input_raw[row];
-            if (in == 0)
-                return;
-            const FixedPoint::Raw *weights =
-                rawPlane_.data() + static_cast<std::size_t>(row) * dim_;
-            for (std::uint32_t col = 0; col < dim_; ++col)
-                columns[col] += in * weights[col];
-        });
-        return;
-    }
-
-    // Variation path: the hardware-shaped slice-serial walk, kept
-    // scalar so every cell read draws noise in the documented order
+    // The hardware-shaped slice-serial walk, scalar so that under
+    // variation every cell read draws noise in the documented order
     // (input slice, column, weight slice, ascending occupied row).
+    // Without variation each read returns its level and draws
+    // nothing, so the walk is exact.
     // Outer loop: input slices applied by the driver, LSB first.
     // Inner: weight slices summed on bitlines, recombined by S/A.
     for (int in_s = 0; in_s < slices_; ++in_s) {
@@ -156,18 +137,6 @@ Crossbar::selectRow(std::uint32_t row) const
     // recombination outright.
     if (!rowMayHoldNonzero(row))
         return out;
-    if (variationSigma_ <= 0.0) {
-        // Exact read: the packed raw plane already holds the
-        // recombined wordline — one contiguous copy.
-        const std::size_t row_off =
-            static_cast<std::size_t>(row) * dim_;
-        std::copy(rawPlane_.begin() +
-                      static_cast<std::ptrdiff_t>(row_off),
-                  rawPlane_.begin() +
-                      static_cast<std::ptrdiff_t>(row_off + dim_),
-                  out.begin());
-        return out;
-    }
     for (std::uint32_t col = 0; col < dim_; ++col) {
         FixedPoint::Raw raw = 0;
         for (int s = slices_ - 1; s >= 0; --s) {

@@ -13,19 +13,15 @@
  * Cell state is one packed row-major C x C plane of the 16-bit raw
  * values, written only by programValue()/clear(). The level of slice
  * s of a value is its bits [4s, 4s + 4) (levelAt), so the plane is
- * also the slice planes. A wordline's contribution to the MVM is a
- * unit-stride uint16 span, which the exact fast path accumulates
- * into the column sums one occupied row at a time.
+ * also the slice planes.
  *
- * The arithmetic is integer-exact: summing slice partial products
- * with the correct shifts reproduces the full 16x16-bit multiply, so
- * the functional result equals a digital fixed-point SpMV — and,
- * because that recombination distributes over rows, the exact MVM
- * equals a plain uint16 dot product per column, which is what the
- * fast path computes. Optional programming variation injects the
- * analog error the paper argues graph algorithms tolerate; with
- * variation enabled the slice-serial walk runs instead, preserving
- * the RNG draw order exactly.
+ * Every read is the slice-serial walk. The arithmetic is
+ * integer-exact: summing slice partial products with the correct
+ * shifts reproduces the full 16x16-bit multiply, so without
+ * variation the result equals a digital fixed-point SpMV. Optional
+ * programming variation injects the analog error the paper argues
+ * graph algorithms tolerate, drawing noise per cell read in the
+ * walk's order.
  */
 
 #ifndef GRAPHR_RRAM_CROSSBAR_HH
@@ -86,9 +82,7 @@ class Crossbar
      * are guaranteed all-zero, so the result, the variation RNG
      * stream and the modelled event counts (charged by the caller)
      * are identical to a dense scan. A fully empty crossbar skips
-     * the S/A recombination entirely. With variation off the
-     * accumulation is one AXPY per occupied row over the packed raw
-     * plane — bit-identical to the slice-serial walk.
+     * the S/A recombination entirely.
      *
      * @param input_raw one raw 16-bit input per wordline
      * @return 64-bit integer column sums (full precision)

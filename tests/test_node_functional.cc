@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 
 #include "algorithms/pagerank.hh"
@@ -164,25 +165,38 @@ TEST(NodeFunctionalTest, FunctionalAndTimingOnlySameSchedule)
 {
     // The SimReport of a functional run and a timing-only run must
     // agree on schedule statistics (tiles, edges) for MAC sweeps.
+    // CF has no functional datapath: its functional run returns the
+    // timing report.
     const CooGraph g =
         makeRmat({.numVertices = 64, .numEdges = 500, .seed = 35});
-    GraphRConfig func_cfg = functionalConfig();
+    const CooGraph ratings = makeBipartiteRatings(32, 16, 200, 21);
     GraphRConfig time_cfg = functionalConfig();
     time_cfg.functional = false;
 
     PageRankParams params;
     params.maxIterations = 5;
     params.tolerance = 0.0;
+    CfParams cf;
+    cf.featureLength = 4;
+    cf.epochs = 2;
+    cf.numUsers = 32;
 
-    GraphRNode func_node(func_cfg);
-    GraphRNode time_node(time_cfg);
-    const SimReport a = func_node.runPageRank(g, params);
-    const SimReport b = time_node.runPageRank(g, params);
-    EXPECT_EQ(a.iterations, b.iterations);
-    EXPECT_EQ(a.tilesProcessed, b.tilesProcessed);
-    EXPECT_EQ(a.edgesProcessed, b.edgesProcessed);
-    EXPECT_DOUBLE_EQ(a.seconds, b.seconds);
-    EXPECT_DOUBLE_EQ(a.joules, b.joules);
+    const auto reports = [&](const GraphRConfig &cfg) {
+        GraphRNode node(cfg);
+        return std::array<SimReport, 2>{node.runPageRank(g, params),
+                                        node.runCf(ratings, cf)};
+    };
+    const std::array<SimReport, 2> func = reports(functionalConfig());
+    const std::array<SimReport, 2> time = reports(time_cfg);
+    for (std::size_t i = 0; i < func.size(); ++i) {
+        const SimReport &a = func[i];
+        const SimReport &b = time[i];
+        EXPECT_EQ(a.iterations, b.iterations) << i;
+        EXPECT_EQ(a.tilesProcessed, b.tilesProcessed) << i;
+        EXPECT_EQ(a.edgesProcessed, b.edgesProcessed) << i;
+        EXPECT_DOUBLE_EQ(a.seconds, b.seconds) << i;
+        EXPECT_DOUBLE_EQ(a.joules, b.joules) << i;
+    }
 }
 
 } // namespace

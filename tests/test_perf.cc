@@ -454,10 +454,11 @@ TEST(PerfCompare, ReportNamesTheRegressedMetric)
 
 TEST(PerfSuite, RegistryListsSmallAndRejectsUnknown)
 {
-    const std::vector<std::string> names = suiteNames();
-    ASSERT_FALSE(names.empty());
+    EXPECT_EQ(suiteNames(),
+              (std::vector<std::string>{"small", "micro"}));
     EXPECT_TRUE(isSuiteName("small"));
     EXPECT_TRUE(isSuiteName("micro"));
+    EXPECT_FALSE(isSuiteName("sweep"));
     EXPECT_FALSE(isSuiteName("no_such_suite"));
     EXPECT_THROW(runSuite("no_such_suite"), PerfError);
 }
