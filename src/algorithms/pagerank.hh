@@ -33,6 +33,13 @@ struct PageRankResult
  * Reference PageRank: PR_{t+1} = r * M PR_t + (1 - r) * e, with
  * dangling-vertex mass redistributed uniformly so the ranks stay a
  * probability distribution.
+ *
+ * Each iteration computes every vertex's contribution r * PR / outdeg
+ * once, then pulls: a vertex sums the contributions of its in-edges'
+ * sources over a stable in-edge index (4 bytes per edge, built once
+ * per call), in edge-list order. That is the order a push over the
+ * edge list adds them in, so ranks and iteration counts are the push
+ * form's bit for bit, without a divide per edge.
  */
 PageRankResult pagerank(const CooGraph &graph, const PageRankParams &params);
 

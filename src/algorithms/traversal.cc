@@ -75,12 +75,44 @@ bfs(const CooGraph &graph, VertexId source)
     return relax(graph, source, /*unit_weights=*/true);
 }
 
+namespace
+{
+
+VertexId
+neighborOf(VertexId neighbor)
+{
+    return neighbor;
+}
+
+VertexId
+neighborOf(const Adjacency &adj)
+{
+    return adj.neighbor;
+}
+
+} // namespace
+
+void
+RelaxationSweep::buildAdjacency(const CooGraph &graph)
+{
+    const auto source = [](const Edge &e) { return e.src; };
+    if (weighted()) {
+        weighted_ = CompressedRows<Adjacency>(
+            graph.numVertices(), graph.edges(), source,
+            [](const Edge &e) { return Adjacency{e.dst, e.weight}; });
+    } else {
+        neighborIds_ = CompressedRows<VertexId>(
+            graph.numVertices(), graph.edges(), source,
+            [](const Edge &e) { return e.dst; });
+    }
+}
+
 RelaxationSweep::RelaxationSweep(const CooGraph &graph, VertexId source,
                                  bool unit_weights)
-    : outAdj_(graph, CsrGraph::Direction::kOut),
-      mode_(unit_weights ? WeightMode::kUnit : WeightMode::kOriginal)
+    : mode_(unit_weights ? WeightMode::kUnit : WeightMode::kOriginal)
 {
     GRAPHR_ASSERT(source < graph.numVertices(), "source out of range");
+    buildAdjacency(graph);
     dist_.assign(graph.numVertices(), kInfDistance);
     active_.assign(graph.numVertices(), false);
     improved_.assign((graph.numVertices() + 63) / 64, 0);
@@ -93,12 +125,13 @@ RelaxationSweep::RelaxationSweep(const CooGraph &graph,
                                  std::vector<Value> init_labels,
                                  std::vector<bool> init_active,
                                  WeightMode mode)
-    : outAdj_(graph, CsrGraph::Direction::kOut), mode_(mode),
-      dist_(std::move(init_labels)), active_(std::move(init_active))
+    : mode_(mode), dist_(std::move(init_labels)),
+      active_(std::move(init_active))
 {
     GRAPHR_ASSERT(dist_.size() == graph.numVertices() &&
                       active_.size() == graph.numVertices(),
                   "initial label/active length mismatch");
+    buildAdjacency(graph);
     improved_.assign((graph.numVertices() + 63) / 64, 0);
     for (VertexId v = 0; v < graph.numVertices(); ++v) {
         if (active_[v])
@@ -106,27 +139,38 @@ RelaxationSweep::RelaxationSweep(const CooGraph &graph,
     }
 }
 
-std::uint64_t
-RelaxationSweep::step()
+template <typename Entry, typename Weight>
+void
+RelaxationSweep::relaxFrontier(const CompressedRows<Entry> &rows,
+                               Weight weight)
 {
-    const Value unit = mode_ == WeightMode::kUnit ? 1.0 : 0.0;
-    nextIds_.clear();
     for (const VertexId u : ids_) {
-        for (const Adjacency &adj : outAdj_.neighbors(u)) {
-            const Value w =
-                mode_ == WeightMode::kOriginal ? adj.weight : unit;
-            const Value cand = dist_[u] + w;
-            if (cand < dist_[adj.neighbor]) {
-                dist_[adj.neighbor] = cand;
-                std::uint64_t &word = improved_[adj.neighbor / 64];
-                const std::uint64_t bit = std::uint64_t{1}
-                                          << (adj.neighbor % 64);
+        for (const Entry &entry : rows.row(u)) {
+            const VertexId v = neighborOf(entry);
+            const Value cand = dist_[u] + weight(entry);
+            if (cand < dist_[v]) {
+                dist_[v] = cand;
+                std::uint64_t &word = improved_[v / 64];
+                const std::uint64_t bit = std::uint64_t{1} << (v % 64);
                 if ((word & bit) == 0) {
                     word |= bit;
-                    nextIds_.push_back(adj.neighbor);
+                    nextIds_.push_back(v);
                 }
             }
         }
+    }
+}
+
+std::uint64_t
+RelaxationSweep::step()
+{
+    nextIds_.clear();
+    if (weighted()) {
+        relaxFrontier(weighted_,
+                      [](const Adjacency &adj) { return adj.weight; });
+    } else {
+        const Value w = mode_ == WeightMode::kUnit ? 1.0 : 0.0;
+        relaxFrontier(neighborIds_, [w](VertexId) { return w; });
     }
     for (const VertexId u : ids_)
         active_[u] = false;

@@ -61,6 +61,11 @@ enum class WeightMode
  * later in the round sees the labels earlier ones lowered, as in
  * sssp()), and takes the next round's ids, ascending, from the
  * vertices it improved, not from a test of every vertex.
+ *
+ * The sweep builds the graph's out-adjacency once, in one scatter,
+ * holding only what its weight mode reads: neighbour ids (4 B per
+ * edge) under kUnit and kZero, id and weight together under
+ * kOriginal. Each vertex's neighbours keep the edge-list order.
  */
 class RelaxationSweep
 {
@@ -90,16 +95,52 @@ class RelaxationSweep
     /** Whether any vertex is still active. */
     bool done() const { return ids_.empty(); }
 
-    /** The graph's out-adjacency the rounds relax over (the baseline
-     *  cost models read per-vertex degrees and neighbours from it). */
-    const CsrGraph &outAdjacency() const { return outAdj_; }
+    /**
+     * Offsets of the out-adjacency the rounds relax over (|V|+1
+     * entries): vertex v's out-edges are [offsets()[v],
+     * offsets()[v + 1]), in edge-list order. The baseline cost models
+     * read degrees and neighbours from it.
+     */
+    std::span<const EdgeId>
+    offsets() const
+    {
+        return weighted() ? weighted_.offsets() : neighborIds_.offsets();
+    }
+
+    /** Out-degree of vertex @p v. */
+    EdgeId
+    degree(VertexId v) const
+    {
+        return weighted() ? weighted_.degree(v) : neighborIds_.degree(v);
+    }
+
+    /** The vertex out-edge @p i (an index into offsets()) leads to. */
+    VertexId
+    neighbor(EdgeId i) const
+    {
+        return weighted() ? weighted_.entry(i).neighbor
+                          : neighborIds_.entry(i);
+    }
 
     /** Execute one synchronous round; returns updated-vertex count. */
     std::uint64_t step();
 
   private:
-    CsrGraph outAdj_;
+    bool weighted() const { return mode_ == WeightMode::kOriginal; }
+
+    /** Build the adjacency mode_ reads from @p graph's out-edges. */
+    void buildAdjacency(const CooGraph &graph);
+
+    /** Relax every out-edge of the round's active ids over @p rows,
+     *  an edge of entry x weighing @p weight(x). */
+    template <typename Entry, typename Weight>
+    void relaxFrontier(const CompressedRows<Entry> &rows, Weight weight);
+
     WeightMode mode_;
+    /** Out-neighbour ids: the adjacency under kUnit and kZero. */
+    CompressedRows<VertexId> neighborIds_;
+    /** Out-neighbours with weights: the adjacency under kOriginal. */
+    CompressedRows<Adjacency> weighted_;
     std::vector<Value> dist_;
     std::vector<bool> active_;
     /** Bit v set once v improved in the running round; all clear

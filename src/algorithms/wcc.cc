@@ -1,7 +1,7 @@
 #include "wcc.hh"
 
+#include <algorithm>
 #include <numeric>
-#include <unordered_set>
 
 #include "common/logging.hh"
 #include "graph/graph_memo.hh"
@@ -35,28 +35,52 @@ namespace
 std::uint64_t
 countDistinct(const std::vector<VertexId> &labels)
 {
-    std::unordered_set<VertexId> distinct(labels.begin(), labels.end());
-    return distinct.size();
+    // Labels are vertex ids, so one flag per vertex counts them.
+    std::vector<bool> seen(labels.size(), false);
+    std::uint64_t distinct = 0;
+    for (const VertexId label : labels) {
+        if (!seen[label]) {
+            seen[label] = true;
+            ++distinct;
+        }
+    }
+    return distinct;
+}
+
+/** Lower @p to's label to @p from's if smaller; true if it changed. */
+bool
+relabel(std::vector<VertexId> &labels, VertexId from, VertexId to)
+{
+    if (labels[from] < labels[to]) {
+        labels[to] = labels[from];
+        return true;
+    }
+    return false;
 }
 
 /**
- * In-place min-label passes over @p sym's edges, in edge order, from
- * label = id until a pass changes nothing; returns the pass count.
+ * In-place min-label passes over @p graph, from label = id until a
+ * pass changes nothing; returns the pass count. A pass applies each
+ * edge and then its reverse, skipping the reverse of a self-loop:
+ * the update sequence of a pass over symmetrize(graph)'s edges,
+ * without building that copy. (Either order of the pair leaves both
+ * ends at the smaller label, and a self-loop compares a label with
+ * itself, so neither choice can change a label or a pass count; the
+ * order kept is symmetrize()'s.)
  */
 int
-propagateLabels(const CooGraph &sym, std::vector<VertexId> &labels)
+propagateLabels(const CooGraph &graph, std::vector<VertexId> &labels)
 {
-    labels.resize(sym.numVertices());
+    labels.resize(graph.numVertices());
     std::iota(labels.begin(), labels.end(), 0);
     int passes = 0;
     bool changed = true;
     while (changed) {
         changed = false;
-        for (const Edge &e : sym.edges()) {
-            if (labels[e.src] < labels[e.dst]) {
-                labels[e.dst] = labels[e.src];
-                changed = true;
-            }
+        for (const Edge &e : graph.edges()) {
+            changed |= relabel(labels, e.src, e.dst);
+            if (e.src != e.dst)
+                changed |= relabel(labels, e.dst, e.src);
         }
         ++passes;
     }
@@ -70,7 +94,7 @@ wcc(const CooGraph &graph)
 {
     GRAPHR_ASSERT(graph.numVertices() > 0, "empty graph");
     WccResult result;
-    result.iterations = propagateLabels(symmetrize(graph), result.labels);
+    result.iterations = propagateLabels(graph, result.labels);
     result.numComponents = countDistinct(result.labels);
     return result;
 }
@@ -82,7 +106,7 @@ goldenWccRounds(const CooGraph &graph)
         {GraphMemo::GoldenKey::Product::kWccRounds, {}}, [&graph] {
             GRAPHR_ASSERT(graph.numVertices() > 0, "empty graph");
             std::vector<VertexId> labels;
-            return propagateLabels(*symmetrized(graph), labels);
+            return propagateLabels(graph, labels);
         });
 }
 

@@ -6,7 +6,11 @@
  * vertex programs; WCC by min-label propagation is the canonical
  * third parallel-add-op workload: processEdge is the identity
  * (an addition with weight 0), reduce is min, and the active list is
- * required. Labels propagate over the symmetrised edge set.
+ * required. Labels propagate over the symmetrised edge set: the
+ * golden passes apply each edge and then its reverse, which is the
+ * order of symmetrize()'s list without building it, while the
+ * simulated runners and baseline sweeps relax over the memoised
+ * symmetrised copy, whose plan the GraphR backends walk.
  */
 
 #ifndef GRAPHR_ALGORITHMS_WCC_HH
@@ -32,7 +36,11 @@ struct WccResult
     int iterations = 0;
 };
 
-/** Min-label propagation over the symmetrised graph. */
+/**
+ * Min-label propagation over the symmetrised graph: in-place passes,
+ * each applying every edge and then its reverse (none for a
+ * self-loop), the update sequence of a pass over symmetrize(graph).
+ */
 WccResult wcc(const CooGraph &graph);
 
 /**
@@ -43,9 +51,8 @@ WccResult wccUnionFind(const CooGraph &graph);
 
 /**
  * wcc(graph).iterations, computed once per graph and memoised on it
- * (CooGraph::memo()). The passes run over the memoised
- * symmetrized(graph), which has symmetrize()'s edge order, so the
- * count is wcc()'s without a second copy.
+ * (CooGraph::memo()). Like wcc(), the passes read the graph's own
+ * edges, not a symmetrised copy.
  */
 int goldenWccRounds(const CooGraph &graph);
 

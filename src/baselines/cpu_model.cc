@@ -3,7 +3,6 @@
 #include "algorithms/traversal.hh"
 #include "algorithms/wcc.hh"
 #include "common/logging.hh"
-#include "graph/csr.hh"
 
 namespace graphr
 {
@@ -131,7 +130,7 @@ relaxationTrace(const CooGraph &graph, RelaxationSweep &sweep,
     report.platform = "cpu";
     report.algorithm = name;
 
-    const CsrGraph &out = sweep.outAdjacency();
+    const std::span<const EdgeId> offsets = sweep.offsets();
     CacheHierarchy cache(params.cache);
 
     // GridGraph-style P x P grid: P chosen so a vertex chunk is
@@ -153,21 +152,21 @@ relaxationTrace(const CooGraph &graph, RelaxationSweep &sweep,
                 continue; // whole block skipped by the scheduler
 
             for (VertexId u = base; u < end; ++u) {
-                const EdgeId first = out.offsets()[u];
-                EdgeId idx = first;
+                const EdgeId first = offsets[u];
+                const EdgeId last = offsets[u + 1];
                 const bool is_active = active[u];
-                for (const Adjacency &adj : out.neighbors(u)) {
+                for (EdgeId idx = first; idx < last; ++idx) {
                     // Edge block streams sequentially regardless of
                     // per-source activity.
                     cycles += cache.access(kEdgeBase + idx * kEdgeBytes);
-                    ++idx;
                     if (is_active) {
                         cycles += cache.access(
                             kSrcPropBase +
                             static_cast<std::uint64_t>(u) * kPropBytes);
                         cycles += cache.access(
                             kDstPropBase +
-                            static_cast<std::uint64_t>(adj.neighbor) *
+                            static_cast<std::uint64_t>(
+                                sweep.neighbor(idx)) *
                                 kPropBytes);
                         cycles += params.cyclesPerEdge;
                         report.randomAccesses += 1;
@@ -177,7 +176,7 @@ relaxationTrace(const CooGraph &graph, RelaxationSweep &sweep,
                     ++report.edgesProcessed;
                 }
                 report.sequentialBytes +=
-                    (idx - first) *
+                    (last - first) *
                     static_cast<std::uint64_t>(kEdgeBytes);
             }
         }

@@ -3,7 +3,6 @@
 #include "algorithms/traversal.hh"
 #include "algorithms/wcc.hh"
 #include "common/logging.hh"
-#include "graph/csr.hh"
 
 namespace graphr
 {
@@ -88,7 +87,6 @@ gpuRelaxation(const CooGraph &graph, RelaxationSweep &sweep,
 
     // Replay the synchronous rounds to obtain per-round frontier and
     // edge volumes (Gunrock advance+filter).
-    const CsrGraph &out = sweep.outAdjacency();
     const double bw = params.memBandwidthGBs * 1e9 *
                       params.bandwidthEfficiency;
 
@@ -102,7 +100,7 @@ gpuRelaxation(const CooGraph &graph, RelaxationSweep &sweep,
             if (!active[u])
                 continue;
             ++frontier_vertices;
-            frontier_edges += out.degree(u);
+            frontier_edges += sweep.degree(u);
         }
         // Advance reads frontier edges + labels (random gathers pay
         // the transaction waste), filter compacts the new frontier;

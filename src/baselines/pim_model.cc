@@ -3,7 +3,6 @@
 #include "algorithms/traversal.hh"
 #include "algorithms/wcc.hh"
 #include "common/logging.hh"
-#include "graph/csr.hh"
 
 namespace graphr
 {
@@ -78,14 +77,13 @@ pimRelaxation(const CooGraph &graph, RelaxationSweep &sweep,
     report.platform = "pim";
     report.algorithm = name;
 
-    const CsrGraph &out = sweep.outAdjacency();
     double seconds = 0.0;
     while (!sweep.done()) {
         const std::vector<bool> &active = sweep.active();
         std::uint64_t frontier_edges = 0;
         for (VertexId u = 0; u < graph.numVertices(); ++u) {
             if (active[u])
-                frontier_edges += out.degree(u);
+                frontier_edges += sweep.degree(u);
         }
         // Small frontiers cannot use all vault cores; retain a
         // minimum serial cost of one edge per active round. Frontier

@@ -92,16 +92,16 @@ CooGraph::density() const
 std::uint64_t
 CooGraph::fingerprint() const
 {
+    // The edge records are hashed as they lie in memory: src and dst
+    // as 32-bit words, then the weight's bits, with no padding.
+    static_assert(sizeof(Edge) == 2 * sizeof(VertexId) + sizeof(Value) &&
+                      std::endian::native == std::endian::little,
+                  "the fingerprint hashes edges as little-endian records");
     return memo()->fingerprint([this] {
-        Fnv1a64 h;
+        Xxh64 h;
         h.updateWord(numVertices_);
         h.updateWord(numEdges());
-        for (const Edge &e : edges_) {
-            h.updateWord((static_cast<std::uint64_t>(e.src) << 32) |
-                         static_cast<std::uint64_t>(e.dst));
-            h.updateWord(std::bit_cast<std::uint64_t>(
-                static_cast<double>(e.weight)));
-        }
+        h.update(edges_.data(), edges_.size() * sizeof(Edge));
         return h.digest();
     });
 }

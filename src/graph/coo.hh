@@ -63,12 +63,13 @@ class CooGraph
     double density() const;
 
     /**
-     * Order-sensitive 64-bit FNV-1a fingerprint of the vertex count,
-     * the edge count and every edge's endpoints and weight bits — the
-     * key of every plan cache and store artifact. The O(E) fold runs
-     * on the first call; later calls, and copies of the graph, return
-     * the memoised value until a mutator changes the edges. Safe to
-     * call from concurrent readers.
+     * Order-sensitive 64-bit fingerprint: the XXH64 of the vertex and
+     * edge counts (little-endian 64-bit words) followed by the edge
+     * records as stored (src, dst, weight bits) — the key of every
+     * plan cache and store artifact. The hash streams over the edges
+     * once, on the first call; later calls, and copies of the graph,
+     * return the memoised value until a mutator changes the edges.
+     * Safe to call from concurrent readers.
      */
     std::uint64_t fingerprint() const;
 

@@ -3,24 +3,15 @@
 namespace graphr
 {
 
-CsrGraph::CsrGraph(const CooGraph &coo, Direction dir)
-    : numVertices_(coo.numVertices()), dir_(dir)
+CsrGraph::CsrGraph(const CooGraph &coo, Direction dir) : dir_(dir)
 {
-    offsets_.assign(static_cast<std::size_t>(numVertices_) + 1, 0);
-    for (const Edge &e : coo.edges()) {
-        const VertexId key = dir == Direction::kOut ? e.src : e.dst;
-        ++offsets_[key + 1];
-    }
-    for (std::size_t v = 0; v < numVertices_; ++v)
-        offsets_[v + 1] += offsets_[v];
-
-    adj_.resize(coo.edges().size());
-    std::vector<EdgeId> cursor(offsets_.begin(), offsets_.end() - 1);
-    for (const Edge &e : coo.edges()) {
-        const VertexId key = dir == Direction::kOut ? e.src : e.dst;
-        const VertexId other = dir == Direction::kOut ? e.dst : e.src;
-        adj_[cursor[key]++] = Adjacency{other, e.weight};
-    }
+    const bool out = dir == Direction::kOut;
+    rows_ = CompressedRows<Adjacency>(
+        coo.numVertices(), coo.edges(),
+        [out](const Edge &e) { return out ? e.src : e.dst; },
+        [out](const Edge &e) {
+            return Adjacency{out ? e.dst : e.src, e.weight};
+        });
 }
 
 } // namespace graphr

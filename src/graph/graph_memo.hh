@@ -12,6 +12,13 @@
  * for each once across all requests, a one-shot sweep once per
  * sweep, and eviction frees them with the graph.
  *
+ * Each product costs about one streaming pass over the edges plus
+ * its algorithm's own work: the fingerprint is an XXH64 of the edge
+ * records, golden PageRank pulls over a 4-byte-per-edge in-edge
+ * index, the BFS and WCC schedules relax over neighbour ids only
+ * (SSSP over id-weight entries), and the WCC round count reads the
+ * graph's own edges, each followed by its reverse, not the copy.
+ *
  * The memo stores; it does not compute. Callers pass the pure
  * function that builds a product (the golden-count and schedule
  * accessors in src/algorithms/ wrap the golden algorithms and

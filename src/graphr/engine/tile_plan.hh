@@ -61,7 +61,7 @@ struct TilePlan
 using TilePlanPtr = std::shared_ptr<const TilePlan>;
 
 /**
- * Order-sensitive 64-bit FNV-1a fingerprint of a graph (vertex count,
+ * Order-sensitive 64-bit XXH64 fingerprint of a graph (vertex count,
  * edge count, every edge's endpoints and weight bits): the plan cache
  * and store key, CooGraph::fingerprint(). O(E) on a graph's first
  * lookup — one sequential read of the edges, against the sort's

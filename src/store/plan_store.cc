@@ -31,7 +31,7 @@ namespace
 
 constexpr std::uint32_t kMagic = 'G' | ('P' << 8) | ('L' << 16) |
                                  ('N' << 24);
-/** Payload codec tag (first four payload bytes, format v2). */
+/** Payload codec tag (first four payload bytes). */
 constexpr std::uint32_t kCodecDelta = 'D' | ('L' << 8) | ('T' << 16) |
                                       ('1' << 24);
 constexpr std::size_t kHeaderBytes = 88;
@@ -227,7 +227,7 @@ encodeHeader(ByteWriter &w, const Header &h)
     w.raw(h.totalNnz);
     w.raw(h.payloadBytes);
     w.raw(h.payloadChecksum);
-    w.raw(fnv1a64(w.bytes().data(), kHeaderChecksummedBytes));
+    w.raw(xxh64(w.bytes().data(), kHeaderChecksummedBytes));
 }
 
 /**
@@ -273,7 +273,7 @@ decodeHeader(const unsigned char *data, std::size_t size, Header &h,
     r.raw(h.payloadChecksum);
     std::uint64_t header_checksum = 0;
     r.raw(header_checksum);
-    if (fnv1a64(data, kHeaderChecksummedBytes) != header_checksum) {
+    if (xxh64(data, kHeaderChecksummedBytes) != header_checksum) {
         issue = "header checksum mismatch";
         return false;
     }
@@ -320,7 +320,7 @@ EdgeStreamDecoder
 openPayload(const Header &h, const GridPartition &part,
             const unsigned char *payload, std::size_t size)
 {
-    if (fnv1a64(payload, size) != h.payloadChecksum)
+    if (xxh64(payload, size) != h.payloadChecksum)
         throw CodecError("payload checksum mismatch");
     std::uint32_t codec = 0;
     if (size < sizeof(codec))
@@ -501,7 +501,7 @@ PlanStore::save(const TilePlan &plan, const TilingParams &tiling) const
     h.totalNnz = plan.meta.totalNnz();
     h.payloadBytes = payload.bytes().size();
     h.payloadChecksum =
-        fnv1a64(payload.bytes().data(), payload.bytes().size());
+        xxh64(payload.bytes().data(), payload.bytes().size());
 
     ByteWriter header;
     encodeHeader(header, h);

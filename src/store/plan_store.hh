@@ -15,17 +15,17 @@
  *
  *   header (88 bytes):
  *     u32  magic "GPLN"
- *     u32  format version (currently 2)
- *     u64  graph fingerprint (graphFingerprint, FNV-1a)
+ *     u32  format version (currently 3)
+ *     u64  graph fingerprint (graphFingerprint, XXH64)
  *     u64  vertex count
  *     u32  crossbarDim, u32 crossbarsPerGe, u32 numGe, u32 blockSize
  *     u64  edge count
  *     u64  non-empty tile count
  *     u64  total nnz (TileMetaTable invariant)
  *     u64  payload byte count
- *     u64  payload checksum (FNV-1a over the payload bytes)
- *     u64  header checksum (FNV-1a over the 80 bytes above)
- *   payload (format v2):
+ *     u64  payload checksum (XXH64 over the payload bytes)
+ *     u64  header checksum (XXH64 over the 80 bytes above)
+ *   payload:
  *     u32  codec tag "DLT1"
  *     the bit-packed delta-coded edge stream of store/edge_codec.hh:
  *     per-tile local-cell-ID delta streams (fixed-width low-bits plane
@@ -36,11 +36,13 @@
  *     runs.
  *
  * Older layouts are not migrated: a format v1 artifact (uncompressed
- * edge records, tile spans and metadata table, no codec tag) fails
- * version gating, and a v2 artifact with the retired uncompressed
- * "RAW0" payload fails as an unknown codec tag. Either way the load
- * is rejected and the caller transparently re-prepares and re-saves,
- * per the store's versioning contract.
+ * edge records, tile spans and metadata table, no codec tag) and a
+ * v2 artifact (this layout, but named and checksummed with FNV-1a)
+ * both fail version gating. The load is rejected and the caller
+ * transparently re-prepares and re-saves, per the store's versioning
+ * contract, so a v2 store is cold once. A payload with an unknown
+ * codec tag (such as the retired uncompressed "RAW0") is rejected
+ * the same way.
  *
  * Loads validate magic -> version -> header checksum -> fingerprint &
  * tiling -> payload size & checksum before any payload is trusted;
@@ -121,7 +123,7 @@ struct PlanArtifactInfo
 class PlanStore
 {
   public:
-    static constexpr std::uint32_t kFormatVersion = 2;
+    static constexpr std::uint32_t kFormatVersion = 3;
 
     /** Load/save/reject counters since construction. */
     struct Stats

@@ -1,9 +1,10 @@
 /**
  * @file
- * Unit tests for the shared FNV-1a checksum primitive: reference
- * vectors, streaming equivalence, the word-mix layout, and the
- * guarantee that graphFingerprint is built on the same fold (so the
- * fingerprint and the plan store's checksums cannot drift apart).
+ * Unit tests for the shared hashes: XXH64 known-answer vectors and
+ * streaming equivalence, the guarantee that graphFingerprint is an
+ * XXH64 of the edge records (so the fingerprint and the plan store's
+ * checksums cannot drift apart), and FNV-1a's reference vectors and
+ * word layout, which the pinned legacy digests rely on.
  */
 
 #include <gtest/gtest.h>
@@ -11,6 +12,7 @@
 #include <bit>
 #include <cstring>
 #include <string>
+#include <vector>
 
 #include "common/checksum.hh"
 #include "graph/generator.hh"
@@ -25,6 +27,77 @@ std::uint64_t
 fnvOfString(const std::string &s)
 {
     return fnv1a64(s.data(), s.size());
+}
+
+std::uint64_t
+xxhOfString(const std::string &s)
+{
+    return xxh64(s.data(), s.size());
+}
+
+/** 1,000 bytes that cover every residue of the 32-byte stripe. */
+std::string
+patternBytes()
+{
+    std::string bytes;
+    for (int i = 0; i < 1000; ++i)
+        bytes.push_back(static_cast<char>((i * 131 + 7) & 0xff));
+    return bytes;
+}
+
+TEST(Xxh64Test, KnownAnswerVectors)
+{
+    // XXH64 with seed 0, checked against the reference xxHash
+    // library: lengths below 4, 8 and 32 bytes take the short tail
+    // paths, the longer ones the four-lane stripes plus a tail.
+    EXPECT_EQ(xxhOfString(""), 0xef46db3751d8e999ull);
+    EXPECT_EQ(xxhOfString("a"), 0xd24ec4f1a98c6e5bull);
+    EXPECT_EQ(xxhOfString("abc"), 0x44bc2cf5ad770999ull);
+    EXPECT_EQ(xxhOfString("message digest"), 0x066ed728fceeb3beull);
+    EXPECT_EQ(xxhOfString("abcdefghijklmnopqrstuvwxyz012345"),
+              0xbf2cd639b4143b80ull);
+    EXPECT_EQ(xxhOfString("abcdefghijklmnopqrstuvwxyz0123456789"),
+              0x64f23ecf1609b766ull);
+    EXPECT_EQ(xxhOfString("The quick brown fox jumps over the lazy dog"),
+              0x0b242d361fda71bcull);
+    EXPECT_EQ(xxhOfString(patternBytes()), 0x0bf0bdbcc82eb373ull);
+}
+
+TEST(Xxh64Test, EveryStreamingSplitGivesTheOneShotDigest)
+{
+    const std::string data = patternBytes().substr(0, 100);
+    const std::uint64_t whole = xxhOfString(data);
+    for (std::size_t a = 0; a <= data.size(); ++a) {
+        for (std::size_t b = a; b <= data.size(); ++b) {
+            Xxh64 h;
+            h.update(data.data(), a);
+            h.update(data.data() + a, b - a);
+            h.update(data.data() + b, data.size() - b);
+            ASSERT_EQ(h.digest(), whole) << "cuts at " << a << ", " << b;
+        }
+    }
+    // Byte by byte, and in uneven chunks across many stripes.
+    const std::string big = patternBytes();
+    Xxh64 bytewise;
+    for (const char c : big)
+        bytewise.update(&c, 1);
+    EXPECT_EQ(bytewise.digest(), xxhOfString(big));
+    for (const std::size_t chunk : {3u, 31u, 32u, 33u, 100u}) {
+        Xxh64 h;
+        for (std::size_t at = 0; at < big.size(); at += chunk)
+            h.update(big.data() + at, std::min(chunk, big.size() - at));
+        EXPECT_EQ(h.digest(), xxhOfString(big)) << "chunk " << chunk;
+    }
+}
+
+TEST(Xxh64Test, UpdateWordMatchesLittleEndianBytes)
+{
+    const std::uint64_t word = 0x0123456789abcdefull;
+    Xxh64 via_word;
+    via_word.updateWord(word);
+    const unsigned char bytes[8] = {0xef, 0xcd, 0xab, 0x89,
+                                    0x67, 0x45, 0x23, 0x01};
+    EXPECT_EQ(via_word.digest(), xxh64(bytes, sizeof(bytes)));
 }
 
 TEST(ChecksumTest, ReferenceVectors)
@@ -73,23 +146,29 @@ TEST(ChecksumTest, DifferentInputsDiffer)
     EXPECT_NE(a.digest(), b.digest());
 }
 
-TEST(ChecksumTest, GraphFingerprintUsesSharedPrimitive)
+TEST(ChecksumTest, GraphFingerprintIsXxh64OfTheEdgeRecords)
 {
-    // Recompute graphFingerprint by hand with Fnv1a64 — if the
-    // fingerprint ever switches hash, this breaks loudly (and the
-    // plan store format version must bump with it).
+    // Recompute graphFingerprint by hand: XXH64 of the vertex and
+    // edge counts as little-endian words, then per edge src and dst
+    // as little-endian 32-bit words and the weight's bits. If the
+    // fingerprint ever switches hash or layout, this breaks loudly
+    // (and the plan store format version must bump with it).
     const CooGraph g = makeRmat(
-        {.numVertices = 64, .numEdges = 256, .seed = 11});
-    Fnv1a64 h;
-    h.updateWord(g.numVertices());
-    h.updateWord(g.numEdges());
+        {.numVertices = 64, .numEdges = 256, .maxWeight = 9.0, .seed = 11});
+    std::vector<unsigned char> bytes;
+    const auto put = [&bytes](std::uint64_t word, int width) {
+        for (int i = 0; i < width; ++i)
+            bytes.push_back(static_cast<unsigned char>(word >> (8 * i)));
+    };
+    put(g.numVertices(), 8);
+    put(g.numEdges(), 8);
     for (const Edge &e : g.edges()) {
-        h.updateWord((static_cast<std::uint64_t>(e.src) << 32) |
-                     static_cast<std::uint64_t>(e.dst));
-        h.updateWord(std::bit_cast<std::uint64_t>(
-            static_cast<double>(e.weight)));
+        put(e.src, 4);
+        put(e.dst, 4);
+        put(std::bit_cast<std::uint64_t>(static_cast<double>(e.weight)),
+            8);
     }
-    EXPECT_EQ(graphFingerprint(g), h.digest());
+    EXPECT_EQ(graphFingerprint(g), xxh64(bytes.data(), bytes.size()));
 }
 
 TEST(ChecksumTest, FingerprintIsOrderAndValueSensitive)

@@ -20,6 +20,7 @@
 #include "driver/cli.hh"
 #include "driver/driver.hh"
 #include "driver/run_result.hh"
+#include "perf/counters.hh"
 
 namespace graphr::driver
 {
@@ -539,6 +540,45 @@ TEST(DriverRunTest, OneNodeClusterMatchesSingleNode)
         EXPECT_NEAR(cluster.seconds, single.seconds,
                     single.seconds * 1e-9)
             << algo;
+    }
+}
+
+TEST(DriverRunTest, FunctionalFlagRunsTheDatapathOnlyWhereDocumented)
+{
+    // docs/CLI.md: --functional runs the crossbar datapath only for
+    // pagerank and spmv on graphr and outofcore. On every other row
+    // of the matrix (bfs, sssp, wcc and cf there; every workload on
+    // multinode, cpu, gpu and pim) it runs nothing: no crossbar row is
+    // read, and the report is the timing-only report, byte for byte.
+    const perf::Counter &mvm_rows = perf::Registry::instance().counter(
+        "crossbar.mvm_rows_processed");
+    for (const std::string &workload : allWorkloadNames()) {
+        for (const std::string &backend : allBackendNames()) {
+            SCOPED_TRACE(workload + " x " + backend);
+            RunSpec spec;
+            spec.workload = workload;
+            spec.backend = backend;
+            spec.dataset = "rmat:vertices=256,edges=2048,seed=5";
+            spec.params = ParamMap::parse("epochs=1,features=4");
+            std::ostringstream timing;
+            writeResultsJson(timing, {runOne(spec)});
+
+            spec.backendOptions.config.functional = true;
+            const std::uint64_t rows_before = mvm_rows.value();
+            std::ostringstream functional;
+            writeResultsJson(functional, {runOne(spec)});
+            const std::uint64_t rows = mvm_rows.value() - rows_before;
+
+            const bool runs =
+                (workload == "pagerank" || workload == "spmv") &&
+                (backend == "graphr" || backend == "outofcore");
+            if (runs) {
+                EXPECT_GT(rows, 0u);
+            } else {
+                EXPECT_EQ(rows, 0u);
+                EXPECT_EQ(functional.str(), timing.str());
+            }
+        }
     }
 }
 

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "algorithms/wcc.hh"
+#include "common/checksum.hh"
 #include "common/random.hh"
 #include "driver/dataset.hh"
 #include "graph/datasets.hh"
@@ -399,36 +400,68 @@ TEST(RmatTest, DrawOnAThresholdMatchesTheReferenceLoop)
     }
 }
 
+/**
+ * The byte-serial FNV-1a fold that was CooGraph::fingerprint() before
+ * store format 3: the vertex and edge counts, then per edge the word
+ * (src << 32 | dst) and the weight's bits, each least-significant
+ * byte first. Its values were pinned while it named the artifacts, so
+ * they still prove the generators draw what they drew then.
+ */
+std::uint64_t
+legacyFingerprint(const CooGraph &g)
+{
+    Fnv1a64 h;
+    h.updateWord(g.numVertices());
+    h.updateWord(g.numEdges());
+    for (const Edge &e : g.edges()) {
+        h.updateWord((static_cast<std::uint64_t>(e.src) << 32) |
+                     static_cast<std::uint64_t>(e.dst));
+        h.updateWord(std::bit_cast<std::uint64_t>(
+            static_cast<double>(e.weight)));
+    }
+    return h.digest();
+}
+
 TEST(RmatTest, ResolvedFingerprintsArePinned)
 {
-    // A fingerprint names every artifact prepared from a graph
-    // (plan-<fingerprint>-...gplan), so a generator that drifts from
-    // these turns every stored plan cold and orphans tests/golden/.
+    // The legacy FNV-1a values pin the draw: they were recorded before
+    // the fingerprint moved to XXH64, so a generator that drifts from
+    // them is a generator change. The XXH64 values are the
+    // fingerprints that name every artifact prepared from a graph
+    // (plan-<fingerprint>-...gplan); drifting from them turns every
+    // stored plan cold and orphans tests/golden/.
     struct Pin
     {
         const char *spec;
+        std::uint64_t legacy;
         std::uint64_t fingerprint;
-        std::uint64_t symmetrized; ///< 0: not pinned
+        std::uint64_t legacySymmetrized; ///< 0: not pinned
+        std::uint64_t symmetrized;       ///< 0: not pinned
     };
     const Pin pins[] = {
         {"rmat:vertices=131072,edges=1048576,seed=1",
-         0xd664b280d1f4138cull, 0x159a32128b91d397ull},
+         0xd664b280d1f4138cull, 0xcbd04f5ea636bbbeull,
+         0x159a32128b91d397ull, 0xa35af4299fc72fc8ull},
         {"rmat:vertices=32768,edges=262144,seed=1", 0x3f15594e72d5f707ull,
-         0},
+         0x1a90ca7ca542103eull, 0, 0},
         {"rmat:vertices=16384,edges=131072,seed=1", 0xeba6b15371547af5ull,
-         0},
+         0x5359a23748c5f6c1ull, 0, 0},
         {"rmat:vertices=1000,edges=5000,maxweight=15,seed=7",
-         0x43ec9fbb146b67f4ull, 0},
-        {"wiki-vote", 0x99fe98605d2c9e68ull, 0},
+         0x43ec9fbb146b67f4ull, 0x040645750866b524ull, 0, 0},
+        {"wiki-vote", 0x99fe98605d2c9e68ull, 0x0562ddfdb437ef12ull, 0, 0},
     };
     for (const Pin &pin : pins) {
         const driver::ResolvedDataset dataset =
             driver::resolveDataset(pin.spec);
+        EXPECT_EQ(legacyFingerprint(dataset.graph), pin.legacy)
+            << pin.spec;
         EXPECT_EQ(dataset.graph.fingerprint(), pin.fingerprint)
             << pin.spec;
         if (pin.symmetrized != 0) {
-            EXPECT_EQ(symmetrize(dataset.graph).fingerprint(),
-                      pin.symmetrized)
+            const CooGraph sym = symmetrize(dataset.graph);
+            EXPECT_EQ(legacyFingerprint(sym), pin.legacySymmetrized)
+                << pin.spec << ", symmetrised";
+            EXPECT_EQ(sym.fingerprint(), pin.symmetrized)
                 << pin.spec << ", symmetrised";
         }
     }

@@ -9,6 +9,7 @@
 
 #include <array>
 #include <cmath>
+#include <span>
 
 #include "algorithms/pagerank.hh"
 #include "common/random.hh"
@@ -197,6 +198,53 @@ TEST(NodeFunctionalTest, FunctionalAndTimingOnlySameSchedule)
         EXPECT_DOUBLE_EQ(a.seconds, b.seconds) << i;
         EXPECT_DOUBLE_EQ(a.joules, b.joules) << i;
     }
+}
+
+TEST(NodeFunctionalTest, RunsThatAskForNoLabelsProgramNoTile)
+{
+    // The graphr and outofcore backends run BFS, SSSP and WCC without
+    // a label output, and CF has no functional path, so a functional
+    // configuration programs and loads no tile for them and their
+    // reports are the timing-only ones. PageRank, which those
+    // backends do run through the datapath, is the contrast.
+    const CooGraph g =
+        makeRmat({.numVertices = 64, .numEdges = 500, .seed = 36});
+    const CooGraph ratings = makeBipartiteRatings(32, 16, 200, 22);
+    CfParams cf;
+    cf.featureLength = 4;
+    cf.epochs = 1;
+    cf.numUsers = 32;
+    GraphRConfig time_cfg = functionalConfig();
+    time_cfg.functional = false;
+
+    // Out-of-core hands its node a round observer; graphr does not.
+    const RoundObserver observe = [](std::span<const VertexId>) {};
+    const auto run = [&](GraphRNode &node, int which) {
+        switch (which) {
+          case 0: return node.runBfs(g, 0);
+          case 1: return node.runSssp(g, 0, nullptr, observe);
+          case 2: return node.runWcc(g);
+          case 3: return node.runWcc(g, nullptr, observe);
+          default: return node.runCf(ratings, cf);
+        }
+    };
+    for (int which = 0; which < 5; ++which) {
+        SCOPED_TRACE(which);
+        GraphRNode functional(functionalConfig());
+        GraphRNode timing(time_cfg);
+        const SimReport a = run(functional, which);
+        const SimReport b = run(timing, which);
+        EXPECT_EQ(functional.lastEngineStats().functionalTilePrograms, 0u);
+        EXPECT_EQ(functional.lastEngineStats().functionalTileLoads, 0u);
+        EXPECT_EQ(a.iterations, b.iterations);
+        EXPECT_EQ(a.tilesProcessed, b.tilesProcessed);
+        EXPECT_EQ(a.edgesProcessed, b.edgesProcessed);
+        EXPECT_EQ(a.seconds, b.seconds);
+        EXPECT_EQ(a.joules, b.joules);
+    }
+    GraphRNode functional(functionalConfig());
+    functional.runPageRank(g, {.maxIterations = 3, .tolerance = 0.0});
+    EXPECT_GT(functional.lastEngineStats().functionalTilePrograms, 0u);
 }
 
 } // namespace

@@ -534,7 +534,7 @@ TEST_F(PlanStoreTest, ParallelPrepareMatchesSerial)
 
 // ------------------------------------- compressed-format corruption
 //
-// The v2 payload is a codec-tagged compressed stream; this matrix
+// The payload is a codec-tagged compressed stream; this matrix
 // drives corruption through every layer that could catch it: the
 // payload checksum (plain flips), the stream decoder (re-checksummed
 // garbage), version gating (old artifacts), and the mid-decode
@@ -571,9 +571,9 @@ resealChecksums(std::vector<unsigned char> &bytes)
 {
     ASSERT_GE(bytes.size(), 88u);
     const std::uint64_t payload_sum =
-        fnv1a64(bytes.data() + 88, bytes.size() - 88);
+        xxh64(bytes.data() + 88, bytes.size() - 88);
     std::memcpy(bytes.data() + 72, &payload_sum, 8);
-    const std::uint64_t header_sum = fnv1a64(bytes.data(), 80);
+    const std::uint64_t header_sum = xxh64(bytes.data(), 80);
     std::memcpy(bytes.data() + 80, &header_sum, 8);
 }
 
@@ -708,7 +708,49 @@ TEST_F(PlanStoreTest, OldFormatVersionArtifactIsRepreparedAndUpgraded)
     expectFreshPrepareFallback(dir, g, tiling, direct);
 
     // expectFreshPrepareFallback's PlanCache had the store attached,
-    // so the re-prepare wrote through: the file is v2 again.
+    // so the re-prepare wrote through: the file is current again.
+    const std::vector<PlanArtifactInfo> infos = PlanStore(dir).list();
+    ASSERT_EQ(infos.size(), 1u);
+    EXPECT_TRUE(infos[0].valid) << infos[0].issue;
+    EXPECT_EQ(infos[0].version, PlanStore::kFormatVersion);
+}
+
+TEST_F(PlanStoreTest, FormatV2ArtifactIsRejectedByItsVersionAndReprepared)
+{
+    // A format-2 artifact has this layout, but FNV-1a payload and
+    // header checksums (and an FNV-1a fingerprint in its header and
+    // name, so a real v2 store is simply never looked up: every plan
+    // misses once). Found under a current name, it is rejected by its
+    // version before either checksum is read, and the run re-prepares
+    // and leaves a current artifact behind.
+    const std::string dir = freshDir("v2");
+    const CooGraph g = testGraph();
+    const TilingParams tiling;
+    const TilePlan direct(g, tiling);
+    PlanStore(dir).save(direct, tiling);
+    const std::string file = artifactPath(dir, direct, tiling);
+
+    std::vector<unsigned char> bytes = readFileBytes(file);
+    const std::uint32_t v2 = 2;
+    std::memcpy(bytes.data() + 4, &v2, 4);
+    const std::uint64_t payload_sum =
+        fnv1a64(bytes.data() + 88, bytes.size() - 88);
+    std::memcpy(bytes.data() + 72, &payload_sum, 8);
+    const std::uint64_t header_sum = fnv1a64(bytes.data(), 80);
+    std::memcpy(bytes.data() + 80, &header_sum, 8);
+    writeFileBytes(file, bytes);
+
+    {
+        const PlanStore store(dir);
+        const std::vector<PlanArtifactInfo> infos = store.list();
+        ASSERT_EQ(infos.size(), 1u);
+        EXPECT_FALSE(infos[0].valid);
+        EXPECT_EQ(infos[0].version, 2u);
+        EXPECT_EQ(infos[0].issue,
+                  "unsupported format version 2 (expected 3)");
+    }
+    expectFreshPrepareFallback(dir, g, tiling, direct);
+
     const std::vector<PlanArtifactInfo> infos = PlanStore(dir).list();
     ASSERT_EQ(infos.size(), 1u);
     EXPECT_TRUE(infos[0].valid) << infos[0].issue;
