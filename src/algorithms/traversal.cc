@@ -12,6 +12,13 @@ namespace graphr
 namespace
 {
 
+/**
+ * Synchronous relaxation from @p source. A round relaxes the out-edges
+ * of its active ids in ascending order, in place (a vertex relaxed
+ * later in the round sees the labels earlier ones lowered), and the
+ * vertices it improved, sorted, are the next round's ids: a round
+ * costs its frontier, not a scan of every vertex.
+ */
 TraversalResult
 relax(const CooGraph &graph, VertexId source, bool unit_weights)
 {
@@ -27,18 +34,14 @@ relax(const CooGraph &graph, VertexId source, bool unit_weights)
 
     CsrGraph out(graph, CsrGraph::Direction::kOut);
 
-    std::vector<Value> dist(nv, kInfDistance);
-    dist[source] = 0.0;
-    std::vector<bool> active(nv, false);
-    active[source] = true;
-    std::uint64_t active_count = 1;
+    std::vector<Value> &dist = result.dist;
+    std::vector<bool> queued(nv, false); // in next, this round
+    std::vector<VertexId> ids{source};
+    std::vector<VertexId> next;
 
-    while (active_count > 0) {
-        std::vector<bool> next_active(nv, false);
-        std::uint64_t next_count = 0;
-        for (VertexId u = 0; u < nv; ++u) {
-            if (!active[u])
-                continue;
+    while (!ids.empty()) {
+        next.clear();
+        for (const VertexId u : ids) {
             for (const Adjacency &adj : out.neighbors(u)) {
                 const Value w = unit_weights ? 1.0 : adj.weight;
                 GRAPHR_ASSERT(w >= 0.0, "negative edge weight");
@@ -46,18 +49,19 @@ relax(const CooGraph &graph, VertexId source, bool unit_weights)
                 if (cand < dist[adj.neighbor]) {
                     dist[adj.neighbor] = cand;
                     result.parent[adj.neighbor] = u;
-                    if (!next_active[adj.neighbor]) {
-                        next_active[adj.neighbor] = true;
-                        ++next_count;
+                    if (!queued[adj.neighbor]) {
+                        queued[adj.neighbor] = true;
+                        next.push_back(adj.neighbor);
                     }
                 }
             }
         }
-        active = std::move(next_active);
-        active_count = next_count;
+        std::sort(next.begin(), next.end());
+        for (const VertexId v : next)
+            queued[v] = false;
+        ids.swap(next);
         ++result.iterations;
     }
-    result.dist = std::move(dist);
     return result;
 }
 
@@ -90,20 +94,31 @@ neighborOf(const Adjacency &adj)
     return adj.neighbor;
 }
 
+/** Out-rows of Entry over @p graph's edges read in @p directions. */
+template <typename Entry, typename MakeEntry>
+CompressedRows<Entry>
+outRows(const CooGraph &graph, EdgeDirections directions, MakeEntry entry)
+{
+    const auto source = [](const Edge &e) { return e.src; };
+    if (directions == EdgeDirections::kBoth)
+        return CompressedRows<Entry>(SymmetrizedView(graph), source, entry);
+    return CompressedRows<Entry>(graph.numVertices(), graph.edges(), source,
+                                 entry);
+}
+
 } // namespace
 
 void
-RelaxationSweep::buildAdjacency(const CooGraph &graph)
+RelaxationSweep::buildAdjacency(const CooGraph &graph,
+                                EdgeDirections directions)
 {
-    const auto source = [](const Edge &e) { return e.src; };
     if (weighted()) {
-        weighted_ = CompressedRows<Adjacency>(
-            graph.numVertices(), graph.edges(), source,
-            [](const Edge &e) { return Adjacency{e.dst, e.weight}; });
+        weighted_ = outRows<Adjacency>(graph, directions, [](const Edge &e) {
+            return Adjacency{e.dst, e.weight};
+        });
     } else {
-        neighborIds_ = CompressedRows<VertexId>(
-            graph.numVertices(), graph.edges(), source,
-            [](const Edge &e) { return e.dst; });
+        neighborIds_ = outRows<VertexId>(
+            graph, directions, [](const Edge &e) { return e.dst; });
     }
 }
 
@@ -112,7 +127,7 @@ RelaxationSweep::RelaxationSweep(const CooGraph &graph, VertexId source,
     : mode_(unit_weights ? WeightMode::kUnit : WeightMode::kOriginal)
 {
     GRAPHR_ASSERT(source < graph.numVertices(), "source out of range");
-    buildAdjacency(graph);
+    buildAdjacency(graph, EdgeDirections::kForward);
     dist_.assign(graph.numVertices(), kInfDistance);
     active_.assign(graph.numVertices(), false);
     improved_.assign((graph.numVertices() + 63) / 64, 0);
@@ -124,14 +139,14 @@ RelaxationSweep::RelaxationSweep(const CooGraph &graph, VertexId source,
 RelaxationSweep::RelaxationSweep(const CooGraph &graph,
                                  std::vector<Value> init_labels,
                                  std::vector<bool> init_active,
-                                 WeightMode mode)
+                                 WeightMode mode, EdgeDirections directions)
     : mode_(mode), dist_(std::move(init_labels)),
       active_(std::move(init_active))
 {
     GRAPHR_ASSERT(dist_.size() == graph.numVertices() &&
                       active_.size() == graph.numVertices(),
                   "initial label/active length mismatch");
-    buildAdjacency(graph);
+    buildAdjacency(graph, directions);
     improved_.assign((graph.numVertices() + 63) / 64, 0);
     for (VertexId v = 0; v < graph.numVertices(); ++v) {
         if (active_[v])
@@ -224,8 +239,9 @@ singleSourceSchedule(const CooGraph &graph, VertexId source,
         {relaxation, source}, [&graph, source, relaxation] {
             const bool unit =
                 relaxation == GraphMemo::ScheduleKey::Relaxation::kBfs;
-            return recordSchedule(RelaxationSweep(graph, source, unit),
-                                  FrontierSchedule::capFor(graph));
+            return recordSchedule(
+                RelaxationSweep(graph, source, unit),
+                FrontierSchedule::capFor(graph.numEdges()));
         });
 }
 

@@ -51,6 +51,18 @@ enum class WeightMode
 };
 
 /**
+ * Which way a relaxation reads an edge (src, dst): kForward relaxes
+ * dst from src (BFS, SSSP); kBoth also src from dst, unless the edge
+ * is a self-loop, which relaxes the symmetrised graph (WCC) from the
+ * graph's own edges (SymmetrizedView).
+ */
+enum class EdgeDirections
+{
+    kForward,
+    kBoth,
+};
+
+/**
  * Round-by-round synchronous min-relaxation exposing the per-round
  * active set: used by the GraphR simulator to know which tiles a
  * round touches. Covers SSSP, BFS and WCC-style label propagation
@@ -65,7 +77,9 @@ enum class WeightMode
  * The sweep builds the graph's out-adjacency once, in one scatter,
  * holding only what its weight mode reads: neighbour ids (4 B per
  * edge) under kUnit and kZero, id and weight together under
- * kOriginal. Each vertex's neighbours keep the edge-list order.
+ * kOriginal. Each vertex's neighbours keep the edge-list order; read
+ * both ways (EdgeDirections::kBoth), that is the order of
+ * symmetrize()'s list, so the rows are those over the copy.
  */
 class RelaxationSweep
 {
@@ -76,11 +90,13 @@ class RelaxationSweep
 
     /**
      * General form: explicit initial labels and active set, with a
-     * weight mode (WCC uses all-active, label = id, kZero).
+     * weight mode and the edge directions relaxed (WCC uses
+     * all-active, label = id, kZero, kBoth).
      */
     RelaxationSweep(const CooGraph &graph,
                     std::vector<Value> init_labels,
-                    std::vector<bool> init_active, WeightMode mode);
+                    std::vector<bool> init_active, WeightMode mode,
+                    EdgeDirections directions = EdgeDirections::kForward);
 
     /** Vertices active at the start of the current round, as one
      *  flag per vertex (the baseline cost models index it). */
@@ -128,8 +144,9 @@ class RelaxationSweep
   private:
     bool weighted() const { return mode_ == WeightMode::kOriginal; }
 
-    /** Build the adjacency mode_ reads from @p graph's out-edges. */
-    void buildAdjacency(const CooGraph &graph);
+    /** Build the adjacency mode_ reads from @p graph's out-edges,
+     *  read in @p directions. */
+    void buildAdjacency(const CooGraph &graph, EdgeDirections directions);
 
     /** Relax every out-edge of the round's active ids over @p rows,
      *  an edge of entry x weighing @p weight(x). */
@@ -153,7 +170,7 @@ class RelaxationSweep
 /**
  * Run @p sweep to convergence, recording each round's active ids into
  * a schedule that keeps them while they fit @p cap_bytes (the memo's
- * schedules use FrontierSchedule::capFor(graph)).
+ * schedules use FrontierSchedule::capFor of the edges relaxed).
  */
 FrontierSchedule recordSchedule(RelaxationSweep sweep,
                                 std::size_t cap_bytes);

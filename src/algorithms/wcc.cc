@@ -5,6 +5,7 @@
 
 #include "common/logging.hh"
 #include "graph/graph_memo.hh"
+#include "perf/counters.hh"
 
 namespace graphr
 {
@@ -12,6 +13,9 @@ namespace graphr
 CooGraph
 symmetrize(const CooGraph &graph)
 {
+    static perf::Counter &symmetrizations =
+        perf::Registry::instance().counter("graph.symmetrizations");
+    symmetrizations.add();
     std::vector<Edge> edges;
     edges.reserve(graph.numEdges() * 2);
     for (const Edge &e : graph.edges()) {
@@ -20,13 +24,6 @@ symmetrize(const CooGraph &graph)
             edges.push_back(Edge{e.dst, e.src, e.weight});
     }
     return CooGraph(graph.numVertices(), std::move(edges));
-}
-
-std::shared_ptr<const CooGraph>
-symmetrized(const CooGraph &graph)
-{
-    return graph.memo()->symmetrized(
-        [&graph] { return symmetrize(graph); });
 }
 
 namespace
@@ -145,25 +142,24 @@ wccUnionFind(const CooGraph &graph)
 }
 
 RelaxationSweep
-makeWccSweep(const CooGraph &sym_graph)
+makeWccSweep(const CooGraph &graph)
 {
-    std::vector<Value> labels(sym_graph.numVertices());
-    for (VertexId v = 0; v < sym_graph.numVertices(); ++v)
+    std::vector<Value> labels(graph.numVertices());
+    for (VertexId v = 0; v < graph.numVertices(); ++v)
         labels[v] = static_cast<Value>(v);
-    std::vector<bool> active(sym_graph.numVertices(), true);
-    return RelaxationSweep(sym_graph, std::move(labels),
-                           std::move(active), WeightMode::kZero);
+    std::vector<bool> active(graph.numVertices(), true);
+    return RelaxationSweep(graph, std::move(labels), std::move(active),
+                           WeightMode::kZero, EdgeDirections::kBoth);
 }
 
 std::shared_ptr<const FrontierSchedule>
 wccSchedule(const CooGraph &graph)
 {
-    const std::shared_ptr<const CooGraph> sym = symmetrized(graph);
-    return sym->memo()->frontierSchedule(
-        {GraphMemo::ScheduleKey::Relaxation::kWcc, 0},
-        [&sym] {
-            return recordSchedule(makeWccSweep(*sym),
-                                  FrontierSchedule::capFor(*sym));
+    return graph.memo()->frontierSchedule(
+        {GraphMemo::ScheduleKey::Relaxation::kWcc, 0}, [&graph] {
+            return recordSchedule(
+                makeWccSweep(graph),
+                FrontierSchedule::capFor(SymmetrizedView(graph).numEdges()));
         });
 }
 

@@ -6,11 +6,12 @@
  * vertex programs; WCC by min-label propagation is the canonical
  * third parallel-add-op workload: processEdge is the identity
  * (an addition with weight 0), reduce is min, and the active list is
- * required. Labels propagate over the symmetrised edge set: the
- * golden passes apply each edge and then its reverse, which is the
- * order of symmetrize()'s list without building it, while the
- * simulated runners and baseline sweeps relax over the memoised
- * symmetrised copy, whose plan the GraphR backends walk.
+ * required. Labels propagate over the symmetrised edge set, read
+ * from the graph itself: the golden passes apply each edge and then
+ * its reverse, which is the order of symmetrize()'s list, the
+ * simulated runners and baseline sweeps relax rows scattered from
+ * the graph both ways, and the GraphR backends walk the symmetrised
+ * plan sorted from it (SymmetrizedView). No runner builds the copy.
  */
 
 #ifndef GRAPHR_ALGORITHMS_WCC_HH
@@ -56,28 +57,30 @@ WccResult wccUnionFind(const CooGraph &graph);
  */
 int goldenWccRounds(const CooGraph &graph);
 
-/** Edges plus their reverses (weights preserved). */
+/**
+ * The symmetrised graph as a copy: each edge followed by its reverse
+ * (weight kept), unless it is a self-loop. This is the definition
+ * SymmetrizedView reads from the graph without a copy; no runner
+ * calls it. Each call publishes one graph.symmetrizations count.
+ */
 CooGraph symmetrize(const CooGraph &graph);
 
 /**
- * symmetrize(graph), built once per graph and memoised on it
- * (CooGraph::memo()): every WCC runner of a graph shares one copy,
- * and the copy's own fingerprint is folded once. The copy lives as
- * long as the graph's memo or the returned pointer.
- */
-std::shared_ptr<const CooGraph> symmetrized(const CooGraph &graph);
-
-/**
- * The WCC relaxation over an already-symmetrised graph: every vertex
- * starts active with its own id as label, weights enter as zero.
+ * The WCC relaxation of @p graph: every vertex starts active with its
+ * own id as label, weights enter as zero, and each edge relaxes both
+ * ways (EdgeDirections::kBoth), so the rows are those over
+ * symmetrize(graph) in the same order, without the copy. Pass the
+ * graph itself: a symmetrised graph would be read both ways again.
  * Shared by every cost model that replays WCC rounds.
  */
-RelaxationSweep makeWccSweep(const CooGraph &sym_graph);
+RelaxationSweep makeWccSweep(const CooGraph &graph);
 
 /**
- * The frontier schedule of makeWccSweep(*symmetrized(graph)),
- * recorded once and memoised on the symmetrised copy's memo, so
- * every WCC runner of the graph shares it.
+ * The frontier schedule of makeWccSweep(graph), recorded once and
+ * memoised on the graph's memo, so every WCC runner of the graph
+ * shares it. Its cap is that of the symmetrised edge count
+ * (SymmetrizedView::numEdges()), so the same schedules fit it as
+ * over the copy.
  */
 std::shared_ptr<const FrontierSchedule> wccSchedule(const CooGraph &graph);
 

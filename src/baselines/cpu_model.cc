@@ -216,9 +216,9 @@ CpuModel::runSssp(const CooGraph &graph, VertexId source)
 BaselineReport
 CpuModel::runWcc(const CooGraph &graph)
 {
-    const std::shared_ptr<const CooGraph> sym = symmetrized(graph);
-    RelaxationSweep sweep = makeWccSweep(*sym);
-    return relaxationTrace(*sym, sweep, "wcc", params_);
+    // The sweep relaxes the graph's edges both ways.
+    RelaxationSweep sweep = makeWccSweep(graph);
+    return relaxationTrace(graph, sweep, "wcc", params_);
 }
 
 BaselineReport

@@ -77,8 +77,9 @@ GpuModel::runSpmv(const CooGraph &graph)
 namespace
 {
 
+template <typename Graph>
 BaselineReport
-gpuRelaxation(const CooGraph &graph, RelaxationSweep &sweep,
+gpuRelaxation(const Graph &graph, RelaxationSweep &sweep,
               const char *name, const GpuParams &params)
 {
     BaselineReport report;
@@ -149,9 +150,10 @@ GpuModel::runSssp(const CooGraph &graph, VertexId source)
 BaselineReport
 GpuModel::runWcc(const CooGraph &graph)
 {
-    const std::shared_ptr<const CooGraph> sym = symmetrized(graph);
-    RelaxationSweep sweep = makeWccSweep(*sym);
-    return gpuRelaxation(*sym, sweep, "wcc", params_);
+    // The sweep relaxes the graph's edges both ways; the transfer
+    // prices the symmetrised edges they make.
+    RelaxationSweep sweep = makeWccSweep(graph);
+    return gpuRelaxation(SymmetrizedView(graph), sweep, "wcc", params_);
 }
 
 BaselineReport

@@ -120,9 +120,9 @@ PimModel::runSssp(const CooGraph &graph, VertexId source)
 BaselineReport
 PimModel::runWcc(const CooGraph &graph)
 {
-    const std::shared_ptr<const CooGraph> sym = symmetrized(graph);
-    RelaxationSweep sweep = makeWccSweep(*sym);
-    return pimRelaxation(*sym, sweep, "wcc", *this, params_);
+    // The sweep relaxes the graph's edges both ways.
+    RelaxationSweep sweep = makeWccSweep(graph);
+    return pimRelaxation(graph, sweep, "wcc", *this, params_);
 }
 
 BaselineReport

@@ -51,7 +51,7 @@ class Xxh64
             return;
         const auto *p = static_cast<const unsigned char *>(data);
         total_ += size;
-        if (buffered_ + size < kStripe) {
+        if (size < kStripe && buffered_ + size < kStripe) {
             std::memcpy(buffer_ + buffered_, p, size);
             buffered_ += size;
             return;

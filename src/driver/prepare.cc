@@ -5,7 +5,6 @@
 #include <sstream>
 #include <utility>
 
-#include "algorithms/wcc.hh"
 #include "common/table.hh"
 #include "common/thread_pool.hh"
 #include "driver/dataset.hh"
@@ -22,19 +21,22 @@ namespace
 /**
  * Prepare one graph variant directly against the store: a valid
  * artifact is reused, otherwise the plan is built (the edge sort)
- * and persisted. Deliberately bypasses the in-memory PlanCache
+ * and persisted. @p graph is a CooGraph, or for the symmetrised
+ * variant its SymmetrizedView, whose plan is sorted from the graph
+ * itself. Deliberately bypasses the in-memory PlanCache
  * so `prepare` always leaves a durable artifact behind, even when
  * this process has the plan memoised already.
  */
+template <typename Graph>
 PrepareResult
 prepareVariant(const PlanStore &store, const std::string &dataset,
-               const std::string &variant, const CooGraph &graph,
+               const std::string &variant, const Graph &graph,
                const TilingParams &tiling)
 {
     PrepareResult result;
     result.dataset = dataset;
     result.variant = variant;
-    result.fingerprint = graphFingerprint(graph);
+    result.fingerprint = graph.fingerprint();
     if (TilePlanPtr loaded = store.load(result.fingerprint, tiling)) {
         result.reused = true;
         result.edges = loaded->ordered.edges().size();
@@ -94,7 +96,8 @@ runPrepare(const PrepareSpec &spec, std::ostream *progress,
         if (spec.symmetrized) {
             results[d * variants + 1] =
                 prepareVariant(*store, dataset->name, "symmetrized",
-                               symmetrize(dataset->graph), spec.tiling);
+                               SymmetrizedView(dataset->graph),
+                               spec.tiling);
         }
     });
     return results;

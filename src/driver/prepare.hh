@@ -10,7 +10,9 @@
  * backend) with the same --plan-dir then starts sort-free. Both the
  * plain and the symmetrised edge set are prepared, because WCC (and
  * the out-of-core selective scheduler) execute on the symmetrised
- * graph.
+ * graph. The symmetrised plan is sorted from the graph's own edges
+ * read both ways (SymmetrizedView) and stored under symmetrize()'s
+ * fingerprint; no copy of the graph is built.
  */
 
 #ifndef GRAPHR_DRIVER_PREPARE_HH
@@ -41,7 +43,7 @@ struct PrepareSpec
     std::uint32_t jobs = 1;
     /** Tiling to prepare for (defaults match GraphRConfig). */
     TilingParams tiling;
-    /** Also prepare symmetrize(graph) (WCC / selective runs). */
+    /** Also prepare the symmetrised graph (WCC / selective runs). */
     bool symmetrized = true;
 };
 

@@ -1,6 +1,7 @@
 #include "coo.hh"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <utility>
 
@@ -102,6 +103,40 @@ CooGraph::fingerprint() const
         h.updateWord(numVertices_);
         h.updateWord(numEdges());
         h.update(edges_.data(), edges_.size() * sizeof(Edge));
+        return h.digest();
+    });
+}
+
+EdgeId
+SymmetrizedView::numEdges() const
+{
+    return graph_.memo()->symmetrizedEdges([this] {
+        EdgeId edges = 0;
+        for (const Edge &e : graph_.edges())
+            edges += e.src == e.dst ? 1 : 2;
+        return edges;
+    });
+}
+
+std::uint64_t
+SymmetrizedView::fingerprint() const
+{
+    return graph_.memo()->symmetrizedFingerprint([this] {
+        // CooGraph::fingerprint()'s fold over the records the copy
+        // would hold, hashed a buffer of them at a time.
+        Xxh64 h;
+        h.updateWord(numVertices());
+        h.updateWord(numEdges());
+        std::array<Edge, 256> records;
+        std::size_t held = 0;
+        forEachEdge([&](const Edge &edge, std::uint64_t) {
+            records[held++] = edge;
+            if (held == records.size()) {
+                h.update(records.data(), sizeof(records));
+                held = 0;
+            }
+        });
+        h.update(records.data(), held * sizeof(Edge));
         return h.digest();
     });
 }

@@ -111,6 +111,74 @@ class CooGraph
     MemoSlot memo_;
 };
 
+/**
+ * The symmetrised graph (symmetrize() in algorithms/wcc.hh) as a view
+ * of a graph: each edge, in order, followed by its reverse unless it
+ * is a self-loop, read from the graph's own edges. GraphR stores a
+ * graph's edges once; a WCC run reads them both ways, so nothing holds
+ * a second, doubled edge list. The view's edge count and fingerprint
+ * are those of the copy symmetrize() would build, memoised on the
+ * graph; its plan (TilePlan) and relaxation rows (RelaxationSweep)
+ * are sorted and scattered from forEachEdge(). The view borrows the
+ * graph, which must outlive it.
+ */
+class SymmetrizedView
+{
+  public:
+    explicit SymmetrizedView(const CooGraph &graph) : graph_(graph) {}
+
+    const CooGraph &graph() const { return graph_; }
+    VertexId numVertices() const { return graph_.numVertices(); }
+
+    /** Edges of the symmetrised graph: twice the graph's, less one
+     *  per self-loop. Counted on the first call (memo). */
+    EdgeId numEdges() const;
+
+    /**
+     * The symmetrised graph's fingerprint, bit for bit the
+     * CooGraph::fingerprint() of symmetrize(graph()): the XXH64 of
+     * the vertex count, numEdges() and forEachEdge()'s records,
+     * streamed from the graph on the first call (memo).
+     */
+    std::uint64_t fingerprint() const;
+
+    /**
+     * Call @p visit(edge, origin) on each edge of the symmetrised
+     * graph, in symmetrize()'s order. The origin of edge e of the
+     * graph is 2e, that of its reverse 2e + 1: the origins ascend,
+     * and edgeAt() turns one back into its edge.
+     */
+    template <typename Visit>
+    void
+    forEachEdge(Visit &&visit) const
+    {
+        const std::span<const Edge> edges = graph_.edges();
+        for (std::size_t e = 0; e < edges.size(); ++e) {
+            const Edge &edge = edges[e];
+            visit(edge, std::uint64_t{2} * e);
+            if (edge.src != edge.dst)
+                visit(reversed(edge), std::uint64_t{2} * e + 1);
+        }
+    }
+
+    /** The edge forEachEdge() visits with origin @p origin. */
+    Edge
+    edgeAt(std::uint64_t origin) const
+    {
+        const Edge &edge = graph_.edges()[origin / 2];
+        return origin % 2 == 0 ? edge : reversed(edge);
+    }
+
+  private:
+    static Edge
+    reversed(const Edge &edge)
+    {
+        return Edge{edge.dst, edge.src, edge.weight};
+    }
+
+    const CooGraph &graph_;
+};
+
 } // namespace graphr
 
 #endif // GRAPHR_GRAPH_COO_HH

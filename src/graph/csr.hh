@@ -52,20 +52,22 @@ class CompressedRows
                    Key key, MakeEntry entry)
         : numRows_(num_vertices)
     {
-        // Row v counts into offsets_[v + 2], so after the prefix sum
-        // offsets_[v + 1] is where row v starts; the scatter advances
-        // it to where row v ends, which is offsets_[v + 1]'s final
-        // value. No separate cursor array is needed.
-        offsets_.assign(static_cast<std::size_t>(num_vertices) + 2, 0);
-        for (const Edge &e : edges)
-            ++offsets_[static_cast<std::size_t>(key(e)) + 2];
-        for (std::size_t i = 2; i < offsets_.size(); ++i)
-            offsets_[i] += offsets_[i - 1];
-        entries_.resize(edges.size());
-        for (const Edge &e : edges)
-            entries_[offsets_[static_cast<std::size_t>(key(e)) + 1]++] =
-                entry(e);
-        offsets_.pop_back();
+        build(
+            [edges](const auto &visit) {
+                for (const Edge &e : edges)
+                    visit(e, 0);
+            },
+            key, entry);
+    }
+
+    /** The rows of the symmetrised graph, from the graph itself: the
+     *  same rows, entry for entry, as over symmetrize(view.graph()). */
+    template <typename Key, typename MakeEntry>
+    CompressedRows(const SymmetrizedView &view, Key key, MakeEntry entry)
+        : numRows_(view.numVertices())
+    {
+        build([&view](const auto &visit) { view.forEachEdge(visit); },
+              key, entry);
     }
 
     VertexId numRows() const { return numRows_; }
@@ -96,6 +98,30 @@ class CompressedRows
     const Entry &entry(EdgeId i) const { return entries_[i]; }
 
   private:
+    /** Count and scatter the edges @p for_each_edge visits as
+     *  (edge, origin), in order. */
+    template <typename ForEachEdge, typename Key, typename MakeEntry>
+    void
+    build(ForEachEdge for_each_edge, Key key, MakeEntry entry)
+    {
+        // Row v counts into offsets_[v + 2], so after the prefix sum
+        // offsets_[v + 1] is where row v starts; the scatter advances
+        // it to where row v ends, which is offsets_[v + 1]'s final
+        // value. No separate cursor array is needed.
+        offsets_.assign(static_cast<std::size_t>(numRows_) + 2, 0);
+        for_each_edge([this, &key](const Edge &e, std::uint64_t) {
+            ++offsets_[static_cast<std::size_t>(key(e)) + 2];
+        });
+        for (std::size_t i = 2; i < offsets_.size(); ++i)
+            offsets_[i] += offsets_[i - 1];
+        entries_.resize(offsets_.back());
+        for_each_edge([this, &key, &entry](const Edge &e, std::uint64_t) {
+            entries_[offsets_[static_cast<std::size_t>(key(e)) + 1]++] =
+                entry(e);
+        });
+        offsets_.pop_back();
+    }
+
     VertexId numRows_ = 0;
     std::vector<EdgeId> offsets_;
     std::vector<Entry> entries_;

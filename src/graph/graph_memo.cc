@@ -8,10 +8,9 @@ namespace graphr
 {
 
 std::size_t
-FrontierSchedule::capFor(const CooGraph &graph)
+FrontierSchedule::capFor(EdgeId num_edges)
 {
-    return graph.numEdges() * sizeof(Edge) /
-           GraphMemo::kGoldenCountsPerProduct;
+    return num_edges * sizeof(Edge) / GraphMemo::kGoldenCountsPerProduct;
 }
 
 FrontierSchedule::FrontierSchedule(std::size_t cap_bytes)
@@ -128,18 +127,19 @@ GraphMemo::ScheduleKeyHash::operator()(const ScheduleKey &key) const
     return static_cast<std::size_t>(h.digest());
 }
 
-std::shared_ptr<const CooGraph>
-GraphMemo::symmetrized(const std::function<CooGraph()> &build)
+EdgeId
+GraphMemo::symmetrizedEdges(const std::function<EdgeId()> &count)
 {
-    static perf::Counter &symmetrizations =
-        perf::Registry::instance().counter("graph.symmetrizations");
     bool built = false;
-    std::shared_ptr<const CooGraph> copy = symmetrized_.get(
-        [&build] { return std::make_shared<const CooGraph>(build()); },
-        &built);
-    if (built)
-        symmetrizations.add();
-    return copy;
+    return symmetrizedEdges_.get(count, &built);
+}
+
+std::uint64_t
+GraphMemo::symmetrizedFingerprint(
+    const std::function<std::uint64_t()> &fold)
+{
+    bool built = false;
+    return symmetrizedFingerprint_.get(fold, &built);
 }
 
 } // namespace graphr

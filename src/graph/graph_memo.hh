@@ -6,8 +6,10 @@
  * reuses it on every run. A GraphMemo holds those products for one
  * CooGraph: its fingerprint, the golden iteration and round counts
  * the timing-mode runners charge, the frontier schedules of its
- * add-op relaxations, and the symmetrised copy WCC runs on. The
- * graph owns its memo (CooGraph::memo()), so the products live
+ * add-op relaxations (WCC's among them), and the edge count and
+ * fingerprint of its symmetrised graph (SymmetrizedView). It holds
+ * no copy of the edges: WCC reads the graph's own edges both ways.
+ * The graph owns its memo (CooGraph::memo()), so the products live
  * exactly as long as the graph: a resident graphr_serve dataset pays
  * for each once across all requests, a one-shot sweep once per
  * sweep, and eviction frees them with the graph.
@@ -16,8 +18,9 @@
  * its algorithm's own work: the fingerprint is an XXH64 of the edge
  * records, golden PageRank pulls over a 4-byte-per-edge in-edge
  * index, the BFS and WCC schedules relax over neighbour ids only
- * (SSSP over id-weight entries), and the WCC round count reads the
- * graph's own edges, each followed by its reverse, not the copy.
+ * (SSSP over id-weight entries), and the WCC round count and the
+ * symmetrised fingerprint read the graph's own edges, each followed
+ * by its reverse, not a copy.
  *
  * The memo stores; it does not compute. Callers pass the pure
  * function that builds a product (the golden-count and schedule
@@ -66,9 +69,10 @@ namespace graphr
 class FrontierSchedule
 {
   public:
-    /** The cap of a schedule of a relaxation over @p graph:
-     *  numEdges * sizeof(Edge) / kGoldenCountsPerProduct bytes. */
-    static std::size_t capFor(const CooGraph &graph);
+    /** The cap of a schedule of a relaxation over @p num_edges
+     *  edges (a graph's, or for WCC its symmetrised count):
+     *  num_edges * sizeof(Edge) / kGoldenCountsPerProduct bytes. */
+    static std::size_t capFor(EdgeId num_edges);
 
     /** An empty schedule that keeps ids while they fit @p cap_bytes. */
     explicit FrontierSchedule(std::size_t cap_bytes);
@@ -174,13 +178,14 @@ class GraphMemo
     frontierSchedule(const ScheduleKey &key,
                      const std::function<FrontierSchedule()> &build);
 
-    /**
-     * The graph's symmetrised copy; @p build runs on the first call
-     * only, and each run publishes one graph.symmetrizations count.
-     * The copy has its own memo, so its fingerprint is folded once.
-     */
-    std::shared_ptr<const CooGraph>
-    symmetrized(const std::function<CooGraph()> &build);
+    /** The symmetrised graph's edge count (SymmetrizedView);
+     *  @p count runs on the first call only. */
+    EdgeId symmetrizedEdges(const std::function<EdgeId()> &count);
+
+    /** The symmetrised graph's fingerprint (SymmetrizedView);
+     *  @p fold runs on the first call only. */
+    std::uint64_t
+    symmetrizedFingerprint(const std::function<std::uint64_t()> &fold);
 
   private:
     /** One product slot: built under its own mutex, so concurrent
@@ -218,7 +223,8 @@ class GraphMemo
         LruCache<ScheduleKey, FrontierSchedule, ScheduleKeyHash>;
 
     Once<std::uint64_t> fingerprint_;
-    Once<std::shared_ptr<const CooGraph>> symmetrized_;
+    Once<EdgeId> symmetrizedEdges_;
+    Once<std::uint64_t> symmetrizedFingerprint_;
     /** One LRU per product (indexed by GoldenKey::Product). */
     std::array<GoldenCounts,
                static_cast<std::size_t>(GoldenKey::Product::kCount)>

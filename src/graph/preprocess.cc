@@ -70,30 +70,27 @@ OrderedEdgeList::sortsPerformed()
     return g_sorts_performed.load(std::memory_order_relaxed);
 }
 
-OrderedEdgeList::OrderedEdgeList(const CooGraph &graph,
-                                 const GridPartition &partition)
-    : partition_(partition)
+template <typename ForEachEdge, typename EdgeAt>
+void
+OrderedEdgeList::sortEdges(std::size_t num_edges,
+                           ForEachEdge for_each_edge, EdgeAt edge_at)
 {
-    GRAPHR_ASSERT(graph.numVertices() == partition.numVertices(),
-                  "partition built for |V|=", partition.numVertices(),
-                  " but graph has |V|=", graph.numVertices());
-    const std::span<const Edge> input = graph.edges();
-    GRAPHR_ASSERT(input.size() <= std::numeric_limits<std::uint32_t>::max(),
-                  "graph has ", input.size(),
-                  " edges; preprocessing indexes edges with 32 bits");
     g_sorts_performed.fetch_add(1, std::memory_order_relaxed);
     static perf::Counter &sorts =
         perf::Registry::instance().counter("preprocess.sorts");
     sorts.add();
 
-    std::vector<std::uint32_t> index(input.size());
+    std::vector<std::uint32_t> index(num_edges);
     {
-        std::vector<std::uint64_t> keys(input.size());
-        for (std::size_t e = 0; e < input.size(); ++e) {
-            keys[e] =
-                partition_.globalOrderId(input[e].src, input[e].dst);
-            index[e] = static_cast<std::uint32_t>(e);
-        }
+        std::vector<std::uint64_t> keys(num_edges);
+        std::size_t at = 0;
+        for_each_edge([&](const Edge &edge, std::uint64_t origin) {
+            keys[at] = partition_.globalOrderId(edge.src, edge.dst);
+            index[at] = static_cast<std::uint32_t>(origin);
+            ++at;
+        });
+        GRAPHR_ASSERT(at == num_edges, "visited ", at, " edges of ",
+                      num_edges);
         radixSortByKey(keys, index);
 
         // Build the non-empty tile directory in a single pass.
@@ -110,9 +107,48 @@ OrderedEdgeList::OrderedEdgeList(const CooGraph &graph,
         }
     } // the keys are freed before the gather allocates the edges
 
-    edges_.resize(input.size());
-    for (std::size_t e = 0; e < input.size(); ++e)
-        edges_[e] = input[index[e]];
+    edges_.resize(num_edges);
+    for (std::size_t e = 0; e < num_edges; ++e)
+        edges_[e] = edge_at(index[e]);
+}
+
+OrderedEdgeList::OrderedEdgeList(const CooGraph &graph,
+                                 const GridPartition &partition)
+    : partition_(partition)
+{
+    GRAPHR_ASSERT(graph.numVertices() == partition.numVertices(),
+                  "partition built for |V|=", partition.numVertices(),
+                  " but graph has |V|=", graph.numVertices());
+    const std::span<const Edge> input = graph.edges();
+    GRAPHR_ASSERT(input.size() <= std::numeric_limits<std::uint32_t>::max(),
+                  "graph has ", input.size(),
+                  " edges; preprocessing indexes edges with 32 bits");
+    sortEdges(
+        input.size(),
+        [input](const auto &visit) {
+            for (std::size_t e = 0; e < input.size(); ++e)
+                visit(input[e], e);
+        },
+        [input](std::uint32_t e) { return input[e]; });
+}
+
+OrderedEdgeList::OrderedEdgeList(const SymmetrizedView &view,
+                                 const GridPartition &partition)
+    : partition_(partition)
+{
+    GRAPHR_ASSERT(view.numVertices() == partition.numVertices(),
+                  "partition built for |V|=", partition.numVertices(),
+                  " but graph has |V|=", view.numVertices());
+    const std::size_t graph_edges = view.graph().numEdges();
+    GRAPHR_ASSERT(graph_edges <=
+                      std::numeric_limits<std::uint32_t>::max() / 2,
+                  "graph has ", graph_edges,
+                  " edges; preprocessing indexes both directions of an "
+                  "edge with 32 bits");
+    sortEdges(
+        view.numEdges(),
+        [&view](const auto &visit) { view.forEachEdge(visit); },
+        [&view](std::uint32_t origin) { return view.edgeAt(origin); });
 }
 
 OrderedEdgeList::OrderedEdgeList(const GridPartition &partition,

@@ -80,6 +80,18 @@ class OrderedEdgeList
     OrderedEdgeList(const CooGraph &graph, const GridPartition &partition);
 
     /**
+     * Preprocess the symmetrised graph from the graph itself: the
+     * same sort over the view's edges, read both ways. The sort index
+     * of an edge is its origin (2e + direction, see
+     * SymmetrizedView::forEachEdge), so equal keys keep symmetrize()'s
+     * order and the list equals OrderedEdgeList(symmetrize(graph),
+     * partition) edge for edge. The graph may hold up to 2^31 - 1
+     * edges.
+     */
+    OrderedEdgeList(const SymmetrizedView &view,
+                    const GridPartition &partition);
+
+    /**
      * Drain a tile-at-a-time chunk source (streaming decode of a
      * plan artifact) without re-sorting. The source guarantees
      * canonical streaming order; this does not count as a
@@ -121,6 +133,16 @@ class OrderedEdgeList
     static std::uint64_t sortsPerformed();
 
   private:
+    /**
+     * The sort both preprocessing constructors run: @p for_each_edge
+     * visits @p num_edges edges as (edge, index), indices ascending
+     * and below 2^32, and @p edge_at(index) returns that edge again
+     * for the gather.
+     */
+    template <typename ForEachEdge, typename EdgeAt>
+    void sortEdges(std::size_t num_edges, ForEachEdge for_each_edge,
+                   EdgeAt edge_at);
+
     GridPartition partition_;
     std::vector<Edge> edges_;
     std::vector<TileSpan> tiles_;

@@ -98,7 +98,27 @@ PlanCache::get(const CooGraph &graph, const TilingParams &tiling,
 {
     // Memoised on the graph: a resident graph is hashed once, not on
     // every lookup.
-    const std::uint64_t fingerprint = graphFingerprint(graph);
+    const auto prepare = [&graph, &tiling] {
+        return std::make_shared<const TilePlan>(graph, tiling);
+    };
+    return getPlan(graphFingerprint(graph), tiling, cache_hit, prepare);
+}
+
+TilePlanPtr
+PlanCache::get(const SymmetrizedView &view, const TilingParams &tiling,
+               bool *cache_hit)
+{
+    const auto prepare = [&view, &tiling] {
+        return std::make_shared<const TilePlan>(view, tiling);
+    };
+    return getPlan(view.fingerprint(), tiling, cache_hit, prepare);
+}
+
+template <typename Prepare>
+TilePlanPtr
+PlanCache::getPlan(std::uint64_t fingerprint, const TilingParams &tiling,
+                   bool *cache_hit, Prepare prepare)
+{
     // Snapshot once: the factory runs outside every cache lock. Under
     // a request-scoped override (tenant namespace) the entry is keyed
     // by the overriding store's directory too, so tenants never share
@@ -119,7 +139,7 @@ PlanCache::get(const CooGraph &graph, const TilingParams &tiling,
     bool hit = false;
     TilePlanPtr plan = cache_.getOrBuild(
         key,
-        [&graph, &tiling, fingerprint, &store] {
+        [&tiling, fingerprint, &store, &prepare] {
             // Injectable build failure: exercises LruCache's failed-
             // build contract (the exception reaches every waiter, the
             // slot is dropped, the next get() retries the build).
@@ -131,8 +151,7 @@ PlanCache::get(const CooGraph &graph, const TilingParams &tiling,
                 if (TilePlanPtr loaded = store->load(fingerprint, tiling))
                     return loaded;
             }
-            TilePlanPtr built =
-                std::make_shared<const TilePlan>(graph, tiling);
+            TilePlanPtr built = prepare();
             if (store != nullptr) {
                 // Write-through is best-effort: a full disk must not
                 // kill the run that could recompute the plan anyway.

@@ -57,6 +57,15 @@ class PlanCache
                     bool *cache_hit = nullptr);
 
     /**
+     * The same for the symmetrised graph of view.graph(), keyed by
+     * the view's fingerprint, which is symmetrize()'s: the entry (and
+     * store artifact) a get() of the copy would use. A miss sorts the
+     * plan from the graph itself (TilePlan(view, tiling)).
+     */
+    TilePlanPtr get(const SymmetrizedView &view, const TilingParams &tiling,
+                    bool *cache_hit = nullptr);
+
+    /**
      * Attach (or with nullptr detach) an on-disk second level. With a
      * store attached, a memory miss first tries a validated store
      * load (skipping the edge sort entirely) and a fresh
@@ -125,7 +134,7 @@ class PlanCache
 
     /**
      * Default entry count. Every backend of a dataset needs at most
-     * two plans per tiling, the graph's and its symmetrised copy's
+     * two plans per tiling, the graph's and its symmetrised graph's
      * (multinode stripes are ranges of the graph's plan, not plans
      * of their own). So 32 entries hold the plans of sixteen
      * datasets: a multi-dataset `--backend all` sweep, or twice the
@@ -153,6 +162,13 @@ class PlanCache
     {
         std::size_t operator()(const Key &key) const;
     };
+
+    /** get() of a graph whose fingerprint is @p fingerprint; a miss
+     *  builds its plan with @p prepare (a TilePlan constructor). */
+    template <typename Prepare>
+    TilePlanPtr getPlan(std::uint64_t fingerprint,
+                        const TilingParams &tiling, bool *cache_hit,
+                        Prepare prepare);
 
     LruCache<Key, TilePlan, KeyHash> cache_;
 

@@ -430,7 +430,8 @@ TileExecutor::addOpRun(const CooGraph &graph, const AddOpSpec &spec,
         for (int r = 0; r < spec.schedule->rounds(); ++r)
             price_round(spec.schedule->round(r));
     } else {
-        sweep.emplace(graph, spec.initLabels, spec.initActive, spec.mode);
+        sweep.emplace(graph, spec.initLabels, spec.initActive, spec.mode,
+                      spec.directions);
         for (; !sweep->done(); sweep->step())
             price_round(sweep->activeIds());
     }
@@ -451,7 +452,8 @@ TileExecutor::addOpRun(const CooGraph &graph, const AddOpSpec &spec,
     if (!sweep.has_value()) {
         // Timing-mode labels are computed for the call, by the
         // relaxation the schedule recorded.
-        sweep.emplace(graph, spec.initLabels, spec.initActive, spec.mode);
+        sweep.emplace(graph, spec.initLabels, spec.initActive, spec.mode,
+                      spec.directions);
         while (!sweep->done())
             sweep->step();
     }

@@ -74,8 +74,11 @@ struct AddOpSpec
     std::vector<Value> initLabels;
     std::vector<bool> initActive;
     WeightMode mode = WeightMode::kOriginal;
+    /** The edge directions relaxed: kBoth for WCC, whose plan is the
+     *  symmetrised graph's (PlanCache::get(SymmetrizedView)). */
+    EdgeDirections directions = EdgeDirections::kForward;
     /**
-     * Optional: the recorded frontier of the relaxation the three
+     * Optional: the recorded frontier of the relaxation the four
      * fields above start (bfsSchedule() and its siblings). The timing
      * walk prices its rounds instead of relaxing again. Null, or a
      * schedule past its cap (FrontierSchedule::recorded() false),
@@ -170,7 +173,9 @@ class TileExecutor
      * final labels: from the GE datapath in functional mode, else
      * from a relaxation run for the call. A round costs its frontier:
      * its tiles come from the plan's tile-row index
-     * (TileMetaTable::rowTiles), not a walk over every tile.
+     * (TileMetaTable::rowTiles), not a walk over every tile. The plan
+     * holds @p graph's edges read in spec.directions, and a relaxation
+     * run here reads them the same way.
      */
     SimReport addOpRun(const CooGraph &graph, const AddOpSpec &spec,
                        const char *name,

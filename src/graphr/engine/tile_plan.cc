@@ -10,6 +10,13 @@ TilePlan::TilePlan(const CooGraph &graph, const TilingParams &tiling)
 {
 }
 
+TilePlan::TilePlan(const SymmetrizedView &view,
+                   const TilingParams &tiling)
+    : partition(view.numVertices(), tiling), ordered(view, partition),
+      meta(ordered), fingerprint(view.fingerprint())
+{
+}
+
 TilePlan::TilePlan(VertexId num_vertices, const TilingParams &tiling,
                    TileChunkSource &chunks,
                    std::uint64_t graph_fingerprint)

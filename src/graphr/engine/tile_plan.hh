@@ -45,6 +45,11 @@ struct TilePlan
 
     TilePlan(const CooGraph &graph, const TilingParams &tiling);
 
+    /** The plan of the symmetrised graph, sorted from the graph
+     *  itself: equal to TilePlan(symmetrize(view.graph()), tiling),
+     *  fingerprint included. */
+    TilePlan(const SymmetrizedView &view, const TilingParams &tiling);
+
     /**
      * Assemble a plan by draining a tile-at-a-time chunk source (the
      * deserialisation path of the on-disk plan store): edges and

@@ -19,8 +19,9 @@ MultiNodeGraphR::MultiNodeGraphR(const GraphRConfig &config,
     GRAPHR_ASSERT(numNodes_ > 0, "need at least one node");
 }
 
+template <typename Graph>
 MultiNodeReport
-MultiNodeGraphR::runSweeps(const CooGraph &graph,
+MultiNodeGraphR::runSweeps(const Graph &graph,
                            std::uint64_t iterations,
                            const MacSpec &sweep,
                            double props_per_vertex) const
@@ -123,8 +124,9 @@ MultiNodeReport
 MultiNodeGraphR::runWcc(const CooGraph &graph)
 {
     // Labels propagate over the symmetrised edge set; each node owns
-    // the symmetrised edges of its destination stripe.
-    return runSweeps(*symmetrized(graph),
+    // the symmetrised edges of its destination stripe, priced off the
+    // symmetrised plan sorted from the graph itself.
+    return runSweeps(SymmetrizedView(graph),
                      static_cast<std::uint64_t>(goldenWccRounds(graph)),
                      spmvSweep(), /*props_per_vertex=*/1.0);
 }

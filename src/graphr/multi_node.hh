@@ -17,7 +17,8 @@
  * pass over that plan, exactly as a node holding only the stripe's
  * edges would. A run therefore costs one pass plus one report per
  * node, whatever the node count, and adds no plan beyond the graph's
- * (and, for WCC, its symmetrised copy's). The cluster is timing-only:
+ * (and, for WCC, its symmetrised graph's, sorted from the graph
+ * itself: SymmetrizedView). The cluster is timing-only:
  * functional mode changes nothing here.
  */
 
@@ -89,7 +90,7 @@ class MultiNodeGraphR
      * ssspSchedule), the node's own rounds; WCC charges wcc()'s
      * in-place propagation passes (goldenWccRounds). Each round every
      * node sweeps its stripe of the graph (for WCC, of its
-     * symmetrised copy) and the updated labels are all-gathered.
+     * symmetrised graph) and the updated labels are all-gathered.
      * Charging a full stripe sweep per round is a conservative bound
      * — sparse-frontier rounds touch fewer tiles.
      */
@@ -108,10 +109,12 @@ class MultiNodeGraphR
   private:
     /**
      * Shared cost core: `iterations` rounds, each charging one
-     * parallel sweep of `sweep` over every node's stripe and one
-     * all-gather of `props_per_vertex` properties per vertex.
+     * parallel sweep of `sweep` over every node's stripe of @p graph's
+     * plan (@p graph is a CooGraph or, for WCC, its SymmetrizedView)
+     * and one all-gather of `props_per_vertex` properties per vertex.
      */
-    MultiNodeReport runSweeps(const CooGraph &graph,
+    template <typename Graph>
+    MultiNodeReport runSweeps(const Graph &graph,
                               std::uint64_t iterations,
                               const MacSpec &sweep,
                               double props_per_vertex) const;

@@ -30,8 +30,9 @@ GraphRNode::GraphRNode(GraphRConfig config)
 {
 }
 
+template <typename Graph>
 TileExecutor
-GraphRNode::makeExecutor(const CooGraph &graph)
+GraphRNode::makeExecutor(const Graph &graph)
 {
     bool hit = false;
     TilePlanPtr plan =
@@ -196,21 +197,22 @@ GraphRNode::runWcc(const CooGraph &graph,
                    std::vector<VertexId> *labels_out,
                    const RoundObserver &on_round)
 {
-    // Min-label propagation needs both edge directions.
-    const std::shared_ptr<const CooGraph> sym = symmetrized(graph);
+    // Min-label propagation needs both edge directions: the plan is
+    // the symmetrised graph's, the relaxation reads each edge both ways.
     AddOpSpec spec;
-    spec.initLabels.resize(sym->numVertices());
-    for (VertexId v = 0; v < sym->numVertices(); ++v)
+    spec.initLabels.resize(graph.numVertices());
+    for (VertexId v = 0; v < graph.numVertices(); ++v)
         spec.initLabels[v] = static_cast<Value>(v);
-    spec.initActive.assign(sym->numVertices(), true);
+    spec.initActive.assign(graph.numVertices(), true);
     spec.mode = WeightMode::kZero;
+    spec.directions = EdgeDirections::kBoth;
     spec.schedule = wccSchedule(graph);
     spec.onRound = on_round;
-    TileExecutor exec = makeExecutor(*sym);
+    TileExecutor exec = makeExecutor(SymmetrizedView(graph));
 
     std::vector<Value> labels;
     SimReport report =
-        exec.addOpRun(*sym, spec, "wcc",
+        exec.addOpRun(graph, spec, "wcc",
                       labels_out != nullptr ? &labels : nullptr);
     lastStats_ = exec.stats();
     if (labels_out != nullptr) {

@@ -90,7 +90,9 @@ class GraphRNode
      * Weakly connected components by min-label propagation over the
      * symmetrised graph (parallel add-op with zero edge weight; the
      * natural third add-op vertex program alongside BFS/SSSP). The
-     * rounds @p on_round sees are those over symmetrized(graph).
+     * node walks the symmetrised plan and relaxes @p graph's edges
+     * both ways (SymmetrizedView), with no copy; the rounds
+     * @p on_round sees are those of wccSchedule(graph).
      */
     SimReport runWcc(const CooGraph &graph,
                      std::vector<VertexId> *labels_out = nullptr,
@@ -113,8 +115,10 @@ class GraphRNode
     const EngineStats &lastEngineStats() const { return lastStats_; }
 
   private:
-    /** Executor over the (cached) plan for this graph. */
-    TileExecutor makeExecutor(const CooGraph &graph);
+    /** Executor over the (cached) plan of @p graph, a CooGraph or
+     *  the SymmetrizedView of one. */
+    template <typename Graph>
+    TileExecutor makeExecutor(const Graph &graph);
 
     GraphRConfig config_;
     EngineStats lastStats_;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "algorithms/wcc.hh"
 #include "common/logging.hh"
 #include "graphr/engine/plan_cache.hh"
 
@@ -88,9 +87,10 @@ OutOfCoreRunner::runCf(const CooGraph &ratings, const CfParams &params)
     return sequentialSweeps(ratings, node.runCf(ratings, params));
 }
 
+template <typename Graph>
 OutOfCoreReport
 OutOfCoreRunner::selectiveRounds(
-    const CooGraph &graph,
+    const Graph &graph,
     const std::function<SimReport(const RoundObserver &)> &run_node) const
 {
     OutOfCoreReport report;
@@ -160,10 +160,10 @@ OutOfCoreRunner::runSssp(const CooGraph &graph, VertexId source)
 OutOfCoreReport
 OutOfCoreRunner::runWcc(const CooGraph &graph)
 {
-    // The node relaxes over the symmetrised copy, so the disk
-    // schedule streams that copy's block-rows.
+    // The node walks the symmetrised plan, so the disk schedule
+    // streams that plan's block-rows.
     return selectiveRounds(
-        *symmetrized(graph), [&](const RoundObserver &on_round) {
+        SymmetrizedView(graph), [&](const RoundObserver &on_round) {
             return GraphRNode(config_).runWcc(graph, nullptr, on_round);
         });
 }

@@ -101,15 +101,18 @@ class OutOfCoreRunner
 
     /**
      * Selective schedule (BFS/SSSP/WCC): @p run_node runs the node's
-     * add-op walk over @p graph and hands each round's active ids to
-     * the observer it is given; a block-row is streamed in a round
-     * when one of its sources is active. Disk bytes and seconds
-     * accumulate round by round, block-rows ascending. There is no
-     * second relaxation: the rounds are the node's own, read from the
-     * graph's memoised frontier schedule.
+     * add-op walk over @p graph (a CooGraph, or for WCC its
+     * SymmetrizedView, whose plan's tiles give the block-row bytes)
+     * and hands each round's active ids to the observer it is given;
+     * a block-row is streamed in a round when one of its sources is
+     * active. Disk bytes and seconds accumulate round by round,
+     * block-rows ascending. There is no second relaxation: the rounds
+     * are the node's own, read from the graph's memoised frontier
+     * schedule.
      */
+    template <typename Graph>
     OutOfCoreReport selectiveRounds(
-        const CooGraph &graph,
+        const Graph &graph,
         const std::function<SimReport(const RoundObserver &)> &run_node)
         const;
 

@@ -168,9 +168,9 @@ class ScratchStoreDir
 
 /**
  * Drop every process-wide warm level (memory only, not the store).
- * Golden counts and symmetrised copies live on their graph, so they
- * go with the graphs a scenario drops; their counters keep counting
- * across the drop, which the per-rep deltas need.
+ * Golden counts and schedules live on their graph, so they go with
+ * the graphs a scenario drops; their counters keep counting across
+ * the drop, which the per-rep deltas need.
  */
 void
 dropCaches()
@@ -185,8 +185,8 @@ dropCaches()
  * simulated seconds (the model's deterministic output), run count,
  * the warm-path invariant that no edge sort happens, and the graph
  * memo's work: each sweep resolves a fresh graph, so it computes
- * each golden count, each frontier schedule and the symmetrised copy
- * exactly once.
+ * each golden count and each frontier schedule exactly once, and
+ * builds no symmetrised copy (WCC reads the graph both ways).
  */
 void
 sweepScenario(SuiteBuilder &b, const std::string &prefix,

@@ -1,6 +1,7 @@
 #include "plan_store.hh"
 
 #include <algorithm>
+#include <array>
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
@@ -13,6 +14,7 @@
 #include <utility>
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include "common/checksum.hh"
@@ -162,12 +164,16 @@ struct Header
 };
 
 /**
- * Read a whole artifact into @p bytes with a chunked POSIX read; false
- * if the file cannot be opened or a read fails for good. Transient
- * errors (EINTR/EAGAIN, injectable via store.read.eintr) are retried
- * with bounded backoff; a premature EOF (store.read.short) simply
- * yields a truncated buffer, which header/payload validation then
- * rejects — the degrade-to-fresh-prepare path, never a crash.
+ * Read a whole artifact into @p bytes with chunked POSIX reads into a
+ * buffer of the size fstat reports; false if the file cannot be
+ * opened or a read fails for good. Past that size a read lands in a
+ * small spill buffer first, so the read that finds an unchanged
+ * file's end grows nothing, and a file that grew since the fstat is
+ * appended from it. Transient errors (EINTR/EAGAIN, injectable via
+ * store.read.eintr) are retried with bounded backoff; a premature EOF
+ * (store.read.short) simply yields a truncated buffer, which
+ * header/payload validation then rejects — the degrade-to-fresh-
+ * prepare path, never a crash.
  */
 bool
 readFile(const std::string &path, std::vector<unsigned char> &bytes)
@@ -177,12 +183,19 @@ readFile(const std::string &path, std::vector<unsigned char> &bytes)
     const int fd = ::open(path.c_str(), O_RDONLY);
     if (fd < 0)
         return false;
+    struct stat st = {};
+    bytes.resize(::fstat(fd, &st) == 0 && st.st_size > 0
+                     ? static_cast<std::size_t>(st.st_size)
+                     : 0);
     constexpr std::size_t kChunk = 1 << 20;
-    bytes.clear();
+    std::array<unsigned char, 4096> spill;
+    std::size_t at = 0;
     int transient = 0;
     for (;;) {
-        const std::size_t at = bytes.size();
-        bytes.resize(at + kChunk);
+        const bool past = at >= bytes.size();
+        unsigned char *to = past ? spill.data() : bytes.data() + at;
+        const std::size_t want =
+            past ? spill.size() : std::min(kChunk, bytes.size() - at);
         ssize_t n;
         if (GRAPHR_FAILPOINT("store.read.eintr")) {
             n = -1;
@@ -190,10 +203,9 @@ readFile(const std::string &path, std::vector<unsigned char> &bytes)
         } else if (GRAPHR_FAILPOINT("store.read.short")) {
             n = 0; // the file "ends" mid-read: truncated artifact
         } else {
-            n = ::read(fd, bytes.data() + at, kChunk);
+            n = ::read(fd, to, want);
         }
         if (n < 0) {
-            bytes.resize(at);
             if ((errno == EINTR || errno == EAGAIN) &&
                 ++transient < kMaxIoAttempts) {
                 noteRetry();
@@ -203,11 +215,14 @@ readFile(const std::string &path, std::vector<unsigned char> &bytes)
             ::close(fd);
             return false;
         }
-        bytes.resize(at + static_cast<std::size_t>(n));
         if (n == 0)
             break;
+        if (past)
+            bytes.insert(bytes.end(), to, to + n);
+        at += static_cast<std::size_t>(n);
     }
     ::close(fd);
+    bytes.resize(at);
     return true;
 }
 

@@ -309,7 +309,8 @@ TEST(FrontierScheduleTest, SweepRoundsAreTheDefinitionOnEveryFamily)
             for (const auto &schedule :
                  {bfsSchedule(g, source), ssspSchedule(g, source)}) {
                 EXPECT_LE(schedule->bytes(), schedule->cap());
-                EXPECT_EQ(schedule->cap(), FrontierSchedule::capFor(g));
+                EXPECT_EQ(schedule->cap(),
+                          FrontierSchedule::capFor(g.numEdges()));
             }
             EXPECT_EQ(bfsSchedule(g, source)->rounds(),
                       bfs(g, source).iterations);
@@ -332,11 +333,11 @@ TEST(FrontierScheduleTest, SweepRoundsAreTheDefinitionOnEveryFamily)
         std::vector<Value> labels(nv);
         for (VertexId v = 0; v < nv; ++v)
             labels[v] = static_cast<Value>(v);
-        expectSweepIsReference(makeWccSweep(sym), sym, labels,
+        expectSweepIsReference(makeWccSweep(g), sym, labels,
                                std::vector<bool>(nv, true),
                                WeightMode::kZero);
         EXPECT_EQ(wccSchedule(g)->rounds(),
-                  recordSchedule(makeWccSweep(sym), 0).rounds());
+                  recordSchedule(makeWccSweep(g), 0).rounds());
     }
 }
 

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <functional>
 #include <memory>
 #include <thread>
@@ -21,6 +22,7 @@
 #include "graph/csr.hh"
 #include "graph/generator.hh"
 #include "graph/graph_memo.hh"
+#include "graphr/engine/plan_cache.hh"
 #include "perf/counters.hh"
 
 namespace graphr
@@ -261,17 +263,30 @@ counterValue(const char *name)
     return perf::Registry::instance().counter(name).value();
 }
 
-TEST(CooMemoTest, SymmetrizedCopyIsSymmetrizeBuiltOnce)
+TEST(CooMemoTest, SymmetrizedViewIsSymmetrizeWithoutACopy)
 {
-    const CooGraph g = paperGraph();
-    const std::shared_ptr<const CooGraph> sym = symmetrized(g);
+    CooGraph g = paperGraph();
+    g.addEdge(2, 2, 0.5); // a self-loop has no reverse
+    const std::uint64_t symmetrizations =
+        counterValue("graph.symmetrizations");
+    const SymmetrizedView view(g);
+    std::vector<Edge> visited;
+    view.forEachEdge([&](const Edge &e, std::uint64_t origin) {
+        EXPECT_EQ(view.edgeAt(origin), e);
+        visited.push_back(e);
+    });
+    const std::uint64_t edges = view.numEdges();
+    const std::uint64_t fingerprint = view.fingerprint();
+    EXPECT_EQ(counterValue("graph.symmetrizations"), symmetrizations)
+        << "the view built a copy";
+
     const CooGraph want = symmetrize(g);
-    ASSERT_EQ(sym->numVertices(), want.numVertices());
-    ASSERT_EQ(sym->numEdges(), want.numEdges());
-    EXPECT_TRUE(std::equal(sym->edges().begin(), sym->edges().end(),
-                           want.edges().begin()));
-    EXPECT_EQ(sym->fingerprint(), want.fingerprint());
-    EXPECT_EQ(symmetrized(g).get(), sym.get());
+    EXPECT_EQ(counterValue("graph.symmetrizations"), symmetrizations + 1)
+        << "symmetrize() counts the copy it builds";
+    EXPECT_EQ(visited, std::vector<Edge>(want.edges().begin(),
+                                         want.edges().end()));
+    EXPECT_EQ(edges, want.numEdges());
+    EXPECT_EQ(fingerprint, want.fingerprint());
 }
 
 TEST(CooMemoTest, MutatorsDropItCopiesShareItMovesTakeIt)
@@ -287,12 +302,13 @@ TEST(CooMemoTest, MutatorsDropItCopiesShareItMovesTakeIt)
             {"dedupe", [](CooGraph &m) { m.dedupe(); }},
         };
     for (const auto &[what, mutate] : mutators) {
-        const std::shared_ptr<const CooGraph> before = symmetrized(g);
+        const std::uint64_t before = SymmetrizedView(g).fingerprint();
         mutate(g);
-        const std::shared_ptr<const CooGraph> after = symmetrized(g);
-        EXPECT_NE(after.get(), before.get()) << what;
-        EXPECT_EQ(after->fingerprint(), symmetrize(g).fingerprint())
+        const CooGraph want = symmetrize(g);
+        EXPECT_NE(SymmetrizedView(g).fingerprint(), before) << what;
+        EXPECT_EQ(SymmetrizedView(g).fingerprint(), want.fingerprint())
             << what;
+        EXPECT_EQ(SymmetrizedView(g).numEdges(), want.numEdges()) << what;
     }
 
     CooGraph copy = g;
@@ -318,43 +334,89 @@ TEST(CooMemoTest, ConcurrentFirstCallsBuildOnce)
     const CooGraph g = paperGraph();
     const int want_rounds = wcc(g).iterations;
     const int want_bfs_rounds = bfs(g, 4).iterations;
+    const CooGraph want_sym = symmetrize(g);
+    const int want_wcc_rounds = recordSchedule(makeWccSweep(g), 0).rounds();
+    const TilingParams tiling;
     const std::uint64_t symmetrizations =
         counterValue("graph.symmetrizations");
+    const std::uint64_t sorts = counterValue("preprocess.sorts");
     const std::uint64_t misses = counterValue("golden_cache.misses");
     const std::uint64_t hits = counterValue("golden_cache.hits");
     const std::uint64_t frontier_misses =
         counterValue("frontier_cache.misses");
     const std::uint64_t frontier_hits = counterValue("frontier_cache.hits");
 
+    // The first callers of the symmetrised graph race for its edge
+    // count, fingerprint, WCC schedule and plan: each is built once.
+    PlanCache::instance().clear();
     constexpr std::size_t kThreads = 8;
-    std::vector<const CooGraph *> copies(kThreads, nullptr);
+    std::vector<std::uint64_t> sym_edges(kThreads, 0);
+    std::vector<std::uint64_t> sym_fingerprints(kThreads, 0);
+    std::vector<const TilePlan *> sym_plans(kThreads, nullptr);
     std::vector<int> rounds(kThreads, 0);
     std::vector<const FrontierSchedule *> schedules(kThreads, nullptr);
+    std::vector<const FrontierSchedule *> wcc_schedules(kThreads, nullptr);
     std::vector<std::thread> threads;
     for (std::size_t t = 0; t < kThreads; ++t) {
         threads.emplace_back([&, t] {
-            copies[t] = symmetrized(g).get();
+            const SymmetrizedView view(g);
+            sym_edges[t] = view.numEdges();
+            sym_fingerprints[t] = view.fingerprint();
+            sym_plans[t] = PlanCache::instance().get(view, tiling).get();
             rounds[t] = goldenWccRounds(g);
             schedules[t] = bfsSchedule(g, 4).get();
+            wcc_schedules[t] = wccSchedule(g).get();
         });
     }
     for (std::thread &t : threads)
         t.join();
 
-    EXPECT_EQ(counterValue("graph.symmetrizations") - symmetrizations,
-              1u);
+    EXPECT_EQ(counterValue("graph.symmetrizations"), symmetrizations);
+    EXPECT_EQ(counterValue("preprocess.sorts") - sorts, 1u);
     EXPECT_EQ(counterValue("golden_cache.misses") - misses, 1u);
     EXPECT_EQ(counterValue("golden_cache.hits") - hits, kThreads - 1);
     EXPECT_EQ(counterValue("frontier_cache.misses") - frontier_misses,
-              1u);
+              2u);
     EXPECT_EQ(counterValue("frontier_cache.hits") - frontier_hits,
-              kThreads - 1);
+              2 * (kThreads - 1));
     for (std::size_t t = 0; t < kThreads; ++t) {
-        EXPECT_EQ(copies[t], copies[0]);
+        EXPECT_EQ(sym_edges[t], want_sym.numEdges());
+        EXPECT_EQ(sym_fingerprints[t], want_sym.fingerprint());
+        EXPECT_EQ(sym_plans[t], sym_plans[0]);
         EXPECT_EQ(rounds[t], want_rounds);
         EXPECT_EQ(schedules[t], schedules[0]);
+        EXPECT_EQ(wcc_schedules[t], wcc_schedules[0]);
     }
+    EXPECT_EQ(sym_plans[0]->fingerprint, want_sym.fingerprint());
     EXPECT_EQ(schedules[0]->rounds(), want_bfs_rounds);
+    EXPECT_EQ(wcc_schedules[0]->rounds(), want_wcc_rounds);
+
+    // The memo runs each of the view's builds once.
+    const CooGraph other = makeChain(40);
+    const std::shared_ptr<GraphMemo> memo = other.memo();
+    std::atomic<int> counts{0};
+    std::atomic<int> folds{0};
+    threads.clear();
+    for (std::size_t t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+            sym_edges[t] = memo->symmetrizedEdges([&counts] {
+                ++counts;
+                return EdgeId{78};
+            });
+            sym_fingerprints[t] = memo->symmetrizedFingerprint([&folds] {
+                ++folds;
+                return std::uint64_t{7};
+            });
+        });
+    }
+    for (std::thread &t : threads)
+        t.join();
+    EXPECT_EQ(counts.load(), 1);
+    EXPECT_EQ(folds.load(), 1);
+    for (std::size_t t = 0; t < kThreads; ++t) {
+        EXPECT_EQ(sym_edges[t], 78u);
+        EXPECT_EQ(sym_fingerprints[t], 7u);
+    }
 }
 
 TEST(CooMemoTest, SchedulesStayBoundedPerProduct)

@@ -463,6 +463,12 @@ TEST(RmatTest, ResolvedFingerprintsArePinned)
                 << pin.spec << ", symmetrised";
             EXPECT_EQ(sym.fingerprint(), pin.symmetrized)
                 << pin.spec << ", symmetrised";
+            // WCC's runners key the symmetrised plan by the view's
+            // fingerprint, streamed from the graph without the copy.
+            const SymmetrizedView view(dataset.graph);
+            EXPECT_EQ(view.fingerprint(), pin.symmetrized)
+                << pin.spec << ", symmetrised view";
+            EXPECT_EQ(view.numEdges(), sym.numEdges()) << pin.spec;
         }
     }
 }

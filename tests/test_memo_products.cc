@@ -3,9 +3,13 @@
  * Each build-once graph product against a verbatim copy of the code
  * it replaced: golden PageRank (a push over the edge list, one divide
  * per edge), the BFS/SSSP/WCC relaxations (a 16-byte id-and-weight
- * CSR for every mode) and WCC's label passes (over a materialised
- * symmetrize() copy). The products must match those bit for bit:
- * reports, golden files and stored plans depend on them.
+ * CSR for every mode), WCC's label passes (over a materialised
+ * symmetrize() copy) and golden bfs()/sssp() (a scan of every vertex
+ * per round). The symmetrised graph's view (SymmetrizedView) is
+ * checked against the copy it replaced: its edge count, fingerprint,
+ * plan, WCC rows, WCC schedule and WCC runs. The products must match
+ * those bit for bit: reports, golden files and stored plans depend on
+ * them.
  */
 
 #include <gtest/gtest.h>
@@ -24,8 +28,15 @@
 #include "algorithms/pagerank.hh"
 #include "algorithms/traversal.hh"
 #include "algorithms/wcc.hh"
+#include "graph/csr.hh"
 #include "graph/generator.hh"
 #include "graph/graph_memo.hh"
+#include "graphr/engine/plan_cache.hh"
+#include "graphr/engine/tile_executor.hh"
+#include "graphr/multi_node.hh"
+#include "graphr/node.hh"
+#include "sim_report_eq.hh"
+#include "tests/plan_eq.hh"
 
 namespace graphr
 {
@@ -208,6 +219,57 @@ legacyPropagateLabels(const CooGraph &sym, std::vector<VertexId> &labels)
     return passes;
 }
 
+/** bfs() and sssp() as they ran: every round tested every vertex
+ *  for activity and allocated a fresh next-round flag vector. */
+TraversalResult
+legacyRelax(const CooGraph &graph, VertexId source, bool unit_weights)
+{
+    GRAPHR_ASSERT(source < graph.numVertices(), "source ", source,
+                  " out of range");
+    const VertexId nv = graph.numVertices();
+
+    TraversalResult result;
+    result.dist.assign(nv, kInfDistance);
+    result.parent.assign(nv, kInvalidVertex);
+    result.dist[source] = 0.0;
+    result.parent[source] = source;
+
+    CsrGraph out(graph, CsrGraph::Direction::kOut);
+
+    std::vector<Value> dist(nv, kInfDistance);
+    dist[source] = 0.0;
+    std::vector<bool> active(nv, false);
+    active[source] = true;
+    std::uint64_t active_count = 1;
+
+    while (active_count > 0) {
+        std::vector<bool> next_active(nv, false);
+        std::uint64_t next_count = 0;
+        for (VertexId u = 0; u < nv; ++u) {
+            if (!active[u])
+                continue;
+            for (const Adjacency &adj : out.neighbors(u)) {
+                const Value w = unit_weights ? 1.0 : adj.weight;
+                GRAPHR_ASSERT(w >= 0.0, "negative edge weight");
+                const Value cand = dist[u] + w;
+                if (cand < dist[adj.neighbor]) {
+                    dist[adj.neighbor] = cand;
+                    result.parent[adj.neighbor] = u;
+                    if (!next_active[adj.neighbor]) {
+                        next_active[adj.neighbor] = true;
+                        ++next_count;
+                    }
+                }
+            }
+        }
+        active = std::move(next_active);
+        active_count = next_count;
+        ++result.iterations;
+    }
+    result.dist = std::move(dist);
+    return result;
+}
+
 // ------------------------------------------------------ inputs
 
 /**
@@ -276,6 +338,19 @@ families()
     out.emplace_back("multigraph", handMultigraph());
     out.emplace_back("random-multigraph", randomMultigraph(35));
     return out;
+}
+
+/** The families, plus a chain listed backwards: its WCC passes and
+ *  its directed and undirected rounds differ most. */
+std::vector<std::pair<std::string, CooGraph>>
+viewGraphs()
+{
+    std::vector<std::pair<std::string, CooGraph>> graphs = families();
+    std::vector<Edge> backwards;
+    for (VertexId v = 60; v > 0; --v)
+        backwards.push_back(Edge{v, static_cast<VertexId>(v - 1), 1.0});
+    graphs.emplace_back("backward-chain", CooGraph(61, backwards));
+    return graphs;
 }
 
 /** Bit-for-bit equality of two label vectors. */
@@ -382,7 +457,7 @@ TEST(MemoProductsTest, WccScheduleIsTheCsrRelaxationOfTheSymmetrisedCopy)
         const std::vector<bool> active(sym.numVertices(), true);
         expectSameRelaxation(
             LegacySweep(sym, labels, active, WeightMode::kZero),
-            makeWccSweep(sym), *wccSchedule(g));
+            makeWccSweep(g), *wccSchedule(g));
     }
 }
 
@@ -390,14 +465,11 @@ TEST(MemoProductsTest, WccScheduleIsTheCsrRelaxationOfTheSymmetrisedCopy)
 
 TEST(MemoProductsTest, WccPassesAreThoseOverTheSymmetrisedList)
 {
-    std::vector<std::pair<std::string, CooGraph>> graphs = families();
-    // Edge orders whose pass counts differ: a chain listed backwards
-    // takes a pass per edge, and a shuffled one lies in between.
-    std::vector<Edge> backwards;
-    for (VertexId v = 60; v > 0; --v)
-        backwards.push_back(Edge{v, static_cast<VertexId>(v - 1), 1.0});
-    graphs.emplace_back("backward-chain", CooGraph(61, backwards));
-    std::vector<Edge> shuffled = backwards;
+    // Edge orders whose pass counts differ: the backward chain takes
+    // a pass per edge, and a shuffled one lies in between.
+    std::vector<std::pair<std::string, CooGraph>> graphs = viewGraphs();
+    const std::span<const Edge> backwards = graphs.back().second.edges();
+    std::vector<Edge> shuffled(backwards.begin(), backwards.end());
     std::shuffle(shuffled.begin(), shuffled.end(), std::mt19937_64(36));
     graphs.emplace_back("shuffled-chain", CooGraph(61, shuffled));
 
@@ -410,6 +482,201 @@ TEST(MemoProductsTest, WccPassesAreThoseOverTheSymmetrisedList)
         EXPECT_EQ(got.labels, want);
         EXPECT_EQ(got.numComponents, wccUnionFind(g).numComponents);
         EXPECT_EQ(goldenWccRounds(g), passes);
+    }
+}
+
+// ------------------------------------------ golden BFS and SSSP
+
+TEST(MemoProductsTest, GoldenTraversalsAreTheVertexScanBitForBit)
+{
+    std::vector<std::pair<std::string, CooGraph>> graphs = families();
+    // The scan costs V per round: a 40,000-vertex chain runs 40,000
+    // rounds of it, so only from the one source that walks them all.
+    graphs.emplace_back("chain-40000", makeChain(40000));
+    for (const auto &[family, g] : graphs) {
+        const VertexId nv = g.numVertices();
+        std::vector<VertexId> sources = {0, nv / 3, nv - 1};
+        if (nv > 1000)
+            sources = {0};
+        for (const VertexId source : sources) {
+            for (const bool unit : {true, false}) {
+                SCOPED_TRACE(family + ", source " + std::to_string(source) +
+                             (unit ? ", bfs" : ", sssp"));
+                const TraversalResult want = legacyRelax(g, source, unit);
+                const TraversalResult got =
+                    unit ? bfs(g, source) : sssp(g, source);
+                EXPECT_EQ(got.iterations, want.iterations);
+                expectSameBits(got.dist, want.dist);
+                EXPECT_EQ(got.parent, want.parent);
+            }
+        }
+    }
+}
+
+// ------------------------------------------- the symmetrised view
+
+/** Labels = ids, every vertex active: the start of WCC over @p nv. */
+std::vector<Value>
+idLabels(VertexId nv)
+{
+    std::vector<Value> labels(nv);
+    for (VertexId v = 0; v < nv; ++v)
+        labels[v] = static_cast<Value>(v);
+    return labels;
+}
+
+/** WCC's relaxation as it ran, forward over the copy @p sym. */
+RelaxationSweep
+copySweep(const CooGraph &sym)
+{
+    return RelaxationSweep(sym, idLabels(sym.numVertices()),
+                           std::vector<bool>(sym.numVertices(), true),
+                           WeightMode::kZero);
+}
+
+/** The WCC schedule as it was recorded, over the copy @p sym. */
+FrontierSchedule
+copySchedule(const CooGraph &sym)
+{
+    return recordSchedule(copySweep(sym),
+                          FrontierSchedule::capFor(sym.numEdges()));
+}
+
+TEST(SymmetrizedViewTest, EdgesCountAndFingerprintAreTheCopys)
+{
+    for (const auto &[family, g] : viewGraphs()) {
+        SCOPED_TRACE(family);
+        const CooGraph sym = symmetrize(g);
+        const SymmetrizedView view(g);
+        std::vector<Edge> visited;
+        std::vector<std::uint64_t> origins;
+        view.forEachEdge([&](const Edge &e, std::uint64_t origin) {
+            visited.push_back(e);
+            origins.push_back(origin);
+            EXPECT_EQ(view.edgeAt(origin), e);
+        });
+        EXPECT_TRUE(std::ranges::equal(visited, sym.edges()));
+        EXPECT_TRUE(std::ranges::is_sorted(origins));
+        EXPECT_EQ(view.numVertices(), sym.numVertices());
+        EXPECT_EQ(view.numEdges(), sym.numEdges());
+        EXPECT_EQ(view.fingerprint(), sym.fingerprint());
+    }
+}
+
+TEST(SymmetrizedViewTest, PlanIsTheCopysPlanAndSharesItsEntry)
+{
+    std::vector<std::pair<std::string, TilingParams>> tilings;
+    tilings.emplace_back("default", TilingParams{});
+    tilings.emplace_back("C5 N2 G3", TilingParams{.crossbarDim = 5,
+                                                  .crossbarsPerGe = 2,
+                                                  .numGe = 3});
+    tilings.emplace_back("C4 N2 G3 B48", TilingParams{.crossbarDim = 4,
+                                                      .crossbarsPerGe = 2,
+                                                      .numGe = 3,
+                                                      .blockSize = 48});
+    PlanCache cache;
+    for (const auto &[family, g] : viewGraphs()) {
+        const CooGraph sym = symmetrize(g);
+        for (const auto &[name, tiling] : tilings) {
+            SCOPED_TRACE(family + ", " + name);
+            expectSamePlan(TilePlan(SymmetrizedView(g), tiling),
+                           TilePlan(sym, tiling));
+            // The view's key is the copy's: a plan cached for the
+            // copy is the one WCC gets.
+            const TilePlanPtr cached = cache.get(sym, tiling);
+            bool hit = false;
+            EXPECT_EQ(cache.get(SymmetrizedView(g), tiling, &hit), cached);
+            EXPECT_TRUE(hit);
+        }
+    }
+}
+
+TEST(SymmetrizedViewTest, WccRowsAreTheCopysRows)
+{
+    for (const auto &[family, g] : viewGraphs()) {
+        SCOPED_TRACE(family);
+        const CooGraph sym = symmetrize(g);
+        const RelaxationSweep got = makeWccSweep(g);
+        const RelaxationSweep want = copySweep(sym);
+        ASSERT_TRUE(std::ranges::equal(got.offsets(), want.offsets()));
+        for (EdgeId i = 0; i < sym.numEdges(); ++i)
+            EXPECT_EQ(got.neighbor(i), want.neighbor(i)) << "entry " << i;
+    }
+}
+
+TEST(SymmetrizedViewTest, WccScheduleIsTheCopysIncludingOverTheCap)
+{
+    int recorded = 0;
+    int over_cap = 0;
+    for (const auto &[family, g] : viewGraphs()) {
+        SCOPED_TRACE(family);
+        const FrontierSchedule want = copySchedule(symmetrize(g));
+        const std::shared_ptr<const FrontierSchedule> got = wccSchedule(g);
+        EXPECT_EQ(got->cap(), want.cap());
+        EXPECT_EQ(got->recorded(), want.recorded());
+        ASSERT_EQ(got->rounds(), want.rounds());
+        EXPECT_EQ(got->bytes(), want.bytes());
+        if (want.recorded() && got->recorded()) {
+            for (int r = 0; r < want.rounds(); ++r) {
+                EXPECT_TRUE(std::ranges::equal(got->round(r), want.round(r)))
+                    << "round " << r;
+            }
+        }
+        ++(want.recorded() ? recorded : over_cap);
+    }
+    // Both kinds are covered: the chain, star and grid outgrow their
+    // cap in the first round (every vertex active).
+    EXPECT_GT(recorded, 0);
+    EXPECT_GT(over_cap, 0);
+}
+
+TEST(SymmetrizedViewTest, WccRunsAreThoseOverTheCopy)
+{
+    GraphRConfig base;
+    base.tiling = TilingParams{.crossbarDim = 4,
+                               .crossbarsPerGe = 2,
+                               .numGe = 3,
+                               .blockSize = 48};
+    for (const auto &[family, g] : viewGraphs()) {
+        const CooGraph sym = symmetrize(g);
+        const std::vector<VertexId> golden = wcc(g).labels;
+        for (const bool functional : {false, true}) {
+            SCOPED_TRACE(family + (functional ? ", functional" : ""));
+            GraphRConfig cfg = base;
+            cfg.functional = functional;
+
+            // The node's WCC as it ran: over the copy's plan, forward,
+            // pricing the copy's schedule (or relaxing live past its
+            // cap).
+            AddOpSpec spec;
+            spec.initLabels = idLabels(sym.numVertices());
+            spec.initActive.assign(sym.numVertices(), true);
+            spec.mode = WeightMode::kZero;
+            spec.schedule =
+                std::make_shared<const FrontierSchedule>(copySchedule(sym));
+            TileExecutor exec(cfg, PlanCache::instance().get(sym, cfg.tiling));
+            std::vector<Value> want_labels;
+            const SimReport want =
+                exec.addOpRun(sym, spec, "wcc", &want_labels);
+
+            std::vector<VertexId> labels;
+            expectSameSimReport(GraphRNode(cfg).runWcc(g, &labels), want);
+            EXPECT_EQ(labels, golden);
+            EXPECT_EQ(std::vector<VertexId>(want_labels.begin(),
+                                            want_labels.end()),
+                      golden);
+
+            // Without labels the node prices the schedule alone.
+            expectSameSimReport(GraphRNode(cfg).runWcc(g), want);
+
+            // The cluster prices the copy's stripes each round.
+            const MultiNodeReport cluster =
+                MultiNodeGraphR(cfg, 3).runWcc(g);
+            EXPECT_EQ(cluster.iterations,
+                      static_cast<std::uint64_t>(wcc(g).iterations));
+            EXPECT_EQ(cluster.nodeSweepSeconds,
+                      MultiNodeGraphR(cfg, 3).runSpmv(sym).nodeSweepSeconds);
+        }
     }
 }
 

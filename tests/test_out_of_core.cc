@@ -214,7 +214,7 @@ TEST(OutOfCoreTest, SelectiveRoundsAreTheNodesOwnRounds)
             }
             expectSelectiveRun(
                 runner.runWcc(g), node.runWcc(g),
-                referenceDisk(cfg, storage, sym, makeWccSweep(sym)));
+                referenceDisk(cfg, storage, sym, makeWccSweep(g)));
         }
     }
 }

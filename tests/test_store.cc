@@ -27,6 +27,7 @@
 #include "graphr/engine/plan_cache.hh"
 #include "perf/counters.hh"
 #include "store/plan_store.hh"
+#include "tests/plan_eq.hh"
 
 namespace graphr
 {
@@ -50,44 +51,6 @@ freshDir(const std::string &name)
                          ("plan_store_" + name);
     fs::remove_all(dir);
     return dir.string();
-}
-
-void
-expectPlansEqual(const TilePlan &a, const TilePlan &b)
-{
-    EXPECT_EQ(a.fingerprint, b.fingerprint);
-    EXPECT_EQ(a.partition.numVertices(), b.partition.numVertices());
-    EXPECT_EQ(a.partition.blockSize(), b.partition.blockSize());
-
-    ASSERT_EQ(a.ordered.edges().size(), b.ordered.edges().size());
-    for (std::size_t i = 0; i < a.ordered.edges().size(); ++i) {
-        EXPECT_EQ(a.ordered.edges()[i], b.ordered.edges()[i])
-            << "edge " << i;
-    }
-    ASSERT_EQ(a.ordered.tiles().size(), b.ordered.tiles().size());
-    for (std::size_t i = 0; i < a.ordered.tiles().size(); ++i) {
-        EXPECT_EQ(a.ordered.tiles()[i].tileIndex,
-                  b.ordered.tiles()[i].tileIndex);
-        EXPECT_EQ(a.ordered.tiles()[i].firstEdge,
-                  b.ordered.tiles()[i].firstEdge);
-        EXPECT_EQ(a.ordered.tiles()[i].numEdges,
-                  b.ordered.tiles()[i].numEdges);
-    }
-    EXPECT_EQ(a.meta.totalNnz(), b.meta.totalNnz());
-    ASSERT_EQ(a.meta.tiles().size(), b.meta.tiles().size());
-    for (std::size_t i = 0; i < a.meta.tiles().size(); ++i) {
-        const TileMeta &ma = a.meta.tiles()[i];
-        const TileMeta &mb = b.meta.tiles()[i];
-        EXPECT_EQ(ma.tileIndex, mb.tileIndex);
-        EXPECT_EQ(ma.row0, mb.row0);
-        EXPECT_EQ(ma.col0, mb.col0);
-        EXPECT_EQ(ma.nnz, mb.nnz);
-        EXPECT_EQ(ma.crossbarsUsed, mb.crossbarsUsed);
-        EXPECT_EQ(ma.maxRowsProgrammed, mb.maxRowsProgrammed);
-        EXPECT_EQ(ma.rowMask, mb.rowMask);
-        EXPECT_EQ(ma.nnzColumns, mb.nnzColumns);
-        EXPECT_EQ(ma.rowNnz, mb.rowNnz);
-    }
 }
 
 /** Isolates the process-wide PlanCache (store detached, entries
@@ -123,7 +86,7 @@ TEST_F(PlanStoreTest, RoundTripPreservesEveryArtifactField)
 
     const TilePlanPtr loaded = store.load(direct.fingerprint, tiling);
     ASSERT_NE(loaded, nullptr);
-    expectPlansEqual(direct, *loaded);
+    expectSamePlan(direct, *loaded);
     EXPECT_EQ(store.stats().loadHits, 1u);
     EXPECT_EQ(store.stats().saves, 1u);
 }
@@ -144,7 +107,7 @@ TEST_F(PlanStoreTest, DuplicateHeavyGraphIsStoredCompressed)
         << "artifact takes a byte or more per edge";
     const TilePlanPtr loaded = store.load(direct.fingerprint, tiling);
     ASSERT_NE(loaded, nullptr);
-    expectPlansEqual(direct, *loaded);
+    expectSamePlan(direct, *loaded);
 }
 
 TEST_F(PlanStoreTest, SaveIsAtomicNoTemporariesSurvive)
@@ -232,7 +195,7 @@ expectFreshPrepareFallback(const std::string &dir, const CooGraph &g,
     const TilePlanPtr plan = cache.get(g, tiling);
     EXPECT_EQ(OrderedEdgeList::sortsPerformed(), sorts_before + 1)
         << "fallback must re-run the preprocessing sort";
-    expectPlansEqual(direct, *plan);
+    expectSamePlan(direct, *plan);
 }
 
 TEST_F(PlanStoreTest, TruncatedFileFallsBackToFreshPrepare)
@@ -361,7 +324,7 @@ TEST_F(PlanStoreTest, PlanCacheWritesThroughOnMiss)
         OrderedEdgeList::sortsPerformed();
     const TilePlanPtr loaded = cold.get(g, tiling);
     EXPECT_EQ(OrderedEdgeList::sortsPerformed(), sorts_before);
-    expectPlansEqual(*built, *loaded);
+    expectSamePlan(*built, *loaded);
 }
 
 TEST_F(PlanStoreTest, StoreStatsTextListsArtifacts)
@@ -791,7 +754,7 @@ TEST_F(PlanStoreTest, ReadFailpointsMidDecodeDegradeOrRecover)
     const TilePlanPtr recovered =
         PlanStore(dir).load(direct.fingerprint, tiling);
     ASSERT_NE(recovered, nullptr);
-    expectPlansEqual(direct, *recovered);
+    expectSamePlan(direct, *recovered);
 
     failpoint::configure("store.read.short:1@1");
     {
@@ -812,13 +775,13 @@ TEST_F(PlanStoreTest, ReadFailpointsMidDecodeDegradeOrRecover)
     const TilePlanPtr reprepared = cache.get(g, tiling);
     EXPECT_EQ(OrderedEdgeList::sortsPerformed(), sorts_before + 1)
         << "fallback must re-run the preprocessing sort";
-    expectPlansEqual(direct, *reprepared);
+    expectSamePlan(direct, *reprepared);
 
     failpoint::disarmAll();
     const TilePlanPtr healthy =
         PlanStore(dir).load(direct.fingerprint, tiling);
     ASSERT_NE(healthy, nullptr);
-    expectPlansEqual(direct, *healthy);
+    expectSamePlan(direct, *healthy);
 }
 
 TEST_F(PlanStoreTest, DecodeFailpointFallsBackToFreshPrepare)
@@ -843,7 +806,7 @@ TEST_F(PlanStoreTest, DecodeFailpointFallsBackToFreshPrepare)
     const TilePlanPtr loaded =
         PlanStore(dir).load(direct.fingerprint, tiling);
     ASSERT_NE(loaded, nullptr);
-    expectPlansEqual(direct, *loaded);
+    expectSamePlan(direct, *loaded);
 }
 
 // --------------------------------------------- golden artifact
