@@ -45,38 +45,9 @@ GridPartition::GridPartition(VertexId num_vertices,
     blocksPerDim_ = paddedVertices_ / blockSize_;
     tileRowsPerBlock_ = blockSize_ / params_.crossbarDim;
     tileColsPerBlock_ = blockSize_ / tileWidth_;
-}
-
-std::uint64_t
-GridPartition::locate(VertexId i, VertexId j, std::uint64_t &sub_i,
-                      std::uint64_t &sub_j) const
-{
-    GRAPHR_ASSERT(i < paddedVertices_ && j < paddedVertices_,
-                  "cell (", i, ",", j, ") outside padded grid ",
-                  paddedVertices_);
-    // Eq. 1: block coordinates.
-    const std::uint64_t block_row = i / blockSize_;
-    const std::uint64_t block_col = j / blockSize_;
-    const std::uint64_t bi = blockIndex(block_row, block_col);
-    // Eq. 4: offsets within the block.
-    const std::uint64_t i_in_block = i - block_row * blockSize_;
-    const std::uint64_t j_in_block = j - block_col * blockSize_;
-    // Eq. 5: tile coordinates within the block.
-    const std::uint64_t tile_row = i_in_block / params_.crossbarDim;
-    const std::uint64_t tile_col = j_in_block / tileWidth_;
-    // Eq. 7: offsets within the tile.
-    sub_i = i_in_block - tile_row * params_.crossbarDim;
-    sub_j = j_in_block - tile_col * tileWidth_;
-    // Eq. 6 (0-based): column-major within the block, blocks first.
-    return bi * tilesPerBlock() + tile_row + tile_col * tileRowsPerBlock_;
-}
-
-std::uint64_t
-GridPartition::tileIndex(VertexId i, VertexId j) const
-{
-    std::uint64_t sub_i = 0;
-    std::uint64_t sub_j = 0;
-    return locate(i, j, sub_i, sub_j);
+    byBlock_ = Reciprocal(blockSize_);
+    byCrossbar_ = Reciprocal(params_.crossbarDim);
+    byTileWidth_ = Reciprocal(tileWidth_);
 }
 
 TileCoord
@@ -103,23 +74,13 @@ GridPartition::tileOrigin(const TileCoord &coord, std::uint64_t &row0,
     col0 = coord.blockCol * blockSize_ + coord.tileCol * tileWidth_;
 }
 
-std::uint64_t
-GridPartition::globalOrderId(VertexId i, VertexId j) const
-{
-    std::uint64_t sub_i = 0;
-    std::uint64_t sub_j = 0;
-    const std::uint64_t si = locate(i, j, sub_i, sub_j);
-    // Eq. 8 (0-based): column-major within the tile.
-    const std::uint64_t sub = sub_i + sub_j * params_.crossbarDim;
-    // Eq. 9 (0-based).
-    return si * tileCapacity_ + sub;
-}
-
 void
 GridPartition::cellOfOrderId(std::uint64_t order_id, std::uint64_t &i,
                              std::uint64_t &j) const
 {
-    GRAPHR_ASSERT(order_id < numTiles() * tileCapacity_,
+    // numTiles() * tileCapacity_ is paddedVertices^2, which wraps to
+    // 0 at 2^32 padded vertices: bound the tile index instead.
+    GRAPHR_ASSERT(order_id / tileCapacity_ < numTiles(),
                   "order id out of range");
     const std::uint64_t si = order_id / tileCapacity_;
     const std::uint64_t sub = order_id % tileCapacity_;

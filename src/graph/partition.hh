@@ -22,13 +22,22 @@
  * the stated column-major block order B(0,0)->B(1,0)->B(0,1)->B(1,1)
  * this is a typo for BI = Bi + (V/B) x Bj, which is what we implement.
  * All indices here are 0-based (the paper mixes 0- and 1-based).
+ *
+ * A cell's order ID is computed once per edge by the preprocessing
+ * sort, so it runs without a hardware divide: the partition holds
+ * exact reciprocals of its fixed sizes B, C and C*N*G, and every
+ * quotient of a 32-bit vertex id or in-block offset is a multiply.
+ * Tile indices are 64-bit and met once per tile; their arithmetic
+ * keeps the divide.
  */
 
 #ifndef GRAPHR_GRAPH_PARTITION_HH
 #define GRAPHR_GRAPH_PARTITION_HH
 
 #include <cstdint>
+#include <limits>
 
+#include "common/logging.hh"
 #include "common/types.hh"
 
 namespace graphr
@@ -47,6 +56,44 @@ struct TilingParams
      * in memory").
      */
     std::uint32_t blockSize = 0;
+};
+
+/**
+ * Division by a fixed divisor without a hardware divide (Lemire,
+ * Kaser & Kurz, "Faster remainder by direct computation", 2019).
+ * With c = floor((2^64 - 1) / d) + 1, n / d = (c * n) >> 64 exactly
+ * for every n < 2^32 and 2 <= d < 2^32; a divisor of 2^32 or more
+ * gives c <= 2^32, so c * n < 2^64 and the quotient 0, exact too.
+ * d = 1 has no 64-bit c and is its own case.
+ */
+class Reciprocal
+{
+  public:
+    explicit Reciprocal(std::uint64_t divisor) : divisor_(divisor)
+    {
+        GRAPHR_ASSERT(divisor > 0, "division by zero");
+        if (divisor > 1)
+            multiplier_ = std::numeric_limits<std::uint64_t>::max() /
+                              divisor +
+                          1;
+    }
+
+    std::uint64_t divisor() const { return divisor_; }
+
+    /** n / d; n - quotient(n) * d is then n % d. */
+    std::uint64_t
+    quotient(std::uint32_t n) const
+    {
+        if (divisor_ == 1)
+            return n;
+        __extension__ using Wide = unsigned __int128;
+        return static_cast<std::uint64_t>(
+            (static_cast<Wide>(multiplier_) * n) >> 64);
+    }
+
+  private:
+    std::uint64_t divisor_;
+    std::uint64_t multiplier_ = 0;
 };
 
 /** Coordinates of one tile in the global grid. */
@@ -162,6 +209,11 @@ class GridPartition
     std::uint64_t locate(VertexId i, VertexId j, std::uint64_t &sub_i,
                          std::uint64_t &sub_j) const;
 
+    // Vertex ids, and so every in-block offset, are below 2^32: the
+    // range in which a Reciprocal quotient is exact.
+    static_assert(std::numeric_limits<VertexId>::max() <=
+                  std::numeric_limits<std::uint32_t>::max());
+
     VertexId numVertices_;
     TilingParams params_;
     std::uint64_t tileWidth_;
@@ -171,7 +223,56 @@ class GridPartition
     std::uint64_t blocksPerDim_;
     std::uint64_t tileRowsPerBlock_;
     std::uint64_t tileColsPerBlock_;
+    Reciprocal byBlock_{1};     ///< B
+    Reciprocal byCrossbar_{1};  ///< C
+    Reciprocal byTileWidth_{1}; ///< C * N * G
 };
+
+inline std::uint64_t
+GridPartition::locate(VertexId i, VertexId j, std::uint64_t &sub_i,
+                      std::uint64_t &sub_j) const
+{
+    GRAPHR_ASSERT(i < paddedVertices_ && j < paddedVertices_,
+                  "cell (", i, ",", j, ") outside padded grid ",
+                  paddedVertices_);
+    // Eq. 1: block coordinates.
+    const std::uint64_t block_row = byBlock_.quotient(i);
+    const std::uint64_t block_col = byBlock_.quotient(j);
+    // Eq. 4: offsets within the block, no larger than the ids.
+    const auto i_in_block =
+        static_cast<std::uint32_t>(i - block_row * blockSize_);
+    const auto j_in_block =
+        static_cast<std::uint32_t>(j - block_col * blockSize_);
+    // Eq. 5: tile coordinates within the block.
+    const std::uint64_t tile_row = byCrossbar_.quotient(i_in_block);
+    const std::uint64_t tile_col = byTileWidth_.quotient(j_in_block);
+    // Eq. 7: offsets within the tile.
+    sub_i = i_in_block - tile_row * params_.crossbarDim;
+    sub_j = j_in_block - tile_col * tileWidth_;
+    // Eq. 6 (0-based): column-major within the block, blocks first.
+    return blockIndex(block_row, block_col) * tilesPerBlock() + tile_row +
+           tile_col * tileRowsPerBlock_;
+}
+
+inline std::uint64_t
+GridPartition::tileIndex(VertexId i, VertexId j) const
+{
+    std::uint64_t sub_i = 0;
+    std::uint64_t sub_j = 0;
+    return locate(i, j, sub_i, sub_j);
+}
+
+inline std::uint64_t
+GridPartition::globalOrderId(VertexId i, VertexId j) const
+{
+    std::uint64_t sub_i = 0;
+    std::uint64_t sub_j = 0;
+    const std::uint64_t si = locate(i, j, sub_i, sub_j);
+    // Eq. 8 (0-based): column-major within the tile.
+    const std::uint64_t sub = sub_i + sub_j * params_.crossbarDim;
+    // Eq. 9 (0-based).
+    return si * tileCapacity_ + sub;
+}
 
 } // namespace graphr
 

@@ -7,9 +7,11 @@
  * that all edges of one tile (subgraph) are contiguous and tiles
  * appear in streaming-apply (column-major) order. The sort is a
  * stable LSD radix sort, linear in E; edges with equal order IDs
- * (parallel edges) keep their input order. Loading a block or
- * tile then requires only sequential I/O. The paper performs this
- * once, offline, in software; so do we.
+ * (parallel edges) keep their input order. It moves one 8-byte word
+ * per edge, the order ID above the edge's origin bits, unless the two
+ * need more than 64 bits; then the origins travel in an array of
+ * their own. Loading a block or tile then requires only sequential
+ * I/O. The paper performs this once, offline, in software; so do we.
  */
 
 #ifndef GRAPHR_GRAPH_PREPROCESS_HH
@@ -73,9 +75,14 @@ class OrderedEdgeList
     /**
      * Preprocess a graph: compute I(i, j) for every edge, sort, and
      * build the non-empty tile directory. Linear in E: a stable radix
-     * sort with 12-bit digits, ceil(bits(max I)/12) passes; ties keep
-     * input order. Edges are indexed with 32 bits, so a graph with
-     * more than 2^32 - 1 edges panics instead of wrapping.
+     * sort with one 12-bit digit per pass, at most
+     * ceil(2 * bits(paddedVertices - 1) / 12) passes, of which those
+     * with a single digit value are skipped; ties keep input order.
+     * The sort's arrays peak at 16 B per edge while the IDs and input
+     * positions share one word (24 B when they do not), and are freed
+     * but for 4 B per edge of positions before the ordered edges are
+     * allocated. Edges are indexed with 32 bits, so a graph with more
+     * than 2^32 - 1 edges panics instead of wrapping.
      */
     OrderedEdgeList(const CooGraph &graph, const GridPartition &partition);
 
@@ -85,8 +92,9 @@ class OrderedEdgeList
      * of an edge is its origin (2e + direction, see
      * SymmetrizedView::forEachEdge), so equal keys keep symmetrize()'s
      * order and the list equals OrderedEdgeList(symmetrize(graph),
-     * partition) edge for edge. The graph may hold up to 2^31 - 1
-     * edges.
+     * partition) edge for edge. The largest origin is 2E - 1 however
+     * many self-loops the view skips. The graph may hold up to
+     * 2^31 - 1 edges.
      */
     OrderedEdgeList(const SymmetrizedView &view,
                     const GridPartition &partition);
@@ -122,9 +130,6 @@ class OrderedEdgeList
      */
     double occupancy() const;
 
-    /** Non-empty tiles restricted to one block, in order. */
-    std::vector<TileSpan> tilesOfBlock(std::uint64_t block_index) const;
-
     /**
      * Process-wide count of preprocessing sorts executed (draining a
      * chunk source does not count). Lets tests assert a warm plan
@@ -135,13 +140,13 @@ class OrderedEdgeList
   private:
     /**
      * The sort both preprocessing constructors run: @p for_each_edge
-     * visits @p num_edges edges as (edge, index), indices ascending
-     * and below 2^32, and @p edge_at(index) returns that edge again
-     * for the gather.
+     * visits @p num_edges edges as (edge, origin), origins ascending
+     * and at most @p max_origin < 2^32, and @p edge_at(origin) returns
+     * that edge again for the gather.
      */
     template <typename ForEachEdge, typename EdgeAt>
-    void sortEdges(std::size_t num_edges, ForEachEdge for_each_edge,
-                   EdgeAt edge_at);
+    void sortEdges(std::size_t num_edges, std::uint64_t max_origin,
+                   ForEachEdge for_each_edge, EdgeAt edge_at);
 
     GridPartition partition_;
     std::vector<Edge> edges_;

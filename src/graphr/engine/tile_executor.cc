@@ -412,12 +412,10 @@ TileExecutor::addOpRun(const CooGraph &graph, const AddOpSpec &spec,
             comp_ns += cost.computeNs;
             ++report.tilesProcessed;
             report.activeRowOps += rows;
-            std::uint64_t m = touched.mask;
-            while (m != 0) {
-                const int r = std::countr_zero(m);
-                report.edgesProcessed += meta.rowNnz[r];
-                m &= m - 1;
-            }
+            const std::span<const std::uint32_t> row_nnz =
+                plan_->meta.rowNnz(touched.position);
+            for (std::uint64_t m = touched.mask; m != 0; m &= m - 1)
+                report.edgesProcessed += row_nnz[std::countr_zero(m)];
         }
         total_ns += costModel_.iterationOverheadNs();
         ++report.iterations;

@@ -5,8 +5,9 @@
  * GraphR preprocesses a graph once (offline, in software — paper
  * section 3.4): grid-partition the adjacency matrix, sort the COO
  * edge list into streaming-apply tile order (a stable radix sort,
- * linear in E) and extract the per-tile activity metadata the cost
- * model consumes. Every
+ * linear in E, over division-free order IDs) and extract the per-tile
+ * activity metadata the cost model consumes (fixed-size records plus
+ * one flat array of row counts). Every
  * execution layer — single node, multi-node stripes, out-of-core
  * blocks, driver sweeps — walks the same three products, so they are
  * bundled here as one shareable, immutable plan. PlanCache

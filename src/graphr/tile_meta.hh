@@ -9,6 +9,8 @@
  * cheap table walk, which matters when iterating large graphs. The
  * table also indexes its tiles by tile row, so an add-op round
  * reaches the tiles of its active sources without walking the rest.
+ * Each tile's C row counts live in one flat array the table owns, so
+ * describing a tile allocates nothing.
  */
 
 #ifndef GRAPHR_GRAPHR_TILE_META_HH
@@ -34,8 +36,6 @@ struct TileMeta
     std::uint32_t maxRowsProgrammed = 0; ///< deepest crossbar write queue
     std::uint64_t rowMask = 0; ///< bit r set if tile row r has edges
     std::uint64_t nnzColumns = 0; ///< distinct destination columns
-    /** Per-row nonzero count (indexed by tile-relative row). */
-    std::vector<std::uint32_t> rowNnz;
 };
 
 /**
@@ -43,10 +43,12 @@ struct TileMeta
  * the plan's column-major tile order. Any contiguous run of a plan
  * tile's edges is itself in that order, so this also describes the
  * part of a tile that falls in a destination range (multi-node
- * stripes).
+ * stripes). @p row_nnz, when not empty, holds C zeros and receives
+ * each tile row's edge count.
  */
 TileMeta describeTile(const GridPartition &part, std::uint64_t tile_index,
-                      std::span<const Edge> edges);
+                      std::span<const Edge> edges,
+                      std::span<std::uint32_t> row_nnz = {});
 
 /** Table of metadata for every non-empty tile, in streaming order. */
 class TileMetaTable
@@ -60,6 +62,15 @@ class TileMetaTable
     totalNnz() const
     {
         return totalNnz_;
+    }
+
+    /** Edge count of each of the C rows of the tile at position
+     *  @p position in tiles(), by tile-relative row. */
+    std::span<const std::uint32_t>
+    rowNnz(std::size_t position) const
+    {
+        return std::span<const std::uint32_t>(rowNnz_).subspan(
+            position * dim_, dim_);
     }
 
     /**
@@ -79,6 +90,9 @@ class TileMetaTable
   private:
     std::vector<TileMeta> tiles_;
     std::uint64_t totalNnz_ = 0;
+    std::uint32_t dim_ = 0;
+    /** Tile t's row counts: rowNnz_[t * C, t * C + C). */
+    std::vector<std::uint32_t> rowNnz_;
     /** Tile row r's positions: rowPositions_[rowOffsets_[r],
      *  rowOffsets_[r + 1]); one 4-byte entry per tile. */
     std::vector<std::uint32_t> rowOffsets_;

@@ -481,7 +481,8 @@ TEST(EdgeCodec, CursorTilePlanMatchesDirectPreparation)
         EXPECT_EQ(a.maxRowsProgrammed, b.maxRowsProgrammed);
         EXPECT_EQ(a.rowMask, b.rowMask);
         EXPECT_EQ(a.nnzColumns, b.nnzColumns);
-        EXPECT_EQ(a.rowNnz, b.rowNnz);
+        EXPECT_TRUE(std::ranges::equal(direct.meta.rowNnz(t),
+                                       streamed.meta.rowNnz(t)));
     }
 }
 

@@ -504,7 +504,8 @@ referenceAddOpReport(const GraphRConfig &cfg, const TilePlan &plan,
     RelaxationSweep sweep(relaxed, spec.initLabels, spec.initActive,
                           spec.mode);
     for (; !sweep.done(); sweep.step()) {
-        for (const TileMeta &meta : plan.meta.tiles()) {
+        for (std::size_t t = 0; t < plan.meta.tiles().size(); ++t) {
+            const TileMeta &meta = plan.meta.tiles()[t];
             std::uint64_t mask = 0;
             for (std::uint32_t r = 0; r < dim; ++r) {
                 const std::uint64_t v = meta.row0 + r;
@@ -535,7 +536,8 @@ referenceAddOpReport(const GraphRConfig &cfg, const TilePlan &plan,
             ++report.tilesProcessed;
             report.activeRowOps += rows;
             for (; mask != 0; mask &= mask - 1)
-                report.edgesProcessed += meta.rowNnz[std::countr_zero(mask)];
+                report.edgesProcessed +=
+                    plan.meta.rowNnz(t)[std::countr_zero(mask)];
         }
         total_ns += cost_model.iterationOverheadNs();
         ++report.iterations;

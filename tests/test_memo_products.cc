@@ -340,12 +340,27 @@ families()
     return out;
 }
 
-/** The families, plus a chain listed backwards: its WCC passes and
- *  its directed and undirected rounds differ most. */
+/**
+ * The families; a graph of 1100 self-loops followed by 100 other
+ * edges, whose view holds 1300 edges yet whose last origin is 2399,
+ * one bit wider than 1299; and last a chain listed backwards: its WCC
+ * passes and its directed and undirected rounds differ most.
+ */
 std::vector<std::pair<std::string, CooGraph>>
 viewGraphs()
 {
     std::vector<std::pair<std::string, CooGraph>> graphs = families();
+    CooGraph loops(64, {});
+    for (int e = 0; e < 1100; ++e) {
+        const auto v = static_cast<VertexId>(e % 64);
+        loops.addEdge(v, v, e);
+    }
+    for (int e = 0; e < 100; ++e) {
+        loops.addEdge(static_cast<VertexId>(e % 50),
+                      static_cast<VertexId>(63 - e % 13), 1100 + e);
+    }
+    graphs.emplace_back("mostly-self-loops", std::move(loops));
+
     std::vector<Edge> backwards;
     for (VertexId v = 60; v > 0; --v)
         backwards.push_back(Edge{v, static_cast<VertexId>(v - 1), 1.0});

@@ -1,12 +1,18 @@
 /**
  * @file
- * Unit and property tests for the grid partitioner (paper Eqs. 1-9).
+ * Unit and property tests for the grid partitioner (paper Eqs. 1-9),
+ * including its division-free arithmetic against plain division.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+#include <random>
 #include <set>
+#include <string>
 #include <tuple>
+#include <vector>
 
 #include "graph/partition.hh"
 
@@ -171,6 +177,180 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(PartitionTest, RejectsZeroParameters)
 {
     EXPECT_DEATH(GridPartition(0, tiling(4, 2, 2)), "");
+}
+
+// ------------------------------------------- division-free arithmetic
+
+/** The tilings the partition, preprocessing and tile-metadata tests
+ *  use, the default one, and the crossbar sizes 1, 3, 5, 6, 8 and 64
+ *  with and without blocks. */
+std::vector<TilingParams>
+testedTilings()
+{
+    std::vector<TilingParams> out = {
+        TilingParams{},     tiling(4, 2, 2, 32), tiling(4, 2, 2),
+        tiling(8, 2, 2),    tiling(4, 4, 1, 16), tiling(2, 2, 2, 8),
+        tiling(8, 4, 4, 256), tiling(16, 2, 2),  tiling(4, 2, 2, 64),
+        tiling(4, 2, 2, 16), tiling(8, 2, 4),    tiling(2, 4, 2, 16),
+        tiling(8, 8, 1, 64), tiling(16, 1, 1, 32), tiling(6, 3, 2),
+        tiling(5, 2, 3, 60), tiling(64, 2, 1),   tiling(64, 1, 1, 128),
+        tiling(1, 1, 1),    tiling(4, 2, 3, 48),
+    };
+    for (const std::uint32_t c : {1u, 3u, 5u, 6u, 8u, 64u}) {
+        out.push_back(tiling(c, 2, 3));
+        // 2W - 1 pads to two tile columns per block.
+        out.push_back(tiling(c, 2, 3, 2 * c * 6 - 1));
+    }
+    return out;
+}
+
+TEST(ReciprocalTest, QuotientAndRemainderAreThoseOfDivision)
+{
+    std::set<std::uint64_t> divisors;
+    for (std::uint64_t d = 1; d <= 70; ++d)
+        divisors.insert(d);
+    // Every tested tile width and block size, padded as the partition
+    // pads them; 2^32 - 1 vertices pads single blocks past 2^32.
+    for (const TilingParams &t : testedTilings()) {
+        for (const VertexId v : {VertexId{100}, VertexId{1000},
+                                 VertexId{4294967295u}}) {
+            const GridPartition part(v, t);
+            divisors.insert(part.crossbarDim());
+            divisors.insert(part.tileWidth());
+            divisors.insert(part.blockSize());
+        }
+    }
+    divisors.insert(std::uint64_t{1} << 32);
+
+    constexpr std::uint64_t kMax = std::numeric_limits<std::uint32_t>::max();
+    std::mt19937_64 rng(29);
+    for (const std::uint64_t d : divisors) {
+        SCOPED_TRACE(d);
+        const Reciprocal by(d);
+        EXPECT_EQ(by.divisor(), d);
+        std::vector<std::uint64_t> numerators = {0, d - 1, d, d + 1, kMax};
+        for (int k = 0; k < 200; ++k)
+            numerators.push_back(rng() & kMax);
+        for (int k = 0; k < 50; ++k)
+            numerators.push_back(rng() % (d * 4));
+        for (const std::uint64_t n : numerators) {
+            if (n > kMax)
+                continue;
+            const auto n32 = static_cast<std::uint32_t>(n);
+            const std::uint64_t q = by.quotient(n32);
+            EXPECT_EQ(q, n / d) << "n = " << n;
+            EXPECT_EQ(n - q * d, n % d) << "n = " << n;
+        }
+    }
+}
+
+/** One cell's tile and order ID by Eqs. 1-9 with plain division. */
+struct PlainCell
+{
+    std::uint64_t tile = 0;
+    std::uint64_t orderId = 0;
+};
+
+PlainCell
+plainCell(const GridPartition &p, std::uint64_t i, std::uint64_t j)
+{
+    const std::uint64_t b = p.blockSize();
+    const std::uint64_t c = p.crossbarDim();
+    const std::uint64_t w = p.tileWidth();
+    const std::uint64_t tile =
+        (i / b + p.blocksPerDim() * (j / b)) * p.tilesPerBlock() +
+        i % b / c + j % b / w * p.tileRowsPerBlock();
+    return PlainCell{tile, tile * p.tileCapacity() + i % b % c +
+                               j % b % w * c};
+}
+
+TileCoord
+plainCoord(const GridPartition &p, std::uint64_t tile)
+{
+    const std::uint64_t block = tile / p.tilesPerBlock();
+    const std::uint64_t in_block = tile % p.tilesPerBlock();
+    return TileCoord{block % p.blocksPerDim(), block / p.blocksPerDim(),
+                     in_block % p.tileRowsPerBlock(),
+                     in_block / p.tileRowsPerBlock()};
+}
+
+/** Cell coordinates to probe along one axis: every one of a small
+ *  padded grid, else the edges of crossbars, tiles and blocks, the
+ *  last vertex and padded cell, and seeded random ones; each a
+ *  VertexId. */
+std::vector<std::uint64_t>
+probeCoordinates(const GridPartition &p, std::mt19937_64 &rng)
+{
+    const std::uint64_t pv = std::min<std::uint64_t>(
+        p.paddedVertices(),
+        std::uint64_t{std::numeric_limits<VertexId>::max()} + 1);
+    std::vector<std::uint64_t> out;
+    if (pv <= 512) {
+        for (std::uint64_t v = 0; v < pv; ++v)
+            out.push_back(v);
+        return out;
+    }
+    for (const std::uint64_t unit :
+         {std::uint64_t{p.crossbarDim()}, p.tileWidth(), p.blockSize()}) {
+        for (const std::uint64_t k : {1u, 2u, 3u}) {
+            for (const std::uint64_t v :
+                 {k * unit - 1, k * unit, k * unit + 1}) {
+                if (v < pv)
+                    out.push_back(v);
+            }
+        }
+    }
+    out.push_back(0);
+    out.push_back(p.numVertices() - 1);
+    out.push_back(pv - 1);
+    for (int k = 0; k < 24; ++k)
+        out.push_back(rng() % pv);
+    return out;
+}
+
+TEST(PartitionTest, IndexArithmeticEqualsPlainDivision)
+{
+    std::mt19937_64 rng(7);
+    for (const TilingParams &t : testedTilings()) {
+        for (const VertexId v : {VertexId{1}, VertexId{97}, VertexId{1000},
+                                 VertexId{4294967295u}}) {
+            const GridPartition part(v, t);
+            SCOPED_TRACE("C=" + std::to_string(t.crossbarDim) + " N=" +
+                         std::to_string(t.crossbarsPerGe) + " G=" +
+                         std::to_string(t.numGe) + " B=" +
+                         std::to_string(t.blockSize) + " V=" +
+                         std::to_string(v));
+            // At exactly 2^32 padded vertices (C*N*G a power of two)
+            // numTiles() * tileCapacity() wraps to 0, so the round
+            // trip checks cellOfOrderId's range test does not form
+            // it. Past 2^32 an order ID wraps, as it did with
+            // division, and no longer names its cell.
+            const bool round_trips =
+                part.paddedVertices() <= std::uint64_t{1} << 32;
+            const std::vector<std::uint64_t> coords =
+                probeCoordinates(part, rng);
+            for (const std::uint64_t i : coords) {
+                for (const std::uint64_t j : coords) {
+                    const PlainCell want = plainCell(part, i, j);
+                    const auto vi = static_cast<VertexId>(i);
+                    const auto vj = static_cast<VertexId>(j);
+                    ASSERT_EQ(part.tileIndex(vi, vj), want.tile)
+                        << "(" << i << "," << j << ")";
+                    ASSERT_EQ(part.globalOrderId(vi, vj), want.orderId)
+                        << "(" << i << "," << j << ")";
+                    ASSERT_EQ(part.tileCoord(want.tile),
+                              plainCoord(part, want.tile));
+                    if (!round_trips)
+                        continue;
+                    std::uint64_t ri = 0;
+                    std::uint64_t rj = 0;
+                    part.cellOfOrderId(want.orderId, ri, rj);
+                    ASSERT_EQ(ri, i) << "order id " << want.orderId;
+                    ASSERT_EQ(rj, j) << "order id " << want.orderId;
+                }
+            }
+        }
+    }
 }
 
 } // namespace

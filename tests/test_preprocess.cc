@@ -124,18 +124,26 @@ TEST(PreprocessTest, DenseGraphFillsTiles)
 
 TEST(PreprocessTest, TilesOfBlockFiltersCorrectly)
 {
+    // Each block's non-empty tiles are one run of the directory, the
+    // blocks in order: a block loads with sequential I/O.
     const CooGraph g =
         makeRmat({.numVertices = 64, .numEdges = 600, .seed = 8});
     const GridPartition part(g.numVertices(), tiling(4, 2, 2, 32));
     const OrderedEdgeList ordered(g, part);
-    std::uint64_t total = 0;
+    const std::span<const TileSpan> tiles = ordered.tiles();
+    std::size_t at = 0;
     for (std::uint64_t b = 0; b < part.numBlocks(); ++b) {
-        for (const TileSpan &span : ordered.tilesOfBlock(b)) {
-            EXPECT_EQ(span.tileIndex / part.tilesPerBlock(), b);
-            ++total;
-        }
+        const auto of_block = [&part, b](const TileSpan &span) {
+            return span.tileIndex / part.tilesPerBlock() == b;
+        };
+        const auto count = static_cast<std::size_t>(
+            std::ranges::count_if(tiles, of_block));
+        EXPECT_TRUE(std::all_of(tiles.begin() + at,
+                                tiles.begin() + at + count, of_block))
+            << "block " << b;
+        at += count;
     }
-    EXPECT_EQ(total, ordered.numNonEmptyTiles());
+    EXPECT_EQ(at, ordered.numNonEmptyTiles());
 }
 
 TEST(PreprocessTest, ParallelEdgesKeepInputOrder)
@@ -170,8 +178,12 @@ TEST(PreprocessTest, RadixOrderMatchesStableSortAtEveryKeyWidth)
     // From 16 vertices (one 12-bit digit pass) to 2^32 - 1 (six
     // passes), the sorting constructor must equal a stable comparison
     // sort of the global order IDs. Every fifth edge repeats an
-    // earlier cell under a new weight.
-    for (const VertexId n : {16u, 1000u, 70000u, 5000000u, 4294967295u}) {
+    // earlier cell under a new weight. An ID shares one word with its
+    // 12-bit origin while both fit in 64 bits: 2^26 vertices need 52
+    // ID bits (64 in all), 2^26 + 16 need 54 (66, so the origins move
+    // to their own array), and so do 2^32 - 1.
+    for (const VertexId n : {16u, 1000u, 70000u, 5000000u, 67108864u,
+                             67108880u, 4294967295u}) {
         SCOPED_TRACE(n);
         const GridPartition part(n, tiling(4, 2, 2));
         std::mt19937_64 rng(n);

@@ -90,7 +90,8 @@ TEST_P(NodePropertyTest, TileAccountingConsistent)
 
     // Tile metadata conserves edges and respects geometry.
     std::uint64_t nnz = 0;
-    for (const TileMeta &m : meta.tiles()) {
+    for (std::size_t t = 0; t < meta.tiles().size(); ++t) {
+        const TileMeta &m = meta.tiles()[t];
         nnz += m.nnz;
         EXPECT_GT(m.nnz, 0u);
         EXPECT_GE(m.crossbarsUsed, 1u);
@@ -101,7 +102,7 @@ TEST_P(NodePropertyTest, TileAccountingConsistent)
         EXPECT_LE(m.nnzColumns, m.nnz);
         EXPECT_LE(m.nnzColumns, part.tileWidth());
         std::uint64_t row_sum = 0;
-        for (std::uint32_t r : m.rowNnz)
+        for (std::uint32_t r : meta.rowNnz(t))
             row_sum += r;
         EXPECT_EQ(row_sum, m.nnz);
     }

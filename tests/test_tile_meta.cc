@@ -35,12 +35,19 @@ namespace
 
 namespace fs = std::filesystem;
 
+/** One tile's metadata and its row counts. */
+struct ReferenceTile
+{
+    TileMeta meta;
+    std::vector<std::uint32_t> rowNnz;
+};
+
 /**
  * Reference metadata: edges grouped by tile index in a map, distinct
  * columns and per-crossbar row masks in sets, independent of the
  * order the edges arrive in.
  */
-std::vector<TileMeta>
+std::vector<ReferenceTile>
 referenceMeta(const CooGraph &graph, const GridPartition &part)
 {
     std::map<std::uint64_t, std::vector<Edge>> by_tile;
@@ -48,20 +55,20 @@ referenceMeta(const CooGraph &graph, const GridPartition &part)
         by_tile[part.tileIndex(e.src, e.dst)].push_back(e);
 
     const std::uint32_t dim = part.crossbarDim();
-    std::vector<TileMeta> out;
+    std::vector<ReferenceTile> out;
     for (const auto &[tile, edges] : by_tile) {
         TileMeta meta;
         meta.tileIndex = tile;
         meta.nnz = edges.size();
         part.tileOrigin(part.tileCoord(tile), meta.row0, meta.col0);
-        meta.rowNnz.assign(dim, 0);
+        std::vector<std::uint32_t> row_nnz(dim, 0);
         std::set<std::uint64_t> cols;
         std::map<std::uint64_t, std::set<std::uint64_t>> crossbar_rows;
         for (const Edge &e : edges) {
             const std::uint64_t row = e.src - meta.row0;
             const std::uint64_t col = e.dst - meta.col0;
             meta.rowMask |= std::uint64_t{1} << row;
-            ++meta.rowNnz[row];
+            ++row_nnz[row];
             cols.insert(col);
             crossbar_rows[col / dim].insert(row);
         }
@@ -73,19 +80,33 @@ referenceMeta(const CooGraph &graph, const GridPartition &part)
                 meta.maxRowsProgrammed,
                 static_cast<std::uint32_t>(rows.size()));
         }
-        out.push_back(std::move(meta));
+        out.push_back(ReferenceTile{meta, std::move(row_nnz)});
+    }
+    return out;
+}
+
+/** A table's tiles in the reference's shape. */
+std::vector<ReferenceTile>
+tilesOf(const TileMetaTable &table)
+{
+    std::vector<ReferenceTile> out;
+    for (std::size_t t = 0; t < table.tiles().size(); ++t) {
+        const std::span<const std::uint32_t> rows = table.rowNnz(t);
+        out.push_back(ReferenceTile{
+            table.tiles()[t],
+            std::vector<std::uint32_t>(rows.begin(), rows.end())});
     }
     return out;
 }
 
 void
-expectMetaEqual(const std::vector<TileMeta> &want,
+expectMetaEqual(const std::vector<ReferenceTile> &want,
                 const TileMetaTable &got)
 {
     ASSERT_EQ(got.tiles().size(), want.size());
     std::uint64_t nnz = 0;
     for (std::size_t i = 0; i < want.size(); ++i) {
-        const TileMeta &w = want[i];
+        const TileMeta &w = want[i].meta;
         const TileMeta &g = got.tiles()[i];
         SCOPED_TRACE("tile " + std::to_string(w.tileIndex));
         EXPECT_EQ(g.tileIndex, w.tileIndex);
@@ -96,7 +117,9 @@ expectMetaEqual(const std::vector<TileMeta> &want,
         EXPECT_EQ(g.maxRowsProgrammed, w.maxRowsProgrammed);
         EXPECT_EQ(g.rowMask, w.rowMask);
         EXPECT_EQ(g.nnzColumns, w.nnzColumns);
-        EXPECT_EQ(g.rowNnz, w.rowNnz);
+        const std::span<const std::uint32_t> rows = got.rowNnz(i);
+        EXPECT_EQ(std::vector<std::uint32_t>(rows.begin(), rows.end()),
+                  want[i].rowNnz);
         nnz += w.nnz;
     }
     EXPECT_EQ(got.totalNnz(), nnz);
@@ -224,7 +247,7 @@ TEST(TileMetaTest, DecodedPlanCarriesTheFreshTable)
             ASSERT_NE(loaded, nullptr);
             expectMetaEqual(referenceMeta(g, fresh.partition),
                             loaded->meta);
-            expectMetaEqual(fresh.meta.tiles(), loaded->meta);
+            expectMetaEqual(tilesOf(fresh.meta), loaded->meta);
             expectRowIndex(loaded->meta, loaded->partition);
         }
     }
