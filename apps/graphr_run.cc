@@ -31,6 +31,7 @@
 #include "common/table.hh"
 #include "driver/cli.hh"
 #include "driver/run_result.hh"
+#include "graph/partition.hh"
 #include "graphr/config.hh"
 #include "perf/compare.hh"
 #include "perf/counters.hh"
@@ -198,6 +199,10 @@ main(int argc, char **argv)
         return 1;
     } catch (const graphr::ConfigError &err) {
         // Backend construction validates GraphRConfig (config.hh).
+        std::cerr << "error: " << err.what() << "\n";
+        return 1;
+    } catch (const graphr::PartitionError &err) {
+        // A graph too wide for the tiling's order IDs.
         std::cerr << "error: " << err.what() << "\n";
         return 1;
     } catch (const graphr::StoreError &err) {

@@ -39,13 +39,13 @@ prepareVariant(const PlanStore &store, const std::string &dataset,
     result.fingerprint = graph.fingerprint();
     if (TilePlanPtr loaded = store.load(result.fingerprint, tiling)) {
         result.reused = true;
-        result.edges = loaded->ordered.edges().size();
-        result.tiles = loaded->ordered.tiles().size();
+        result.edges = loaded->ordered.numEdges();
+        result.tiles = loaded->ordered.numNonEmptyTiles();
     } else {
         const auto plan = std::make_shared<const TilePlan>(graph, tiling);
         store.save(*plan, tiling);
-        result.edges = plan->ordered.edges().size();
-        result.tiles = plan->ordered.tiles().size();
+        result.edges = plan->ordered.numEdges();
+        result.tiles = plan->ordered.numNonEmptyTiles();
     }
     result.file = PlanStore::fileName(result.fingerprint, tiling);
     return result;

@@ -1,5 +1,7 @@
 #include "partition.hh"
 
+#include <string>
+
 #include "common/logging.hh"
 
 namespace graphr
@@ -26,21 +28,42 @@ GridPartition::GridPartition(VertexId num_vertices,
     GRAPHR_ASSERT(params_.numGe > 0, "need >= 1 graph engine");
     GRAPHR_ASSERT(num_vertices > 0, "graph must have vertices");
 
-    tileWidth_ = static_cast<std::uint64_t>(params_.crossbarDim) *
-                 params_.crossbarsPerGe * params_.numGe;
-    tileCapacity_ = params_.crossbarDim * tileWidth_;
-
     // A block must hold a whole number of tile rows (height C) and
     // tile columns (width C*N*G). Pad the requested block size (or
     // the vertex count for the single-block case) up to a multiple of
-    // lcm(C, tileWidth) = tileWidth (C divides tileWidth).
-    const std::uint64_t unit = tileWidth_;
-    if (params_.blockSize == 0) {
-        blockSize_ = roundUp(num_vertices, unit);
-    } else {
-        blockSize_ = roundUp(params_.blockSize, unit);
+    // lcm(C, tileWidth) = tileWidth (C divides tileWidth). The padded
+    // grid is at least one tile wide, so a tile wider than the
+    // largest grid fails the same check before any rounding can wrap.
+    const bool wide =
+        __builtin_mul_overflow(
+            static_cast<std::uint64_t>(params_.crossbarDim),
+            static_cast<std::uint64_t>(params_.crossbarsPerGe),
+            &tileWidth_) ||
+        __builtin_mul_overflow(tileWidth_,
+                               static_cast<std::uint64_t>(params_.numGe),
+                               &tileWidth_) ||
+        tileWidth_ > kMaxPaddedVertices;
+    if (!wide) {
+        const std::uint64_t unit = tileWidth_;
+        blockSize_ = roundUp(params_.blockSize == 0 ? num_vertices
+                                                    : params_.blockSize,
+                             unit);
+        paddedVertices_ = roundUp(num_vertices, blockSize_);
     }
-    paddedVertices_ = roundUp(num_vertices, blockSize_);
+    if (wide || paddedVertices_ > kMaxPaddedVertices) {
+        throw PartitionError(
+            std::to_string(num_vertices) + " vertices under C=" +
+            std::to_string(params_.crossbarDim) +
+            " N=" + std::to_string(params_.crossbarsPerGe) +
+            " G=" + std::to_string(params_.numGe) +
+            " B=" + std::to_string(params_.blockSize) +
+            (wide ? std::string(" need tiles wider than")
+                  : " pad to " + std::to_string(paddedVertices_) +
+                        ", more than") +
+            " the 2^32 vertices whose cells 64-bit order IDs can "
+            "number");
+    }
+    tileCapacity_ = params_.crossbarDim * tileWidth_;
 
     blocksPerDim_ = paddedVertices_ / blockSize_;
     tileRowsPerBlock_ = blockSize_ / params_.crossbarDim;
@@ -48,6 +71,9 @@ GridPartition::GridPartition(VertexId num_vertices,
     byBlock_ = Reciprocal(blockSize_);
     byCrossbar_ = Reciprocal(params_.crossbarDim);
     byTileWidth_ = Reciprocal(tileWidth_);
+    byTilesPerBlock_ = Reciprocal(tilesPerBlock());
+    byBlocksPerDim_ = Reciprocal(blocksPerDim_);
+    byTileRowsPerBlock_ = Reciprocal(tileRowsPerBlock_);
 }
 
 TileCoord
@@ -56,12 +82,12 @@ GridPartition::tileCoord(std::uint64_t tile_index) const
     GRAPHR_ASSERT(tile_index < numTiles(), "tile index ", tile_index,
                   " out of range ", numTiles());
     TileCoord coord;
-    const std::uint64_t bi = tile_index / tilesPerBlock();
-    const std::uint64_t in_block = tile_index % tilesPerBlock();
-    coord.blockRow = bi % blocksPerDim_;
-    coord.blockCol = bi / blocksPerDim_;
-    coord.tileRow = in_block % tileRowsPerBlock_;
-    coord.tileCol = in_block / tileRowsPerBlock_;
+    const std::uint64_t bi = byTilesPerBlock_.quotientWide(tile_index);
+    const std::uint64_t in_block = tile_index - bi * tilesPerBlock();
+    coord.blockCol = byBlocksPerDim_.quotientWide(bi);
+    coord.blockRow = bi - coord.blockCol * blocksPerDim_;
+    coord.tileCol = byTileRowsPerBlock_.quotientWide(in_block);
+    coord.tileRow = in_block - coord.tileCol * tileRowsPerBlock_;
     return coord;
 }
 

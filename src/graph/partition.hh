@@ -27,8 +27,9 @@
  * sort, so it runs without a hardware divide: the partition holds
  * exact reciprocals of its fixed sizes B, C and C*N*G, and every
  * quotient of a 32-bit vertex id or in-block offset is a multiply.
- * Tile indices are 64-bit and met once per tile; their arithmetic
- * keeps the divide.
+ * Tile coordinates are met once per tile decoded or described; they
+ * take reciprocal multiplies of the tile grid's sizes while the tile
+ * index fits 32 bits, and the divide past that.
  */
 
 #ifndef GRAPHR_GRAPH_PARTITION_HH
@@ -36,6 +37,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <stdexcept>
 
 #include "common/logging.hh"
 #include "common/types.hh"
@@ -91,9 +93,25 @@ class Reciprocal
             (static_cast<Wide>(multiplier_) * n) >> 64);
     }
 
+    /** n / d for any 64-bit n: the multiply below 2^32, a divide
+     *  above. */
+    std::uint64_t
+    quotientWide(std::uint64_t n) const
+    {
+        return n >> 32 == 0 ? quotient(static_cast<std::uint32_t>(n))
+                            : n / divisor_;
+    }
+
   private:
     std::uint64_t divisor_;
     std::uint64_t multiplier_ = 0;
+};
+
+/** A tiling whose padded grid no 64-bit order ID can number. */
+class PartitionError : public std::invalid_argument
+{
+  public:
+    using std::invalid_argument::invalid_argument;
 };
 
 /** Coordinates of one tile in the global grid. */
@@ -118,8 +136,16 @@ class GridPartition
      * @param num_vertices real vertex count of the graph
      * @param params tiling parameters; blockSize 0 selects a single
      *        block covering the padded vertex range
+     * @throws PartitionError when the vertex count pads to more than
+     *         2^32 vertices: order IDs count the padded grid's
+     *         paddedVertices^2 cells in 64 bits, so past that they
+     *         wrap and distinct cells would share an ID
      */
     GridPartition(VertexId num_vertices, const TilingParams &params);
+
+    /** The widest padded grid a partition accepts: 2^32 vertices. */
+    static constexpr std::uint64_t kMaxPaddedVertices = std::uint64_t{1}
+                                                        << 32;
 
     /** C in the paper. */
     std::uint32_t crossbarDim() const { return params_.crossbarDim; }
@@ -216,16 +242,19 @@ class GridPartition
 
     VertexId numVertices_;
     TilingParams params_;
-    std::uint64_t tileWidth_;
-    std::uint64_t tileCapacity_;
-    std::uint64_t blockSize_;
-    std::uint64_t paddedVertices_;
+    std::uint64_t tileWidth_ = 0;
+    std::uint64_t tileCapacity_ = 0;
+    std::uint64_t blockSize_ = 0;
+    std::uint64_t paddedVertices_ = 0;
     std::uint64_t blocksPerDim_;
     std::uint64_t tileRowsPerBlock_;
     std::uint64_t tileColsPerBlock_;
     Reciprocal byBlock_{1};     ///< B
     Reciprocal byCrossbar_{1};  ///< C
     Reciprocal byTileWidth_{1}; ///< C * N * G
+    Reciprocal byTilesPerBlock_{1};    ///< tiles per block
+    Reciprocal byBlocksPerDim_{1};     ///< blocks per dimension
+    Reciprocal byTileRowsPerBlock_{1}; ///< B / C
 };
 
 inline std::uint64_t

@@ -103,10 +103,10 @@ OrderedEdgeList::sortsPerformed()
     return g_sorts_performed.load(std::memory_order_relaxed);
 }
 
-template <typename ForEachEdge, typename EdgeAt>
+template <typename ForEachEdge, typename WeightAt>
 void
 OrderedEdgeList::sortEdges(std::size_t num_edges, std::uint64_t max_origin,
-                           ForEachEdge for_each_edge, EdgeAt edge_at)
+                           ForEachEdge for_each_edge, WeightAt weight_at)
 {
     g_sorts_performed.fetch_add(1, std::memory_order_relaxed);
     static perf::Counter &sorts =
@@ -127,53 +127,76 @@ OrderedEdgeList::sortEdges(std::size_t num_edges, std::uint64_t max_origin,
     const bool packed = key_bits + origin_bits <= 64;
     const unsigned low_bit = packed ? origin_bits : 0;
 
+    // The key pass also notes whether any weight differs from 1.0 in
+    // its bits: when none does, every tile is weight mode 0 and the
+    // stream needs nothing of the edges but their keys.
+    const std::uint64_t one_bits = std::bit_cast<std::uint64_t>(1.0);
+    std::uint64_t weight_diff = 0;
     std::vector<std::uint32_t> index;
-    {
-        std::vector<std::uint64_t> words(num_edges);
-        std::size_t at = 0;
-        if (packed) {
-            for_each_edge([&](const Edge &edge, std::uint64_t origin) {
-                words[at++] =
-                    partition_.globalOrderId(edge.src, edge.dst) << low_bit |
-                    origin;
-            });
-        } else {
-            index.resize(num_edges);
-            for_each_edge([&](const Edge &edge, std::uint64_t origin) {
-                words[at] = partition_.globalOrderId(edge.src, edge.dst);
-                index[at] = static_cast<std::uint32_t>(origin);
-                ++at;
-            });
-        }
-        GRAPHR_ASSERT(at == num_edges, "visited ", at, " edges of ",
-                      num_edges);
-        radixSort(words, index, low_bit, key_bits);
+    std::vector<std::uint64_t> words(num_edges);
+    std::size_t at = 0;
+    if (packed) {
+        for_each_edge([&](const Edge &edge, std::uint64_t origin) {
+            words[at++] =
+                partition_.globalOrderId(edge.src, edge.dst) << low_bit |
+                origin;
+            weight_diff |= std::bit_cast<std::uint64_t>(edge.weight) ^
+                           one_bits;
+        });
+    } else {
+        index.resize(num_edges);
+        for_each_edge([&](const Edge &edge, std::uint64_t origin) {
+            words[at] = partition_.globalOrderId(edge.src, edge.dst);
+            index[at] = static_cast<std::uint32_t>(origin);
+            weight_diff |= std::bit_cast<std::uint64_t>(edge.weight) ^
+                           one_bits;
+            ++at;
+        });
+    }
+    GRAPHR_ASSERT(at == num_edges, "visited ", at, " edges of ",
+                  num_edges);
+    radixSort(words, index, low_bit, key_bits);
 
-        // Build the non-empty tile directory in a single pass, one
-        // division per tile; a packed word gives up its origin to a
-        // 4-byte index on the way.
-        if (packed)
-            index.resize(num_edges);
-        const std::uint64_t capacity = partition_.tileCapacity();
-        const std::uint64_t origin_mask =
-            (std::uint64_t{1} << origin_bits) - 1;
+    // One walk over the sorted words finds the tile boundaries (one
+    // division per tile), takes each edge's local cell ID as its key
+    // less the tile's first ID, and writes the tile's record; only a
+    // weighted graph reads its edges again, for the weights.
+    const std::uint64_t capacity = partition_.tileCapacity();
+    const std::uint64_t origin_mask = (std::uint64_t{1} << origin_bits) - 1;
+    std::vector<std::uint64_t> locals;
+    std::vector<std::uint64_t> weights;
+    const auto write = [&](unsigned min_low_bits) {
+        EdgeStreamWriter writer(min_low_bits, num_edges);
+        std::uint64_t tile = 0;
         std::uint64_t tile_first = 0; // first ID of the current tile
         for (std::size_t e = 0; e < num_edges; ++e) {
             const std::uint64_t key = words[e] >> low_bit;
             if (e == 0 || key - tile_first >= capacity) {
-                const std::uint64_t tile = key / capacity;
+                if (e > 0)
+                    writer.addTile(tile, locals, weights);
+                locals.clear();
+                weights.clear();
+                tile = key / capacity;
                 tile_first = tile * capacity;
-                tiles_.push_back(TileSpan{tile, e, 0});
             }
-            ++tiles_.back().numEdges;
-            if (packed)
-                index[e] = static_cast<std::uint32_t>(words[e] & origin_mask);
+            locals.push_back(key - tile_first);
+            if (weight_diff != 0) {
+                weights.push_back(std::bit_cast<std::uint64_t>(weight_at(
+                    packed ? words[e] & origin_mask : index[e])));
+            }
         }
-    } // the words are freed before the gather allocates the edges
-
-    edges_.resize(num_edges);
-    for (std::size_t e = 0; e < num_edges; ++e)
-        edges_[e] = edge_at(index[e]);
+        if (num_edges > 0)
+            writer.addTile(tile, locals, weights);
+        return writer;
+    };
+    EdgeStreamWriter writer = write(0);
+    // Runs of equal cells pick k = 0 and cost next to nothing per
+    // edge, so a duplicate-heavy stream can pass the decoder's
+    // expansion bound. Flooring k at 1 makes every delta pay a packed
+    // bit, which keeps the stream under 8 edges per byte.
+    if (num_edges > writer.streamSize() * kMaxEdgesPerStreamByte)
+        writer = write(1);
+    bytes_ = writer.finish(streamOffset_, tiles_);
 }
 
 OrderedEdgeList::OrderedEdgeList(const CooGraph &graph,
@@ -193,7 +216,7 @@ OrderedEdgeList::OrderedEdgeList(const CooGraph &graph,
             for (std::size_t e = 0; e < input.size(); ++e)
                 visit(input[e], e);
         },
-        [input](std::uint32_t e) { return input[e]; });
+        [input](std::uint64_t e) { return input[e].weight; });
 }
 
 OrderedEdgeList::OrderedEdgeList(const SymmetrizedView &view,
@@ -203,39 +226,73 @@ OrderedEdgeList::OrderedEdgeList(const SymmetrizedView &view,
     GRAPHR_ASSERT(view.numVertices() == partition.numVertices(),
                   "partition built for |V|=", partition.numVertices(),
                   " but graph has |V|=", view.numVertices());
-    const std::size_t graph_edges = view.graph().numEdges();
-    GRAPHR_ASSERT(graph_edges <=
+    const std::span<const Edge> input = view.graph().edges();
+    GRAPHR_ASSERT(input.size() <=
                       std::numeric_limits<std::uint32_t>::max() / 2,
-                  "graph has ", graph_edges,
+                  "graph has ", input.size(),
                   " edges; preprocessing indexes both directions of an "
                   "edge with 32 bits");
     // A skipped self-loop leaves a gap in the origins, so the largest
-    // one is 2E - 1 even when the view holds fewer than 2E edges.
+    // one is 2E - 1 even when the view holds fewer than 2E edges. Both
+    // directions of an edge carry its weight.
     sortEdges(
-        view.numEdges(), graph_edges == 0 ? 0 : 2 * graph_edges - 1,
+        view.numEdges(), input.empty() ? 0 : 2 * input.size() - 1,
         [&view](const auto &visit) { view.forEachEdge(visit); },
-        [&view](std::uint32_t origin) { return view.edgeAt(origin); });
+        [input](std::uint64_t origin) { return input[origin / 2].weight; });
 }
 
 OrderedEdgeList::OrderedEdgeList(const GridPartition &partition,
-                                 TileChunkSource &chunks)
-    : partition_(partition)
+                                 std::vector<unsigned char> bytes,
+                                 std::size_t stream_offset)
+    : partition_(partition), bytes_(std::move(bytes)),
+      streamOffset_(stream_offset)
 {
-    edges_.reserve(chunks.totalEdges());
-    tiles_.reserve(chunks.totalTiles());
-    TileChunkSource::Chunk chunk;
-    while (chunks.next(chunk)) {
-        tiles_.push_back(TileSpan{chunk.tileIndex, edges_.size(),
-                                  chunk.edges.size()});
-        edges_.insert(edges_.end(), chunk.edges.begin(),
-                      chunk.edges.end());
-    }
+    GRAPHR_ASSERT(stream_offset <= bytes_.size(), "stream offset ",
+                  stream_offset, " past ", bytes_.size(), " bytes");
+    tiles_ = indexEdgeStream(partition_, stream());
+}
+
+namespace
+{
+
+perf::Counter &
+tileDecodes()
+{
+    static perf::Counter &decodes =
+        perf::Registry::instance().counter("engine.tile_decodes");
+    return decodes;
+}
+
+} // namespace
+
+std::span<const Edge>
+OrderedEdgeList::decodeTile(std::size_t position,
+                            std::vector<Edge> &scratch) const
+{
+    tileDecodes().add();
+    decodeTileEdges(partition_, stream(), tiles_[position], scratch);
+    return scratch;
+}
+
+std::span<const std::uint64_t>
+OrderedEdgeList::decodeTileLocals(std::size_t position,
+                                  std::vector<std::uint64_t> &scratch) const
+{
+    tileDecodes().add();
+    graphr::decodeTileLocals(stream(), tiles_[position], scratch);
+    return scratch;
 }
 
 double
 OrderedEdgeList::occupancy() const
 {
-    return partition_.occupancy(edges_.size(), tiles_.size());
+    return partition_.occupancy(numEdges(), tiles_.size());
+}
+
+std::size_t
+OrderedEdgeList::bytes() const
+{
+    return bytes_.capacity() + tiles_.capacity() * sizeof(TileSpan);
 }
 
 } // namespace graphr

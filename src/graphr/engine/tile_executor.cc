@@ -267,28 +267,41 @@ TileExecutor::macStripeReports(const MacSpec &spec,
         (part.numVertices() + num_stripes - 1) / num_stripes;
     std::vector<MacSums> sums(num_stripes);
 
+    // A tile whose columns [col0, col0 + W) fall in one stripe goes to
+    // it whole, priced from its stored TileMeta. Only a tile that
+    // crosses a stripe boundary is decoded: its cells ascend by
+    // column, so the stripes split them into one contiguous run each.
+    const std::uint32_t dim = part.crossbarDim();
+    const std::uint64_t last_vertex = part.numVertices() - 1;
+    std::vector<std::uint64_t> locals;
     const std::vector<TileMeta> &tiles = plan_->meta.tiles();
     for (std::size_t t = 0; t < tiles.size(); ++t) {
-        // Tile edges ascend by destination, so the stripes split a
-        // tile into one contiguous run of edges each.
-        std::span<const Edge> edges =
-            plan_->ordered.tileEdges(plan_->ordered.tiles()[t]);
-        const std::uint64_t first = edges.front().dst / width;
-        if (edges.back().dst / width == first) {
-            addMacTile(sums[first], tiles[t], spec.passesPerTile);
+        const TileMeta &meta = tiles[t];
+        const std::uint64_t first = meta.col0 / width;
+        if (std::min(meta.col0 + part.tileWidth() - 1, last_vertex) /
+                width ==
+            first) {
+            addMacTile(sums[first], meta, spec.passesPerTile);
             continue;
         }
-        while (!edges.empty()) {
-            const std::uint64_t stripe = edges.front().dst / width;
-            const std::uint64_t end = (stripe + 1) * width;
+        std::span<const std::uint64_t> cells =
+            plan_->ordered.decodeTileLocals(t, locals);
+        while (!cells.empty()) {
+            const std::uint64_t stripe =
+                (meta.col0 + cells.front() / dim) / width;
+            // The stripe's cells are those whose tile column, local /
+            // C, lies below its end (stripe + 1) * width less col0.
+            const std::uint64_t bound =
+                ((stripe + 1) * width - meta.col0) * dim;
             const auto run_end = std::partition_point(
-                edges.begin(), edges.end(),
-                [end](const Edge &e) { return e.dst < end; });
-            const std::span<const Edge> run(edges.begin(), run_end);
+                cells.begin(), cells.end(),
+                [bound](std::uint64_t local) { return local < bound; });
+            const std::span<const std::uint64_t> run(cells.begin(),
+                                                     run_end);
             addMacTile(sums[stripe],
-                       describeTile(part, tiles[t].tileIndex, run),
+                       describeTile(part, meta.tileIndex, run),
                        spec.passesPerTile);
-            edges = edges.subspan(run.size());
+            cells = cells.subspan(run.size());
         }
     }
 
@@ -314,7 +327,6 @@ TileExecutor::functionalMacSweep(const MacSpec &spec,
     }
     GraphEngineArray &ge = mac_->ge;
 
-    std::vector<Edge> scaled;
     std::vector<double> in_rows(config_.tiling.crossbarDim, 0.0);
     std::vector<ColumnValue> partial; // reused across tiles (hot loop)
     const std::vector<TileMeta> &tiles = plan_->meta.tiles();
@@ -325,17 +337,12 @@ TileExecutor::functionalMacSweep(const MacSpec &spec,
             ge.loadTile(*kept);
             countReplay();
         } else {
-            const TileSpan &span = plan_->ordered.tiles()[t];
-            std::span<const Edge> tile_edges =
-                plan_->ordered.tileEdges(span);
+            plan_->ordered.decodeTile(t, tileEdges_);
             if (spec.edgeScale) {
-                scaled.clear();
-                for (const Edge &e : tile_edges)
-                    scaled.push_back(
-                        Edge{e.src, e.dst, spec.edgeScale(e)});
-                tile_edges = scaled;
+                for (Edge &e : tileEdges_)
+                    e.weight = spec.edgeScale(e);
             }
-            ge.programTile(tile_edges, meta.row0, meta.col0,
+            ge.programTile(tileEdges_, meta.row0, meta.col0,
                            config_.weightFracBits);
             ++stats_.functionalTilePrograms;
             kept = ge.saveTile();
@@ -487,7 +494,6 @@ TileExecutor::functionalAddOpSolve(const CooGraph &graph,
             ids.push_back(v);
     }
     RoundTiles finder(plan_->meta, dim);
-    std::vector<Edge> rewritten_edges;
     std::vector<ColumnValue> cand; // reused across rows (hot loop)
 
     while (!ids.empty()) {
@@ -499,22 +505,17 @@ TileExecutor::functionalAddOpSolve(const CooGraph &graph,
                 ge.loadTile(*kept[t]);
                 countReplay();
             } else {
-                const TileSpan &span = plan_->ordered.tiles()[t];
-                std::span<const Edge> tile_edges =
-                    plan_->ordered.tileEdges(span);
+                plan_->ordered.decodeTile(t, tileEdges_);
                 if (spec.mode != WeightMode::kOriginal) {
-                    rewritten_edges.assign(tile_edges.begin(),
-                                           tile_edges.end());
                     const double w =
                         spec.mode == WeightMode::kUnit ? 1.0 : 0.0;
-                    for (Edge &e : rewritten_edges)
+                    for (Edge &e : tileEdges_)
                         e.weight = w;
-                    tile_edges = rewritten_edges;
                 }
                 // Integer distances/weights: 0 fractional bits is
                 // exact. Parallel edges merge with min (relaxation
                 // semantics).
-                ge.programTile(tile_edges, meta.row0, meta.col0, 0,
+                ge.programTile(tileEdges_, meta.row0, meta.col0, 0,
                                CombineMode::kMin);
                 ++stats_.functionalTilePrograms;
                 kept[t] = ge.saveTile();

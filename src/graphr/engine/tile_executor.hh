@@ -15,9 +15,10 @@
  *  - AddOpSpec describes a parallel-add-op relaxation (BFS, SSSP,
  *    WCC): initial labels, initial active set, weight mode.
  *
- * The functional path derives each tile's cells (weights scaled,
- * merged and quantised) once per run, on the tile's first visit, and
- * keeps them (TileSnapshot, 8 bytes a cell) until the run ends. A
+ * The functional path decodes each tile's edges from the plan's
+ * stream into executor-owned scratch and derives its cells (weights
+ * scaled, merged and quantised) once per run, on the tile's first
+ * visit, and keeps them (TileSnapshot, 8 bytes a cell) until the run ends. A
  * later visit writes the kept cells back: under
  * ProgramCharging::kPerSweep that is the sweep's reprogram of the
  * tile, under kOnce a switch to its resident bank. Either way the
@@ -145,9 +146,10 @@ class TileExecutor
      * [k*w, (k+1)*w), w = ceil(V / @p num_stripes). Report k equals
      * macReport() on the plan of stripe k's edges alone (the
      * multi-node cluster's per-node sweep); a stripe without edges
-     * gets an all-zero report. A tile inside one stripe is priced
-     * from its stored TileMeta; a tile the stripes split is priced
-     * per run of its edges (describeTile), with no copy. Each
+     * gets an all-zero report. A tile whose columns lie in one stripe
+     * is priced from its stored TileMeta; only a tile that crosses a
+     * stripe boundary is decoded, and priced per run of its cells
+     * (describeTile). Each
      * stripe's costs are summed in plan tile order — the order its
      * own plan would have — so the doubles match exactly.
      */
@@ -216,6 +218,8 @@ class TileExecutor
     CostModel costModel_;
     TilePlanPtr plan_;
     std::unique_ptr<MacDatapath> mac_;
+    /** A functional walk decodes a tile here on its first program. */
+    std::vector<Edge> tileEdges_;
     EngineStats stats_;
 };
 

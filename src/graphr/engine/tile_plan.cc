@@ -1,5 +1,7 @@
 #include "tile_plan.hh"
 
+#include <utility>
+
 namespace graphr
 {
 
@@ -18,10 +20,12 @@ TilePlan::TilePlan(const SymmetrizedView &view,
 }
 
 TilePlan::TilePlan(VertexId num_vertices, const TilingParams &tiling,
-                   TileChunkSource &chunks,
+                   std::vector<unsigned char> bytes,
+                   std::size_t stream_offset,
                    std::uint64_t graph_fingerprint)
-    : partition(num_vertices, tiling), ordered(partition, chunks),
-      meta(ordered), fingerprint(graph_fingerprint)
+    : partition(num_vertices, tiling),
+      ordered(partition, std::move(bytes), stream_offset), meta(ordered),
+      fingerprint(graph_fingerprint)
 {
 }
 

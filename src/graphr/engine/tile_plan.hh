@@ -5,9 +5,11 @@
  * GraphR preprocesses a graph once (offline, in software — paper
  * section 3.4): grid-partition the adjacency matrix, sort the COO
  * edge list into streaming-apply tile order (a stable radix sort,
- * linear in E, over division-free order IDs) and extract the per-tile
- * activity metadata the cost model consumes (fixed-size records plus
- * one flat array of row counts). Every
+ * linear in E, over division-free order IDs) written as the
+ * delta-coded tile stream, about 2 bytes an edge, and extract the
+ * per-tile activity metadata the cost model consumes (fixed-size
+ * records plus one flat array of row counts). No ordered copy of the
+ * edges is kept: a run decodes a tile where it reads its edges. Every
  * execution layer — single node, multi-node stripes, out-of-core
  * blocks, driver sweeps — walks the same three products, so they are
  * bundled here as one shareable, immutable plan. PlanCache
@@ -52,15 +54,24 @@ struct TilePlan
     TilePlan(const SymmetrizedView &view, const TilingParams &tiling);
 
     /**
-     * Assemble a plan by draining a tile-at-a-time chunk source (the
-     * deserialisation path of the on-disk plan store): edges and
-     * tile spans come from the cursor without a sort, and the per-tile
-     * metadata is recomputed deterministically from the ordered list —
-     * the same code path a fresh prepare takes, so downstream results
-     * are byte-identical.
+     * Adopt a stored stream (the load path of the on-disk plan
+     * store): the plan keeps @p bytes, whose bytes from
+     * @p stream_offset on are the stream, after one validating pass
+     * builds the tile directory, and the per-tile metadata is
+     * described from the stream exactly as for a fresh prepare, so
+     * downstream results are byte-identical. Throws CodecError on a
+     * malformed stream.
      */
     TilePlan(VertexId num_vertices, const TilingParams &tiling,
-             TileChunkSource &chunks, std::uint64_t graph_fingerprint);
+             std::vector<unsigned char> bytes, std::size_t stream_offset,
+             std::uint64_t graph_fingerprint);
+
+    /** Heap bytes the plan holds: its stream, directory and table. */
+    std::size_t
+    bytes() const
+    {
+        return ordered.bytes() + meta.bytes();
+    }
 };
 
 /** Plans are shared (cache + concurrent runners): ref-counted const. */

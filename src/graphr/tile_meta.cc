@@ -11,7 +11,8 @@ namespace graphr
 
 TileMeta
 describeTile(const GridPartition &part, std::uint64_t tile_index,
-             std::span<const Edge> edges, std::span<std::uint32_t> row_nnz)
+             std::span<const std::uint64_t> locals,
+             std::span<std::uint32_t> row_nnz)
 {
     const std::uint32_t dim = part.crossbarDim();
     GRAPHR_ASSERT(dim <= 64, "tile row mask supports C <= 64");
@@ -20,17 +21,18 @@ describeTile(const GridPartition &part, std::uint64_t tile_index,
 
     TileMeta meta;
     meta.tileIndex = tile_index;
-    meta.nnz = edges.size();
+    meta.nnz = locals.size();
     part.tileOrigin(part.tileCoord(tile_index), meta.row0, meta.col0);
 
-    // A tile's edges are in column-major order (sub = row + col*C),
+    // A tile's cells are in column-major order (local = row + col*C),
     // so each distinct column, and each crossbar's C columns, is one
-    // run of consecutive edges: count runs instead of sets. Most edges
+    // run of consecutive cells: count runs instead of sets. Most cells
     // of a sparse tile open a crossbar, so the loop takes no branch on
-    // it: an edge opens one when its crossbar, a reciprocal multiply
-    // rather than a divide, differs from the previous edge's.
+    // it: a cell opens one when its crossbar, a reciprocal multiply
+    // rather than a divide, differs from the previous cell's.
     const Reciprocal by_dim(dim);
-    const std::uint64_t width = part.tileWidth();
+    const std::uint64_t capacity = part.tileCapacity();
+    std::uint64_t prev_local = 0;
     std::uint64_t prev_col = ~std::uint64_t{0};
     std::uint64_t prev_crossbar = ~std::uint64_t{0};
     std::uint64_t cb_rows = 0;  // rows of the current crossbar so far
@@ -39,12 +41,12 @@ describeTile(const GridPartition &part, std::uint64_t tile_index,
     std::uint64_t columns = 0;
     std::uint32_t crossbars = 0;
     std::uint32_t max_rows = 0;
-    for (const Edge &e : edges) {
-        const std::uint64_t row = e.src - meta.row0;
-        const std::uint64_t col = e.dst - meta.col0;
-        GRAPHR_ASSERT(row < dim && col < width, "edge outside its tile");
-        GRAPHR_ASSERT(columns == 0 || col >= prev_col,
-                      "tile edges not in column-major order");
+    for (const std::uint64_t local : locals) {
+        GRAPHR_ASSERT(local < capacity, "cell outside its tile");
+        GRAPHR_ASSERT(columns == 0 || local >= prev_local,
+                      "tile cells not in column-major order");
+        const std::uint64_t col = by_dim.quotientWide(local);
+        const std::uint64_t row = local - col * dim;
         const std::uint64_t crossbar =
             by_dim.quotient(static_cast<std::uint32_t>(col));
         const bool opens = crossbar != prev_crossbar;
@@ -59,6 +61,7 @@ describeTile(const GridPartition &part, std::uint64_t tile_index,
         row_mask |= bit;
         if (!row_nnz.empty())
             ++row_nnz[row];
+        prev_local = local;
         prev_col = col;
         prev_crossbar = crossbar;
     }
@@ -82,9 +85,11 @@ TileMetaTable::TileMetaTable(const OrderedEdgeList &ordered)
     rowOffsets_.assign((part.numVertices() + dim - 1) / dim + 1, 0);
     tiles_.reserve(spans.size());
     rowNnz_.assign(spans.size() * dim, 0);
+    std::vector<std::uint64_t> locals; // one tile's cells, reused
     for (std::size_t t = 0; t < spans.size(); ++t) {
+        decodeTileLocals(ordered.stream(), spans[t], locals);
         tiles_.push_back(describeTile(
-            part, spans[t].tileIndex, ordered.tileEdges(spans[t]),
+            part, spans[t].tileIndex, locals,
             std::span<std::uint32_t>(rowNnz_).subspan(t * dim, dim)));
         totalNnz_ += spans[t].numEdges;
         ++rowOffsets_[tiles_.back().row0 / dim + 1];
@@ -100,6 +105,15 @@ TileMetaTable::TileMetaTable(const OrderedEdgeList &ordered)
     for (std::size_t t = 0; t < tiles_.size(); ++t)
         rowPositions_[next[tiles_[t].row0 / dim]++] =
             static_cast<std::uint32_t>(t);
+}
+
+std::size_t
+TileMetaTable::bytes() const
+{
+    return tiles_.capacity() * sizeof(TileMeta) +
+           (rowNnz_.capacity() + rowOffsets_.capacity() +
+            rowPositions_.capacity()) *
+               sizeof(std::uint32_t);
 }
 
 } // namespace graphr

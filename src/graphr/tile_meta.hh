@@ -6,7 +6,10 @@
  * non-zeros, the serial row-write depth, and which source rows carry
  * edges (to intersect with active sets for BFS/SSSP). Computing this
  * once after preprocessing keeps the per-iteration simulation loop a
- * cheap table walk, which matters when iterating large graphs. The
+ * cheap table walk, which matters when iterating large graphs. It is
+ * computed from the tiles' cell IDs as the plan's stream decodes
+ * them, the same way for a freshly sorted plan, a plan loaded from
+ * the store and a multi-node stripe's share of a tile. The
  * table also indexes its tiles by tile row, so an add-op round
  * reaches the tiles of its active sources without walking the rest.
  * Each tile's C row counts live in one flat array the table owns, so
@@ -39,22 +42,28 @@ struct TileMeta
 };
 
 /**
- * Metadata of tile @p tile_index holding @p edges, which must be in
- * the plan's column-major tile order. Any contiguous run of a plan
- * tile's edges is itself in that order, so this also describes the
- * part of a tile that falls in a destination range (multi-node
- * stripes). @p row_nnz, when not empty, holds C zeros and receives
- * each tile row's edge count.
+ * Metadata of tile @p tile_index holding the cells @p locals, local
+ * cell IDs (row + col * C) ascending, as the plan's stream decodes
+ * them: a cell's row is its ID mod C and its column the ID / C. Any
+ * contiguous run of a plan tile's cells is itself ascending, so this
+ * also describes the part of a tile that falls in a destination range
+ * (multi-node stripes). @p row_nnz, when not empty, holds C zeros and
+ * receives each tile row's edge count.
  */
 TileMeta describeTile(const GridPartition &part, std::uint64_t tile_index,
-                      std::span<const Edge> edges,
+                      std::span<const std::uint64_t> locals,
                       std::span<std::uint32_t> row_nnz = {});
 
 /** Table of metadata for every non-empty tile, in streaming order. */
 class TileMetaTable
 {
   public:
+    /** Describe every tile of @p ordered from its decoded cell IDs,
+     *  one tile at a time. */
     explicit TileMetaTable(const OrderedEdgeList &ordered);
+
+    /** Heap bytes held by the table's arrays. */
+    std::size_t bytes() const;
 
     const std::vector<TileMeta> &tiles() const { return tiles_; }
 

@@ -21,7 +21,6 @@
 #include "common/failpoint.hh"
 #include "common/logging.hh"
 #include "perf/counters.hh"
-#include "store/edge_codec.hh"
 
 namespace graphr
 {
@@ -40,7 +39,7 @@ constexpr std::size_t kHeaderBytes = 88;
 /** Bytes of the header covered by the header checksum. */
 constexpr std::size_t kHeaderChecksummedBytes = kHeaderBytes - 8;
 
-/** Append-only little buffer builder for headers and payloads. */
+/** Append-only little buffer builder for headers. */
 class ByteWriter
 {
   public:
@@ -52,12 +51,6 @@ class ByteWriter
         const std::size_t at = bytes_.size();
         bytes_.resize(at + sizeof(T));
         std::memcpy(bytes_.data() + at, &value, sizeof(T));
-    }
-
-    void
-    append(const unsigned char *data, std::size_t n)
-    {
-        bytes_.insert(bytes_.end(), data, data + n);
     }
 
     const std::vector<unsigned char> &bytes() const { return bytes_; }
@@ -323,33 +316,37 @@ decodeHeader(const unsigned char *data, std::size_t size, Header &h,
     return true;
 }
 
+/** Bytes of the payload before the stream: the codec tag. */
+constexpr std::size_t kCodecTagBytes = sizeof(kCodecDelta);
+
 /**
- * The payload checks load() and list() share: checksum, codec tag, an
- * nnz total equal to the edge count (the stream carries no metadata
- * table, so every tile's nnz is its edge count), and the stream's
- * declared totals against the header. Returns the decoder opened over
- * the stream body; it reads @p part and @p payload, which must outlive
- * it. Throws CodecError on the first failed check.
+ * The payload checks load() and list() share before the stream is
+ * indexed: checksum, codec tag, and an nnz total equal to the edge
+ * count (the stream carries no metadata table, so every tile's nnz is
+ * its edge count). Throws CodecError on the first failed check.
  */
-EdgeStreamDecoder
-openPayload(const Header &h, const GridPartition &part,
-            const unsigned char *payload, std::size_t size)
+void
+checkPayload(const Header &h, const unsigned char *payload,
+             std::size_t size)
 {
     if (xxh64(payload, size) != h.payloadChecksum)
         throw CodecError("payload checksum mismatch");
     std::uint32_t codec = 0;
-    if (size < sizeof(codec))
+    if (size < kCodecTagBytes)
         throw CodecError("payload too small for a codec tag");
-    std::memcpy(&codec, payload, sizeof(codec));
+    std::memcpy(&codec, payload, kCodecTagBytes);
     if (codec != kCodecDelta)
         throw CodecError("unknown payload codec tag");
     if (h.totalNnz != h.edges)
         throw CodecError("total nnz disagrees with the edge count");
-    EdgeStreamDecoder dec(part, payload + sizeof(codec),
-                          size - sizeof(codec));
-    if (dec.totalEdges() != h.edges || dec.totalTiles() != h.tiles)
+}
+
+/** The indexed stream's totals against the header's. */
+void
+checkTotals(const Header &h, std::uint64_t edges, std::uint64_t tiles)
+{
+    if (edges != h.edges || tiles != h.tiles)
         throw CodecError("stream totals disagree with header");
-    return dec;
 }
 
 /** Unique temporary suffix so concurrent saves never collide. */
@@ -479,16 +476,18 @@ PlanStore::load(std::uint64_t fingerprint,
 
     TilePlanPtr plan;
     try {
-        // Safe after decodeHeader's tiling/vertex validation.
-        const GridPartition part(static_cast<VertexId>(h.vertices),
-                                 h.tiling);
-        EdgeStreamDecoder dec =
-            openPayload(h, part, bytes.data() + kHeaderBytes,
-                        bytes.size() - kHeaderBytes);
+        // The plan keeps the bytes it read: its stream is the payload
+        // after the codec tag, indexed by one validating pass.
+        checkPayload(h, bytes.data() + kHeaderBytes,
+                     bytes.size() - kHeaderBytes);
         plan = std::make_shared<const TilePlan>(
-            static_cast<VertexId>(h.vertices), h.tiling, dec,
-            h.fingerprint);
+            static_cast<VertexId>(h.vertices), h.tiling, std::move(bytes),
+            kHeaderBytes + kCodecTagBytes, h.fingerprint);
+        checkTotals(h, plan->ordered.numEdges(),
+                    plan->ordered.numNonEmptyTiles());
     } catch (const CodecError &e) {
+        return reject(e.what());
+    } catch (const PartitionError &e) {
         return reject(e.what());
     }
 
@@ -500,28 +499,28 @@ PlanStore::load(std::uint64_t fingerprint,
 std::string
 PlanStore::save(const TilePlan &plan, const TilingParams &tiling) const
 {
-    const std::vector<unsigned char> stream = encodeEdgeStream(
-        plan.partition, plan.ordered.edges(), plan.ordered.tiles());
-    ByteWriter payload;
-    payload.raw(kCodecDelta);
-    payload.append(stream.data(), stream.size());
+    // The payload is the codec tag and the plan's stream, unchanged.
+    const std::span<const unsigned char> stream = plan.ordered.stream();
+    Xxh64 payload_hash;
+    payload_hash.update(&kCodecDelta, kCodecTagBytes);
+    payload_hash.update(stream.data(), stream.size());
 
     Header h;
     h.version = kFormatVersion;
     h.fingerprint = plan.fingerprint;
     h.vertices = plan.partition.numVertices();
     h.tiling = tiling;
-    h.edges = plan.ordered.edges().size();
-    h.tiles = plan.ordered.tiles().size();
+    h.edges = plan.ordered.numEdges();
+    h.tiles = plan.ordered.numNonEmptyTiles();
     h.totalNnz = plan.meta.totalNnz();
-    h.payloadBytes = payload.bytes().size();
-    h.payloadChecksum =
-        xxh64(payload.bytes().data(), payload.bytes().size());
+    h.payloadBytes = kCodecTagBytes + stream.size();
+    h.payloadChecksum = payload_hash.digest();
 
     ByteWriter header;
     encodeHeader(header, h);
     GRAPHR_ASSERT(header.bytes().size() == kHeaderBytes,
                   "header layout drifted");
+    header.raw(kCodecDelta);
 
     const std::string final_path = path(plan.fingerprint, tiling);
     const std::string tmp_path = final_path + tempSuffix();
@@ -538,8 +537,7 @@ PlanStore::save(const TilePlan &plan, const TilingParams &tiling) const
         std::string why;
         bool ok = writeFull(fd, header.bytes().data(),
                             header.bytes().size(), why) &&
-                  writeFull(fd, payload.bytes().data(),
-                            payload.bytes().size(), why);
+                  writeFull(fd, stream.data(), stream.size(), why);
         // Crash durability: the artifact bytes must be on stable
         // storage *before* the rename publishes the name. Without
         // this fsync a crash shortly after save() could leave the
@@ -622,20 +620,27 @@ PlanStore::list() const
             info.edges = h.edges;
             info.tiles = h.tiles;
             info.payloadBytes = h.payloadBytes;
-            // Full decode-drain: listing promises the same validation
-            // depth a load performs.
+            // The load's validating pass: listing promises the same
+            // validation depth a load performs.
             try {
                 const GridPartition part(
                     static_cast<VertexId>(h.vertices), h.tiling);
-                EdgeStreamDecoder dec =
-                    openPayload(h, part, bytes.data() + kHeaderBytes,
-                                bytes.size() - kHeaderBytes);
-                TileChunkSource::Chunk chunk;
-                while (dec.next(chunk)) {
-                    // every tile is checked as it decodes
-                }
+                const unsigned char *payload = bytes.data() + kHeaderBytes;
+                const std::size_t size = bytes.size() - kHeaderBytes;
+                checkPayload(h, payload, size);
+                const std::vector<TileSpan> tiles = indexEdgeStream(
+                    part, std::span<const unsigned char>(
+                              payload + kCodecTagBytes,
+                              size - kCodecTagBytes));
+                checkTotals(h,
+                            tiles.empty() ? 0
+                                          : tiles.back().firstEdge +
+                                                tiles.back().numEdges,
+                            tiles.size());
                 info.valid = true;
             } catch (const CodecError &e) {
+                issue = e.what();
+            } catch (const PartitionError &e) {
                 issue = e.what();
             }
         }

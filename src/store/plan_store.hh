@@ -27,13 +27,15 @@
  *     u64  header checksum (XXH64 over the 80 bytes above)
  *   payload:
  *     u32  codec tag "DLT1"
- *     the bit-packed delta-coded edge stream of store/edge_codec.hh:
+ *     the bit-packed delta-coded edge stream of graph/edge_codec.hh:
  *     per-tile local-cell-ID delta streams (fixed-width low-bits plane
  *     + zero-run/varint exception stream) with per-tile weight modes.
- *     Tile spans are implicit in the stream and the per-tile metadata
- *     is recomputed on load — warm results stay byte-identical because
- *     the recomputation is the same deterministic code a fresh prepare
- *     runs.
+ *     The stream is the plan's own: save() writes the plan's bytes
+ *     unchanged, and load() keeps the bytes it read, indexed by one
+ *     validating pass that records each tile's byte offset. The
+ *     per-tile metadata is described on load from the stream's cell
+ *     IDs — warm results stay byte-identical because it is the same
+ *     deterministic code a fresh prepare runs.
  *
  * Older layouts are not migrated: a format v1 artifact (uncompressed
  * edge records, tile spans and metadata table, no codec tag) and a
@@ -52,10 +54,10 @@
  * atomically rename over the final name, then fsync the directory:
  * readers only ever see complete files, and a crash at any point
  * leaves either the old artifact or the new one, never torn bytes
- * under the final name. Loads read the whole artifact with one
- * chunked POSIX read loop; transient I/O errors (EINTR/EAGAIN, short
- * transfers) are retried with bounded backoff (`store.retries`) on
- * both the read and the write path. Both paths carry fault-injection
+ * under the final name. Loads read the whole artifact once, with one
+ * chunked POSIX read loop, into the buffer the plan keeps; transient
+ * I/O errors (EINTR/EAGAIN, short transfers) are retried with bounded
+ * backoff (`store.retries`) on both the read and the write path. Both paths carry fault-injection
  * sites (common/failpoint.hh, the `store.*` names) so the degradation
  * and durability contracts are exercised by tests/chaos.sh rather
  * than merely asserted here.

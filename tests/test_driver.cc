@@ -521,6 +521,28 @@ TEST(DriverRunTest, FullMatrixExecutes)
         EXPECT_NE(matrix.str().find(w), std::string::npos);
 }
 
+TEST(DriverRunTest, TimingSweepOnResidentPlansDecodesNoTile)
+{
+    // Timing runs read only tile metadata. With 16-column tiles no
+    // tile crosses a boundary of the 4 multinode stripes, 256 columns
+    // each, so a sweep over resident plans decodes no tile at all.
+    SweepSpec spec;
+    spec.workloads = {"all"};
+    spec.backends = {"graphr", "outofcore", "multinode"};
+    spec.datasets = {"rmat:vertices=1024,edges=8192,seed=5"};
+    spec.params = ParamMap::parse("epochs=1,features=4,iterations=5");
+    spec.backendOptions.config.tiling = {.crossbarDim = 4,
+                                         .crossbarsPerGe = 2,
+                                         .numGe = 2};
+    runSweep(spec); // makes every plan resident
+    perf::Counter &decodes =
+        perf::Registry::instance().counter("engine.tile_decodes");
+    const std::uint64_t before = decodes.value();
+    const std::vector<RunResult> results = runSweep(spec);
+    EXPECT_EQ(results.size(), allWorkloadNames().size() * 3);
+    EXPECT_EQ(decodes.value() - before, 0u);
+}
+
 TEST(DriverRunTest, OneNodeClusterMatchesSingleNode)
 {
     // With one node and no communication, the multinode cost model

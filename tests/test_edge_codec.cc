@@ -1,16 +1,18 @@
 /**
  * @file
- * Property tests for the compressed plan-artifact edge codec.
+ * Property tests for the delta-coded tile stream, the one form a plan
+ * keeps its edges in.
  *
- * The codec must be proven byte-exact and corruption-safe before the
- * store depends on it, so this suite drives it two ways: a seeded
- * generator sweeps adversarial edge distributions (empty tiles,
- * single-edge tiles, max-degree rows, duplicate runs, near-2^32
- * vertex ids, every weight mode) asserting encode -> decode is
- * bit-identical to the raw path, and a malformed-stream matrix
+ * The codec must be proven byte-exact and corruption-safe, so this
+ * suite drives it two ways: a seeded generator sweeps adversarial edge
+ * distributions (empty tiles, single-edge tiles, max-degree rows,
+ * duplicate runs, near-2^32 vertex ids, every weight mode) asserting
+ * that a stream written by the edge-list reference encoder
+ * (reference_plan.hh) indexes and decodes tile by tile bit-identically
+ * to the edges it was written from, and a malformed-stream matrix
  * (truncation at every byte, flipped bits, hand-crafted structural
- * violations) asserts the decoder throws CodecError instead of
- * crashing, allocating unboundedly, or returning wrong edges.
+ * violations) asserts the validating pass throws CodecError instead
+ * of crashing, allocating unboundedly, or returning wrong edges.
  */
 
 #include <gtest/gtest.h>
@@ -22,11 +24,14 @@
 #include <random>
 #include <vector>
 
+#include "graph/edge_codec.hh"
 #include "graph/generator.hh"
 #include "graph/partition.hh"
 #include "graph/preprocess.hh"
 #include "graphr/engine/tile_plan.hh"
-#include "store/edge_codec.hh"
+#include "perf/counters.hh"
+#include "plan_eq.hh"
+#include "reference_plan.hh"
 
 namespace graphr
 {
@@ -88,7 +93,7 @@ orderEdges(const GridPartition &part, std::vector<Edge> edges)
         sorted[e] = edges[perm[e]];
         const std::uint64_t tile = keys[perm[e]] / capacity;
         if (tile != prev_tile) {
-            tiles.push_back(TileSpan{tile, e, 1});
+            tiles.push_back(TileSpan{tile, e, 1, 0});
             prev_tile = tile;
         } else {
             ++tiles.back().numEdges;
@@ -97,42 +102,46 @@ orderEdges(const GridPartition &part, std::vector<Edge> edges)
     return Ordered{std::move(sorted), std::move(tiles)};
 }
 
-/** Bit-pattern edge equality: NaN payloads and -0.0 must survive,
- *  which float == cannot express. */
-void
-expectEdgesBitIdentical(std::span<const Edge> a, std::span<const Edge> b)
+/** The reference encoder's stream of an ordered edge list. */
+std::vector<unsigned char>
+encode(const GridPartition &part, std::span<const Edge> edges,
+       std::span<const TileSpan> tiles)
 {
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t i = 0; i < a.size(); ++i) {
-        EXPECT_EQ(a[i].src, b[i].src) << "edge " << i;
-        EXPECT_EQ(a[i].dst, b[i].dst) << "edge " << i;
-        EXPECT_EQ(std::bit_cast<std::uint64_t>(
-                      static_cast<double>(a[i].weight)),
-                  std::bit_cast<std::uint64_t>(
-                      static_cast<double>(b[i].weight)))
-            << "edge " << i;
-    }
+    return reference::encodeEdgeStream(part, edges, tiles);
 }
 
-/** Encode, stream-decode, and require a bit-identical ordered list. */
+/**
+ * Encode, index and decode every tile, and require the directory, the
+ * edges and the cells of the ordered list.
+ */
 std::vector<unsigned char>
 expectRoundTrip(const GridPartition &part, std::span<const Edge> edges,
                 std::span<const TileSpan> tiles)
 {
-    std::vector<unsigned char> bytes =
-        encodeEdgeStream(part, edges, tiles);
-    EdgeStreamDecoder dec(part, bytes.data(), bytes.size());
-    EXPECT_EQ(dec.totalEdges(), edges.size());
-    EXPECT_EQ(dec.totalTiles(), tiles.size());
-    const OrderedEdgeList decoded(part, dec);
-    expectEdgesBitIdentical(decoded.edges(), edges);
-    EXPECT_EQ(decoded.tiles().size(), tiles.size());
-    for (std::size_t t = 0;
-         t < std::min(decoded.tiles().size(), tiles.size()); ++t) {
-        EXPECT_EQ(decoded.tiles()[t].tileIndex, tiles[t].tileIndex);
-        EXPECT_EQ(decoded.tiles()[t].firstEdge, tiles[t].firstEdge);
-        EXPECT_EQ(decoded.tiles()[t].numEdges, tiles[t].numEdges);
+    std::vector<unsigned char> bytes = encode(part, edges, tiles);
+    const std::vector<TileSpan> index = indexEdgeStream(part, bytes);
+    EXPECT_EQ(index.size(), tiles.size());
+    std::vector<Edge> decoded;
+    std::vector<Edge> scratch;
+    std::vector<std::uint64_t> locals;
+    for (std::size_t t = 0; t < std::min(index.size(), tiles.size()); ++t) {
+        EXPECT_EQ(index[t].tileIndex, tiles[t].tileIndex);
+        EXPECT_EQ(index[t].firstEdge, tiles[t].firstEdge);
+        EXPECT_EQ(index[t].numEdges, tiles[t].numEdges);
+        decodeTileEdges(part, bytes, index[t], scratch);
+        decoded.insert(decoded.end(), scratch.begin(), scratch.end());
+        // A cell's ID is row + col * C within its tile.
+        decodeTileLocals(bytes, index[t], locals);
+        std::uint64_t row0 = 0;
+        std::uint64_t col0 = 0;
+        part.tileOrigin(part.tileCoord(index[t].tileIndex), row0, col0);
+        for (std::size_t e = 0; e < scratch.size(); ++e) {
+            EXPECT_EQ(locals[e], (scratch[e].src - row0) +
+                                     (scratch[e].dst - col0) *
+                                         part.crossbarDim());
+        }
     }
+    expectEdgesBitIdentical(decoded, edges);
     return bytes;
 }
 
@@ -142,19 +151,33 @@ expectRoundTrip(const GridPartition &part, const Ordered &ordered)
     return expectRoundTrip(part, ordered.edges, ordered.tiles);
 }
 
-/** Expect CodecError from constructing + fully draining a stream. */
+/** Expect CodecError from the validating pass over a stream. */
 void
 expectDecodeThrows(const GridPartition &part,
                    const std::vector<unsigned char> &bytes)
 {
-    EXPECT_THROW(
-        {
-            EdgeStreamDecoder dec(part, bytes.data(), bytes.size());
-            TileChunkSource::Chunk chunk;
-            while (dec.next(chunk)) {
-            }
-        },
-        CodecError);
+    EXPECT_THROW(indexEdgeStream(part, bytes), CodecError);
+}
+
+/**
+ * Index @p bytes and decode every tile; a stream the pass accepts
+ * must decode without fault (the sanitizer jobs run this too).
+ * Returns the edges decoded, or throws CodecError.
+ */
+std::uint64_t
+indexAndDecodeAll(const GridPartition &part,
+                  const std::vector<unsigned char> &bytes)
+{
+    const std::vector<TileSpan> index = indexEdgeStream(part, bytes);
+    std::vector<Edge> scratch;
+    std::vector<std::uint64_t> locals;
+    std::uint64_t edges = 0;
+    for (const TileSpan &tile : index) {
+        decodeTileEdges(part, bytes, tile, scratch);
+        decodeTileLocals(bytes, tile, locals);
+        edges += scratch.size();
+    }
+    return edges;
 }
 
 /**
@@ -396,8 +419,11 @@ TEST(EdgeCodec, DuplicateHeavyStreamsStayWithinTheExpansionBound)
     for (int i = 0; i < 50000; ++i)
         edges.insert(edges.end(), cells.begin(), cells.end());
     const std::vector<unsigned char> bytes =
-        expectRoundTrip(part, orderEdges(part, std::move(edges)));
+        expectRoundTrip(part, orderEdges(part, edges));
     EXPECT_LE(200000u, bytes.size() * kMaxEdgesPerStreamByte);
+    // The sort writes the same bytes, re-written with k >= 1.
+    const OrderedEdgeList ordered(CooGraph(64, std::move(edges)), part);
+    EXPECT_TRUE(std::ranges::equal(ordered.stream(), bytes));
 }
 
 TEST(EdgeCodec, RandomSmallTilingSweepRoundTrips)
@@ -437,70 +463,58 @@ TEST(EdgeCodec, RandomBlockedTilingSweepRoundTrips)
 
 TEST(EdgeCodec, RmatThroughRealPreprocessingRoundTrips)
 {
-    // End-to-end shape: the actual sorting constructor, not the
-    // test-local reference order.
+    // End-to-end shape: the stream the sorting constructor writes is
+    // the reference encoder's stream of the reference sort's edges.
     const CooGraph g =
         makeRmat({.numVertices = 512, .numEdges = 8192, .seed = 21});
     const GridPartition part(g.numVertices(), TilingParams{});
     const OrderedEdgeList ordered(g, part);
-    expectRoundTrip(part, ordered.edges(), ordered.tiles());
+    const reference::Ordered want = reference::sortPlan(g, part);
+    const std::vector<unsigned char> bytes =
+        expectRoundTrip(part, want.edges, want.tiles);
+    EXPECT_TRUE(std::ranges::equal(ordered.stream(), bytes));
+    expectSameDirectory(ordered.tiles(), indexEdgeStream(part, bytes));
 }
 
-TEST(EdgeCodec, CursorTilePlanMatchesDirectPreparation)
+TEST(EdgeCodec, StoredStreamTilePlanMatchesDirectPreparation)
 {
-    // The production consumer: TilePlan built from the decode cursor
+    // The production consumer: a TilePlan adopting a stored stream
     // must equal a fresh prepare, metadata included, because warm
     // results are promised byte-identical.
     const CooGraph g =
         makeRmat({.numVertices = 256, .numEdges = 4096, .seed = 5});
     const TilingParams tiling;
     const TilePlan direct(g, tiling);
-    const std::vector<unsigned char> bytes = encodeEdgeStream(
-        direct.partition, direct.ordered.edges(),
-        direct.ordered.tiles());
+    const std::span<const unsigned char> stream = direct.ordered.stream();
+    std::vector<unsigned char> bytes(3, 0xee); // bytes before the stream
+    bytes.insert(bytes.end(), stream.begin(), stream.end());
 
-    EdgeStreamDecoder dec(direct.partition, bytes.data(),
-                          bytes.size());
-    const TilePlan streamed(g.numVertices(), tiling, dec,
-                            direct.fingerprint);
-
-    EXPECT_EQ(streamed.fingerprint, direct.fingerprint);
-    expectEdgesBitIdentical(streamed.ordered.edges(),
-                            direct.ordered.edges());
-    EXPECT_EQ(streamed.meta.totalNnz(), direct.meta.totalNnz());
-    ASSERT_EQ(streamed.meta.tiles().size(),
-              direct.meta.tiles().size());
-    for (std::size_t t = 0; t < direct.meta.tiles().size(); ++t) {
-        const TileMeta &a = direct.meta.tiles()[t];
-        const TileMeta &b = streamed.meta.tiles()[t];
-        EXPECT_EQ(a.tileIndex, b.tileIndex);
-        EXPECT_EQ(a.row0, b.row0);
-        EXPECT_EQ(a.col0, b.col0);
-        EXPECT_EQ(a.nnz, b.nnz);
-        EXPECT_EQ(a.crossbarsUsed, b.crossbarsUsed);
-        EXPECT_EQ(a.maxRowsProgrammed, b.maxRowsProgrammed);
-        EXPECT_EQ(a.rowMask, b.rowMask);
-        EXPECT_EQ(a.nnzColumns, b.nnzColumns);
-        EXPECT_TRUE(std::ranges::equal(direct.meta.rowNnz(t),
-                                       streamed.meta.rowNnz(t)));
-    }
+    const TilePlan adopted(g.numVertices(), tiling, std::move(bytes), 3,
+                           direct.fingerprint);
+    expectSamePlan(adopted, direct);
 }
 
-TEST(EdgeCodec, CursorDrainDoesNotCountAsASort)
+TEST(EdgeCodec, AdoptedStreamIsNoSortAndIsCountedOnce)
 {
     const CooGraph g =
         makeRmat({.numVertices = 256, .numEdges = 2048, .seed = 11});
     const TilePlan direct(g, TilingParams{});
-    const std::vector<unsigned char> bytes = encodeEdgeStream(
-        direct.partition, direct.ordered.edges(),
-        direct.ordered.tiles());
-    const std::uint64_t sorts_before =
-        OrderedEdgeList::sortsPerformed();
-    EdgeStreamDecoder dec(direct.partition, bytes.data(),
-                          bytes.size());
-    const OrderedEdgeList decoded(direct.partition, dec);
-    EXPECT_EQ(decoded.edges().size(), direct.ordered.edges().size());
+    const std::span<const unsigned char> stream = direct.ordered.stream();
+    perf::Counter &edges =
+        perf::Registry::instance().counter("store.codec.decoded_edges");
+    perf::Counter &tiles =
+        perf::Registry::instance().counter("store.codec.decoded_tiles");
+    const std::uint64_t sorts_before = OrderedEdgeList::sortsPerformed();
+    const std::uint64_t edges_before = edges.value();
+    const std::uint64_t tiles_before = tiles.value();
+    const OrderedEdgeList adopted(
+        direct.partition,
+        std::vector<unsigned char>(stream.begin(), stream.end()), 0);
+    EXPECT_EQ(adopted.numEdges(), direct.ordered.numEdges());
     EXPECT_EQ(OrderedEdgeList::sortsPerformed(), sorts_before);
+    EXPECT_EQ(edges.value() - edges_before, g.numEdges());
+    EXPECT_EQ(tiles.value() - tiles_before,
+              direct.ordered.numNonEmptyTiles());
 }
 
 TEST(EdgeCodec, CompressionRatioAtScaleBeatsHalfRaw)
@@ -512,11 +526,9 @@ TEST(EdgeCodec, CompressionRatioAtScaleBeatsHalfRaw)
                                  .seed = 7});
     const GridPartition part(g.numVertices(), TilingParams{});
     const OrderedEdgeList ordered(g, part);
-    const std::vector<unsigned char> bytes =
-        encodeEdgeStream(part, ordered.edges(), ordered.tiles());
     const double bytes_per_edge =
-        static_cast<double>(bytes.size()) /
-        static_cast<double>(ordered.edges().size());
+        static_cast<double>(ordered.stream().size()) /
+        static_cast<double>(ordered.numEdges());
     EXPECT_LE(bytes_per_edge, 8.0)
         << "compressed stream is " << bytes_per_edge
         << " bytes/edge against a raw record of 16";
@@ -524,35 +536,13 @@ TEST(EdgeCodec, CompressionRatioAtScaleBeatsHalfRaw)
 
 // --------------------------------------------- malformed streams
 
-TEST(EdgeCodec, EncoderRejectsOutOfOrderInput)
-{
-    const GridPartition part(64, smallTiling());
-    // Two edges of one tile in descending cell order: a caller bug
-    // the encoder must refuse rather than emit an invalid stream.
-    const std::vector<Edge> edges = {Edge{0, 5, 1.0},
-                                     Edge{0, 1, 1.0}};
-    const std::vector<TileSpan> tiles = {TileSpan{0, 0, 2}};
-    EXPECT_THROW(
-        encodeEdgeStream(part, edges, tiles), CodecError);
-}
-
-TEST(EdgeCodec, EncoderRejectsNonContiguousDirectory)
-{
-    const GridPartition part(64, smallTiling());
-    const std::vector<Edge> edges = {Edge{0, 0, 1.0},
-                                     Edge{0, 1, 1.0}};
-    const std::vector<TileSpan> tiles = {TileSpan{0, 1, 1}};
-    EXPECT_THROW(
-        encodeEdgeStream(part, edges, tiles), CodecError);
-}
-
 TEST(EdgeCodec, TruncationAtEveryByteIsRejected)
 {
     const GridPartition part(64, smallTiling());
     const Ordered ordered =
         orderEdges(part, randomEdges(part, 120, 424242, 2));
     const std::vector<unsigned char> bytes =
-        encodeEdgeStream(part, ordered.edges, ordered.tiles);
+        encode(part, ordered.edges, ordered.tiles);
     ASSERT_GT(bytes.size(), 8u);
     for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
         SCOPED_TRACE("cut at " + std::to_string(cut));
@@ -573,19 +563,18 @@ TEST(EdgeCodec, FlippedBitSweepNeverCrashes)
     const Ordered ordered =
         orderEdges(part, randomEdges(part, 60, 31337, 2));
     const std::vector<unsigned char> bytes =
-        encodeEdgeStream(part, ordered.edges, ordered.tiles);
+        encode(part, ordered.edges, ordered.tiles);
     for (std::size_t bit = 0; bit < bytes.size() * 8; ++bit) {
         std::vector<unsigned char> mutated = bytes;
         mutated[bit / 8] ^= static_cast<unsigned char>(
             1u << (bit % 8));
         try {
-            EdgeStreamDecoder dec(part, mutated.data(),
-                                  mutated.size());
-            TileChunkSource::Chunk chunk;
-            std::uint64_t edges = 0;
-            while (dec.next(chunk))
-                edges += chunk.edges.size();
-            EXPECT_EQ(edges, dec.totalEdges());
+            const std::vector<TileSpan> index =
+                indexEdgeStream(part, mutated);
+            EXPECT_EQ(indexAndDecodeAll(part, mutated),
+                      index.empty() ? 0
+                                    : index.back().firstEdge +
+                                          index.back().numEdges);
         } catch (const CodecError &) {
             // rejected cleanly: the desired common case
         }
@@ -602,10 +591,7 @@ TEST(EdgeCodec, RandomGarbageNeverCrashes)
         for (unsigned char &b : junk)
             b = static_cast<unsigned char>(rng());
         try {
-            EdgeStreamDecoder dec(part, junk.data(), junk.size());
-            TileChunkSource::Chunk chunk;
-            while (dec.next(chunk)) {
-            }
+            indexAndDecodeAll(part, junk);
         } catch (const CodecError &) {
         }
     }
@@ -734,7 +720,7 @@ TEST(EdgeCodec, TrailingBytesAreRejected)
     const GridPartition part(64, smallTiling());
     const Ordered ordered = orderEdges(part, {Edge{1, 2, 1.0}});
     std::vector<unsigned char> bytes =
-        encodeEdgeStream(part, ordered.edges, ordered.tiles);
+        encode(part, ordered.edges, ordered.tiles);
     bytes.push_back(0);
     expectDecodeThrows(part, bytes);
 }
@@ -745,7 +731,7 @@ TEST(EdgeCodec, ZeroTilesWithDeclaredEdgesIsRejected)
     std::vector<unsigned char> s;
     putV(s, 0);
     putV(s, 5);
-    EXPECT_THROW(EdgeStreamDecoder(part, s.data(), s.size()),
+    EXPECT_THROW(indexEdgeStream(part, s),
                  CodecError);
 }
 
@@ -758,13 +744,13 @@ TEST(EdgeCodec, ImplausibleDeclaredTotalsAreRejectedBeforeAllocation)
     std::vector<unsigned char> s;
     putV(s, 1);
     putV(s, std::uint64_t{1} << 40);
-    EXPECT_THROW(EdgeStreamDecoder(part, s.data(), s.size()),
+    EXPECT_THROW(indexEdgeStream(part, s),
                  CodecError);
 
     std::vector<unsigned char> t;
     putV(t, std::uint64_t{1} << 40); // tile count also bounded
     putV(t, std::uint64_t{1} << 40);
-    EXPECT_THROW(EdgeStreamDecoder(part, t.data(), t.size()),
+    EXPECT_THROW(indexEdgeStream(part, t),
                  CodecError);
 }
 
@@ -772,7 +758,7 @@ TEST(EdgeCodec, EmptyBufferIsRejected)
 {
     const GridPartition part(64, smallTiling());
     const std::vector<unsigned char> empty;
-    EXPECT_THROW(EdgeStreamDecoder(part, empty.data(), empty.size()),
+    EXPECT_THROW(indexEdgeStream(part, empty),
                  CodecError);
 }
 
@@ -781,7 +767,7 @@ TEST(EdgeCodec, OverlongVarintIsRejected)
     const GridPartition part(64, smallTiling());
     // Eleven continuation bytes: past any valid 64-bit varint.
     const std::vector<unsigned char> s(11, 0xff);
-    EXPECT_THROW(EdgeStreamDecoder(part, s.data(), s.size()),
+    EXPECT_THROW(indexEdgeStream(part, s),
                  CodecError);
 }
 

@@ -249,8 +249,7 @@ TEST_F(FailpointTest, ShortWriteIsResumedAndRoundTripsByteExact)
     const TilePlanPtr loaded = store.load(plan.fingerprint, tiling);
     ASSERT_NE(loaded, nullptr);
     EXPECT_EQ(loaded->fingerprint, plan.fingerprint);
-    ASSERT_EQ(loaded->ordered.edges().size(),
-              plan.ordered.edges().size());
+    ASSERT_EQ(loaded->ordered.numEdges(), plan.ordered.numEdges());
     EXPECT_EQ(loaded->meta.totalNnz(), plan.meta.totalNnz());
     fs::remove_all(dir);
 }

@@ -234,11 +234,11 @@ TEST(GraphEngineTest, ActivityAgreesWithTileMeta)
                         tp.crossbarsPerGe * tp.numGe, params, ledger);
 
     ASSERT_EQ(table.tiles().size(), ordered.tiles().size());
+    std::vector<Edge> scratch;
     for (std::size_t t = 0; t < table.tiles().size(); ++t) {
         const TileMeta &meta = table.tiles()[t];
-        const TileSpan &span = ordered.tiles()[t];
         const TileActivity act = ge.programTile(
-            ordered.tileEdges(span), meta.row0, meta.col0, 0);
+            ordered.decodeTile(t, scratch), meta.row0, meta.col0, 0);
         EXPECT_EQ(act.crossbarsUsed, meta.crossbarsUsed);
         EXPECT_EQ(act.maxRowsProgrammed, meta.maxRowsProgrammed);
         EXPECT_EQ(act.cellWrites, meta.nnz);

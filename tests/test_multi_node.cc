@@ -14,6 +14,7 @@
 #include "graphr/engine/plan_cache.hh"
 #include "graphr/multi_node.hh"
 #include "graphr/node.hh"
+#include "perf/counters.hh"
 #include "sim_report_eq.hh"
 
 namespace graphr
@@ -377,6 +378,37 @@ TEST(MultiNodeStripeTest, StripeReportsEqualTheirOwnPlansReports)
                                 spmvStripe(node, stripeGraph(g, nodes, k)));
         }
     }
+}
+
+TEST(MultiNodeStripeTest, OnlyTilesCrossingAStripeBoundaryAreDecoded)
+{
+    // 24-column tiles against 100-column stripes at 3 nodes: a tile
+    // whose columns lie in one stripe is priced from its metadata, and
+    // only one that crosses a boundary is decoded and split.
+    const CooGraph g = makeRmat(
+        {.numVertices = 300, .numEdges = 2400, .seed = 38});
+    GraphRConfig config;
+    config.tiling = {.crossbarDim = 4, .crossbarsPerGe = 2, .numGe = 3,
+                     .blockSize = 72};
+    const TilePlanPtr plan = PlanCache::instance().get(g, config.tiling);
+    const std::uint32_t nodes = 3;
+    const std::uint64_t stripe = (g.numVertices() + nodes - 1) / nodes;
+    std::uint64_t crossing = 0;
+    for (const TileMeta &meta : plan->meta.tiles()) {
+        const std::uint64_t last =
+            std::min<std::uint64_t>(meta.col0 + plan->partition.tileWidth(),
+                                    g.numVertices()) -
+            1;
+        crossing += meta.col0 / stripe != last / stripe;
+    }
+    ASSERT_GT(crossing, 0u);
+    ASSERT_LT(crossing, plan->ordered.numNonEmptyTiles());
+
+    perf::Counter &decodes =
+        perf::Registry::instance().counter("engine.tile_decodes");
+    const std::uint64_t before = decodes.value();
+    MultiNodeGraphR(config, nodes).runSpmv(g);
+    EXPECT_EQ(decodes.value() - before, crossing);
 }
 
 TEST(MultiNodeStripeTest, FunctionalModeReportsTheTimingReport)

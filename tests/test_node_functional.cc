@@ -16,7 +16,9 @@
 #include "algorithms/spmv.hh"
 #include "algorithms/traversal.hh"
 #include "graph/generator.hh"
+#include "graphr/engine/plan_cache.hh"
 #include "graphr/node.hh"
+#include "perf/counters.hh"
 
 namespace graphr
 {
@@ -109,6 +111,27 @@ TEST(NodeFunctionalTest, PageRankCloseToGolden)
     // 12-bit quantisation error accumulates mildly over 15 rounds.
     EXPECT_LT(max_err, 0.02);
     EXPECT_NEAR(sum, 1.0, 0.05);
+}
+
+TEST(NodeFunctionalTest, PageRankDecodesEachTileOnce)
+{
+    // The plan keeps only its stream: a functional run decodes a tile
+    // on its first program and replays the kept cells after, so 15
+    // sweeps decode every tile exactly once.
+    const CooGraph g =
+        makeRmat({.numVertices = 50, .numEdges = 400, .seed = 33});
+    const GraphRConfig config = functionalConfig();
+    const TilePlanPtr plan = PlanCache::instance().get(g, config.tiling);
+    perf::Counter &decodes =
+        perf::Registry::instance().counter("engine.tile_decodes");
+    const std::uint64_t before = decodes.value();
+    GraphRNode node(config);
+    PageRankParams params;
+    params.maxIterations = 15;
+    params.tolerance = 0.0;
+    std::vector<Value> ranks;
+    node.runPageRank(g, params, &ranks);
+    EXPECT_EQ(decodes.value() - before, plan->ordered.numNonEmptyTiles());
 }
 
 TEST(NodeFunctionalTest, PageRankRankingPreserved)

@@ -217,6 +217,23 @@ TEST(ParallelSweepTest, JsonByteIdenticalAcrossJobCounts)
     EXPECT_EQ(serial, sweepJson(spec));
 }
 
+TEST(ParallelSweepTest, FunctionalRunsDecodeSharedPlansConcurrently)
+{
+    // Functional runs decode tiles of one shared plan, each into its
+    // own executor's scratch: at 4 jobs the reports equal the serial
+    // sweep's, whose plans the parallel one reuses.
+    SweepSpec spec;
+    spec.workloads = {"pagerank", "spmv", "bfs", "sssp", "wcc"};
+    spec.backends = {"graphr", "outofcore"};
+    spec.datasets = {"rmat:vertices=512,edges=4096,seed=9"};
+    spec.params = driver::ParamMap::parse("iterations=5,tolerance=0");
+    spec.backendOptions.config.functional = true;
+    spec.jobs = 1;
+    const std::string serial = sweepJson(spec);
+    spec.jobs = 4;
+    EXPECT_EQ(serial, sweepJson(spec));
+}
+
 TEST(ParallelSweepTest, ProgressLinesAreWholeLines)
 {
     SweepSpec spec = fullMatrixSpec();

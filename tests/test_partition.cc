@@ -204,20 +204,42 @@ testedTilings()
     return out;
 }
 
+/** A tiling's padded sizes by plain arithmetic (Eqs. 1-5). */
+struct PlainGrid
+{
+    std::uint64_t tileWidth = 0;
+    std::uint64_t blockSize = 0;
+    std::uint64_t paddedVertices = 0;
+};
+
+PlainGrid
+plainGrid(std::uint64_t v, const TilingParams &t)
+{
+    const auto round_up = [](std::uint64_t x, std::uint64_t unit) {
+        return (x + unit - 1) / unit * unit;
+    };
+    PlainGrid g;
+    g.tileWidth = std::uint64_t{t.crossbarDim} * t.crossbarsPerGe * t.numGe;
+    g.blockSize = round_up(t.blockSize == 0 ? v : t.blockSize, g.tileWidth);
+    g.paddedVertices = round_up(v, g.blockSize);
+    return g;
+}
+
 TEST(ReciprocalTest, QuotientAndRemainderAreThoseOfDivision)
 {
     std::set<std::uint64_t> divisors;
     for (std::uint64_t d = 1; d <= 70; ++d)
         divisors.insert(d);
     // Every tested tile width and block size, padded as the partition
-    // pads them; 2^32 - 1 vertices pads single blocks past 2^32.
+    // pads them; 2^32 - 1 vertices pads single blocks past 2^32, where
+    // the partition refuses the grid but the divisor still divides.
     for (const TilingParams &t : testedTilings()) {
         for (const VertexId v : {VertexId{100}, VertexId{1000},
                                  VertexId{4294967295u}}) {
-            const GridPartition part(v, t);
-            divisors.insert(part.crossbarDim());
-            divisors.insert(part.tileWidth());
-            divisors.insert(part.blockSize());
+            const PlainGrid grid = plainGrid(v, t);
+            divisors.insert(t.crossbarDim);
+            divisors.insert(grid.tileWidth);
+            divisors.insert(grid.blockSize);
         }
     }
     divisors.insert(std::uint64_t{1} << 32);
@@ -241,6 +263,12 @@ TEST(ReciprocalTest, QuotientAndRemainderAreThoseOfDivision)
             EXPECT_EQ(q, n / d) << "n = " << n;
             EXPECT_EQ(n - q * d, n % d) << "n = " << n;
         }
+        // quotientWide divides any 64-bit numerator: a local cell ID
+        // passes 2^32 once a tile holds more cells than that.
+        for (const std::uint64_t n :
+             {std::uint64_t{0}, d, kMax, kMax + 1, kMax * d + d - 1,
+              rng(), ~std::uint64_t{0}})
+            EXPECT_EQ(by.quotientWide(n), n / d) << "n = " << n;
     }
 }
 
@@ -314,19 +342,23 @@ TEST(PartitionTest, IndexArithmeticEqualsPlainDivision)
     for (const TilingParams &t : testedTilings()) {
         for (const VertexId v : {VertexId{1}, VertexId{97}, VertexId{1000},
                                  VertexId{4294967295u}}) {
-            const GridPartition part(v, t);
             SCOPED_TRACE("C=" + std::to_string(t.crossbarDim) + " N=" +
                          std::to_string(t.crossbarsPerGe) + " G=" +
                          std::to_string(t.numGe) + " B=" +
                          std::to_string(t.blockSize) + " V=" +
                          std::to_string(v));
+            // Past 2^32 padded vertices an order ID would wrap and
+            // stop naming its cell, so the partition refuses the grid.
+            if (plainGrid(v, t).paddedVertices >
+                GridPartition::kMaxPaddedVertices) {
+                EXPECT_THROW(GridPartition(v, t), PartitionError);
+                continue;
+            }
             // At exactly 2^32 padded vertices (C*N*G a power of two)
             // numTiles() * tileCapacity() wraps to 0, so the round
-            // trip checks cellOfOrderId's range test does not form
-            // it. Past 2^32 an order ID wraps, as it did with
-            // division, and no longer names its cell.
-            const bool round_trips =
-                part.paddedVertices() <= std::uint64_t{1} << 32;
+            // trip checks cellOfOrderId's range test does not form it.
+            const GridPartition part(v, t);
+            ASSERT_EQ(part.paddedVertices(), plainGrid(v, t).paddedVertices);
             const std::vector<std::uint64_t> coords =
                 probeCoordinates(part, rng);
             for (const std::uint64_t i : coords) {
@@ -340,8 +372,6 @@ TEST(PartitionTest, IndexArithmeticEqualsPlainDivision)
                         << "(" << i << "," << j << ")";
                     ASSERT_EQ(part.tileCoord(want.tile),
                               plainCoord(part, want.tile));
-                    if (!round_trips)
-                        continue;
                     std::uint64_t ri = 0;
                     std::uint64_t rj = 0;
                     part.cellOfOrderId(want.orderId, ri, rj);
@@ -351,6 +381,31 @@ TEST(PartitionTest, IndexArithmeticEqualsPlainDivision)
             }
         }
     }
+}
+
+TEST(PartitionTest, GridPast2To32IsRefusedByName)
+{
+    // 4294967295 vertices under C=6 N=3 G=2 pad to 4294967328: distinct
+    // cells would share an order ID, so construction throws, naming
+    // the vertex count and the tiling, instead of wrapping.
+    TilingParams t;
+    t.crossbarDim = 6;
+    t.crossbarsPerGe = 3;
+    t.numGe = 2;
+    try {
+        const GridPartition part(4294967295u, t);
+        FAIL() << "accepted " << part.paddedVertices() << " padded vertices";
+    } catch (const PartitionError &e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("4294967295"), std::string::npos) << what;
+        EXPECT_NE(what.find("4294967328"), std::string::npos) << what;
+        EXPECT_NE(what.find("C=6 N=3 G=2"), std::string::npos) << what;
+    }
+    // A tile wider than any grid is refused before padding can wrap.
+    t.crossbarDim = 64;
+    t.crossbarsPerGe = 1u << 20;
+    t.numGe = 1u << 20;
+    EXPECT_THROW(GridPartition(100, t), PartitionError);
 }
 
 } // namespace

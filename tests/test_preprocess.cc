@@ -13,6 +13,7 @@
 #include "graph/generator.hh"
 #include "graph/partition.hh"
 #include "graph/preprocess.hh"
+#include "plan_eq.hh"
 
 namespace graphr
 {
@@ -40,12 +41,14 @@ TEST(PreprocessTest, OutputIsPermutationOfInput)
     const GridPartition part(g.numVertices(), tiling(4, 2, 2, 32));
     const OrderedEdgeList ordered(g, part);
 
-    ASSERT_EQ(ordered.edges().size(), g.numEdges());
+    const std::vector<Edge> sorted = decodedEdges(ordered);
+    ASSERT_EQ(ordered.numEdges(), g.numEdges());
+    ASSERT_EQ(sorted.size(), g.numEdges());
     std::multiset<std::tuple<VertexId, VertexId, double>> in;
     std::multiset<std::tuple<VertexId, VertexId, double>> out;
     for (const Edge &e : g.edges())
         in.insert({e.src, e.dst, e.weight});
-    for (const Edge &e : ordered.edges())
+    for (const Edge &e : sorted)
         out.insert({e.src, e.dst, e.weight});
     EXPECT_EQ(in, out);
 }
@@ -56,9 +59,10 @@ TEST(PreprocessTest, EdgesSortedByGlobalOrderId)
         makeRmat({.numVertices = 300, .numEdges = 2000, .seed = 4});
     const GridPartition part(g.numVertices(), tiling(8, 2, 2));
     const OrderedEdgeList ordered(g, part);
-    for (std::size_t i = 1; i < ordered.edges().size(); ++i) {
-        const Edge &a = ordered.edges()[i - 1];
-        const Edge &b = ordered.edges()[i];
+    const std::vector<Edge> sorted = decodedEdges(ordered);
+    for (std::size_t i = 1; i < sorted.size(); ++i) {
+        const Edge &a = sorted[i - 1];
+        const Edge &b = sorted[i];
         EXPECT_LE(part.globalOrderId(a.src, a.dst),
                   part.globalOrderId(b.src, b.dst));
     }
@@ -74,7 +78,10 @@ TEST(PreprocessTest, TileDirectoryCoversAllEdges)
     std::uint64_t covered = 0;
     std::uint64_t prev_tile = 0;
     bool first = true;
-    for (const TileSpan &span : ordered.tiles()) {
+    std::vector<Edge> scratch;
+    for (std::size_t t = 0; t < ordered.tiles().size(); ++t) {
+        const TileSpan &span = ordered.tiles()[t];
+        EXPECT_EQ(span.firstEdge, covered);
         covered += span.numEdges;
         if (!first) {
             EXPECT_GT(span.tileIndex, prev_tile)
@@ -83,7 +90,7 @@ TEST(PreprocessTest, TileDirectoryCoversAllEdges)
         prev_tile = span.tileIndex;
         first = false;
         // All edges in the span really belong to the tile.
-        for (const Edge &e : ordered.tileEdges(span))
+        for (const Edge &e : ordered.decodeTile(t, scratch))
             EXPECT_EQ(part.tileIndex(e.src, e.dst), span.tileIndex);
     }
     EXPECT_EQ(covered, g.numEdges());
@@ -160,10 +167,11 @@ TEST(PreprocessTest, ParallelEdgesKeepInputOrder)
     const GridPartition part(g.numVertices(), tiling(4, 2, 2, 32));
     const OrderedEdgeList ordered(g, part);
 
+    const std::vector<Edge> sorted = decodedEdges(ordered);
     std::size_t parallel = 0;
-    for (std::size_t i = 1; i < ordered.edges().size(); ++i) {
-        const Edge &a = ordered.edges()[i - 1];
-        const Edge &b = ordered.edges()[i];
+    for (std::size_t i = 1; i < sorted.size(); ++i) {
+        const Edge &a = sorted[i - 1];
+        const Edge &b = sorted[i];
         if (a.src != b.src || a.dst != b.dst)
             continue;
         EXPECT_LT(a.weight, b.weight)
@@ -205,9 +213,7 @@ TEST(PreprocessTest, RadixOrderMatchesStableSortAtEveryKeyWidth)
                                     part.globalOrderId(b.src, b.dst);
                          });
         const OrderedEdgeList ordered(g, part);
-        ASSERT_EQ(ordered.edges().size(), want.size());
-        EXPECT_TRUE(std::equal(want.begin(), want.end(),
-                               ordered.edges().begin()));
+        expectEdgesBitIdentical(decodedEdges(ordered), want);
     }
 }
 
@@ -232,7 +238,7 @@ TEST_P(PreprocessPropertyTest, BlockMajorThenTileMajorOrder)
     std::uint64_t prev_block = 0;
     std::uint64_t prev_tile = 0;
     bool first = true;
-    for (const Edge &e : ordered.edges()) {
+    for (const Edge &e : decodedEdges(ordered)) {
         const std::uint64_t tile = part.tileIndex(e.src, e.dst);
         const std::uint64_t block = tile / part.tilesPerBlock();
         if (!first) {
@@ -255,8 +261,9 @@ TEST_P(PreprocessPropertyTest, WithinTileColumnMajor)
     const GridPartition part(graph.numVertices(), tiling(c, n, g_, b));
     const OrderedEdgeList ordered(graph, part);
 
-    for (const TileSpan &span : ordered.tiles()) {
-        const auto edges = ordered.tileEdges(span);
+    std::vector<Edge> scratch;
+    for (std::size_t t = 0; t < ordered.tiles().size(); ++t) {
+        const std::span<const Edge> edges = ordered.decodeTile(t, scratch);
         for (std::size_t i = 1; i < edges.size(); ++i) {
             // Column-major within the tile: dst (column) groups are
             // non-decreasing; ties ordered by src.

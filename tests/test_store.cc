@@ -10,9 +10,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -626,6 +628,61 @@ TEST_F(PlanStoreTest, SemanticallyInvalidArtifactIsRejected)
     // The listing flags it rather than crashing on it.
     const std::string text = driver::storeStatsText(StoreSpec{dir});
     EXPECT_NE(text.find("corrupt"), std::string::npos);
+}
+
+TEST_F(PlanStoreTest, GridPast2To32InTheHeaderIsRejected)
+{
+    // A header whose vertex count pads past 2^32 under its tiling
+    // names cells no 64-bit order ID can number: the partition refuses
+    // it, and the load degrades instead of panicking.
+    const std::string dir = freshDir("widegrid");
+    const CooGraph g = testGraph();
+    const TilingParams tiling{.crossbarDim = 6, .crossbarsPerGe = 3,
+                              .numGe = 2};
+    const TilePlan direct(g, tiling);
+    PlanStore(dir).save(direct, tiling);
+    const std::string file = artifactPath(dir, direct, tiling);
+    std::vector<unsigned char> bytes = readFileBytes(file);
+    const std::uint64_t vertices = 4294967295u;
+    std::memcpy(bytes.data() + 16, &vertices, 8);
+    resealChecksums(bytes);
+    writeFileBytes(file, bytes);
+
+    PlanStore store(dir);
+    EXPECT_EQ(store.load(direct.fingerprint, tiling), nullptr);
+    EXPECT_EQ(store.stats().loadRejects, 1u);
+    const std::string text = driver::storeStatsText(StoreSpec{dir});
+    EXPECT_NE(text.find("corrupt"), std::string::npos);
+}
+
+TEST_F(PlanStoreTest, LoadKeepsTheBytesAndCountsTheirDecodeOnce)
+{
+    // The loaded plan's stream is the artifact's payload after the
+    // codec tag, and the one validating pass counts its edges and
+    // tiles once.
+    const std::string dir = freshDir("keepbytes");
+    const CooGraph g = testGraph();
+    const TilingParams tiling;
+    const TilePlan direct(g, tiling);
+    PlanStore(dir).save(direct, tiling);
+    const std::vector<unsigned char> file =
+        readFileBytes(artifactPath(dir, direct, tiling));
+
+    perf::Counter &edges =
+        perf::Registry::instance().counter("store.codec.decoded_edges");
+    perf::Counter &tiles =
+        perf::Registry::instance().counter("store.codec.decoded_tiles");
+    const std::uint64_t edges_before = edges.value();
+    const std::uint64_t tiles_before = tiles.value();
+    const TilePlanPtr loaded = PlanStore(dir).load(direct.fingerprint, tiling);
+    ASSERT_NE(loaded, nullptr);
+    EXPECT_EQ(edges.value() - edges_before, g.numEdges());
+    EXPECT_EQ(tiles.value() - tiles_before,
+              direct.ordered.numNonEmptyTiles());
+    EXPECT_TRUE(std::ranges::equal(
+        loaded->ordered.stream(),
+        std::span<const unsigned char>(file).subspan(92)));
+    expectSamePlan(*loaded, direct);
 }
 
 TEST_F(PlanStoreTest, TruncatedCompressedStreamDegrades)
