@@ -15,7 +15,7 @@
 
 #include "bench/bench_util.hh"
 #include "graph/preprocess.hh"
-#include "graphr/tile_meta.hh"
+#include "graph/tile_meta.hh"
 
 int
 main()
@@ -36,8 +36,8 @@ main()
         const DatasetInfo &info = datasetInfo(id);
         const CooGraph g = loadDataset(id);
         const GridPartition part(g.numVertices(), TilingParams{});
-        const OrderedEdgeList ordered(g, part);
-        const TileMetaTable meta(ordered);
+        TileMetaTable meta(part);
+        const OrderedEdgeList ordered(g, part, &meta);
 
         // Column-major (GraphR's choice): RegO spans one tile's
         // destinations; RegI is re-read for every tile (C sources).

@@ -6,6 +6,7 @@
 #include <string>
 
 #include "common/failpoint.hh"
+#include "graph/tile_meta.hh"
 #include "perf/counters.hh"
 
 namespace graphr
@@ -21,15 +22,20 @@ constexpr unsigned kWeightRaw = 2;      ///< per-edge f64 bits
 /** Room the writer leaves for the two leading varint totals. */
 constexpr std::size_t kTotalsRoom = 20;
 
-/** LEB128 append. */
-void
-putVarint(std::vector<unsigned char> &out, std::uint64_t v)
+
+/** Bytes of the longest LEB128 varint, a 64-bit value's. */
+constexpr std::size_t kMaxVarintBytes = 10;
+
+/** LEB128 write at @p p; returns the byte past it. */
+unsigned char *
+putVarint(unsigned char *p, std::uint64_t v)
 {
     while (v >= 0x80) {
-        out.push_back(static_cast<unsigned char>(v) | 0x80u);
+        *p++ = static_cast<unsigned char>(v) | 0x80u;
         v >>= 7;
     }
-    out.push_back(static_cast<unsigned char>(v));
+    *p++ = static_cast<unsigned char>(v);
+    return p;
 }
 
 /** Bytes putVarint() writes for @p v. */
@@ -39,12 +45,12 @@ varintBytes(std::uint64_t v)
     return v == 0 ? 1 : (std::bit_width(v) + 6) / 7;
 }
 
-void
-putU64(std::vector<unsigned char> &out, std::uint64_t v)
+/** The 8 bytes of @p v at @p p; returns the byte past them. */
+unsigned char *
+putU64(unsigned char *p, std::uint64_t v)
 {
-    const std::size_t at = out.size();
-    out.resize(at + 8);
-    std::memcpy(out.data() + at, &v, 8);
+    std::memcpy(p, &v, 8);
+    return p + 8;
 }
 
 std::uint64_t
@@ -55,57 +61,14 @@ getU64(const unsigned char *p)
     return v;
 }
 
-/** LSB-first bit packer for the fixed-width low-bits plane. */
-class BitWriter
-{
-  public:
-    explicit BitWriter(std::vector<unsigned char> &out) : out_(out) {}
-
-    void
-    put(std::uint64_t v, unsigned k)
-    {
-        // nbits_ stays < 8, so a single shift is safe up to k = 56;
-        // wider fields (possible only for degenerate huge tilings)
-        // split into two chunks.
-        if (k > 56) {
-            put(v & ((std::uint64_t{1} << 56) - 1), 56);
-            put(v >> 56, k - 56);
-            return;
-        }
-        if (k == 0)
-            return;
-        acc_ |= (v & ((std::uint64_t{1} << k) - 1)) << nbits_;
-        nbits_ += k;
-        while (nbits_ >= 8) {
-            out_.push_back(static_cast<unsigned char>(acc_));
-            acc_ >>= 8;
-            nbits_ -= 8;
-        }
-    }
-
-    void
-    flush()
-    {
-        if (nbits_ > 0) {
-            out_.push_back(static_cast<unsigned char>(acc_));
-            acc_ = 0;
-            nbits_ = 0;
-        }
-    }
-
-  private:
-    std::vector<unsigned char> &out_;
-    std::uint64_t acc_ = 0;
-    unsigned nbits_ = 0;
-};
-
 /**
  * The k-bit fields of a low-bits plane of @p bytes bytes, read at any
- * field index with one unaligned 8-byte load (k <= 56) or two (wider
- * k). A load never passes @p end, the end of the stream; the plane's
- * bytes were bounds-checked when the stream was indexed. A plane is
- * fast when k <= 56 and every load has 8 bytes before the end, which
- * holds for every plane but those of the stream's last few bytes.
+ * field index with one unaligned 8-byte load: k is at most 38, so a
+ * field and its bit offset in its first byte fit one. A load never
+ * passes @p end, the end of the stream; the plane's bytes were
+ * bounds-checked when the stream was indexed. A plane is fast when
+ * every load has 8 bytes before the end, which holds for every plane
+ * but those of the stream's last few bytes.
  */
 class BitPlane
 {
@@ -113,10 +76,8 @@ class BitPlane
     BitPlane(const unsigned char *data, std::size_t bytes,
              const unsigned char *end, unsigned k)
         : data_(data), end_(end), k_(k),
-          mask_(k >= 64 ? ~std::uint64_t{0}
-                        : (std::uint64_t{1} << k) - 1),
-          fast_(k <= 56 &&
-                static_cast<std::size_t>(end - data) >= bytes + 8)
+          mask_((std::uint64_t{1} << k) - 1),
+          fast_(static_cast<std::size_t>(end - data) >= bytes + 8)
     {
     }
 
@@ -140,14 +101,7 @@ class BitPlane
     get(std::uint64_t i) const
     {
         const std::uint64_t bit = i * k_;
-        if (k_ <= 56)
-            return (load(bit >> 3) >> (bit & 7)) & mask_;
-        const std::uint64_t low =
-            (load(bit >> 3) >> (bit & 7)) &
-            ((std::uint64_t{1} << 56) - 1);
-        const std::uint64_t high_bit = bit + 56;
-        return (low | ((load(high_bit >> 3) >> (high_bit & 7)) << 56)) &
-               mask_;
+        return (load(bit >> 3) >> (bit & 7)) & mask_;
     }
 
   private:
@@ -175,43 +129,47 @@ class BitPlane
 };
 
 /**
- * Pick the low-bits width k minimising the estimated tile size: every
- * delta pays k packed bits, and each delta wider than k pays an
- * exception (its high part as a varint plus ~one run-length byte).
- * The estimate only has to be deterministic and reasonable — the
- * chosen k is written into the tile's flags, so the decoder never
- * re-derives it. k is at least @p min_bits.
+ * Pick the low-bits width k minimising the estimated tile size of
+ * @p m deltas, @p widths[w] of them w bits wide and none wider than
+ * @p max_width: every delta pays k packed bits, and each delta wider
+ * than k pays an exception, its high part as ceil((w - k) / 7) varint
+ * bytes plus about one run-length byte. With S(x) the number of
+ * deltas wider than x, a delta of width w > k counts once in S(k + 7j)
+ * for each of its varint bytes, so the estimate is m k + 8 (S(k) +
+ * sum_j S(k + 7j)): one pass down from the widest delta builds both
+ * suffix counts. The smallest k of least cost wins. The estimate only
+ * has to be deterministic and reasonable — the chosen k is written
+ * into the tile's flags, so the decoder never re-derives it. k is at
+ * least @p min_bits.
  */
-unsigned
-chooseLowBits(const std::uint64_t *deltas, std::size_t m,
-              unsigned min_bits)
+struct LowBits
 {
-    if (m == 0)
-        return min_bits;
-    std::size_t hist[65] = {};
-    unsigned max_width = 0;
-    for (std::size_t i = 0; i < m; ++i) {
-        const unsigned w =
-            static_cast<unsigned>(std::bit_width(deltas[i]));
-        ++hist[w];
-        max_width = std::max(max_width, w);
-    }
-    unsigned best_k = min_bits;
-    std::uint64_t best_cost = ~std::uint64_t{0};
-    for (unsigned k = min_bits; k <= std::max(max_width, min_bits); ++k) {
-        std::uint64_t cost = static_cast<std::uint64_t>(m) * k;
-        for (unsigned w = k + 1; w <= max_width; ++w) {
-            // High part is w-k bits -> ceil((w-k)/7) varint bytes,
-            // plus one run-length byte of bookkeeping.
-            cost += static_cast<std::uint64_t>(hist[w]) *
-                    (((w - k + 6) / 7 + 1) * 8);
-        }
-        if (cost < best_cost) {
+    unsigned k;
+    std::uint64_t exceptions; ///< S(k): deltas with a non-zero high part
+};
+
+LowBits
+chooseLowBits(const std::uint32_t *widths, unsigned max_width,
+              std::uint64_t m, unsigned min_bits)
+{
+    if (min_bits >= max_width)
+        return LowBits{min_bits, 0};
+    // varint_bytes[x] = sum_j S(x + 7j), zero from max_width on.
+    std::uint64_t varint_bytes[kMaxLowBits + 7];
+    std::fill_n(varint_bytes + max_width, 7, 0);
+    std::uint64_t wider = 0; // S(k)
+    LowBits best{max_width, 0};
+    std::uint64_t best_cost = m * max_width;
+    for (unsigned k = max_width; k-- > min_bits;) {
+        wider += widths[k + 1];
+        varint_bytes[k] = wider + varint_bytes[k + 7];
+        const std::uint64_t cost = m * k + 8 * (wider + varint_bytes[k]);
+        if (cost <= best_cost) {
             best_cost = cost;
-            best_k = k;
+            best = LowBits{k, wider};
         }
     }
-    return best_k;
+    return best;
 }
 
 [[noreturn]] void
@@ -404,6 +362,8 @@ EdgeStreamWriter::addTile(std::uint64_t tile_index,
                           std::span<const std::uint64_t> locals,
                           std::span<const std::uint64_t> weight_bits)
 {
+    GRAPHR_ASSERT(locals.back() < GridPartition::kMaxTileCapacity,
+                  "cell ", locals.back(), " past the largest tile");
     const std::uint64_t one_bits = std::bit_cast<std::uint64_t>(1.0);
     bool all_ones = true;
     bool constant = true;
@@ -415,47 +375,96 @@ EdgeStreamWriter::addTile(std::uint64_t tile_index,
                           : constant ? kWeightConstant
                                      : kWeightRaw;
 
-    deltas_.resize(locals.size() - 1);
-    for (std::size_t i = 1; i < locals.size(); ++i)
-        deltas_[i - 1] = locals[i] - locals[i - 1];
-    const unsigned k =
-        chooseLowBits(deltas_.data(), deltas_.size(), minLowBits_);
+    // One pass takes the deltas and counts their widths; the counts
+    // are cleared again up to the widest once k is chosen.
+    const std::size_t m = locals.size() - 1;
+    deltas_.resize(m);
+    std::uint64_t any = 0;
+    for (std::size_t i = 0; i < m; ++i) {
+        const std::uint64_t d = locals[i + 1] - locals[i];
+        deltas_[i] = d;
+        any |= d;
+        ++widths_[std::bit_width(d)];
+    }
+    const auto max_width = static_cast<unsigned>(std::bit_width(any));
+    const auto [k, exceptions] =
+        chooseLowBits(widths_, max_width, m, minLowBits_);
+    std::fill_n(widths_, max_width + 1, 0);
 
     const std::uint64_t gap =
         tiles_.empty() ? tile_index : tile_index - tiles_.back().tileIndex;
-    tiles_.push_back(TileSpan{tile_index, edges_, locals.size(),
-                              out_.size() - kTotalsRoom});
+    const std::size_t at = out_.size();
+    tiles_.push_back(
+        TileSpan{tile_index, edges_, locals.size(), at - kTotalsRoom});
     edges_ += locals.size();
-    putVarint(out_, gap);
-    putVarint(out_, locals.size());
-    out_.push_back(static_cast<unsigned char>(mode | (k << 2)));
-    putVarint(out_, locals.front());
+
+    // The record is written in place, into room for its longest form:
+    // the head, the plane and 8 bytes past it, each exception's run
+    // and high part, the run after the last, and raw weights.
+    const std::size_t plane_bytes = (m * k + 7) / 8;
+    out_.resize(at + 3 * kMaxVarintBytes + 9 + plane_bytes + 8 +
+                (2 * exceptions + 1) * kMaxVarintBytes +
+                (mode == kWeightRaw ? 8 * locals.size() : 0));
+    unsigned char *p = out_.data() + at;
+    p = putVarint(p, gap);
+    p = putVarint(p, locals.size());
+    *p++ = static_cast<unsigned char>(mode | (k << 2));
+    p = putVarint(p, locals.front());
     if (mode == kWeightConstant)
-        putU64(out_, weight_bits.front());
+        p = putU64(p, weight_bits.front());
 
-    BitWriter plane(out_);
-    for (const std::uint64_t d : deltas_)
-        plane.put(d, k);
-    plane.flush();
-
-    // Zero-run/varint exception stream over the high parts.
-    std::size_t i = 0;
-    while (i < deltas_.size()) {
-        std::size_t run = 0;
-        while (i + run < deltas_.size() && (deltas_[i + run] >> k) == 0)
-            ++run;
-        putVarint(out_, run);
-        i += run;
-        if (i < deltas_.size()) {
-            putVarint(out_, deltas_[i] >> k);
-            ++i;
+    // The plane, packed in a register: a field goes in above the bits
+    // not yet stored, the whole word is stored, and the output moves
+    // on by the bytes it completed. Fewer than 8 bits stay behind, so
+    // a field of k <= 38 bits always fits the word. The last store
+    // may run 8 bytes past the plane.
+    if (k > 0) {
+        unsigned char *plane = p;
+        const std::uint64_t mask = (std::uint64_t{1} << k) - 1;
+        std::uint64_t acc = 0;
+        unsigned bits = 0;
+        for (const std::uint64_t d : deltas_) {
+            acc |= (d & mask) << bits;
+            bits += k;
+            const std::uint64_t word =
+                std::endian::native == std::endian::little
+                    ? acc
+                    : __builtin_bswap64(acc);
+            std::memcpy(plane, &word, 8);
+            plane += bits >> 3;
+            acc >>= bits & ~7u;
+            bits &= 7;
         }
     }
+    p += plane_bytes;
+
+    // Zero-run/varint exception stream over the high parts: each
+    // non-zero high part follows the run of zero ones before it, and a
+    // run after the last is written too.
+    std::uint64_t run = 0;
+    for (std::uint64_t left = exceptions, i = 0; left > 0; ++i) {
+        const std::uint64_t high = deltas_[i] >> k;
+        if (high == 0) {
+            ++run;
+            continue;
+        }
+        p = putVarint(p, run);
+        p = putVarint(p, high);
+        run = 0;
+        --left;
+        if (left == 0)
+            run = m - 1 - i;
+    }
+    if (exceptions == 0)
+        run = m;
+    if (run > 0)
+        p = putVarint(p, run);
 
     if (mode == kWeightRaw) {
         for (const std::uint64_t bits : weight_bits)
-            putU64(out_, bits);
+            p = putU64(p, bits);
     }
+    out_.resize(static_cast<std::size_t>(p - out_.data()));
 }
 
 std::size_t
@@ -469,14 +478,13 @@ std::vector<unsigned char>
 EdgeStreamWriter::finish(std::size_t &stream_offset,
                          std::vector<TileSpan> &tiles)
 {
-    std::vector<unsigned char> totals;
-    putVarint(totals, tiles_.size());
-    putVarint(totals, edges_);
-    stream_offset = kTotalsRoom - totals.size();
-    std::copy(totals.begin(), totals.end(),
-              out_.begin() + static_cast<std::ptrdiff_t>(stream_offset));
+    unsigned char totals[2 * kMaxVarintBytes];
+    const std::size_t totals_bytes = static_cast<std::size_t>(
+        putVarint(putVarint(totals, tiles_.size()), edges_) - totals);
+    stream_offset = kTotalsRoom - totals_bytes;
+    std::memcpy(out_.data() + stream_offset, totals, totals_bytes);
     for (TileSpan &span : tiles_)
-        span.byteOffset += totals.size();
+        span.byteOffset += totals_bytes;
     tiles_.shrink_to_fit();
     tiles = std::move(tiles_);
     // A weighted stream outgrows the first reservation by doubling;
@@ -488,7 +496,7 @@ EdgeStreamWriter::finish(std::size_t &stream_offset,
 
 std::vector<TileSpan>
 indexEdgeStream(const GridPartition &partition,
-                std::span<const unsigned char> stream)
+                std::span<const unsigned char> stream, TileMetaTable *meta)
 {
     const unsigned char *const end = stream.data() + stream.size();
     VarintReader<true> in(stream.data(), end);
@@ -508,6 +516,8 @@ indexEdgeStream(const GridPartition &partition,
                        "size");
 
     const std::uint64_t capacity = partition.tileCapacity();
+    const unsigned max_k =
+        std::max(1u, static_cast<unsigned>(std::bit_width(capacity - 1)));
     const std::uint32_t dim = partition.crossbarDim();
     const std::uint64_t width = partition.tileWidth();
     const std::uint64_t vertices = partition.numVertices();
@@ -516,6 +526,9 @@ indexEdgeStream(const GridPartition &partition,
 
     std::vector<TileSpan> tiles;
     tiles.reserve(tile_count);
+    std::vector<std::uint64_t> locals; // one tile's cells, for meta
+    if (meta != nullptr)
+        meta->reserve(tile_count);
     std::uint64_t edges = 0;
     std::uint64_t prev_tile = 0;
     for (std::uint64_t t = 0; t < tile_count; ++t) {
@@ -555,6 +568,8 @@ indexEdgeStream(const GridPartition &partition,
         head.k = flags >> 2;
         if (head.mode > kWeightRaw)
             malformedInput("unknown weight mode");
+        if (head.k > max_k)
+            malformedInput("low-bits width exceeds the tile capacity");
         head.firstLocal = in.get("first local id");
         if (head.firstLocal >= capacity)
             malformedInput("local cell id exceeds tile capacity");
@@ -573,31 +588,37 @@ indexEdgeStream(const GridPartition &partition,
         in.skip(plane_bytes);
 
         // Endpoints can pass the vertex count only in a tile that
-        // reaches into the padding.
+        // reaches into the padding. The walk keeps the cells only for
+        // the table, which describes them once the tile validates.
         std::uint64_t row0 = 0;
         std::uint64_t col0 = 0;
         if (padded)
             partition.tileOrigin(partition.tileCoord(span.tileIndex), row0,
                                  col0);
-        if (!padded || (row0 + dim <= vertices && col0 + width <= vertices)) {
-            walkLocals(head, n, plane, in, capacity,
-                       [](std::uint64_t, std::uint64_t) {});
-        } else {
-            walkLocals(head, n, plane, in, capacity,
-                       [&](std::uint64_t, std::uint64_t local) {
-                           const std::uint64_t col =
-                               by_dim.quotientWide(local);
-                           if (row0 + (local - col * dim) >= vertices ||
-                               col0 + col >= vertices)
-                               malformedInput("edge endpoint outside "
-                                              "the vertex range");
-                       });
-        }
+        const bool inside =
+            !padded || (row0 + dim <= vertices && col0 + width <= vertices);
+        if (meta != nullptr)
+            locals.resize(n);
+        std::uint64_t *const cells = locals.data();
+        walkLocals(head, n, plane, in, capacity,
+                   [&](std::uint64_t i, std::uint64_t local) {
+                       if (meta != nullptr)
+                           cells[i] = local;
+                       if (inside)
+                           return;
+                       const std::uint64_t col = by_dim.quotientWide(local);
+                       if (row0 + (local - col * dim) >= vertices ||
+                           col0 + col >= vertices)
+                           malformedInput("edge endpoint outside "
+                                          "the vertex range");
+                   });
         if (head.mode == kWeightRaw) {
             if (in.left() / 8 < n)
                 malformedInput("truncated raw weights");
             in.skip(static_cast<std::size_t>(n * 8));
         }
+        if (meta != nullptr)
+            meta->add(partition, span.tileIndex, locals);
         prev_tile = span.tileIndex;
         edges += n;
         tiles.push_back(span);

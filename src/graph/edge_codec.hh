@@ -20,7 +20,9 @@
  *               varint numEdges           (>= 1)
  *               u8     flags              (bits 0..1: weight mode,
  *                                          bits 2..7: k, the packed
- *                                          low-bits width)
+ *                                          low-bits width, at most
+ *                                          max(1, bits(tileCapacity
+ *                                          - 1)) <= 38)
  *               varint firstLocalId       (cell order ID within the
  *                                          tile, < tileCapacity)
  *               [mode 1] u64 weightBits   (bit pattern shared by
@@ -50,20 +52,25 @@
  * Varints are LEB128 (7 bits per byte, little-endian groups).
  *
  * The preprocessing sort writes a stream with EdgeStreamWriter, tile
- * by tile, straight from its sorted order keys. A stream read from
- * disk is indexed once by indexEdgeStream(), which validates every
- * structural invariant — tile order, local IDs inside the tile
+ * by tile, straight from its sorted order keys; the writer picks each
+ * tile's k in one pass over its deltas' width histogram and packs the
+ * plane from a register. A stream read from disk is indexed once by
+ * indexEdgeStream(), which validates every structural invariant —
+ * tile order, k within the tile's bound, local IDs inside the tile
  * capacity, endpoints inside the real vertex range, declared totals,
  * the expansion bound, no trailing bytes — and throws CodecError on
  * the first violation; the plan store turns that into a rejected
- * load (degrade to a fresh prepare, never a crash). Past that, a
- * tile is decoded only where a run reads it, from the byte offset its
+ * load (degrade to a fresh prepare, never a crash). The same pass
+ * describes each tile into a TileMetaTable from the cells it decodes,
+ * so a loaded plan decodes its stream once. Past that, a tile is
+ * decoded only where a run reads it, from the byte offset its
  * TileSpan records, into scratch the caller owns.
  */
 
 #ifndef GRAPHR_GRAPH_EDGE_CODEC_HH
 #define GRAPHR_GRAPH_EDGE_CODEC_HH
 
+#include <bit>
 #include <cstdint>
 #include <span>
 #include <stdexcept>
@@ -74,6 +81,8 @@
 
 namespace graphr
 {
+
+class TileMetaTable;
 
 /** Malformed or inconsistent compressed edge stream. */
 class CodecError : public std::runtime_error
@@ -103,6 +112,15 @@ struct TileSpan
  * stays under 8 edges per byte.
  */
 constexpr std::uint64_t kMaxEdgesPerStreamByte = 1024;
+
+/**
+ * The widest low-bits field k of any record. Deltas are below the
+ * largest tile capacity, 2^38 (GridPartition::kMaxTileCapacity), so
+ * no record needs more; a tile of capacity c needs at most
+ * max(1, bit_width(c - 1)), the bound indexEdgeStream() enforces.
+ */
+constexpr unsigned kMaxLowBits =
+    std::bit_width(GridPartition::kMaxTileCapacity - 1);
 
 /**
  * Writes a stream one tile record at a time, and its tile directory.
@@ -147,6 +165,9 @@ class EdgeStreamWriter
     std::vector<TileSpan> tiles_; ///< offsets past the totals' room
     std::uint64_t edges_ = 0;
     std::vector<std::uint64_t> deltas_; ///< one tile's, reused
+    /** How many of a tile's deltas are w bits wide; zero between
+     *  tiles. */
+    std::uint32_t widths_[kMaxLowBits + 1] = {};
 };
 
 /**
@@ -155,10 +176,13 @@ class EdgeStreamWriter
  * Throws CodecError on the first violated invariant; bounds the
  * declared totals by the stream's size before allocating anything.
  * Each tile record, and the end of the stream, is a
- * `store.decode.fail` failpoint site.
+ * `store.decode.fail` failpoint site. With @p meta, each tile is
+ * added to that table from the cells the validating walk decodes, so
+ * a loaded plan decodes its stream once.
  */
 std::vector<TileSpan> indexEdgeStream(const GridPartition &partition,
-                                      std::span<const unsigned char> stream);
+                                      std::span<const unsigned char> stream,
+                                      TileMetaTable *meta = nullptr);
 
 /**
  * Local cell IDs of one tile of an indexed stream, ascending, into

@@ -27,6 +27,11 @@ GridPartition::GridPartition(VertexId num_vertices,
     GRAPHR_ASSERT(params_.crossbarsPerGe > 0, "need >= 1 crossbar per GE");
     GRAPHR_ASSERT(params_.numGe > 0, "need >= 1 graph engine");
     GRAPHR_ASSERT(num_vertices > 0, "graph must have vertices");
+    if (params_.crossbarDim > kMaxCrossbarDim) {
+        throw PartitionError(
+            "C=" + std::to_string(params_.crossbarDim) +
+            " exceeds 64: a tile's row activity is a 64-bit row mask");
+    }
 
     // A block must hold a whole number of tile rows (height C) and
     // tile columns (width C*N*G). Pad the requested block size (or

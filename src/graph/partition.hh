@@ -136,16 +136,23 @@ class GridPartition
      * @param num_vertices real vertex count of the graph
      * @param params tiling parameters; blockSize 0 selects a single
      *        block covering the padded vertex range
-     * @throws PartitionError when the vertex count pads to more than
-     *         2^32 vertices: order IDs count the padded grid's
-     *         paddedVertices^2 cells in 64 bits, so past that they
-     *         wrap and distinct cells would share an ID
+     * @throws PartitionError when C exceeds 64, the rows a tile's
+     *         64-bit row mask holds, or when the vertex count pads to
+     *         more than 2^32 vertices: order IDs count the padded
+     *         grid's paddedVertices^2 cells in 64 bits, so past that
+     *         they wrap and distinct cells would share an ID
      */
     GridPartition(VertexId num_vertices, const TilingParams &params);
 
+    /** The tallest crossbar a partition accepts: C = 64 rows. */
+    static constexpr std::uint32_t kMaxCrossbarDim = 64;
     /** The widest padded grid a partition accepts: 2^32 vertices. */
     static constexpr std::uint64_t kMaxPaddedVertices = std::uint64_t{1}
                                                         << 32;
+    /** The largest tile capacity, 64 rows of 2^32 columns: every
+     *  local cell ID, and so every delta between two, is below 2^38. */
+    static constexpr std::uint64_t kMaxTileCapacity =
+        kMaxCrossbarDim * kMaxPaddedVertices;
 
     /** C in the paper. */
     std::uint32_t crossbarDim() const { return params_.crossbarDim; }

@@ -6,15 +6,19 @@
  * Preprocessing sorts the COO edge list by the global order ID so
  * that all edges of one tile (subgraph) are contiguous and tiles
  * appear in streaming-apply (column-major) order. The sort is a
- * stable LSD radix sort, linear in E; edges with equal order IDs
+ * stable radix sort, linear in E; edges with equal order IDs
  * (parallel edges) keep their input order. It moves one 8-byte word
  * per edge, the order ID above the edge's origin bits, unless the two
  * need more than 64 bits; then the origins travel in an array of
- * their own. The sorted IDs are then written as the delta-coded tile
+ * their own. A sort whose arrays fit the TLB's reach takes LSD passes
+ * of 12-bit digits; a larger one scatters out of cache once, on its
+ * top bits into cache-sized buckets, and sorts each bucket in cache.
+ * One walk over the sorted IDs then writes the delta-coded tile
  * stream the plan keeps (graph/edge_codec.hh), with no ordered copy
- * of the edges in between. Loading a block or tile then requires
- * only sequential I/O. The paper performs this once, offline, in
- * software; so do we.
+ * of the edges in between, and describes each tile (graph/tile_meta.hh)
+ * from the same cells. Loading a block or tile then requires only
+ * sequential I/O. The paper performs this once, offline, in software;
+ * so do we.
  */
 
 #ifndef GRAPHR_GRAPH_PREPROCESS_HH
@@ -26,6 +30,7 @@
 #include "graph/coo.hh"
 #include "graph/edge_codec.hh"
 #include "graph/partition.hh"
+#include "graph/tile_meta.hh"
 
 namespace graphr
 {
@@ -37,7 +42,9 @@ namespace graphr
  * byte offset. The stream is the plan's only edge representation, byte
  * for byte the payload a plan artifact stores after its codec tag; a
  * run decodes a tile only where it reads one, into scratch of its own.
- * Immutable once built, so concurrent readers need no locking.
+ * Each constructor can describe the tiles into a TileMetaTable in the
+ * walk that holds their cells. Immutable once built, so concurrent
+ * readers need no locking.
  */
 class OrderedEdgeList
 {
@@ -45,18 +52,24 @@ class OrderedEdgeList
     /**
      * Preprocess a graph: compute I(i, j) for every edge, sort, and
      * write the stream and its tile directory. Linear in E: a stable
-     * radix sort with one 12-bit digit per pass, at most
-     * ceil(2 * bits(paddedVertices - 1) / 12) passes, of which those
-     * with a single digit value are skipped; ties keep input order.
-     * The sort's arrays peak at 16 B per edge while the IDs and input
-     * positions share one word (24 B when they do not). One walk over
-     * the sorted IDs then writes each tile's record: a cell's local ID
-     * is its order ID less the tile's first. No edge is gathered when
+     * radix sort. Below 2^19 edges it takes one 12-bit digit per pass,
+     * at most ceil(2 * bits(paddedVertices - 1) / 12) passes, of which
+     * those with a single digit value are skipped; from 2^19 on, one
+     * pass scatters the edges on their top bits into buckets of about
+     * 1024, and each bucket then takes 8-bit digit passes in cache.
+     * Ties keep input order. The sort's
+     * arrays peak at 16 B per edge while the IDs and input positions
+     * share one word (24 B when they do not). One walk over the sorted
+     * IDs then writes each tile's record, a cell's local ID being its
+     * order ID less the tile's first, and describes the tile from the
+     * same cells into @p meta, when given: an empty table of
+     * @p partition's, finished on return. No edge is gathered when
      * every weight is 1.0; otherwise only the weights are, by input
      * position. Edges are indexed with 32 bits, so a graph with more
      * than 2^32 - 1 edges panics instead of wrapping.
      */
-    OrderedEdgeList(const CooGraph &graph, const GridPartition &partition);
+    OrderedEdgeList(const CooGraph &graph, const GridPartition &partition,
+                    TileMetaTable *meta = nullptr);
 
     /**
      * Preprocess the symmetrised graph from the graph itself: the
@@ -69,18 +82,21 @@ class OrderedEdgeList
      * 2^31 - 1 edges.
      */
     OrderedEdgeList(const SymmetrizedView &view,
-                    const GridPartition &partition);
+                    const GridPartition &partition,
+                    TileMetaTable *meta = nullptr);
 
     /**
      * Adopt a stream read from a plan artifact, without a copy: the
      * stream is @p bytes from @p stream_offset on. One validating pass
-     * (indexEdgeStream) builds the tile directory; throws CodecError
-     * if the stream is malformed. This does not count as a
+     * (indexEdgeStream) builds the tile directory and describes each
+     * tile into @p meta, when given, from the cells it decodes; throws
+     * CodecError if the stream is malformed. This does not count as a
      * preprocessing sort.
      */
     OrderedEdgeList(const GridPartition &partition,
                     std::vector<unsigned char> bytes,
-                    std::size_t stream_offset);
+                    std::size_t stream_offset,
+                    TileMetaTable *meta = nullptr);
 
     const GridPartition &partition() const { return partition_; }
 
@@ -150,7 +166,8 @@ class OrderedEdgeList
      */
     template <typename ForEachEdge, typename WeightAt>
     void sortEdges(std::size_t num_edges, std::uint64_t max_origin,
-                   ForEachEdge for_each_edge, WeightAt weight_at);
+                   ForEachEdge for_each_edge, WeightAt weight_at,
+                   TileMetaTable *meta);
 
     GridPartition partition_;
     /** The stream is bytes_[streamOffset_, end). */

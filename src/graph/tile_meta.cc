@@ -72,29 +72,42 @@ describeTile(const GridPartition &part, std::uint64_t tile_index,
     return meta;
 }
 
-TileMetaTable::TileMetaTable(const OrderedEdgeList &ordered)
-    : dim_(ordered.partition().crossbarDim())
+TileMetaTable::TileMetaTable(const GridPartition &part)
+    : dim_(part.crossbarDim()),
+      // rowOffsets_[r + 1] counts tile row r's tiles first; finish()
+      // turns the counts into offsets.
+      rowOffsets_((std::uint64_t{part.numVertices()} + dim_ - 1) / dim_ + 1,
+                  0)
 {
-    const GridPartition &part = ordered.partition();
-    const std::uint32_t dim = dim_;
-    const std::span<const TileSpan> spans = ordered.tiles();
-    GRAPHR_ASSERT(spans.size() <= UINT32_MAX, "tile count ", spans.size(),
-                  " overflows the tile-row index");
-    // rowOffsets_[r + 1] counts tile row r's tiles first; the prefix
-    // sum below turns the counts into offsets.
-    rowOffsets_.assign((part.numVertices() + dim - 1) / dim + 1, 0);
-    tiles_.reserve(spans.size());
-    rowNnz_.assign(spans.size() * dim, 0);
-    std::vector<std::uint64_t> locals; // one tile's cells, reused
-    for (std::size_t t = 0; t < spans.size(); ++t) {
-        decodeTileLocals(ordered.stream(), spans[t], locals);
-        tiles_.push_back(describeTile(
-            part, spans[t].tileIndex, locals,
-            std::span<std::uint32_t>(rowNnz_).subspan(t * dim, dim)));
-        totalNnz_ += spans[t].numEdges;
-        ++rowOffsets_[tiles_.back().row0 / dim + 1];
-    }
+}
 
+void
+TileMetaTable::reserve(std::size_t tiles)
+{
+    tiles_.reserve(tiles);
+    rowNnz_.reserve(tiles * dim_);
+}
+
+void
+TileMetaTable::add(const GridPartition &part, std::uint64_t tile_index,
+                   std::span<const std::uint64_t> locals)
+{
+    const std::size_t at = rowNnz_.size();
+    rowNnz_.resize(at + dim_);
+    tiles_.push_back(describeTile(
+        part, tile_index, locals,
+        std::span<std::uint32_t>(rowNnz_).subspan(at, dim_)));
+    totalNnz_ += locals.size();
+    ++rowOffsets_[tiles_.back().row0 / dim_ + 1];
+}
+
+void
+TileMetaTable::finish()
+{
+    GRAPHR_ASSERT(tiles_.size() <= UINT32_MAX, "tile count ", tiles_.size(),
+                  " overflows the tile-row index");
+    tiles_.shrink_to_fit();
+    rowNnz_.shrink_to_fit();
     // Counting sort of the positions by tile row; a stable fill keeps
     // each row's positions ascending.
     std::partial_sum(rowOffsets_.begin(), rowOffsets_.end(),
@@ -103,7 +116,7 @@ TileMetaTable::TileMetaTable(const OrderedEdgeList &ordered)
     std::vector<std::uint32_t> next(rowOffsets_.begin(),
                                     rowOffsets_.end() - 1);
     for (std::size_t t = 0; t < tiles_.size(); ++t)
-        rowPositions_[next[tiles_[t].row0 / dim]++] =
+        rowPositions_[next[tiles_[t].row0 / dim_]++] =
             static_cast<std::uint32_t>(t);
 }
 

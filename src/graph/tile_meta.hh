@@ -5,25 +5,26 @@
  * The cost model needs, per non-empty tile: how many crossbars hold
  * non-zeros, the serial row-write depth, and which source rows carry
  * edges (to intersect with active sets for BFS/SSSP). Computing this
- * once after preprocessing keeps the per-iteration simulation loop a
- * cheap table walk, which matters when iterating large graphs. It is
- * computed from the tiles' cell IDs as the plan's stream decodes
- * them, the same way for a freshly sorted plan, a plan loaded from
- * the store and a multi-node stripe's share of a tile. The
- * table also indexes its tiles by tile row, so an add-op round
- * reaches the tiles of its active sources without walking the rest.
- * Each tile's C row counts live in one flat array the table owns, so
- * describing a tile allocates nothing.
+ * once during preprocessing keeps the per-iteration simulation loop a
+ * cheap table walk, which matters when iterating large graphs. Each
+ * tile is described from its cell IDs in the one walk that already
+ * holds them: the sort's write walk for a fresh plan, the validating
+ * pass over a stored stream for a loaded one (each OrderedEdgeList
+ * constructor fills a table it is handed), and a multi-node stripe's
+ * share of a tile where the stripe is cut. The table also indexes its tiles by tile
+ * row, so an add-op round reaches the tiles of its active sources
+ * without walking the rest. Each tile's C row counts live in one flat
+ * array the table owns.
  */
 
-#ifndef GRAPHR_GRAPHR_TILE_META_HH
-#define GRAPHR_GRAPHR_TILE_META_HH
+#ifndef GRAPHR_GRAPH_TILE_META_HH
+#define GRAPHR_GRAPH_TILE_META_HH
 
 #include <cstdint>
 #include <span>
 #include <vector>
 
-#include "graph/preprocess.hh"
+#include "graph/partition.hh"
 
 namespace graphr
 {
@@ -54,13 +55,27 @@ TileMeta describeTile(const GridPartition &part, std::uint64_t tile_index,
                       std::span<const std::uint64_t> locals,
                       std::span<std::uint32_t> row_nnz = {});
 
-/** Table of metadata for every non-empty tile, in streaming order. */
+/**
+ * Table of metadata for every non-empty tile, in streaming order. The
+ * walk that holds each tile's cells adds the tile, and finish() then
+ * indexes the tiles by tile row.
+ */
 class TileMetaTable
 {
   public:
-    /** Describe every tile of @p ordered from its decoded cell IDs,
-     *  one tile at a time. */
-    explicit TileMetaTable(const OrderedEdgeList &ordered);
+    /** An empty table for the tiles of @p part. */
+    explicit TileMetaTable(const GridPartition &part);
+
+    /** Make room for @p tiles tiles. */
+    void reserve(std::size_t tiles);
+
+    /** Describe tile @p tile_index from its cells @p locals
+     *  (describeTile) after the tiles before it in streaming order. */
+    void add(const GridPartition &part, std::uint64_t tile_index,
+             std::span<const std::uint64_t> locals);
+
+    /** Index the tiles by tile row, once all are added. */
+    void finish();
 
     /** Heap bytes held by the table's arrays. */
     std::size_t bytes() const;
@@ -110,4 +125,4 @@ class TileMetaTable
 
 } // namespace graphr
 
-#endif // GRAPHR_GRAPHR_TILE_META_HH
+#endif // GRAPHR_GRAPH_TILE_META_HH

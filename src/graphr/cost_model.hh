@@ -30,7 +30,7 @@
 #define GRAPHR_GRAPHR_COST_MODEL_HH
 
 #include "graphr/config.hh"
-#include "graphr/tile_meta.hh"
+#include "graph/tile_meta.hh"
 #include "rram/energy.hh"
 
 namespace graphr

@@ -8,13 +8,14 @@
  * linear in E, over division-free order IDs) written as the
  * delta-coded tile stream, about 2 bytes an edge, and extract the
  * per-tile activity metadata the cost model consumes (fixed-size
- * records plus one flat array of row counts). No ordered copy of the
- * edges is kept: a run decodes a tile where it reads its edges. Every
- * execution layer — single node, multi-node stripes, out-of-core
- * blocks, driver sweeps — walks the same three products, so they are
- * bundled here as one shareable, immutable plan. PlanCache
- * (plan_cache.hh) memoises plans per (graph fingerprint, tiling) so
- * repeated runs stop redoing the sort.
+ * records plus one flat array of row counts) in the same walk that
+ * writes each tile. No ordered copy of the edges is kept: a run
+ * decodes a tile where it reads its edges. Every execution layer —
+ * single node, multi-node stripes, out-of-core blocks, driver sweeps
+ * — walks the same products, so they are bundled here as one
+ * shareable, immutable plan. PlanCache (plan_cache.hh) memoises plans
+ * per (graph fingerprint, tiling) so repeated runs stop redoing the
+ * sort.
  */
 
 #ifndef GRAPHR_GRAPHR_ENGINE_TILE_PLAN_HH
@@ -26,7 +27,6 @@
 #include "graph/coo.hh"
 #include "graph/partition.hh"
 #include "graph/preprocess.hh"
-#include "graphr/tile_meta.hh"
 
 namespace graphr
 {
@@ -41,8 +41,9 @@ namespace graphr
 struct TilePlan
 {
     GridPartition partition;
-    OrderedEdgeList ordered;
+    /** Filled by the walk that builds ordered, so declared first. */
     TileMetaTable meta;
+    OrderedEdgeList ordered;
     /** Fingerprint of the graph the plan was built from. */
     std::uint64_t fingerprint = 0;
 
@@ -57,8 +58,8 @@ struct TilePlan
      * Adopt a stored stream (the load path of the on-disk plan
      * store): the plan keeps @p bytes, whose bytes from
      * @p stream_offset on are the stream, after one validating pass
-     * builds the tile directory, and the per-tile metadata is
-     * described from the stream exactly as for a fresh prepare, so
+     * builds the tile directory and describes each tile from the cells
+     * it decodes, exactly as a fresh prepare describes them, so
      * downstream results are byte-identical. Throws CodecError on a
      * malformed stream.
      */

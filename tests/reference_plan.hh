@@ -26,7 +26,7 @@
 #include "graph/coo.hh"
 #include "graph/edge_codec.hh"
 #include "graph/partition.hh"
-#include "graphr/tile_meta.hh"
+#include "graph/tile_meta.hh"
 
 namespace graphr::reference
 {

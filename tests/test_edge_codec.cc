@@ -22,6 +22,7 @@
 #include <cstdint>
 #include <limits>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "graph/edge_codec.hh"
@@ -666,6 +667,184 @@ TEST(EdgeCodec, FirstLocalIdBeyondCapacityIsRejected)
     s.push_back(0);
     putV(s, part.tileCapacity()); // one past the last cell
     expectDecodeThrows(part, s);
+}
+
+/**
+ * One tile 0 of two unit-weight cells, 0 and @p delta, its record
+ * declaring low-bits width @p k.
+ */
+std::vector<unsigned char>
+twoCellStream(unsigned k, std::uint64_t delta)
+{
+    std::vector<unsigned char> s;
+    putV(s, 1);
+    putV(s, 2);
+    putV(s, 0);
+    putV(s, 2);
+    s.push_back(static_cast<unsigned char>(k << 2));
+    putV(s, 0);
+    const std::uint64_t low =
+        k >= 64 ? delta : delta & ((std::uint64_t{1} << k) - 1);
+    for (unsigned byte = 0; byte < (k + 7) / 8; ++byte)
+        s.push_back(static_cast<unsigned char>(low >> (8 * byte)));
+    const std::uint64_t high = k >= 64 ? 0 : delta >> k;
+    if (high == 0) {
+        putV(s, 1);
+    } else {
+        putV(s, 0);
+        putV(s, high);
+    }
+    return s;
+}
+
+TEST(EdgeCodec, LowBitsWidthPastTheTileCapacityIsRejected)
+{
+    // No delta of a tile of capacity c is wider than bit_width(c - 1),
+    // and the writer floors k at 1 at most, so a wider k is malformed.
+    // At C = 1 every tile is one cell wide: capacity 1, bound 1.
+    const GridPartition one(8, TilingParams{.crossbarDim = 1,
+                                            .crossbarsPerGe = 1,
+                                            .numGe = 1,
+                                            .blockSize = 0});
+    ASSERT_EQ(one.tileCapacity(), 1u);
+    EXPECT_EQ(indexAndDecodeAll(one, twoCellStream(1, 0)), 2u);
+    expectDecodeThrows(one, twoCellStream(2, 0));
+    expectDecodeThrows(one, twoCellStream(63, 0));
+
+    // The paper's tiling: capacity 2^17, bound 17, met by the widest
+    // delta the tile holds.
+    const GridPartition paper(131072, TilingParams{});
+    ASSERT_EQ(paper.tileCapacity(), std::uint64_t{1} << 17);
+    const std::uint64_t widest = paper.tileCapacity() - 1;
+    EXPECT_EQ(indexAndDecodeAll(paper, twoCellStream(17, widest)), 2u);
+    expectDecodeThrows(paper, twoCellStream(18, widest));
+    expectDecodeThrows(paper, twoCellStream(63, widest));
+}
+
+/**
+ * The estimate the writer minimises over k (edge_codec.cc): every
+ * delta pays k bits, each wider one its high part's varint bytes and
+ * one run-length byte.
+ */
+std::uint64_t
+tileCost(std::span<const std::uint64_t> deltas, unsigned k)
+{
+    std::uint64_t cost = deltas.size() * k;
+    for (const std::uint64_t d : deltas) {
+        const auto w = static_cast<unsigned>(std::bit_width(d));
+        if (w > k)
+            cost += ((w - k + 6) / 7 + 1) * 8;
+    }
+    return cost;
+}
+
+/** Tiles of a 2^38-cell tiling as cells, and as edges and spans. */
+struct SyntheticTiles
+{
+    std::vector<std::vector<std::uint64_t>> cells;
+    std::vector<Edge> edges;
+    std::vector<TileSpan> spans;
+
+    void
+    add(const GridPartition &part, std::vector<std::uint64_t> locals)
+    {
+        const std::uint64_t tile =
+            spans.empty() ? 0 : spans.back().tileIndex + 1;
+        std::uint64_t row0 = 0;
+        std::uint64_t col0 = 0;
+        part.tileOrigin(part.tileCoord(tile), row0, col0);
+        spans.push_back(TileSpan{tile, edges.size(), locals.size(), 0});
+        for (const std::uint64_t local : locals) {
+            edges.push_back(Edge{
+                static_cast<VertexId>(row0 + local % part.crossbarDim()),
+                static_cast<VertexId>(col0 + local / part.crossbarDim()),
+                1.0});
+        }
+        cells.push_back(std::move(locals));
+    }
+};
+
+/** Cells from 0 by @p deltas. */
+std::vector<std::uint64_t>
+cellsOf(std::span<const std::uint64_t> deltas)
+{
+    std::vector<std::uint64_t> cells = {0};
+    for (const std::uint64_t d : deltas)
+        cells.push_back(cells.back() + d);
+    return cells;
+}
+
+TEST(EdgeCodec, WriterChoosesTheReferenceWidthTiesIncluded)
+{
+    // C = 64 rows of N * G * C = 2^32 columns: capacity 2^38, the
+    // widest any tiling allows, at 2^32 - 1 vertices.
+    const GridPartition part(4294967295u,
+                             TilingParams{.crossbarDim = 64,
+                                          .crossbarsPerGe = 1u << 13,
+                                          .numGe = 1u << 13,
+                                          .blockSize = 0});
+    ASSERT_EQ(part.tileCapacity(), std::uint64_t{1} << 38);
+
+    SyntheticTiles tiles;
+    tiles.add(part, {5});     // one edge
+    tiles.add(part, {0, 63}); // two edges
+    tiles.add(part, {7, 7});  // two equal cells: one zero delta
+    // Deltas of every width 0 to 37 in one tile, and 38 in the next.
+    std::vector<std::uint64_t> deltas;
+    for (unsigned w = 0; w < 38; ++w)
+        deltas.push_back(w == 0 ? 0 : std::uint64_t{1} << (w - 1));
+    tiles.add(part, cellsOf(deltas));
+    tiles.add(part, cellsOf(std::vector<std::uint64_t>{
+                        1, std::uint64_t{1} << 37, 3, 0, 1}));
+    // Mostly one-bit deltas, so k stays small and the wide ones carry
+    // high parts of 1 to 6 varint bytes.
+    deltas.assign(64, 1);
+    for (const unsigned w : {8u, 15u, 22u, 29u, 36u, 38u})
+        deltas[w] = (std::uint64_t{1} << (w - 1)) + 1;
+    tiles.add(part, cellsOf(deltas));
+    // Exact ties: seven deltas of width a and one of width a + 2 cost
+    // 8a + 16 at k = a and at k = a + 2, more at any other k, and the
+    // smaller k must win. Once with the wide delta last, once first.
+    for (const unsigned a : {0u, 1u, 20u}) {
+        const std::uint64_t narrow = a == 0 ? 0 : std::uint64_t{1} << (a - 1);
+        std::vector<std::uint64_t> tie(8, narrow);
+        tie.back() = std::uint64_t{1} << (a + 1);
+        for (unsigned k = 0; k <= 38; ++k) {
+            if (k != a && k != a + 2) {
+                ASSERT_GT(tileCost(tie, k), tileCost(tie, a)) << k;
+            }
+        }
+        ASSERT_EQ(tileCost(tie, a), tileCost(tie, a + 2));
+        tiles.add(part, cellsOf(tie));
+        std::reverse(tie.begin(), tie.end());
+        tiles.add(part, cellsOf(tie));
+    }
+
+    // A seeded sweep of small tiles of mixed widths ties now and then.
+    std::mt19937_64 rng(38);
+    for (int t = 0; t < 400; ++t) {
+        std::vector<std::uint64_t> d(1 + rng() % 12);
+        for (std::uint64_t &delta : d)
+            delta = rng() % 3 == 0
+                        ? 0
+                        : rng() & ((std::uint64_t{1} << (rng() % 24)) - 1);
+        tiles.add(part, cellsOf(d));
+    }
+
+    for (const unsigned min_low_bits : {0u, 1u}) {
+        SCOPED_TRACE("min_low_bits " + std::to_string(min_low_bits));
+        EdgeStreamWriter writer(min_low_bits, tiles.edges.size());
+        for (std::size_t t = 0; t < tiles.spans.size(); ++t)
+            writer.addTile(tiles.spans[t].tileIndex, tiles.cells[t], {});
+        std::size_t offset = 0;
+        std::vector<TileSpan> spans;
+        const std::vector<unsigned char> bytes = writer.finish(offset, spans);
+        const std::vector<unsigned char> want = reference::detail::encodeTiles(
+            part, tiles.edges, tiles.spans, min_low_bits);
+        EXPECT_TRUE(std::ranges::equal(
+            std::span<const unsigned char>(bytes).subspan(offset), want));
+        expectSameDirectory(spans, indexEdgeStream(part, want));
+    }
 }
 
 TEST(EdgeCodec, UnknownWeightModeIsRejected)

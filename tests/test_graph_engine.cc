@@ -16,7 +16,7 @@
 #include "graph/generator.hh"
 #include "graph/partition.hh"
 #include "graph/preprocess.hh"
-#include "graphr/tile_meta.hh"
+#include "graph/tile_meta.hh"
 #include "perf/counters.hh"
 #include "rram/graph_engine.hh"
 
@@ -225,8 +225,8 @@ TEST(GraphEngineTest, ActivityAgreesWithTileMeta)
     tp.numGe = 2;
     tp.blockSize = 32;
     const GridPartition part(g.numVertices(), tp);
-    const OrderedEdgeList ordered(g, part);
-    const TileMetaTable table(ordered);
+    TileMetaTable table(part);
+    const OrderedEdgeList ordered(g, part, &table);
 
     DeviceParams params;
     EnergyLedger ledger(params);

@@ -383,6 +383,17 @@ TEST(PartitionTest, IndexArithmeticEqualsPlainDivision)
     }
 }
 
+TEST(PartitionTest, CrossbarTallerThanTheRowMaskIsRefused)
+{
+    // A tile's row activity is a 64-bit mask; with C <= 64 no tile
+    // holds more than 2^38 cells, which bounds the codec's k.
+    EXPECT_NO_THROW(GridPartition(100, tiling(64, 1, 1)));
+    EXPECT_THROW(GridPartition(100, tiling(65, 1, 1)), PartitionError);
+    EXPECT_THROW(GridPartition(100, tiling(1u << 31, 1, 1)), PartitionError);
+    const GridPartition widest(4294967295u, tiling(64, 1u << 13, 1u << 13));
+    EXPECT_EQ(widest.tileCapacity(), GridPartition::kMaxTileCapacity);
+}
+
 TEST(PartitionTest, GridPast2To32IsRefusedByName)
 {
     // 4294967295 vertices under C=6 N=3 G=2 pad to 4294967328: distinct

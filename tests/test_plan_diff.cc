@@ -8,7 +8,9 @@
  * stream that trips the expansion bound, under tilings with C in
  * {1, 3, 5, 8, 64} with and without blocks, the plan must carry the
  * reference's stream bytes, tile directory, edges and metadata, and a
- * plan saved and loaded back must equal it.
+ * plan saved and loaded back must equal it. At the paper's tiling, an
+ * R-MAT of 2^18 edges, unit-weight and weighted, checks the same on
+ * both sides of the size where the sort starts to bucket.
  */
 
 #include <gtest/gtest.h>
@@ -185,6 +187,36 @@ TEST(PlanDiffTest, StreamPlansEqualTheRecordPath)
                 expectSamePlan(*loaded, *plan);
             }
         }
+    }
+    fs::remove_all(dir);
+}
+
+TEST(PlanDiffTest, BucketedSortPlansEqualTheRecordPath)
+{
+    // At the paper's tiling only: 2^18 edges sort by LSD passes and
+    // their symmetrised 2^19 by one scatter into buckets of thousands
+    // of words each (R-MAT's top bits are skewed); the weighted graph
+    // writes raw per-edge weights from both sorts.
+    const fs::path dir = fs::path(::testing::TempDir()) / "plan_diff_big";
+    fs::remove_all(dir);
+    const PlanStore store(dir.string());
+    const TilingParams tiling;
+    for (const double max_weight : {1.0, 9.0}) {
+        SCOPED_TRACE(max_weight);
+        const CooGraph g = makeRmat({.numVertices = 1 << 15,
+                                     .numEdges = 1 << 18,
+                                     .maxWeight = max_weight,
+                                     .seed = 3});
+        const TilePlan plain(g, tiling);
+        expectReferencePlan(plain, reference::sortPlan(g, plain.partition));
+        const SymmetrizedView view(g);
+        const TilePlan symmetric(view, tiling);
+        expectReferencePlan(symmetric,
+                            reference::sortPlan(view, symmetric.partition));
+        store.save(symmetric, tiling);
+        const TilePlanPtr loaded = store.load(symmetric.fingerprint, tiling);
+        ASSERT_NE(loaded, nullptr);
+        expectSamePlan(*loaded, symmetric);
     }
     fs::remove_all(dir);
 }

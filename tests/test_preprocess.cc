@@ -181,6 +181,54 @@ TEST(PreprocessTest, ParallelEdgesKeepInputOrder)
     EXPECT_GT(parallel, 100u) << "graph has too few parallel edges";
 }
 
+/**
+ * The sorting constructor must leave @p g's edges as a stable
+ * comparison sort of their global order IDs does. Weights carry the
+ * input position, so a tie out of input order shows.
+ */
+void
+expectStableSortOrder(const CooGraph &g, const GridPartition &part)
+{
+    std::vector<Edge> want(g.edges().begin(), g.edges().end());
+    std::stable_sort(want.begin(), want.end(),
+                     [&part](const Edge &a, const Edge &b) {
+                         return part.globalOrderId(a.src, a.dst) <
+                                part.globalOrderId(b.src, b.dst);
+                     });
+    const OrderedEdgeList ordered(g, part);
+    expectEdgesBitIdentical(decodedEdges(ordered), want);
+}
+
+/** @p count random edges on @p n vertices, every fifth repeating an
+ *  earlier cell; each weighs its input position. */
+CooGraph
+randomParallelEdges(VertexId n, int count)
+{
+    std::mt19937_64 rng(n);
+    std::uniform_int_distribution<VertexId> vertex(0, n - 1);
+    CooGraph g(n, {});
+    for (int e = 0; e < count; ++e) {
+        if (e % 5 == 4) {
+            const Edge earlier = g.edges()[rng() % g.edges().size()];
+            g.addEdge(earlier.src, earlier.dst, e);
+        } else {
+            const VertexId src = vertex(rng);
+            g.addEdge(src, vertex(rng), e);
+        }
+    }
+    return g;
+}
+
+/** @p g's edges, each weighing its input position. */
+CooGraph
+weighedByPosition(const CooGraph &g)
+{
+    std::vector<Edge> edges(g.edges().begin(), g.edges().end());
+    for (std::size_t e = 0; e < edges.size(); ++e)
+        edges[e].weight = static_cast<Value>(e);
+    return CooGraph(g.numVertices(), std::move(edges));
+}
+
 TEST(PreprocessTest, RadixOrderMatchesStableSortAtEveryKeyWidth)
 {
     // From 16 vertices (one 12-bit digit pass) to 2^32 - 1 (six
@@ -193,27 +241,37 @@ TEST(PreprocessTest, RadixOrderMatchesStableSortAtEveryKeyWidth)
     for (const VertexId n : {16u, 1000u, 70000u, 5000000u, 67108864u,
                              67108880u, 4294967295u}) {
         SCOPED_TRACE(n);
-        const GridPartition part(n, tiling(4, 2, 2));
-        std::mt19937_64 rng(n);
-        std::uniform_int_distribution<VertexId> vertex(0, n - 1);
-        CooGraph g(n, {});
-        for (int e = 0; e < 3000; ++e) {
-            if (e % 5 == 4) {
-                const Edge earlier = g.edges()[rng() % g.edges().size()];
-                g.addEdge(earlier.src, earlier.dst, e);
-            } else {
-                const VertexId src = vertex(rng);
-                g.addEdge(src, vertex(rng), e);
-            }
+        expectStableSortOrder(randomParallelEdges(n, 3000),
+                              GridPartition(n, tiling(4, 2, 2)));
+    }
+    // From 2^19 edges the sort scatters once on the keys' top bits and
+    // sorts each bucket in cache; one edge fewer takes the LSD passes.
+    // Both sides, with the IDs and origins packed in one word (70000
+    // vertices) and apart (2^26 + 16), on uniform keys with repeated
+    // cells, on R-MAT's skewed top bits, and on a star into its hub,
+    // whose keys nearly all share one top-bits bucket.
+    for (const int edges : {(1 << 19) - 1, 1 << 19}) {
+        SCOPED_TRACE(edges);
+        for (const VertexId n : {70000u, 67108880u}) {
+            SCOPED_TRACE(n);
+            expectStableSortOrder(randomParallelEdges(n, edges),
+                                  GridPartition(n, tiling(4, 2, 2)));
         }
-        std::vector<Edge> want(g.edges().begin(), g.edges().end());
-        std::stable_sort(want.begin(), want.end(),
-                         [&part](const Edge &a, const Edge &b) {
-                             return part.globalOrderId(a.src, a.dst) <
-                                    part.globalOrderId(b.src, b.dst);
-                         });
-        const OrderedEdgeList ordered(g, part);
-        expectEdgesBitIdentical(decodedEdges(ordered), want);
+        const CooGraph rmat = weighedByPosition(makeRmat(
+            {.numVertices = 1 << 16,
+             .numEdges = static_cast<std::uint64_t>(edges),
+             .seed = 19}));
+        expectStableSortOrder(rmat, GridPartition(rmat.numVertices(),
+                                                  TilingParams{}));
+        const auto hub_spokes = static_cast<VertexId>(edges - 64);
+        CooGraph star(hub_spokes + 1, {});
+        for (VertexId v = 1; v <= hub_spokes; ++v)
+            star.addEdge(v, 0, v);
+        for (VertexId v = 0; v < 64; ++v)
+            star.addEdge(0, hub_spokes - v * 1000, hub_spokes + v);
+        expectStableSortOrder(star,
+                              GridPartition(star.numVertices(),
+                                            tiling(4, 2, 2)));
     }
 }
 

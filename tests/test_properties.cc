@@ -13,7 +13,7 @@
 #include "algorithms/traversal.hh"
 #include "graph/generator.hh"
 #include "graphr/node.hh"
-#include "graphr/tile_meta.hh"
+#include "graph/tile_meta.hh"
 #include "rram/salu.hh"
 
 namespace graphr
@@ -85,8 +85,8 @@ TEST_P(NodePropertyTest, TileAccountingConsistent)
     const CooGraph g = graph();
     const GraphRConfig cfg = config();
     const GridPartition part(g.numVertices(), cfg.tiling);
-    const OrderedEdgeList ordered(g, part);
-    const TileMetaTable meta(ordered);
+    TileMetaTable meta(part);
+    const OrderedEdgeList ordered(g, part, &meta);
 
     // Tile metadata conserves edges and respects geometry.
     std::uint64_t nnz = 0;

@@ -25,7 +25,7 @@
 #include "graph/generator.hh"
 #include "graph/preprocess.hh"
 #include "graphr/engine/tile_plan.hh"
-#include "graphr/tile_meta.hh"
+#include "graph/tile_meta.hh"
 #include "store/plan_store.hh"
 
 namespace graphr
@@ -210,8 +210,8 @@ TEST_P(TileMetaPropertyTest, RunCountedTableEqualsSetReference)
         SCOPED_TRACE(name);
         const CooGraph g = make();
         const GridPartition part(g.numVertices(), tiling);
-        const OrderedEdgeList ordered(g, part);
-        const TileMetaTable table(ordered);
+        TileMetaTable table(part);
+        const OrderedEdgeList ordered(g, part, &table);
         expectMetaEqual(referenceMeta(g, part), table);
         expectRowIndex(table, part);
     }
