@@ -108,6 +108,13 @@ outRows(const CooGraph &graph, EdgeDirections directions, MakeEntry entry)
 
 } // namespace
 
+CompressedRows<VertexId>
+relaxationRows(const CooGraph &graph, EdgeDirections directions)
+{
+    return outRows<VertexId>(graph, directions,
+                             [](const Edge &e) { return e.dst; });
+}
+
 void
 RelaxationSweep::buildAdjacency(const CooGraph &graph,
                                 EdgeDirections directions)
@@ -117,8 +124,7 @@ RelaxationSweep::buildAdjacency(const CooGraph &graph,
             return Adjacency{e.dst, e.weight};
         });
     } else {
-        neighborIds_ = outRows<VertexId>(
-            graph, directions, [](const Edge &e) { return e.dst; });
+        neighborIds_ = relaxationRows(graph, directions);
     }
 }
 
@@ -129,27 +135,24 @@ RelaxationSweep::RelaxationSweep(const CooGraph &graph, VertexId source,
     GRAPHR_ASSERT(source < graph.numVertices(), "source out of range");
     buildAdjacency(graph, EdgeDirections::kForward);
     dist_.assign(graph.numVertices(), kInfDistance);
-    active_.assign(graph.numVertices(), false);
     improved_.assign((graph.numVertices() + 63) / 64, 0);
     dist_[source] = 0.0;
-    active_[source] = true;
     ids_.push_back(source);
 }
 
 RelaxationSweep::RelaxationSweep(const CooGraph &graph,
                                  std::vector<Value> init_labels,
-                                 std::vector<bool> init_active,
+                                 const std::vector<bool> &init_active,
                                  WeightMode mode, EdgeDirections directions)
-    : mode_(mode), dist_(std::move(init_labels)),
-      active_(std::move(init_active))
+    : mode_(mode), dist_(std::move(init_labels))
 {
     GRAPHR_ASSERT(dist_.size() == graph.numVertices() &&
-                      active_.size() == graph.numVertices(),
+                      init_active.size() == graph.numVertices(),
                   "initial label/active length mismatch");
     buildAdjacency(graph, directions);
     improved_.assign((graph.numVertices() + 63) / 64, 0);
     for (VertexId v = 0; v < graph.numVertices(); ++v) {
-        if (active_[v])
+        if (init_active[v])
             ids_.push_back(v);
     }
 }
@@ -187,8 +190,6 @@ RelaxationSweep::step()
         const Value w = mode_ == WeightMode::kUnit ? 1.0 : 0.0;
         relaxFrontier(neighborIds_, [w](VertexId) { return w; });
     }
-    for (const VertexId u : ids_)
-        active_[u] = false;
 
     // The next round's ids, ascending. A round that improved at least
     // one vertex per 64 reads them off the improved bits in one pass
@@ -210,8 +211,6 @@ RelaxationSweep::step()
         for (const VertexId v : nextIds_)
             improved_[v / 64] = 0;
     }
-    for (const VertexId v : nextIds_)
-        active_[v] = true;
     ids_.swap(nextIds_);
     return ids_.size();
 }
@@ -245,6 +244,22 @@ singleSourceSchedule(const CooGraph &graph, VertexId source,
         });
 }
 
+/** The add-op spec of a BFS or SSSP from @p source. */
+AddOpSpec
+singleSourceSpec(const CooGraph &graph, VertexId source, WeightMode mode,
+                 std::shared_ptr<const FrontierSchedule> schedule)
+{
+    GRAPHR_ASSERT(source < graph.numVertices(), "source out of range");
+    AddOpSpec spec;
+    spec.initLabels.assign(graph.numVertices(), kInfDistance);
+    spec.initActive.assign(graph.numVertices(), false);
+    spec.initLabels[source] = 0.0;
+    spec.initActive[source] = true;
+    spec.mode = mode;
+    spec.schedule = std::move(schedule);
+    return spec;
+}
+
 } // namespace
 
 std::shared_ptr<const FrontierSchedule>
@@ -259,6 +274,46 @@ ssspSchedule(const CooGraph &graph, VertexId source)
 {
     return singleSourceSchedule(
         graph, source, GraphMemo::ScheduleKey::Relaxation::kSssp);
+}
+
+AddOpSpec
+bfsSpec(const CooGraph &graph, VertexId source)
+{
+    return singleSourceSpec(graph, source, WeightMode::kUnit,
+                            bfsSchedule(graph, source));
+}
+
+AddOpSpec
+ssspSpec(const CooGraph &graph, VertexId source)
+{
+    return singleSourceSpec(graph, source, WeightMode::kOriginal,
+                            ssspSchedule(graph, source));
+}
+
+void
+forEachRound(const CooGraph &graph, const AddOpSpec &spec,
+             const RoundObserver &on_round, std::vector<Value> *labels_out)
+{
+    const auto show = [&spec, &on_round](std::span<const VertexId> ids) {
+        if (spec.onRound)
+            spec.onRound(ids);
+        on_round(ids);
+    };
+    const bool replay = spec.schedule != nullptr && spec.schedule->recorded();
+    if (replay) {
+        for (int r = 0; r < spec.schedule->rounds(); ++r)
+            show(spec.schedule->round(r));
+        if (labels_out == nullptr)
+            return;
+    }
+    RelaxationSweep sweep(graph, spec.initLabels, spec.initActive, spec.mode,
+                          spec.directions);
+    for (; !sweep.done(); sweep.step()) {
+        if (!replay)
+            show(sweep.activeIds());
+    }
+    if (labels_out != nullptr)
+        *labels_out = sweep.dist();
 }
 
 } // namespace graphr

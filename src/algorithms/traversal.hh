@@ -10,6 +10,7 @@
 #ifndef GRAPHR_ALGORITHMS_TRAVERSAL_HH
 #define GRAPHR_ALGORITHMS_TRAVERSAL_HH
 
+#include <functional>
 #include <memory>
 #include <span>
 #include <vector>
@@ -64,9 +65,10 @@ enum class EdgeDirections
 
 /**
  * Round-by-round synchronous min-relaxation exposing the per-round
- * active set: used by the GraphR simulator to know which tiles a
- * round touches. Covers SSSP, BFS and WCC-style label propagation
- * (all the paper's parallel-add-op workloads).
+ * active ids: the one relaxation of the paper's parallel-add-op
+ * workloads (SSSP, BFS and WCC-style label propagation). The
+ * frontier schedules are recorded from it, and forEachRound() runs
+ * it live for a relaxation whose schedule kept no ids.
  *
  * A round costs its frontier: step() relaxes the round's active ids
  * in ascending order, updating labels in place (a vertex relaxed
@@ -95,14 +97,10 @@ class RelaxationSweep
      */
     RelaxationSweep(const CooGraph &graph,
                     std::vector<Value> init_labels,
-                    std::vector<bool> init_active, WeightMode mode,
+                    const std::vector<bool> &init_active, WeightMode mode,
                     EdgeDirections directions = EdgeDirections::kForward);
 
-    /** Vertices active at the start of the current round, as one
-     *  flag per vertex (the baseline cost models index it). */
-    const std::vector<bool> &active() const { return active_; }
-
-    /** The same vertices as ascending ids. */
+    /** Vertices active at the start of the current round, ascending. */
     std::span<const VertexId> activeIds() const { return ids_; }
 
     /** Current distance labels. */
@@ -110,33 +108,6 @@ class RelaxationSweep
 
     /** Whether any vertex is still active. */
     bool done() const { return ids_.empty(); }
-
-    /**
-     * Offsets of the out-adjacency the rounds relax over (|V|+1
-     * entries): vertex v's out-edges are [offsets()[v],
-     * offsets()[v + 1]), in edge-list order. The baseline cost models
-     * read degrees and neighbours from it.
-     */
-    std::span<const EdgeId>
-    offsets() const
-    {
-        return weighted() ? weighted_.offsets() : neighborIds_.offsets();
-    }
-
-    /** Out-degree of vertex @p v. */
-    EdgeId
-    degree(VertexId v) const
-    {
-        return weighted() ? weighted_.degree(v) : neighborIds_.degree(v);
-    }
-
-    /** The vertex out-edge @p i (an index into offsets()) leads to. */
-    VertexId
-    neighbor(EdgeId i) const
-    {
-        return weighted() ? weighted_.entry(i).neighbor
-                          : neighborIds_.entry(i);
-    }
 
     /** Execute one synchronous round; returns updated-vertex count. */
     std::uint64_t step();
@@ -159,13 +130,21 @@ class RelaxationSweep
     /** Out-neighbours with weights: the adjacency under kOriginal. */
     CompressedRows<Adjacency> weighted_;
     std::vector<Value> dist_;
-    std::vector<bool> active_;
     /** Bit v set once v improved in the running round; all clear
      *  between rounds. */
     std::vector<std::uint64_t> improved_;
     std::vector<VertexId> ids_;
     std::vector<VertexId> nextIds_;
 };
+
+/**
+ * The out-neighbour ids a relaxation of @p graph's edges read in
+ * @p directions walks: row v holds v's out-neighbours in edge-list
+ * order (read both ways, the rows over symmetrize(graph)). A cost
+ * model reads a round's degrees and neighbours here.
+ */
+CompressedRows<VertexId> relaxationRows(const CooGraph &graph,
+                                        EdgeDirections directions);
 
 /**
  * Run @p sweep to convergence, recording each round's active ids into
@@ -186,6 +165,57 @@ std::shared_ptr<const FrontierSchedule> bfsSchedule(const CooGraph &graph,
                                                     VertexId source);
 std::shared_ptr<const FrontierSchedule>
 ssspSchedule(const CooGraph &graph, VertexId source);
+
+/** Receives each add-op round's active vertex ids, ascending. */
+using RoundObserver = std::function<void(std::span<const VertexId> ids)>;
+
+/**
+ * One add-op (min-relaxation) execution: its start, how it reads the
+ * edges, and where its rounds come from. Every cost model walks its
+ * rounds through forEachRound().
+ */
+struct AddOpSpec
+{
+    std::vector<Value> initLabels;
+    std::vector<bool> initActive;
+    WeightMode mode = WeightMode::kOriginal;
+    /** The edge directions relaxed: kBoth for WCC, whose plan is the
+     *  symmetrised graph's (PlanCache::get(SymmetrizedView)). */
+    EdgeDirections directions = EdgeDirections::kForward;
+    /**
+     * Optional: the recorded frontier of the relaxation the four
+     * fields above start (bfsSchedule() and its siblings; the
+     * factories below attach it). Null, or a schedule past its cap
+     * (FrontierSchedule::recorded() false), makes forEachRound() run
+     * a RelaxationSweep instead.
+     */
+    std::shared_ptr<const FrontierSchedule> schedule;
+    /**
+     * Optional: shown every round's active ids, in round order,
+     * before the walker's own observer (the out-of-core runner
+     * derives its selective disk schedule from them).
+     */
+    RoundObserver onRound;
+};
+
+/** BFS from @p source: label 0 and active there, unit weights, the
+ *  memoised bfsSchedule(graph, source) attached. */
+AddOpSpec bfsSpec(const CooGraph &graph, VertexId source);
+
+/** SSSP from @p source, likewise, with ssspSchedule(graph, source). */
+AddOpSpec ssspSpec(const CooGraph &graph, VertexId source);
+
+/**
+ * The one round walk: show each round of the relaxation @p spec
+ * describes over @p graph to spec.onRound and then @p on_round, as
+ * its active ids, ascending, in round order. A recorded
+ * spec.schedule is replayed; otherwise a RelaxationSweep relaxes the
+ * rounds here. When @p labels_out is non-null it receives the final
+ * labels, from a sweep run for them if the rounds were replayed.
+ */
+void forEachRound(const CooGraph &graph, const AddOpSpec &spec,
+                  const RoundObserver &on_round,
+                  std::vector<Value> *labels_out = nullptr);
 
 } // namespace graphr
 

@@ -84,6 +84,20 @@ propagateLabels(const CooGraph &graph, std::vector<VertexId> &labels)
     return passes;
 }
 
+/** WCC's start: every vertex active with its own id as label, zero
+ *  weights, each edge relaxed both ways. */
+AddOpSpec
+wccStart(const CooGraph &graph)
+{
+    AddOpSpec spec;
+    spec.initLabels.resize(graph.numVertices());
+    std::iota(spec.initLabels.begin(), spec.initLabels.end(), 0.0);
+    spec.initActive.assign(graph.numVertices(), true);
+    spec.mode = WeightMode::kZero;
+    spec.directions = EdgeDirections::kBoth;
+    return spec;
+}
+
 } // namespace
 
 WccResult
@@ -144,12 +158,9 @@ wccUnionFind(const CooGraph &graph)
 RelaxationSweep
 makeWccSweep(const CooGraph &graph)
 {
-    std::vector<Value> labels(graph.numVertices());
-    for (VertexId v = 0; v < graph.numVertices(); ++v)
-        labels[v] = static_cast<Value>(v);
-    std::vector<bool> active(graph.numVertices(), true);
-    return RelaxationSweep(graph, std::move(labels), std::move(active),
-                           WeightMode::kZero, EdgeDirections::kBoth);
+    AddOpSpec start = wccStart(graph);
+    return RelaxationSweep(graph, std::move(start.initLabels),
+                           start.initActive, start.mode, start.directions);
 }
 
 std::shared_ptr<const FrontierSchedule>
@@ -161,6 +172,14 @@ wccSchedule(const CooGraph &graph)
                 makeWccSweep(graph),
                 FrontierSchedule::capFor(SymmetrizedView(graph).numEdges()));
         });
+}
+
+AddOpSpec
+wccSpec(const CooGraph &graph)
+{
+    AddOpSpec spec = wccStart(graph);
+    spec.schedule = wccSchedule(graph);
+    return spec;
 }
 
 } // namespace graphr

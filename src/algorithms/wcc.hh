@@ -9,9 +9,9 @@
  * required. Labels propagate over the symmetrised edge set, read
  * from the graph itself: the golden passes apply each edge and then
  * its reverse, which is the order of symmetrize()'s list, the
- * simulated runners and baseline sweeps relax rows scattered from
- * the graph both ways, and the GraphR backends walk the symmetrised
- * plan sorted from it (SymmetrizedView). No runner builds the copy.
+ * relaxation relaxes rows scattered from the graph both ways, and
+ * the GraphR backends walk the symmetrised plan sorted from it
+ * (SymmetrizedView). No runner builds the copy.
  */
 
 #ifndef GRAPHR_ALGORITHMS_WCC_HH
@@ -71,7 +71,6 @@ CooGraph symmetrize(const CooGraph &graph);
  * ways (EdgeDirections::kBoth), so the rows are those over
  * symmetrize(graph) in the same order, without the copy. Pass the
  * graph itself: a symmetrised graph would be read both ways again.
- * Shared by every cost model that replays WCC rounds.
  */
 RelaxationSweep makeWccSweep(const CooGraph &graph);
 
@@ -83,6 +82,10 @@ RelaxationSweep makeWccSweep(const CooGraph &graph);
  * over the copy.
  */
 std::shared_ptr<const FrontierSchedule> wccSchedule(const CooGraph &graph);
+
+/** The add-op spec of WCC: makeWccSweep(graph)'s start, with
+ *  wccSchedule(graph) attached. */
+AddOpSpec wccSpec(const CooGraph &graph);
 
 } // namespace graphr
 

@@ -109,116 +109,94 @@ CpuModel::runSpmv(const CooGraph &graph)
     return report;
 }
 
-namespace
-{
-
-/**
- * Shared relaxation trace replay (BFS/SSSP/WCC).
- *
- * GridGraph is an edge-streaming system: an iteration streams whole
- * edge blocks and skips a block only when its entire source chunk is
- * inactive (2-level selective scheduling). It cannot traverse a
- * per-vertex frontier the way Gunrock does, so inactive-source edges
- * inside an active chunk still cost their stream bytes plus a bitmap
- * check.
- */
 BaselineReport
-relaxationTrace(const CooGraph &graph, RelaxationSweep &sweep,
-                const char *name, const CpuParams &params)
+CpuModel::relaxationTrace(const CooGraph &graph, const AddOpSpec &spec,
+                          const char *name) const
 {
     BaselineReport report;
     report.platform = "cpu";
     report.algorithm = name;
 
-    const std::span<const EdgeId> offsets = sweep.offsets();
-    CacheHierarchy cache(params.cache);
+    const CompressedRows<VertexId> rows =
+        relaxationRows(graph, spec.directions);
+    CacheHierarchy cache(params_.cache);
 
     // GridGraph-style P x P grid: P chosen so a vertex chunk is
     // cache-resident; chunk = source range of one block row.
     const VertexId chunk = std::max<VertexId>(
-        4096, graph.numVertices() / params.gridP);
+        4096, graph.numVertices() / params_.gridP);
 
     double cycles = 0.0;
-    while (!sweep.done()) {
-        const std::vector<bool> &active = sweep.active();
-        for (VertexId base = 0; base < graph.numVertices();
-             base += chunk) {
+    forEachRound(graph, spec, [&](std::span<const VertexId> ids) {
+        // The round works on locals: cache.access() is out of line, so
+        // a value read through a capture would be loaded again, and a
+        // captured sum stored, at every access.
+        CacheHierarchy &lines = cache;
+        const std::span<const EdgeId> offsets = rows.offsets();
+        double round_cycles = cycles;
+        std::uint64_t streamed = 0;
+        std::uint64_t relaxed = 0;
+        // The ids ascend: the chunks holding one come out ascending,
+        // each once, and every other block is skipped by the scheduler.
+        auto next = ids.begin();
+        while (next != ids.end()) {
+            const VertexId base = *next / chunk * chunk;
             const VertexId end =
                 std::min<VertexId>(base + chunk, graph.numVertices());
-            bool chunk_active = false;
-            for (VertexId u = base; u < end && !chunk_active; ++u)
-                chunk_active = active[u];
-            if (!chunk_active)
-                continue; // whole block skipped by the scheduler
-
             for (VertexId u = base; u < end; ++u) {
-                const EdgeId first = offsets[u];
-                const EdgeId last = offsets[u + 1];
-                const bool is_active = active[u];
-                for (EdgeId idx = first; idx < last; ++idx) {
+                const bool is_active = next != ids.end() && *next == u;
+                if (is_active)
+                    ++next;
+                EdgeId idx = offsets[u];
+                for (const VertexId v : rows.row(u)) {
                     // Edge block streams sequentially regardless of
                     // per-source activity.
-                    cycles += cache.access(kEdgeBase + idx * kEdgeBytes);
+                    round_cycles +=
+                        lines.access(kEdgeBase + idx++ * kEdgeBytes);
                     if (is_active) {
-                        cycles += cache.access(
+                        round_cycles += lines.access(
                             kSrcPropBase +
                             static_cast<std::uint64_t>(u) * kPropBytes);
-                        cycles += cache.access(
+                        round_cycles += lines.access(
                             kDstPropBase +
-                            static_cast<std::uint64_t>(
-                                sweep.neighbor(idx)) *
-                                kPropBytes);
-                        cycles += params.cyclesPerEdge;
-                        report.randomAccesses += 1;
+                            static_cast<std::uint64_t>(v) * kPropBytes);
+                        round_cycles += params_.cyclesPerEdge;
+                        ++relaxed;
                     } else {
-                        cycles += 2.0; // active-bitmap check only
+                        round_cycles += 2.0; // active-bitmap check only
                     }
-                    ++report.edgesProcessed;
+                    ++streamed;
                 }
-                report.sequentialBytes +=
-                    (last - first) *
-                    static_cast<std::uint64_t>(kEdgeBytes);
             }
         }
-        cycles += params.iterationOverheadUs * 1e-6 *
-                  params.frequencyGhz * 1e9;
+        cycles = round_cycles + params_.iterationOverheadUs * 1e-6 *
+                                    params_.frequencyGhz * 1e9;
+        report.edgesProcessed += streamed;
+        report.randomAccesses += relaxed;
+        report.sequentialBytes += streamed * kEdgeBytes;
         ++report.iterations;
-        sweep.step();
-    }
+    });
 
-    const double seconds =
-        cycles / (params.frequencyGhz * 1e9) /
-        params.effectiveParallelism;
-    report.seconds = seconds;
-    report.dramAccesses = cache.stats().dramAccesses;
-    const double dram_j = static_cast<double>(cache.stats().dramAccesses) *
-                          params.cache.dramEnergyPjPerLine * 1e-12;
-    report.joules = params.packageWatts * seconds + dram_j;
+    finalize(report, cyclesToSeconds(cycles), cache.stats());
     return report;
 }
-
-} // namespace
 
 BaselineReport
 CpuModel::runBfs(const CooGraph &graph, VertexId source)
 {
-    RelaxationSweep sweep(graph, source, /*unit_weights=*/true);
-    return relaxationTrace(graph, sweep, "bfs", params_);
+    return relaxationTrace(graph, bfsSpec(graph, source), "bfs");
 }
 
 BaselineReport
 CpuModel::runSssp(const CooGraph &graph, VertexId source)
 {
-    RelaxationSweep sweep(graph, source, /*unit_weights=*/false);
-    return relaxationTrace(graph, sweep, "sssp", params_);
+    return relaxationTrace(graph, ssspSpec(graph, source), "sssp");
 }
 
 BaselineReport
 CpuModel::runWcc(const CooGraph &graph)
 {
-    // The sweep relaxes the graph's edges both ways.
-    RelaxationSweep sweep = makeWccSweep(graph);
-    return relaxationTrace(graph, sweep, "wcc", params_);
+    return relaxationTrace(graph, wccSpec(graph), "wcc");
 }
 
 BaselineReport

@@ -29,6 +29,8 @@
 namespace graphr
 {
 
+struct AddOpSpec;
+
 /** CPU platform parameters (defaults: 2x Xeon E5-2630 v3). */
 struct CpuParams
 {
@@ -83,6 +85,18 @@ class CpuModel
      */
     double edgeSweepCycles(const CooGraph &graph, CacheHierarchy &cache,
                            BaselineReport &report);
+
+    /**
+     * Replay the rounds of the BFS/SSSP/WCC relaxation @p spec
+     * describes as GridGraph streams them: whole edge blocks, skipping
+     * a block only when its entire source chunk is inactive (2-level
+     * selective scheduling). Unlike Gunrock it cannot traverse a
+     * per-vertex frontier, so inactive-source edges inside an active
+     * chunk still cost their stream bytes plus a bitmap check.
+     */
+    BaselineReport relaxationTrace(const CooGraph &graph,
+                                   const AddOpSpec &spec,
+                                   const char *name) const;
 
     /** Convert serial cycles to wall-clock seconds. */
     double cyclesToSeconds(double cycles) const;

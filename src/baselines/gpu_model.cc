@@ -23,11 +23,10 @@ GpuModel::GpuModel(GpuParams params) : params_(params)
 }
 
 double
-GpuModel::transferSeconds(const CooGraph &graph) const
+GpuModel::transferSeconds(EdgeId edges, VertexId vertices) const
 {
-    const double bytes =
-        static_cast<double>(graph.numEdges()) * 12.0 +
-        static_cast<double>(graph.numVertices()) * kVertexBytes;
+    const double bytes = static_cast<double>(edges) * 12.0 +
+                         static_cast<double>(vertices) * kVertexBytes;
     return bytes / (params_.pcieBandwidthGBs * 1e9);
 }
 
@@ -62,7 +61,8 @@ GpuModel::runPageRank(const CooGraph &graph, std::uint64_t iterations)
         (bytes_per_iter / bw + params_.kernelLaunchUs * 1e-6);
     report.sequentialBytes = static_cast<std::uint64_t>(
         bytes_per_iter * static_cast<double>(iterations));
-    finalize(report, kernel_s, transferSeconds(graph));
+    finalize(report, kernel_s,
+             transferSeconds(graph.numEdges(), graph.numVertices()));
     return report;
 }
 
@@ -74,86 +74,65 @@ GpuModel::runSpmv(const CooGraph &graph)
     return report;
 }
 
-namespace
-{
-
-template <typename Graph>
 BaselineReport
-gpuRelaxation(const Graph &graph, RelaxationSweep &sweep,
-              const char *name, const GpuParams &params)
+GpuModel::relaxation(const CooGraph &graph, const AddOpSpec &spec,
+                     const char *name) const
 {
     BaselineReport report;
     report.platform = "gpu";
     report.algorithm = name;
 
-    // Replay the synchronous rounds to obtain per-round frontier and
-    // edge volumes (Gunrock advance+filter).
-    const double bw = params.memBandwidthGBs * 1e9 *
-                      params.bandwidthEfficiency;
+    // Price the synchronous rounds from their frontier and edge
+    // volumes (Gunrock advance+filter).
+    const double bw = params_.memBandwidthGBs * 1e9 *
+                      params_.bandwidthEfficiency;
+    const CompressedRows<VertexId> rows =
+        relaxationRows(graph, spec.directions);
 
     double kernel_s = 0.0;
     double bytes_total = 0.0;
-    while (!sweep.done()) {
-        const std::vector<bool> &active = sweep.active();
+    forEachRound(graph, spec, [&](std::span<const VertexId> ids) {
         std::uint64_t frontier_edges = 0;
-        std::uint64_t frontier_vertices = 0;
-        for (VertexId u = 0; u < graph.numVertices(); ++u) {
-            if (!active[u])
-                continue;
-            ++frontier_vertices;
-            frontier_edges += sweep.degree(u);
-        }
+        for (const VertexId u : ids)
+            frontier_edges += rows.degree(u);
         // Advance reads frontier edges + labels (random gathers pay
         // the transaction waste), filter compacts the new frontier;
         // re-relaxations and atomic serialisation inflate the work.
         const double bytes =
             (static_cast<double>(frontier_edges) *
-                 (kEdgeBytes + 8.0 * params.randomTransactionWaste) +
-             static_cast<double>(frontier_vertices) * kVertexBytes *
-                 3.0) *
-            params.traversalWorkInflation;
-        kernel_s += bytes / bw + 2.0 * params.kernelLaunchUs * 1e-6;
+                 (kEdgeBytes + 8.0 * params_.randomTransactionWaste) +
+             static_cast<double>(ids.size()) * kVertexBytes * 3.0) *
+            params_.traversalWorkInflation;
+        kernel_s += bytes / bw + 2.0 * params_.kernelLaunchUs * 1e-6;
         bytes_total += bytes;
         report.edgesProcessed += frontier_edges;
         ++report.iterations;
-        sweep.step();
-    }
+    });
     report.sequentialBytes = static_cast<std::uint64_t>(bytes_total);
 
-    const double transfer_bytes =
-        static_cast<double>(graph.numEdges()) * 12.0 +
-        static_cast<double>(graph.numVertices()) * kVertexBytes;
-    const double transfer_s =
-        transfer_bytes / (params.pcieBandwidthGBs * 1e9);
-    report.seconds = kernel_s + transfer_s;
-    report.joules =
-        params.boardWatts * kernel_s + params.idleWatts * transfer_s;
+    // The transfer prices the edges the relaxation reads: for WCC the
+    // symmetrised ones.
+    finalize(report, kernel_s,
+             transferSeconds(rows.numEntries(), graph.numVertices()));
     return report;
 }
-
-} // namespace
 
 BaselineReport
 GpuModel::runBfs(const CooGraph &graph, VertexId source)
 {
-    RelaxationSweep sweep(graph, source, /*unit_weights=*/true);
-    return gpuRelaxation(graph, sweep, "bfs", params_);
+    return relaxation(graph, bfsSpec(graph, source), "bfs");
 }
 
 BaselineReport
 GpuModel::runSssp(const CooGraph &graph, VertexId source)
 {
-    RelaxationSweep sweep(graph, source, /*unit_weights=*/false);
-    return gpuRelaxation(graph, sweep, "sssp", params_);
+    return relaxation(graph, ssspSpec(graph, source), "sssp");
 }
 
 BaselineReport
 GpuModel::runWcc(const CooGraph &graph)
 {
-    // The sweep relaxes the graph's edges both ways; the transfer
-    // prices the symmetrised edges they make.
-    RelaxationSweep sweep = makeWccSweep(graph);
-    return gpuRelaxation(SymmetrizedView(graph), sweep, "wcc", params_);
+    return relaxation(graph, wccSpec(graph), "wcc");
 }
 
 BaselineReport
@@ -180,7 +159,8 @@ GpuModel::runCf(const CooGraph &ratings, const CfParams &cf)
                              params_.kernelLaunchUs * 1e-6);
     report.sequentialBytes = static_cast<std::uint64_t>(
         bytes * static_cast<double>(cf.epochs));
-    finalize(report, kernel_s, transferSeconds(ratings));
+    finalize(report, kernel_s,
+             transferSeconds(ratings.numEdges(), ratings.numVertices()));
     return report;
 }
 

@@ -24,6 +24,8 @@
 namespace graphr
 {
 
+struct AddOpSpec;
+
 /** GPU platform parameters (defaults: NVIDIA Tesla K40c). */
 struct GpuParams
 {
@@ -75,8 +77,14 @@ class GpuModel
     BaselineReport runCf(const CooGraph &ratings, const CfParams &params);
 
   private:
-    /** Host-to-device transfer time for the graph, in seconds. */
-    double transferSeconds(const CooGraph &graph) const;
+    /** Report of the BFS/SSSP/WCC relaxation @p spec describes:
+     *  each round is priced from its active ids' out-degrees. */
+    BaselineReport relaxation(const CooGraph &graph, const AddOpSpec &spec,
+                              const char *name) const;
+
+    /** Host-to-device transfer time for a graph of @p edges and
+     *  @p vertices, in seconds. */
+    double transferSeconds(EdgeId edges, VertexId vertices) const;
 
     /** Finish time/energy accounting. */
     void finalize(BaselineReport &report, double kernel_seconds,

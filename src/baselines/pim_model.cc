@@ -65,64 +65,51 @@ PimModel::runSpmv(const CooGraph &graph)
     return report;
 }
 
-namespace
-{
-
 BaselineReport
-pimRelaxation(const CooGraph &graph, RelaxationSweep &sweep,
-              const char *name, const PimModel &model,
-              const PimParams &params)
+PimModel::relaxation(const CooGraph &graph, const AddOpSpec &spec,
+                     const char *name) const
 {
     BaselineReport report;
     report.platform = "pim";
     report.algorithm = name;
 
+    const CompressedRows<VertexId> rows =
+        relaxationRows(graph, spec.directions);
     double seconds = 0.0;
-    while (!sweep.done()) {
-        const std::vector<bool> &active = sweep.active();
+    forEachRound(graph, spec, [&](std::span<const VertexId> ids) {
         std::uint64_t frontier_edges = 0;
-        for (VertexId u = 0; u < graph.numVertices(); ++u) {
-            if (active[u])
-                frontier_edges += sweep.degree(u);
-        }
+        for (const VertexId u : ids)
+            frontier_edges += rows.degree(u);
         // Small frontiers cannot use all vault cores; retain a
         // minimum serial cost of one edge per active round. Frontier
         // skew and Put-queue congestion inflate the round's work.
-        seconds += model.edgeBatchSeconds(std::max<std::uint64_t>(
+        seconds += edgeBatchSeconds(std::max<std::uint64_t>(
                        frontier_edges, 1)) *
-                       params.traversalWorkInflation +
-                   params.barrierUs * 1e-6;
+                       params_.traversalWorkInflation +
+                   params_.barrierUs * 1e-6;
         report.edgesProcessed += frontier_edges;
         ++report.iterations;
-        sweep.step();
-    }
-    report.seconds = seconds;
-    report.joules = params.activeWatts * seconds;
+    });
+    finalize(report, seconds);
     return report;
 }
-
-} // namespace
 
 BaselineReport
 PimModel::runBfs(const CooGraph &graph, VertexId source)
 {
-    RelaxationSweep sweep(graph, source, /*unit_weights=*/true);
-    return pimRelaxation(graph, sweep, "bfs", *this, params_);
+    return relaxation(graph, bfsSpec(graph, source), "bfs");
 }
 
 BaselineReport
 PimModel::runSssp(const CooGraph &graph, VertexId source)
 {
-    RelaxationSweep sweep(graph, source, /*unit_weights=*/false);
-    return pimRelaxation(graph, sweep, "sssp", *this, params_);
+    return relaxation(graph, ssspSpec(graph, source), "sssp");
 }
 
 BaselineReport
 PimModel::runWcc(const CooGraph &graph)
 {
-    // The sweep relaxes the graph's edges both ways.
-    RelaxationSweep sweep = makeWccSweep(graph);
-    return pimRelaxation(graph, sweep, "wcc", *this, params_);
+    return relaxation(graph, wccSpec(graph), "wcc");
 }
 
 BaselineReport

@@ -22,6 +22,8 @@
 namespace graphr
 {
 
+struct AddOpSpec;
+
 /** Tesseract-like PIM parameters (16 cubes, 32 vaults each). */
 struct PimParams
 {
@@ -73,6 +75,12 @@ class PimModel
     double edgeBatchSeconds(std::uint64_t edges) const;
 
   private:
+    /** Report of the BFS/SSSP/WCC relaxation @p spec describes: each
+     *  round pays for its active ids' out-edges (Tesseract's
+     *  per-frontier-edge work). */
+    BaselineReport relaxation(const CooGraph &graph, const AddOpSpec &spec,
+                              const char *name) const;
+
     void finalize(BaselineReport &report, double seconds) const;
 
     PimParams params_;

@@ -394,8 +394,6 @@ TileExecutor::addOpRun(const CooGraph &graph, const AddOpSpec &spec,
     const std::vector<TileMeta> &tiles = plan_->meta.tiles();
     RoundTiles finder(plan_->meta, config_.tiling.crossbarDim);
     const auto price_round = [&](std::span<const VertexId> ids) {
-        if (spec.onRound)
-            spec.onRound(ids);
         const std::vector<RoundTile> &round_tiles = finder.collect(ids);
         report.tilesSkipped += tiles.size() - round_tiles.size();
         for (const RoundTile &touched : round_tiles) {
@@ -428,18 +426,8 @@ TileExecutor::addOpRun(const CooGraph &graph, const AddOpSpec &spec,
         ++report.iterations;
     };
 
-    // The rounds come from the recorded schedule when there is one;
-    // otherwise a live sweep relaxes them here.
-    std::optional<RelaxationSweep> sweep;
-    if (spec.schedule != nullptr && spec.schedule->recorded()) {
-        for (int r = 0; r < spec.schedule->rounds(); ++r)
-            price_round(spec.schedule->round(r));
-    } else {
-        sweep.emplace(graph, spec.initLabels, spec.initActive, spec.mode,
-                      spec.directions);
-        for (; !sweep->done(); sweep->step())
-            price_round(sweep->activeIds());
-    }
+    forEachRound(graph, spec, price_round,
+                 config_.functional ? nullptr : labels_out);
 
     report.seconds = total_ns * 1e-9;
     report.programSeconds = prog_ns * 1e-9;
@@ -447,22 +435,8 @@ TileExecutor::addOpRun(const CooGraph &graph, const AddOpSpec &spec,
     report.streamSeconds = stream_ns * 1e-9;
     finalizeReport(report, config_.device, events);
 
-    if (labels_out == nullptr)
-        return report;
-
-    if (config_.functional) {
+    if (labels_out != nullptr && config_.functional)
         *labels_out = functionalAddOpSolve(graph, spec);
-        return report;
-    }
-    if (!sweep.has_value()) {
-        // Timing-mode labels are computed for the call, by the
-        // relaxation the schedule recorded.
-        sweep.emplace(graph, spec.initLabels, spec.initActive, spec.mode,
-                      spec.directions);
-        while (!sweep->done())
-            sweep->step();
-    }
-    *labels_out = sweep->dist();
     return report;
 }
 

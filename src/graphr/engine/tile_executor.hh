@@ -12,8 +12,9 @@
  *  - MacSpec describes a parallel-MAC schedule (PageRank, SpMV, CF):
  *    sweep count, MVM passes per tile, and — for functional runs —
  *    how an edge's programmed weight derives from the edge.
- *  - AddOpSpec describes a parallel-add-op relaxation (BFS, SSSP,
- *    WCC): initial labels, initial active set, weight mode.
+ *  - AddOpSpec (algorithms/traversal.hh) describes a parallel-add-op
+ *    relaxation (BFS, SSSP, WCC): initial labels, initial active set,
+ *    weight mode, and the recorded rounds forEachRound() walks.
  *
  * The functional path decodes each tile's edges from the plan's
  * stream into executor-owned scratch and derives its cells (weights
@@ -31,7 +32,6 @@
 
 #include <functional>
 #include <memory>
-#include <span>
 #include <vector>
 
 #include "algorithms/traversal.hh"
@@ -63,35 +63,6 @@ struct MacSpec
      * algorithm-level resilience experiments (PageRank, add-op).
      */
     bool applyVariation = true;
-};
-
-/** Receives each add-op round's active vertex ids, ascending (see
- *  AddOpSpec). */
-using RoundObserver = std::function<void(std::span<const VertexId> ids)>;
-
-/** Initial state of an add-op (min-relaxation) execution. */
-struct AddOpSpec
-{
-    std::vector<Value> initLabels;
-    std::vector<bool> initActive;
-    WeightMode mode = WeightMode::kOriginal;
-    /** The edge directions relaxed: kBoth for WCC, whose plan is the
-     *  symmetrised graph's (PlanCache::get(SymmetrizedView)). */
-    EdgeDirections directions = EdgeDirections::kForward;
-    /**
-     * Optional: the recorded frontier of the relaxation the four
-     * fields above start (bfsSchedule() and its siblings). The timing
-     * walk prices its rounds instead of relaxing again. Null, or a
-     * schedule past its cap (FrontierSchedule::recorded() false),
-     * makes the walk run a RelaxationSweep of its own.
-     */
-    std::shared_ptr<const FrontierSchedule> schedule;
-    /**
-     * Optional: called with every timing round's active ids, in round
-     * order, before the round's tiles are priced. The out-of-core
-     * runner derives its selective disk schedule from it.
-     */
-    RoundObserver onRound;
 };
 
 /** Counters one executor keeps about its run (tests and benches). */
@@ -170,14 +141,12 @@ class TileExecutor
 
     /**
      * Complete add-op run: the timing walk over the relaxation rounds
-     * (active-masked tiles priced by the cost model, each round shown
-     * to spec.onRound first) and, when @p labels_out is non-null, the
-     * final labels: from the GE datapath in functional mode, else
-     * from a relaxation run for the call. A round costs its frontier:
-     * its tiles come from the plan's tile-row index
-     * (TileMetaTable::rowTiles), not a walk over every tile. The plan
-     * holds @p graph's edges read in spec.directions, and a relaxation
-     * run here reads them the same way.
+     * forEachRound() shows it (active-masked tiles priced by the cost
+     * model) and, when @p labels_out is non-null, the final labels:
+     * from the GE datapath in functional mode, else forEachRound()'s.
+     * A round costs its frontier: its tiles come from the plan's
+     * tile-row index (TileMetaTable::rowTiles), not a walk over every
+     * tile. The plan holds @p graph's edges read in spec.directions.
      */
     SimReport addOpRun(const CooGraph &graph, const AddOpSpec &spec,
                        const char *name,

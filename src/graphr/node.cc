@@ -139,27 +139,6 @@ GraphRNode::runSpmv(const CooGraph &graph, const std::vector<Value> &x,
     return report;
 }
 
-namespace
-{
-
-/** The add-op start of a BFS or SSSP from @p source. */
-AddOpSpec
-singleSourceSpec(const CooGraph &graph, VertexId source, WeightMode mode,
-                 const RoundObserver &on_round)
-{
-    GRAPHR_ASSERT(source < graph.numVertices(), "source out of range");
-    AddOpSpec spec;
-    spec.initLabels.assign(graph.numVertices(), kInfDistance);
-    spec.initActive.assign(graph.numVertices(), false);
-    spec.initLabels[source] = 0.0;
-    spec.initActive[source] = true;
-    spec.mode = mode;
-    spec.onRound = on_round;
-    return spec;
-}
-
-} // namespace
-
 // The add-op runs take their schedule before their plan: a first run
 // then builds the relaxation's adjacency and the plan one after the
 // other, so its peak memory holds only one of them.
@@ -169,9 +148,8 @@ GraphRNode::runBfs(const CooGraph &graph, VertexId source,
                    std::vector<Value> *dist_out,
                    const RoundObserver &on_round)
 {
-    AddOpSpec spec =
-        singleSourceSpec(graph, source, WeightMode::kUnit, on_round);
-    spec.schedule = bfsSchedule(graph, source);
+    AddOpSpec spec = bfsSpec(graph, source);
+    spec.onRound = on_round;
     TileExecutor exec = makeExecutor(graph);
     SimReport report = exec.addOpRun(graph, spec, "bfs", dist_out);
     lastStats_ = exec.stats();
@@ -183,9 +161,8 @@ GraphRNode::runSssp(const CooGraph &graph, VertexId source,
                     std::vector<Value> *dist_out,
                     const RoundObserver &on_round)
 {
-    AddOpSpec spec =
-        singleSourceSpec(graph, source, WeightMode::kOriginal, on_round);
-    spec.schedule = ssspSchedule(graph, source);
+    AddOpSpec spec = ssspSpec(graph, source);
+    spec.onRound = on_round;
     TileExecutor exec = makeExecutor(graph);
     SimReport report = exec.addOpRun(graph, spec, "sssp", dist_out);
     lastStats_ = exec.stats();
@@ -199,14 +176,7 @@ GraphRNode::runWcc(const CooGraph &graph,
 {
     // Min-label propagation needs both edge directions: the plan is
     // the symmetrised graph's, the relaxation reads each edge both ways.
-    AddOpSpec spec;
-    spec.initLabels.resize(graph.numVertices());
-    for (VertexId v = 0; v < graph.numVertices(); ++v)
-        spec.initLabels[v] = static_cast<Value>(v);
-    spec.initActive.assign(graph.numVertices(), true);
-    spec.mode = WeightMode::kZero;
-    spec.directions = EdgeDirections::kBoth;
-    spec.schedule = wccSchedule(graph);
+    AddOpSpec spec = wccSpec(graph);
     spec.onRound = on_round;
     TileExecutor exec = makeExecutor(SymmetrizedView(graph));
 

@@ -28,7 +28,8 @@
  * from the shared PlanCache (one prepare per graph x tiling across
  * all runners of the process) and both the timing accounting and the
  * functional datapath are driven by the TileExecutor from
- * per-algorithm MacSpec/AddOpSpec descriptions (graphr/engine/).
+ * per-algorithm MacSpec (graphr/engine/) and AddOpSpec
+ * (algorithms/traversal.hh) descriptions.
  */
 
 #ifndef GRAPHR_GRAPHR_NODE_HH

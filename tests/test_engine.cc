@@ -455,32 +455,6 @@ TEST(ResidentWeightTest, AddOpProgramsEachTileAtMostOnce)
 
 // ------------------------------------- add-op walk over a schedule
 
-/** The add-op start GraphRNode builds for a BFS/SSSP from @p source. */
-AddOpSpec
-sourceSpec(const CooGraph &g, VertexId source, WeightMode mode)
-{
-    AddOpSpec spec;
-    spec.initLabels.assign(g.numVertices(), kInfDistance);
-    spec.initActive.assign(g.numVertices(), false);
-    spec.initLabels[source] = 0.0;
-    spec.initActive[source] = true;
-    spec.mode = mode;
-    return spec;
-}
-
-/** The add-op start of WCC over @p g's edges read both ways. */
-AddOpSpec
-wccSpec(const CooGraph &g)
-{
-    AddOpSpec spec;
-    for (VertexId v = 0; v < g.numVertices(); ++v)
-        spec.initLabels.push_back(static_cast<Value>(v));
-    spec.initActive.assign(g.numVertices(), true);
-    spec.mode = WeightMode::kZero;
-    spec.directions = EdgeDirections::kBoth;
-    return spec;
-}
-
 /** The plan an add-op run of @p spec over @p g walks. */
 TilePlanPtr
 addOpPlan(const GraphRConfig &cfg, const CooGraph &g, const AddOpSpec &spec)
@@ -493,7 +467,7 @@ addOpPlan(const GraphRConfig &cfg, const CooGraph &g, const AddOpSpec &spec)
 /**
  * The timing report of @p spec's rounds by definition: every round
  * tests every tile of the plan, in plan order, against the round's
- * active flags and prices each tile it touches. Read both ways, the
+ * active ids and prices each tile it touches. Read both ways, the
  * rounds are those over the copy symmetrize(g).
  */
 SimReport
@@ -534,7 +508,7 @@ referenceAddOpReport(const GraphRConfig &cfg, const TilePlan &plan,
             std::uint64_t mask = 0;
             for (std::uint32_t r = 0; r < dim; ++r) {
                 const std::uint64_t v = meta.row0 + r;
-                if (v < g.numVertices() && sweep.active()[v])
+                if (std::ranges::binary_search(sweep.activeIds(), v))
                     mask |= std::uint64_t{1} << r;
             }
             mask &= meta.rowMask;
@@ -598,6 +572,7 @@ expectRecordedWalkIsLiveWalk(const GraphRConfig &cfg, const CooGraph &g,
     std::vector<std::vector<VertexId>> recorded_rounds;
 
     AddOpSpec live = spec;
+    live.schedule.reset();
     live.onRound = [&live_rounds](std::span<const VertexId> ids) {
         live_rounds.emplace_back(ids.begin(), ids.end());
     };
@@ -666,12 +641,9 @@ TEST(ScheduleWalkTest, RecordedScheduleReportsEqualLiveSweep)
                         (functional ? " functional" : " timing"));
                     for (const VertexId source : {0u, 177u, 1999u}) {
                         expectRecordedWalkIsLiveWalk(
-                            cfg, g,
-                            sourceSpec(g, source, WeightMode::kUnit), "bfs");
+                            cfg, g, bfsSpec(g, source), "bfs");
                         expectRecordedWalkIsLiveWalk(
-                            cfg, g,
-                            sourceSpec(g, source, WeightMode::kOriginal),
-                            "sssp");
+                            cfg, g, ssspSpec(g, source), "sssp");
                     }
                     expectRecordedWalkIsLiveWalk(cfg, g, wccSpec(g),
                                                  "wcc");
@@ -706,7 +678,7 @@ TEST(ScheduleWalkTest, OverCapScheduleKeepsItsRoundsAndRunsMatch)
         GraphRNode node(cfg);
         std::vector<Value> dist;
         const SimReport got = node.runSssp(g, 0, &dist);
-        AddOpSpec spec = sourceSpec(g, 0, WeightMode::kOriginal);
+        AddOpSpec spec = ssspSpec(g, 0);
         spec.schedule = std::make_shared<const FrontierSchedule>(full);
         TileExecutor exec(cfg, PlanCache::instance().get(g, cfg.tiling));
         expectSameSimReport(got, exec.addOpRun(g, spec, "sssp", nullptr));

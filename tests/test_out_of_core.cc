@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 
 #include "algorithms/wcc.hh"
@@ -150,7 +151,8 @@ referenceDisk(const GraphRConfig &config, const StorageParams &storage,
                  v < std::min<std::uint64_t>((row + 1) * block,
                                              graph.numVertices());
                  ++v) {
-                any = any || sweep.active()[v];
+                any = any ||
+                      std::ranges::binary_search(sweep.activeIds(), v);
             }
             if (!any)
                 continue;
