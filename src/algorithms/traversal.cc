@@ -115,6 +115,19 @@ relaxationRows(const CooGraph &graph, EdgeDirections directions)
                              [](const Edge &e) { return e.dst; });
 }
 
+std::vector<EdgeId>
+relaxationDegrees(const CooGraph &graph, EdgeDirections directions)
+{
+    std::vector<EdgeId> degrees(graph.numVertices(), 0);
+    const bool both = directions == EdgeDirections::kBoth;
+    for (const Edge &e : graph.edges()) {
+        ++degrees[e.src];
+        if (both && e.src != e.dst)
+            ++degrees[e.dst];
+    }
+    return degrees;
+}
+
 void
 RelaxationSweep::buildAdjacency(const CooGraph &graph,
                                 EdgeDirections directions)
@@ -272,6 +285,11 @@ bfsSchedule(const CooGraph &graph, VertexId source)
 std::shared_ptr<const FrontierSchedule>
 ssspSchedule(const CooGraph &graph, VertexId source)
 {
+    // Over weights that are all bit-exactly 1.0, SSSP relaxes
+    // dist[u] + 1.0 over the same rows, in the same order, as BFS:
+    // its rounds are BFS's.
+    if (graph.unitWeights())
+        return bfsSchedule(graph, source);
     return singleSourceSchedule(
         graph, source, GraphMemo::ScheduleKey::Relaxation::kSssp);
 }
@@ -286,6 +304,10 @@ bfsSpec(const CooGraph &graph, VertexId source)
 AddOpSpec
 ssspSpec(const CooGraph &graph, VertexId source)
 {
+    // Unit weights: BFS's spec, whose relaxation keeps only neighbour
+    // ids and gives the same labels.
+    if (graph.unitWeights())
+        return bfsSpec(graph, source);
     return singleSourceSpec(graph, source, WeightMode::kOriginal,
                             ssspSchedule(graph, source));
 }

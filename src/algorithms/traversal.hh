@@ -147,6 +147,15 @@ CompressedRows<VertexId> relaxationRows(const CooGraph &graph,
                                         EdgeDirections directions);
 
 /**
+ * The row lengths of relaxationRows(@p graph, @p directions), counted
+ * in one pass without building the rows: out-degrees, or read both
+ * ways out-degree plus in-degree less self-loops. A cost model that
+ * prices a round from its degrees alone reads them here.
+ */
+std::vector<EdgeId> relaxationDegrees(const CooGraph &graph,
+                                      EdgeDirections directions);
+
+/**
  * Run @p sweep to convergence, recording each round's active ids into
  * a schedule that keeps them while they fit @p cap_bytes (the memo's
  * schedules use FrontierSchedule::capFor of the edges relaxed).
@@ -159,7 +168,9 @@ FrontierSchedule recordSchedule(RelaxationSweep sweep,
  * sssp(graph, source), each recorded once per graph and source from
  * a RelaxationSweep and memoised on the graph (CooGraph::memo()).
  * rounds() equals the golden iterations: relax() and RelaxationSweep
- * are the same algorithm.
+ * are the same algorithm. On a graph whose weights are all 1.0
+ * (CooGraph::unitWeights()) SSSP's rounds are BFS's, so
+ * ssspSchedule() returns bfsSchedule().
  */
 std::shared_ptr<const FrontierSchedule> bfsSchedule(const CooGraph &graph,
                                                     VertexId source);
@@ -202,7 +213,8 @@ struct AddOpSpec
  *  memoised bfsSchedule(graph, source) attached. */
 AddOpSpec bfsSpec(const CooGraph &graph, VertexId source);
 
-/** SSSP from @p source, likewise, with ssspSchedule(graph, source). */
+/** SSSP from @p source, likewise, with ssspSchedule(graph, source):
+ *  on a unit-weight graph, bfsSpec(graph, source). */
 AddOpSpec ssspSpec(const CooGraph &graph, VertexId source);
 
 /**

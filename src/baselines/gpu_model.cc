@@ -1,5 +1,7 @@
 #include "gpu_model.hh"
 
+#include <numeric>
+
 #include "algorithms/traversal.hh"
 #include "algorithms/wcc.hh"
 #include "common/logging.hh"
@@ -86,15 +88,15 @@ GpuModel::relaxation(const CooGraph &graph, const AddOpSpec &spec,
     // volumes (Gunrock advance+filter).
     const double bw = params_.memBandwidthGBs * 1e9 *
                       params_.bandwidthEfficiency;
-    const CompressedRows<VertexId> rows =
-        relaxationRows(graph, spec.directions);
+    const std::vector<EdgeId> degrees =
+        relaxationDegrees(graph, spec.directions);
 
     double kernel_s = 0.0;
     double bytes_total = 0.0;
     forEachRound(graph, spec, [&](std::span<const VertexId> ids) {
         std::uint64_t frontier_edges = 0;
         for (const VertexId u : ids)
-            frontier_edges += rows.degree(u);
+            frontier_edges += degrees[u];
         // Advance reads frontier edges + labels (random gathers pay
         // the transaction waste), filter compacts the new frontier;
         // re-relaxations and atomic serialisation inflate the work.
@@ -113,7 +115,9 @@ GpuModel::relaxation(const CooGraph &graph, const AddOpSpec &spec,
     // The transfer prices the edges the relaxation reads: for WCC the
     // symmetrised ones.
     finalize(report, kernel_s,
-             transferSeconds(rows.numEntries(), graph.numVertices()));
+             transferSeconds(std::accumulate(degrees.begin(), degrees.end(),
+                                             EdgeId{0}),
+                             graph.numVertices()));
     return report;
 }
 

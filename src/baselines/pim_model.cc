@@ -73,13 +73,13 @@ PimModel::relaxation(const CooGraph &graph, const AddOpSpec &spec,
     report.platform = "pim";
     report.algorithm = name;
 
-    const CompressedRows<VertexId> rows =
-        relaxationRows(graph, spec.directions);
+    const std::vector<EdgeId> degrees =
+        relaxationDegrees(graph, spec.directions);
     double seconds = 0.0;
     forEachRound(graph, spec, [&](std::span<const VertexId> ids) {
         std::uint64_t frontier_edges = 0;
         for (const VertexId u : ids)
-            frontier_edges += rows.degree(u);
+            frontier_edges += degrees[u];
         // Small frontiers cannot use all vault cores; retain a
         // minimum serial cost of one edge per active round. Frontier
         // skew and Put-queue congestion inflate the round's work.

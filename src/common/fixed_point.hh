@@ -56,8 +56,12 @@ class FixedPoint
     }
 
     /**
-     * Quantise a non-negative real number. Values outside the
-     * representable range saturate.
+     * Quantise a non-negative real number to the nearest step, halves
+     * away from zero. Values outside the representable range
+     * saturate. The rounding is inline, a truncation plus one when
+     * the fraction is at least a half: on the saturated range
+     * [0, 65535] that is llround, without the library call, so the
+     * datapath's per-cell loops can afford it.
      */
     static FixedPoint
     quantize(double value, int frac_bits)
@@ -71,8 +75,9 @@ class FixedPoint
                               static_cast<double>(1u << frac_bits);
         const double max_raw = 65535.0;
         const double clamped = std::min(scaled, max_raw);
+        const auto whole = static_cast<Raw>(clamped);
         FixedPoint fp;
-        fp.raw_ = static_cast<Raw>(std::llround(clamped));
+        fp.raw_ = static_cast<Raw>(whole + (clamped - whole >= 0.5 ? 1 : 0));
         fp.fracBits_ = frac_bits;
         return fp;
     }

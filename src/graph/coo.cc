@@ -107,6 +107,19 @@ CooGraph::fingerprint() const
     });
 }
 
+bool
+CooGraph::unitWeights() const
+{
+    return memo()->unitWeights([this] {
+        const auto one = std::bit_cast<std::uint64_t>(1.0);
+        return std::all_of(edges_.begin(), edges_.end(),
+                           [one](const Edge &e) {
+                               return std::bit_cast<std::uint64_t>(
+                                          e.weight) == one;
+                           });
+    });
+}
+
 EdgeId
 SymmetrizedView::numEdges() const
 {

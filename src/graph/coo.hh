@@ -74,6 +74,14 @@ class CooGraph
     std::uint64_t fingerprint() const;
 
     /**
+     * Whether every edge weighs bit-exactly 1.0, when SSSP relaxes
+     * what BFS does. One pass over the weights on the first call,
+     * memoised like fingerprint(). Safe to call from concurrent
+     * readers.
+     */
+    bool unitWeights() const;
+
+    /**
      * This graph's build-once products (graph/graph_memo.hh),
      * allocated on the first call. Copies share the memo; every
      * mutator drops this graph's reference, and a moved-from graph

@@ -641,7 +641,8 @@ indexEdgeStream(const GridPartition &partition,
 
 void
 decodeTileLocals(std::span<const unsigned char> stream,
-                 const TileSpan &tile, std::vector<std::uint64_t> &locals)
+                 const TileSpan &tile, std::vector<std::uint64_t> &locals,
+                 std::vector<double> *weights)
 {
     VarintReader<false> in(stream.data() + tile.byteOffset,
                            stream.data() + stream.size());
@@ -653,6 +654,18 @@ decodeTileLocals(std::span<const unsigned char> stream,
                [out](std::uint64_t i, std::uint64_t local) {
                    out[i] = local;
                });
+    if (weights == nullptr)
+        return;
+    weights->clear();
+    if (head.mode == kWeightConstant) {
+        weights->assign(tile.numEdges,
+                        std::bit_cast<double>(head.weightBits));
+    } else if (head.mode == kWeightRaw) {
+        weights->resize(tile.numEdges);
+        const unsigned char *raw = in.pos();
+        for (std::uint64_t e = 0; e < tile.numEdges; ++e)
+            (*weights)[e] = std::bit_cast<double>(getU64(raw + 8 * e));
+    }
 }
 
 void

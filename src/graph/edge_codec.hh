@@ -186,11 +186,14 @@ std::vector<TileSpan> indexEdgeStream(const GridPartition &partition,
 
 /**
  * Local cell IDs of one tile of an indexed stream, ascending, into
- * @p locals (resized to the tile's edge count).
+ * @p locals (resized to the tile's edge count). Given @p weights, it
+ * receives each edge's weight in the same order, or nothing when
+ * every weight of the tile is 1.0 (weight mode 0).
  */
 void decodeTileLocals(std::span<const unsigned char> stream,
                       const TileSpan &tile,
-                      std::vector<std::uint64_t> &locals);
+                      std::vector<std::uint64_t> &locals,
+                      std::vector<double> *weights = nullptr);
 
 /**
  * Edges of one tile of an indexed stream, in stream order, into

@@ -68,6 +68,13 @@ GraphMemo::fingerprint(const std::function<std::uint64_t()> &fold)
     return fingerprint_.get(fold, &built);
 }
 
+bool
+GraphMemo::unitWeights(const std::function<bool()> &scan)
+{
+    bool built = false;
+    return unitWeights_.get(scan, &built);
+}
+
 int
 GraphMemo::goldenCount(const GoldenKey &key,
                        const std::function<int()> &compute)

@@ -4,9 +4,10 @@
  *
  * GraphR computes what the graph alone determines once, offline, and
  * reuses it on every run. A GraphMemo holds those products for one
- * CooGraph: its fingerprint, the golden iteration and round counts
- * the timing-mode runners charge, the frontier schedules of its
- * add-op relaxations (WCC's among them), and the edge count and
+ * CooGraph: its fingerprint, whether its weights are all 1.0, the
+ * golden iteration and round counts the timing-mode runners charge,
+ * the frontier schedules of its add-op relaxations (WCC's among
+ * them; SSSP over unit weights reads BFS's), and the edge count and
  * fingerprint of its symmetrised graph (SymmetrizedView). It holds
  * no copy of the edges: WCC reads the graph's own edges both ways.
  * The graph owns its memo (CooGraph::memo()), so the products live
@@ -159,6 +160,10 @@ class GraphMemo
     /** The graph's fingerprint; @p fold runs on the first call only. */
     std::uint64_t fingerprint(const std::function<std::uint64_t()> &fold);
 
+    /** Whether every weight is 1.0 (CooGraph::unitWeights()); @p scan
+     *  runs on the first call only. */
+    bool unitWeights(const std::function<bool()> &scan);
+
     /**
      * The golden count named by @p key; @p compute runs on the first
      * call for that key only, unless kGoldenCountsPerProduct later
@@ -223,6 +228,7 @@ class GraphMemo
         LruCache<ScheduleKey, FrontierSchedule, ScheduleKeyHash>;
 
     Once<std::uint64_t> fingerprint_;
+    Once<bool> unitWeights_;
     Once<EdgeId> symmetrizedEdges_;
     Once<std::uint64_t> symmetrizedFingerprint_;
     /** One LRU per product (indexed by GoldenKey::Product). */

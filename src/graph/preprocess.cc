@@ -397,10 +397,11 @@ OrderedEdgeList::decodeTile(std::size_t position,
 
 std::span<const std::uint64_t>
 OrderedEdgeList::decodeTileLocals(std::size_t position,
-                                  std::vector<std::uint64_t> &scratch) const
+                                  std::vector<std::uint64_t> &scratch,
+                                  std::vector<double> *weights) const
 {
     tileDecodes().add();
-    graphr::decodeTileLocals(stream(), tiles_[position], scratch);
+    graphr::decodeTileLocals(stream(), tiles_[position], scratch, weights);
     return scratch;
 }
 

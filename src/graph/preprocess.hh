@@ -135,10 +135,13 @@ class OrderedEdgeList
     /**
      * Local cell IDs (row + col * C) of the tile at @p position,
      * ascending, decoded into @p scratch; counted like decodeTile().
+     * Given @p weights, it receives each edge's weight in the same
+     * order, or nothing when every weight of the tile is 1.0.
      */
     std::span<const std::uint64_t>
     decodeTileLocals(std::size_t position,
-                     std::vector<std::uint64_t> &scratch) const;
+                     std::vector<std::uint64_t> &scratch,
+                     std::vector<double> *weights = nullptr) const;
 
     /**
      * Occupancy: average non-zeros per non-empty tile divided by the

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <optional>
 #include <span>
 
 #include "common/logging.hh"
@@ -94,23 +93,29 @@ class RoundTiles
 };
 
 /**
- * sALU-reduce a GE result ((column, value) pairs of the tile at
- * column @p col0, ascending) into @p reg, indexed by absolute vertex
- * id. Entries equal to @p absent — the value an edge-free column
- * reads, 0 for a MAC and +infinity for an add-op — are not reduced,
- * and neither are the padding columns past the last vertex; so the
- * op count is that of a full-width walk.
+ * sALU-reduce one GE result, column @p v's @p value, into @p reg,
+ * indexed by absolute vertex id. A value equal to @p absent — what an
+ * edge-free column reads, 0 for a MAC and +infinity for an add-op —
+ * is not reduced, and neither is a padding column past the last
+ * vertex; so the op count is that of a full-width walk.
  */
+void
+reduceResult(Salu &salu, std::uint64_t v, double value, double absent,
+             std::vector<Value> &reg)
+{
+    if (v < reg.size() && value != absent)
+        reg[v] = salu.reduce(reg[v], value);
+}
+
+/** reduceResult() over a GE result's (column, value) pairs, of the
+ *  tile at column @p col0. */
 void
 reduceResults(Salu &salu, std::uint64_t col0,
               const std::vector<ColumnValue> &results, double absent,
               std::vector<Value> &reg)
 {
-    for (const ColumnValue &result : results) {
-        const std::uint64_t v = col0 + result.col;
-        if (v < reg.size() && result.value != absent)
-            reg[v] = salu.reduce(reg[v], result.value);
-    }
+    for (const ColumnValue &result : results)
+        reduceResult(salu, col0 + result.col, result.value, absent, reg);
 }
 
 /** Price accumulated events and fill the shared report fields. */
@@ -131,26 +136,39 @@ finalizeReport(SimReport &report, const DeviceParams &device,
 } // namespace
 
 /**
- * Functional MAC state: scratch ledger, GE array, and every tile's
- * cells once its first visit has programmed it.
+ * Functional MAC state: scratch ledger, GE array, the run's cell
+ * store, each source's programmed weight under a per-source rule
+ * (MacSpec::sourceDivisors), and the sweep's quantised input.
  */
 struct TileExecutor::MacDatapath
 {
     EnergyLedger scratch;
     GraphEngineArray ge;
-    std::vector<std::optional<TileSnapshot>> kept;
+    TileCellStore store;
+    Reciprocal byDim;
+    std::vector<double> sourceScale;
+    std::vector<FixedPoint::Raw> rawInput;
 
-    MacDatapath(const GraphRConfig &config, std::size_t num_tiles,
-                bool apply_variation)
+    MacDatapath(const GraphRConfig &config, const TilePlan &plan,
+                const MacSpec &spec)
         : scratch(config.device),
           ge(config.tiling.crossbarDim,
              config.tiling.crossbarsPerGe * config.tiling.numGe,
              config.device, scratch),
-          kept(num_tiles)
+          store(plan.meta.tiles().size(), plan.ordered.numEdges()),
+          byDim(config.tiling.crossbarDim)
     {
-        if (apply_variation && config.variationSigma > 0.0)
+        if (spec.applyVariation && config.variationSigma > 0.0)
             ge.setVariation(config.variationSigma, config.variationSeed);
         ge.salu().configure(SaluOp::kAdd);
+        const double numerator = spec.weightNumerator.value_or(1.0);
+        sourceScale.resize(spec.sourceDivisors.size());
+        for (std::size_t u = 0; u < sourceScale.size(); ++u) {
+            const EdgeId divisor = spec.sourceDivisors[u];
+            sourceScale[u] =
+                divisor == 0 ? 0.0
+                             : numerator / static_cast<double>(divisor);
+        }
     }
 };
 
@@ -314,6 +332,52 @@ TileExecutor::macStripeReports(const MacSpec &spec,
 }
 
 void
+TileExecutor::programMacTile(const MacSpec &spec, std::size_t t)
+{
+    MacDatapath &mac = *mac_;
+    const TileMeta &meta = plan_->meta.tiles()[t];
+    // A fixed numerator (PageRank's damping) reads no weight.
+    const bool read_weights = spec.sourceDivisors.empty() ||
+                              !spec.weightNumerator.has_value();
+    const std::span<const std::uint64_t> locals =
+        plan_->ordered.decodeTileLocals(t, locals_,
+                                        read_weights ? &weights_ : nullptr);
+    // Empty when every weight of the tile is 1.0, or none was read.
+    const std::span<const double> weights =
+        read_weights ? std::span<const double>(weights_)
+                     : std::span<const double>();
+    const auto program = [&](auto weight_of) {
+        mac.store.program(t, locals, mac.byDim, config_.weightFracBits,
+                          CombineMode::kSum, weight_of);
+    };
+    if (!spec.sourceDivisors.empty()) {
+        if (spec.weightNumerator.has_value() || weights.empty()) {
+            const double *scale = mac.sourceScale.data() + meta.row0;
+            program([scale](std::size_t, std::uint32_t row, std::uint64_t) {
+                return scale[row];
+            });
+        } else {
+            const EdgeId *divisor = spec.sourceDivisors.data() + meta.row0;
+            program([weights, divisor](std::size_t i, std::uint32_t row,
+                                       std::uint64_t) {
+                return weights[i] / static_cast<double>(divisor[row]);
+            });
+        }
+    } else if (spec.edgeScale) {
+        program([&](std::size_t i, std::uint32_t row, std::uint64_t col) {
+            return spec.edgeScale(
+                Edge{static_cast<VertexId>(meta.row0 + row),
+                     static_cast<VertexId>(meta.col0 + col),
+                     weights.empty() ? 1.0 : weights[i]});
+        });
+    } else {
+        program([weights](std::size_t i, std::uint32_t, std::uint64_t) {
+            return weights.empty() ? 1.0 : weights[i];
+        });
+    }
+}
+
+void
 TileExecutor::functionalMacSweep(const MacSpec &spec,
                                  const std::vector<Value> &input,
                                  std::vector<Value> &accum)
@@ -321,39 +385,40 @@ TileExecutor::functionalMacSweep(const MacSpec &spec,
     const std::uint64_t nv = input.size();
     GRAPHR_ASSERT(accum.size() == nv, "accumulator length ",
                   accum.size(), " != input length ", nv);
-    if (!mac_) {
-        mac_ = std::make_unique<MacDatapath>(
-            config_, plan_->meta.tiles().size(), spec.applyVariation);
-    }
-    GraphEngineArray &ge = mac_->ge;
+    if (!mac_)
+        mac_ = std::make_unique<MacDatapath>(config_, *plan_, spec);
+    MacDatapath &mac = *mac_;
+    GraphEngineArray &ge = mac.ge;
 
-    std::vector<double> in_rows(config_.tiling.crossbarDim, 0.0);
-    std::vector<ColumnValue> partial; // reused across tiles (hot loop)
+    // Each vertex's input is quantised once a sweep, not once per tile
+    // of its row; rows past the last vertex read 0.
+    const std::uint32_t dim = config_.tiling.crossbarDim;
+    const std::uint64_t rows =
+        std::max<std::uint64_t>(nv, plan_->partition.numVertices());
+    mac.rawInput.assign((rows + dim - 1) / dim * dim, 0);
+    for (std::uint64_t v = 0; v < nv; ++v) {
+        mac.rawInput[v] =
+            FixedPoint::quantize(input[v], config_.inputFracBits).raw();
+    }
+    const std::span<const FixedPoint::Raw> raw_input = mac.rawInput;
+
     const std::vector<TileMeta> &tiles = plan_->meta.tiles();
     for (std::size_t t = 0; t < tiles.size(); ++t) {
         const TileMeta &meta = tiles[t];
-        std::optional<TileSnapshot> &kept = mac_->kept[t];
-        if (kept.has_value()) {
-            ge.loadTile(*kept);
+        if (mac.store.programmed(t)) {
             countReplay();
         } else {
-            plan_->ordered.decodeTile(t, tileEdges_);
-            if (spec.edgeScale) {
-                for (Edge &e : tileEdges_)
-                    e.weight = spec.edgeScale(e);
-            }
-            ge.programTile(tileEdges_, meta.row0, meta.col0,
-                           config_.weightFracBits);
+            programMacTile(spec, t);
             ++stats_.functionalTilePrograms;
-            kept = ge.saveTile();
         }
-        for (std::uint32_t r = 0; r < config_.tiling.crossbarDim; ++r) {
-            const std::uint64_t v = meta.row0 + r;
-            in_rows[r] = v < nv ? input[v] : 0.0;
-        }
-        ge.runMac(in_rows, config_.inputFracBits, config_.weightFracBits,
-                  partial);
-        reduceResults(ge.salu(), meta.col0, partial, 0.0, accum);
+        ge.load(mac.store.tile(t));
+        Salu &salu = ge.salu();
+        const std::uint64_t col0 = meta.col0;
+        ge.runMacRaw(raw_input.subspan(meta.row0, dim),
+                     config_.inputFracBits, config_.weightFracBits,
+                     [&salu, col0, &accum](std::uint32_t col, double value) {
+                         reduceResult(salu, col0 + col, value, 0.0, accum);
+                     });
     }
 }
 
@@ -458,8 +523,13 @@ TileExecutor::functionalAddOpSolve(const CooGraph &graph,
 
     const std::vector<TileMeta> &tiles = plan_->meta.tiles();
     // A tile is programmed on its first activation; every later one
-    // writes its kept cells back.
-    std::vector<std::optional<TileSnapshot>> kept(tiles.size());
+    // reads its cells in place. Integer distances and weights: 0
+    // fractional bits is exact. Parallel edges merge with min
+    // (relaxation semantics).
+    TileCellStore store(tiles.size(), plan_->ordered.numEdges());
+    const Reciprocal by_dim(dim);
+    const bool weighted = spec.mode == WeightMode::kOriginal;
+    const double fixed_weight = spec.mode == WeightMode::kZero ? 0.0 : 1.0;
 
     std::vector<Value> dist = spec.initLabels;
     std::vector<VertexId> ids; // the round's active sources, ascending
@@ -475,25 +545,28 @@ TileExecutor::functionalAddOpSolve(const CooGraph &graph,
         for (const RoundTile &touched : finder.collect(ids)) {
             const std::size_t t = touched.position;
             const TileMeta &meta = tiles[t];
-            if (kept[t].has_value()) {
-                ge.loadTile(*kept[t]);
+            if (store.programmed(t)) {
                 countReplay();
             } else {
-                plan_->ordered.decodeTile(t, tileEdges_);
-                if (spec.mode != WeightMode::kOriginal) {
-                    const double w =
-                        spec.mode == WeightMode::kUnit ? 1.0 : 0.0;
-                    for (Edge &e : tileEdges_)
-                        e.weight = w;
+                const std::span<const std::uint64_t> locals =
+                    plan_->ordered.decodeTileLocals(
+                        t, locals_, weighted ? &weights_ : nullptr);
+                if (weighted && !weights_.empty()) {
+                    store.program(t, locals, by_dim, 0, CombineMode::kMin,
+                                  [this](std::size_t i, std::uint32_t,
+                                         std::uint64_t) {
+                                      return weights_[i];
+                                  });
+                } else {
+                    store.program(t, locals, by_dim, 0, CombineMode::kMin,
+                                  [fixed_weight](std::size_t, std::uint32_t,
+                                                 std::uint64_t) {
+                                      return fixed_weight;
+                                  });
                 }
-                // Integer distances/weights: 0 fractional bits is
-                // exact. Parallel edges merge with min (relaxation
-                // semantics).
-                ge.programTile(tileEdges_, meta.row0, meta.col0, 0,
-                               CombineMode::kMin);
                 ++stats_.functionalTilePrograms;
-                kept[t] = ge.saveTile();
             }
+            ge.load(store.tile(t));
             std::uint64_t m = touched.mask;
             while (m != 0) {
                 const int r = std::countr_zero(m);

@@ -16,11 +16,12 @@
  *    relaxation (BFS, SSSP, WCC): initial labels, initial active set,
  *    weight mode, and the recorded rounds forEachRound() walks.
  *
- * The functional path decodes each tile's edges from the plan's
- * stream into executor-owned scratch and derives its cells (weights
- * scaled, merged and quantised) once per run, on the tile's first
- * visit, and keeps them (TileSnapshot, 8 bytes a cell) until the run ends. A
- * later visit writes the kept cells back: under
+ * The functional path keeps one flat cell store per run
+ * (rram/graph_engine.hh: TileCellStore, 8 bytes a cell, reserved
+ * once for the plan's edges). A tile is programmed on its first
+ * visit straight from the local cell ids the plan's stream decodes
+ * to — parallel edges merged, weights scaled per source and
+ * quantised — and every later visit reads its cells in place: under
  * ProgramCharging::kPerSweep that is the sweep's reprogram of the
  * tile, under kOnce a switch to its resident bank. Either way the
  * cells are those the edges would program again, so the charging
@@ -32,6 +33,8 @@
 
 #include <functional>
 #include <memory>
+#include <optional>
+#include <span>
 #include <vector>
 
 #include "algorithms/traversal.hh"
@@ -52,8 +55,21 @@ struct MacSpec
     /** MVM evaluations per programmed tile per sweep (CF: features). */
     std::uint32_t passesPerTile = 1;
     /**
-     * Functional only: programmed weight of one edge (e.g. PageRank
-     * programs damping / outDegree(src)). Null keeps raw weights.
+     * Functional only: the per-source rule for the weight an edge
+     * programs. Edge u -> v of weight w programs n / sourceDivisors[u],
+     * n being weightNumerator when set and w otherwise: PageRank
+     * programs damping / outDegree(u), SpMV w / outDegree(u). The
+     * executor divides once per source, and with no numerator set
+     * reads that quotient, 1 / divisor, on the tiles whose weights
+     * are all 1.0; other tiles divide per edge. The span must outlive
+     * the executor's sweeps.
+     */
+    std::span<const EdgeId> sourceDivisors;
+    std::optional<double> weightNumerator;
+    /**
+     * Functional only, without sourceDivisors: programmed weight of
+     * one edge, called per edge on the tile's first program. Null
+     * keeps raw weights.
      */
     std::function<double(const Edge &)> edgeScale;
     /**
@@ -133,7 +149,8 @@ class TileExecutor
      * each tile, apply the matching rows of @p input, and sALU-reduce
      * the partial column sums into @p accum. Both vectors are indexed
      * by absolute vertex id. Every sweep of one executor programs the
-     * same weights: @p spec's edgeScale must not change between them.
+     * same weights: @p spec's weight rule must not change between
+     * them.
      */
     void functionalMacSweep(const MacSpec &spec,
                             const std::vector<Value> &input,
@@ -179,6 +196,9 @@ class TileExecutor
                : stats_.functionalTilePrograms);
     }
 
+    /** Program tile @p t of a MAC sweep into the run's cell store. */
+    void programMacTile(const MacSpec &spec, std::size_t t);
+
     /** Functional GE execution of the relaxation to convergence. */
     std::vector<Value> functionalAddOpSolve(const CooGraph &graph,
                                             const AddOpSpec &spec);
@@ -187,8 +207,10 @@ class TileExecutor
     CostModel costModel_;
     TilePlanPtr plan_;
     std::unique_ptr<MacDatapath> mac_;
-    /** A functional walk decodes a tile here on its first program. */
-    std::vector<Edge> tileEdges_;
+    /** A functional walk decodes a tile's local cell ids here, and
+     *  its weights when they are not all 1.0, on its first program. */
+    std::vector<std::uint64_t> locals_;
+    std::vector<double> weights_;
     EngineStats stats_;
 };
 

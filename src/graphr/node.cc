@@ -55,7 +55,7 @@ GraphRNode::runPageRank(const CooGraph &graph,
 
     std::uint64_t iterations = 0;
     std::vector<Value> ranks;
-    // Function scope: referenced by spec.edgeScale below.
+    // Function scope: referenced by spec.sourceDivisors below.
     std::vector<EdgeId> out_deg;
 
     if (config_.functional) {
@@ -65,10 +65,8 @@ GraphRNode::runPageRank(const CooGraph &graph,
         // (ProgramCharging::kOnce) are programmed once per run.
         const VertexId nv = graph.numVertices();
         out_deg = graph.outDegrees();
-        spec.edgeScale = [damping = params.damping,
-                          &out_deg](const Edge &e) {
-            return damping / static_cast<double>(out_deg[e.src]);
-        };
+        spec.sourceDivisors = out_deg;
+        spec.weightNumerator = params.damping;
 
         ranks.assign(nv, 1.0 / static_cast<double>(nv));
         for (int iter = 0; iter < params.maxIterations; ++iter) {
@@ -122,10 +120,12 @@ GraphRNode::runSpmv(const CooGraph &graph, const std::vector<Value> &x,
     spec.applyVariation = false; // SpMV is the exact validation path
 
     std::vector<Value> y;
+    // Function scope: referenced by spec.sourceDivisors below.
+    std::vector<EdgeId> out_deg;
     if (config_.functional) {
-        spec.edgeScale = [out_deg = graph.outDegrees()](const Edge &e) {
-            return e.weight / static_cast<double>(out_deg[e.src]);
-        };
+        // Each edge programs its weight over its source's out-degree.
+        out_deg = graph.outDegrees();
+        spec.sourceDivisors = out_deg;
         y.assign(graph.numVertices(), 0.0);
         exec.functionalMacSweep(spec, x, y);
     } else if (y_out != nullptr) {

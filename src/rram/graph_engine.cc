@@ -9,6 +9,12 @@
 namespace graphr
 {
 
+TileCellStore::TileCellStore(std::size_t num_tiles, std::uint64_t max_cells)
+    : slots_(num_tiles)
+{
+    cells_.reserve(max_cells);
+}
+
 GraphEngineArray::GraphEngineArray(std::uint32_t crossbar_dim,
                                    std::uint32_t num_crossbars,
                                    const DeviceParams &params,
@@ -26,18 +32,20 @@ GraphEngineArray::GraphEngineArray(std::uint32_t crossbar_dim,
 }
 
 void
-GraphEngineArray::mirrorTile(bool program)
+GraphEngineArray::load(TileCells tile)
 {
+    tile_ = tile;
     if (crossbars_.empty())
         return;
-    for (const TileSnapshot::CellValue &cell : tile_.cells) {
-        Crossbar &crossbar = crossbars_[cell.col / crossbarDim_];
-        if (program) {
-            crossbar.programValue(cell.row, cell.col % crossbarDim_,
-                                  FixedPoint::fromRaw(cell.raw, 0));
-        } else {
-            crossbar.clear();
-        }
+    for (const std::uint32_t cb : mirrored_)
+        crossbars_[cb].clear();
+    mirrored_.clear();
+    for (const TileCell &cell : tile_.cells) {
+        const std::uint32_t cb = cell.col / crossbarDim_;
+        if (mirrored_.empty() || mirrored_.back() != cb)
+            mirrored_.push_back(cb);
+        crossbars_[cb].programValue(cell.row, cell.col % crossbarDim_,
+                                    FixedPoint::fromRaw(cell.raw, 0));
     }
 }
 
@@ -47,7 +55,7 @@ GraphEngineArray::present(std::uint32_t row, std::uint64_t col) const
     GRAPHR_ASSERT(row < crossbarDim_ && col < tileWidth(), "cell (", row,
                   ",", col, ") outside tile");
     return std::any_of(tile_.cells.begin(), tile_.cells.end(),
-                       [row, col](const TileSnapshot::CellValue &cell) {
+                       [row, col](const TileCell &cell) {
                            return cell.row == row && cell.col == col;
                        });
 }
@@ -56,7 +64,7 @@ std::vector<std::uint32_t>
 GraphEngineArray::occupiedCrossbars() const
 {
     std::vector<std::uint32_t> occupied;
-    for (const TileSnapshot::CellValue &cell : tile_.cells) {
+    for (const TileCell &cell : tile_.cells) {
         const std::uint32_t cb = cell.col / crossbarDim_;
         if (occupied.empty() || occupied.back() != cb)
             occupied.push_back(cb);
@@ -69,89 +77,47 @@ GraphEngineArray::programTile(std::span<const Edge> edges,
                               std::uint64_t row0, std::uint64_t col0,
                               int weight_frac_bits, CombineMode combine)
 {
-    mirrorTile(false);
-
-    // (crossbar, column, row) order is tile-column-major order: the
-    // order a plan's tile stream already arrives in (Eq. 8).
-    const std::uint64_t dim = crossbarDim_;
-    const auto cell_key = [row0, col0, dim](const Edge &e) {
-        return (e.dst - col0) * dim + (e.src - row0);
+    // (crossbar, column, row) order is the order of the cells' local
+    // ids, row + col * C (Eq. 8): the order a plan's tile stream
+    // already arrives in.
+    struct Keyed
+    {
+        std::uint64_t local;
+        double weight;
     };
+    std::vector<Keyed> keyed;
+    keyed.reserve(edges.size());
     bool sorted = true;
-    for (std::size_t i = 0; i < edges.size(); ++i) {
-        const Edge &e = edges[i];
+    for (const Edge &e : edges) {
         GRAPHR_ASSERT(e.src >= row0 && e.src - row0 < crossbarDim_,
                       "edge row ", e.src, " outside tile at ", row0);
         GRAPHR_ASSERT(e.dst >= col0 && e.dst - col0 < tileWidth(),
                       "edge col ", e.dst, " outside tile at ", col0);
-        if (i > 0 && cell_key(edges[i - 1]) > cell_key(e))
+        const std::uint64_t local =
+            (e.dst - col0) * crossbarDim_ + (e.src - row0);
+        if (!keyed.empty() && keyed.back().local > local)
             sorted = false;
+        keyed.push_back(Keyed{local, e.weight});
     }
-    std::span<const Edge> cells = edges;
     if (!sorted) {
-        sorted_.assign(edges.begin(), edges.end());
-        std::stable_sort(sorted_.begin(), sorted_.end(),
-                         [&cell_key](const Edge &a, const Edge &b) {
-                             return cell_key(a) < cell_key(b);
+        std::stable_sort(keyed.begin(), keyed.end(),
+                         [](const Keyed &a, const Keyed &b) {
+                             return a.local < b.local;
                          });
-        cells = sorted_;
     }
+    std::vector<std::uint64_t> locals(keyed.size());
+    for (std::size_t i = 0; i < keyed.size(); ++i)
+        locals[i] = keyed[i].local;
 
-    // A crossbar cell holds one value: parallel edges are adjacent
-    // now, and fold in input order (sum for additive reduces, min for
-    // relaxation).
-    tile_.cells.clear();
-    for (std::size_t i = 0; i < cells.size();) {
-        const std::uint64_t key = cell_key(cells[i]);
-        double weight = cells[i].weight;
-        std::size_t j = i + 1;
-        for (; j < cells.size() && cell_key(cells[j]) == key; ++j) {
-            weight = combine == CombineMode::kSum
-                         ? weight + cells[j].weight
-                         : std::min(weight, cells[j].weight);
-        }
-        tile_.cells.push_back(TileSnapshot::CellValue{
-            static_cast<std::uint32_t>(key / dim),
-            FixedPoint::quantize(weight, weight_frac_bits).raw(),
-            static_cast<std::uint16_t>(key % dim)});
-        i = j;
-    }
-
-    // Per occupied crossbar, one array write op programs each
-    // wordline holding a cell (all its bitlines, hence all slices of
-    // the row's values at once), and an MVM reads each wordline
-    // holding a nonzero one.
-    TileActivity activity;
-    activity.cellWrites = edges.size();
-    tile_.mvmRows = 0;
-    const std::vector<TileSnapshot::CellValue> &placed = tile_.cells;
-    for (std::size_t i = 0; i < placed.size();) {
-        const std::uint32_t cb = placed[i].col / crossbarDim_;
-        std::uint64_t written = 0;
-        std::uint64_t nonzero = 0;
-        for (; i < placed.size() && placed[i].col / crossbarDim_ == cb; ++i) {
-            written |= std::uint64_t{1} << placed[i].row;
-            nonzero |= std::uint64_t{placed[i].raw != 0} << placed[i].row;
-        }
-        const auto rows = static_cast<std::uint32_t>(std::popcount(written));
-        ++activity.crossbarsUsed;
-        activity.maxRowsProgrammed =
-            std::max(activity.maxRowsProgrammed, rows);
-        activity.rowWriteOps += rows;
-        tile_.mvmRows += static_cast<std::uint64_t>(std::popcount(nonzero));
-    }
-
-    mirrorTile(true);
+    own_ = TileCellStore(1, locals.size());
+    const TileActivity activity = own_.program(
+        0, locals, Reciprocal(crossbarDim_), weight_frac_bits, combine,
+        [&keyed](std::size_t i, std::uint32_t, std::uint64_t) {
+            return keyed[i].weight;
+        });
+    load(own_.tile(0));
     ledger_.events().arrayWrites += activity.rowWriteOps;
     return activity;
-}
-
-void
-GraphEngineArray::loadTile(const TileSnapshot &snapshot)
-{
-    mirrorTile(false);
-    tile_ = snapshot;
-    mirrorTile(true);
 }
 
 void
@@ -161,43 +127,18 @@ GraphEngineArray::runMac(const std::vector<double> &input,
 {
     GRAPHR_ASSERT(input.size() == crossbarDim_, "input length ",
                   input.size(), " != C ", crossbarDim_);
-
     for (std::uint32_t r = 0; r < crossbarDim_; ++r)
         rawIn_[r] = FixedPoint::quantize(input[r], input_frac_bits).raw();
-
-    const double scale =
-        static_cast<double>(1u << input_frac_bits) *
-        static_cast<double>(1u << weight_frac_bits);
-
-    // Exact: slice recombination distributes over the row sum, so the
-    // slice-serial MVM of a column is its cells' uint64 dot product
-    // with the raw inputs. Under variation the crossbar's reading
-    // replaces that sum: each occupied crossbar runs its MVM once,
-    // when the walk reaches it, and counts the rows it reads.
-    const std::vector<TileSnapshot::CellValue> &cells = tile_.cells;
-    const bool exact = crossbars_.empty();
-    std::uint32_t read_cb = std::numeric_limits<std::uint32_t>::max();
     out.clear();
-    for (std::size_t i = 0; i < cells.size();) {
-        const std::uint32_t col = cells[i].col;
-        std::uint64_t sum = 0;
-        for (; i < cells.size() && cells[i].col == col; ++i) {
-            sum += static_cast<std::uint64_t>(rawIn_[cells[i].row]) *
-                   cells[i].raw;
-        }
-        if (!exact) {
-            const std::uint32_t cb = col / crossbarDim_;
-            if (cb != read_cb) {
-                crossbars_[cb].mvmRawInto(rawIn_, columns_);
-                read_cb = cb;
-            }
-            sum = columns_[col % crossbarDim_];
-        }
-        out.push_back(ColumnValue{col, static_cast<double>(sum) / scale});
-    }
-    if (exact)
-        Crossbar::countMvmRows(tile_.mvmRows);
+    runMacRaw(rawIn_, input_frac_bits, weight_frac_bits,
+              [&out](std::uint32_t col, double value) {
+                  out.push_back(ColumnValue{col, value});
+              });
+}
 
+void
+GraphEngineArray::chargeMac()
+{
     // Every crossbar of the array is read, occupied or not: one
     // array read per input slice, one ADC sample per physical bitline
     // (C values x weight slices) per input slice.
@@ -217,11 +158,12 @@ GraphEngineArray::runAddOp(std::uint32_t row, double dist_u,
 {
     GRAPHR_ASSERT(row < crossbarDim_, "row ", row, " outside tile");
 
-    const double w_scale = static_cast<double>(1u << weight_frac_bits);
+    // A power of two: its reciprocal multiplies exactly.
+    const double inv_scale =
+        1.0 / static_cast<double>(1u << weight_frac_bits);
     std::uint32_t read_cb = std::numeric_limits<std::uint32_t>::max();
-    std::vector<FixedPoint::Raw> row_vals;
     out.clear();
-    for (const TileSnapshot::CellValue &cell : tile_.cells) {
+    for (const TileCell &cell : tile_.cells) {
         if (cell.row != row)
             continue;
         FixedPoint::Raw raw = cell.raw;
@@ -230,15 +172,15 @@ GraphEngineArray::runAddOp(std::uint32_t row, double dist_u,
             // row reads the wordline once, in ascending order.
             const std::uint32_t cb = cell.col / crossbarDim_;
             if (cb != read_cb) {
-                row_vals = crossbars_[cb].selectRow(row);
+                rowValues_ = crossbars_[cb].selectRow(row);
                 read_cb = cb;
             }
-            raw = row_vals[cell.col % crossbarDim_];
+            raw = rowValues_[cell.col % crossbarDim_];
         }
         // The fixed "1" row adds dist(u) to each weight in analog
         // (paper Fig. 16(c)); functionally that is w + dist_u.
         out.push_back(ColumnValue{
-            cell.col, static_cast<double>(raw) / w_scale + dist_u});
+            cell.col, static_cast<double>(raw) * inv_scale + dist_u});
     }
 
     // Every crossbar of the array reads the selected wordline.

@@ -450,12 +450,28 @@ TEST(CooMemoTest, SchedulesStayBoundedPerProduct)
     EXPECT_EQ(bfsSchedule(g, 0)->rounds(), bfs(g, 0).iterations);
     EXPECT_EQ(counterValue("frontier_cache.misses") - misses,
               kSources + 1);
-    // SSSP schedules are a product of their own: BFS sources never
-    // evicted them.
+    // Over the chain's unit weights SSSP's rounds are BFS's: its
+    // schedule is BFS's own, source 0's just recorded again, a hit.
     const std::uint64_t before = counterValue("frontier_cache.misses");
+    EXPECT_EQ(ssspSchedule(g, 0), bfsSchedule(g, 0));
     EXPECT_EQ(ssspSchedule(g, 0)->rounds(), sssp(g, 0).iterations);
-    EXPECT_EQ(ssspSchedule(g, 0)->rounds(), sssp(g, 0).iterations);
-    EXPECT_EQ(counterValue("frontier_cache.misses") - before, 1u);
+    EXPECT_EQ(counterValue("frontier_cache.misses"), before);
+
+    // On a weighted graph SSSP schedules are a product of their own:
+    // BFS sources never evict them.
+    const CooGraph weighted = makeGrid2d(8, 8, 3, 9.0);
+    ASSERT_FALSE(weighted.unitWeights());
+    const std::uint64_t weighted_before =
+        counterValue("frontier_cache.misses");
+    EXPECT_EQ(ssspSchedule(weighted, 0)->rounds(),
+              sssp(weighted, 0).iterations);
+    for (VertexId s = 0; s < kSources; ++s)
+        bfsSchedule(weighted, s);
+    EXPECT_NE(ssspSchedule(weighted, 0), bfsSchedule(weighted, 0));
+    EXPECT_EQ(ssspSchedule(weighted, 0)->rounds(),
+              sssp(weighted, 0).iterations);
+    EXPECT_EQ(counterValue("frontier_cache.misses") - weighted_before,
+              1 + kSources + 1);
 }
 
 TEST(CooMemoTest, GoldenWccRoundsAreWccPassesWithoutACopy)

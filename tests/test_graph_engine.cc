@@ -66,7 +66,7 @@ cellsOf(const GraphEngineArray &ge)
 {
     std::map<std::pair<std::uint32_t, std::uint64_t>, FixedPoint::Raw>
         cells;
-    for (const TileSnapshot::CellValue &cell : ge.saveTile().cells)
+    for (const TileCell &cell : ge.tile().cells)
         cells[{cell.row, cell.col}] = cell.raw;
     return cells;
 }
@@ -377,10 +377,16 @@ TEST(GraphEngineTest, ReprogramAfterAWideTileLeavesNothingStale)
     for (std::uint64_t col = 0; col < ge.tileWidth(); ++col)
         EXPECT_DOUBLE_EQ(y[col], col == 33 ? 4.0 : 0.0) << col;
 
-    // A snapshot replay clears the same way.
-    const TileSnapshot narrow_tile = ge.saveTile();
+    // Loading the same tile from a run's cell store clears the same
+    // way: local id 33 * C + 2 is cell (2, 33).
+    TileCellStore store(1, 1);
+    store.program(0, std::vector<std::uint64_t>{33 * 4 + 2}, Reciprocal(4),
+                  0, CombineMode::kSum,
+                  [](std::size_t, std::uint32_t, std::uint64_t) {
+                      return 4.0;
+                  });
     ge.programTile(wide, 0, 0, 0);
-    ge.loadTile(narrow_tile);
+    ge.load(store.tile(0));
     EXPECT_EQ(cellsOf(ge).size(), 1u);
     EXPECT_EQ(mac(ge, {1.0, 1.0, 1.0, 1.0}, 0, 0), y);
 }
